@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog
-from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, dual_element, random_code
+from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, random_code
 from .enumerators import (
     complete_distribution,
     hamming_distribution,
@@ -85,11 +85,9 @@ def _system_for(m: int, args):
 
 
 def _element_pair(sys_, kind, payload, threads):
-    """(C, C') for either input kind."""
-    if kind == "code":
-        return associated_element(sys_, payload), dual_element(sys_, payload)
-    dual = transform(sys_, payload, threads=threads).element
-    return payload, dual
+    """(C, C') for either input kind: C is built once, C' is its transform."""
+    primary = associated_element(sys_, payload) if kind == "code" else payload
+    return primary, transform(sys_, primary, threads=threads).element
 
 
 def _fmt_complex(c: complex) -> list[float]:
@@ -374,6 +372,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -4,18 +4,17 @@ A code given by orthonormal basis vectors {v_i} maps to the element with
 
     c_g = (1/K^2) |sum_i <v_i| E_g |v_i>|^2,
 
-and its transform has the closed form
-
-    c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2.
-
-Both are computed without ever materializing an m^n x m^n operator: for the
+computed without ever materializing an m^n x m^n operator: for the
 generalized Pauli basis, E_(a,b) acts on a state as an index shift by a and
 a diagonal phase in b, so for a fixed shift a all Z-parts b are obtained at
 once by contracting the m x m phase character matrix along each coordinate
-axis of the pointwise product conj(v(.+a)) * w(.).
+axis of the pointwise product conj(v(.+a)) * v(.).
 
 A code given by stabilizer generators maps to the indicator of the generated
-index subgroup; its dual is the transform (equivalently, the indicator of
+index subgroup.  For every input kind C is built once and C' is its
+transform (for basis input C' has the closed form
+c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2, which the dense-matrix oracle
+computes to certify this route; for stabilizer input C' is the indicator of
 the normalizer).  From the pair (C, C'):
 
     K    = m^n / mass(C)
@@ -47,11 +46,12 @@ from .errors import (
     NonOrthonormalBasis,
 )
 from .enumerators import HammingDistribution, hamming_distribution
-from .group_algebra import AlgebraElement, label_digits, label_weights, transform
+from .group_algebra import AlgebraElement, transform, weight_reduce
 from .reports import CheckReport
 
 COEFF_TOL = 1e-9
 DIMENSION_TOL = 1e-6
+_MASK_SLICE = 1 << 16
 
 Label = tuple[GroupElement, ...]
 
@@ -209,34 +209,26 @@ def _all_shifts(m: int, n: int):
     return [tuple(int(x) for x in row) for row in shifts]
 
 
-def _basis_elements_generic(sys: PhaseSystem, code: CodeSpec):
-    """(C, C') for basis input under any nice error basis.
+def _associated_basis_generic(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
+    """C for basis input under any nice error basis.
 
     Applies each E_g factor by factor (one m x m contraction per coordinate,
-    identity factors skipped); both coefficients come from the same overlap
-    matrix t[i, j] = <v_i|E_g|v_j>:
-
-        c_g  = |sum_i t_ii|^2 / K^2      c'_g = sum_ij |t_ij|^2 / K
+    identity factors skipped) and takes c_g = |sum_i <v_i|E_g|v_i>|^2 / K^2.
     """
     m, n = code.m, code.n
     vectors = code.body.vectors
     k = vectors.shape[0]
-    digits = label_digits(m, n)
     states = vectors.reshape((k,) + (m,) * n)
-    c = np.empty(digits.shape[0], dtype=np.complex128)
-    c_dual = np.empty(digits.shape[0], dtype=np.complex128)
-    for idx in range(digits.shape[0]):
+    c = np.empty((m * m) ** n, dtype=np.complex128)
+    for idx, digits in enumerate(np.ndindex(*(m * m,) * n)):
         w = states
-        for axis in range(n):
-            d = digits[idx, axis]
+        for axis, d in enumerate(digits):
             if d:
                 w = np.moveaxis(
                     np.tensordot(sys.matrices[d], w, axes=([1], [axis + 1])), 0, axis + 1
                 )
-        t = vectors.conj() @ w.reshape(k, -1).T
-        c[idx] = abs(np.trace(t)) ** 2 / k ** 2
-        c_dual[idx] = (np.abs(t) ** 2).sum() / k
-    return AlgebraElement(m, n, c), AlgebraElement(m, n, c_dual)
+        c[idx] = abs(np.vdot(vectors, w.reshape(k, -1))) ** 2 / k ** 2
+    return AlgebraElement(m, n, c)
 
 
 def _associated_basis_pauli(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
@@ -251,24 +243,6 @@ def _associated_basis_pauli(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
         t_all[row] = _kernel.apply_axiswise(f, u, n)
     coeffs = np.abs(t_all) ** 2 / k ** 2
     return AlgebraElement(m, n, _reorder_pair_axes(coeffs.astype(np.complex128), m, n))
-
-
-def _dual_basis_pauli(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    m, n = code.m, code.n
-    vectors = code.body.vectors
-    k = vectors.shape[0]
-    f = _phase_character_matrix(m)
-    dim = m ** n
-    t_all = np.empty((dim, dim), dtype=np.float64)
-    for row, shift in enumerate(_all_shifts(m, n)):
-        w = _shifted_conj(vectors, shift, m, n)
-        acc = np.zeros(dim, dtype=np.float64)
-        for i in range(k):
-            for j in range(k):
-                overlaps = _kernel.apply_axiswise(f, w[i] * vectors[j], n)
-                acc += np.abs(overlaps) ** 2
-        t_all[row] = acc / k
-    return AlgebraElement(m, n, _reorder_pair_axes(t_all.astype(np.complex128), m, n))
 
 
 def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
@@ -287,18 +261,16 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
         return AlgebraElement(m, n, coeffs)
     if sys.pauli:
         return _associated_basis_pauli(sys, code)
-    return _basis_elements_generic(sys, code)[0]
+    return _associated_basis_generic(sys, code)
 
 
 def dual_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    """c'_h = (1/K) sum_{i,j} |<v_i|E_h|v_j>|^2 for basis input; the transform
-    of the associated element for stabilizer input.  The two routes agree."""
-    validate_code(code)
-    if isinstance(code.body, StabilizerGenerators):
-        return transform(sys, associated_element(sys, code)).element
-    if sys.pauli:
-        return _dual_basis_pauli(sys, code)
-    return _basis_elements_generic(sys, code)[1]
+    """C', the transform of the associated element, for every input kind.
+
+    For basis input it equals (1/K) sum_{i,j} |<v_i|E_h|v_j>|^2, which the
+    dense-matrix oracle computes directly to certify this route.
+    """
+    return transform(sys, associated_element(sys, code)).element
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,30 +283,35 @@ class AnalysisReport:
     dual_distribution: HammingDistribution
 
 
-def _minimum_distance(weights: np.ndarray, c: np.ndarray, c_dual: np.ndarray, k: int) -> int:
-    if k > 1:
-        mask = np.abs(c - c_dual) > COEFF_TOL
-    else:
-        mask = (np.abs(c) > COEFF_TOL) & (weights > 0)
-    if not mask.any():
+def _minimum_distance(m: int, n: int, c: np.ndarray, c_dual: np.ndarray, k: int) -> int:
+    """First weight w >= 1 holding a coefficient where c differs from c'
+    (K > 1), or where c is nonzero (K = 1); reduced one axis at a time."""
+    # in slices, so that no full-size c - c' or modulus array is ever alive
+    mask = np.empty(c.shape, dtype=bool)
+    for s in range(0, c.size, _MASK_SLICE):
+        part = c[s:s + _MASK_SLICE]
+        if k > 1:
+            part = part - c_dual[s:s + _MASK_SLICE]
+        np.greater(np.abs(part), COEFF_TOL, out=mask[s:s + _MASK_SLICE])
+    hit = np.flatnonzero(weight_reduce(mask, m * m, n, np.logical_or)[1:])
+    if not hit.size:
         raise NoDistance(
             "no coefficient distinguishes the element from its transform"
             if k > 1 else "element has no support off the identity"
         )
-    return int(weights[mask].min())
+    return int(hit[0]) + 1
 
 
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     """Extract K, d, and purity from the associated element and its dual."""
     c = associated_element(sys, code)
-    c_dual = dual_element(sys, code)
+    c_dual = transform(sys, c).element
     mass = c.mass.real
     k_exact = sys.m ** code.n / mass
     k = round(k_exact)
     if k < 1 or abs(k_exact - k) > DIMENSION_TOL:
         raise NonIntegerDimension(f"m^n / M = {k_exact!r} is not an integer")
-    weights = label_weights(code.m, code.n)
-    d = _minimum_distance(weights, c.coeffs, c_dual.coeffs, k)
+    d = _minimum_distance(code.m, code.n, c.coeffs, c_dual.coeffs, k)
     dist = hamming_distribution(c)
     pure = bool(np.all(np.abs(dist.a[1:d]) <= COEFF_TOL))
     return AnalysisReport(
@@ -347,7 +324,7 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:
     """Cauchy-Schwarz consequence: c_g <= c'_g (up to tolerance) everywhere."""
     c = associated_element(sys, code)
-    c_dual = dual_element(sys, code)
+    c_dual = transform(sys, c).element
     gap = c.coeffs.real - c_dual.coeffs.real
     worst = float(gap.max())
     bad = tuple(int(i) for i in np.nonzero(gap > COEFF_TOL)[0])

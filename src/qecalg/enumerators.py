@@ -28,7 +28,7 @@ import numpy as np
 
 from .error_basis import GroupElement, GroupOrdering, PhaseSystem, canonical_ordering
 from .errors import EvenM
-from .group_algebra import AlgebraElement, TransformResult, label_digits, label_weights, transform
+from .group_algebra import AlgebraElement, contract_axes, label_sums, transform, weight_reduce
 from .reports import CheckReport
 
 IDENTITY_TOL = 1e-9
@@ -69,18 +69,39 @@ class HammingDistribution:
         return None
 
 
-def _grouped_sums(counts: np.ndarray, coeffs: np.ndarray):
-    """Sum coefficients by unique count-vector; rows summing to exactly
-    zero (unoccupied keys of indicator elements) are dropped."""
-    keys, inverse = np.unique(counts, axis=0, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.complex128)
-    np.add.at(sums, inverse, coeffs)
-    out_keys, out_vals = [], []
-    for i in range(len(keys)):
-        if sums[i] != 0:
-            out_keys.append(tuple(int(x) for x in keys[i]))
-            out_vals.append(complex(sums[i]))
-    return out_keys, out_vals
+def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dict:
+    """Sum coefficients by composition: how many coordinates carry each of
+    `count` symbols, symbol[v] being the symbol of ordering index v.
+
+    A composition is keyed by its counts as mixed-radix digits in base n+1,
+    built one axis at a time by broadcasting; symbols are split into as many
+    int64 key columns as needed.  Sums that are exactly zero (unoccupied keys
+    of indicator elements) are dropped; keys come out in sorted order.
+    """
+    base = a.n + 1
+    per_column = 1
+    while base ** (per_column + 1) <= np.iinfo(np.int64).max:
+        per_column += 1
+    widths = [min(per_column, count - start) for start in range(0, count, per_column)]
+    columns = []
+    for j, width in enumerate(widths):
+        places = np.zeros(count, dtype=np.int64)
+        places[j * per_column:j * per_column + width] = base ** np.arange(width, dtype=np.int64)
+        columns.append(label_sums(places[symbol], a.n))
+    if len(columns) == 1:  # the common case; 1-D unique is ~20x faster
+        keys, inverse = np.unique(columns[0], return_inverse=True)
+        keys = keys[:, None]
+    else:
+        keys, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    re = np.bincount(inverse, weights=a.coeffs.real, minlength=len(keys))
+    im = np.bincount(inverse, weights=a.coeffs.imag, minlength=len(keys))
+    keep = (re != 0) | (im != 0)
+    counts = np.concatenate(
+        [keys[keep, j, None] // base ** np.arange(width, dtype=np.int64) % base
+         for j, width in enumerate(widths)], axis=1)
+    terms = {tuple(row): complex(r, i) for row, r, i in zip(counts.tolist(), re[keep], im[keep])}
+    return dict(sorted(terms.items()))
 
 
 def composition(label: Sequence[GroupElement], ordering: GroupOrdering) -> tuple[int, ...]:
@@ -120,27 +141,17 @@ def lee_composition(label: Sequence[GroupElement], ordering: GroupOrdering) -> t
 
 def complete_distribution(a: AlgebraElement) -> CompleteDistribution:
     q = a.m * a.m
-    digits = label_digits(a.m, a.n)
-    counts = np.stack([(digits == v).sum(axis=1) for v in range(q)], axis=1)
-    keys, sums = _grouped_sums(counts, a.coeffs)
-    return CompleteDistribution(a.m, a.n, dict(zip(keys, sums)))
+    return CompleteDistribution(a.m, a.n, _composition_terms(a, np.arange(q), q))
 
 
 def lee_distribution(a: AlgebraElement) -> LeeDistribution:
     _require_odd(a.m)
     delta = (a.m * a.m - 1) // 2
-    cls = _lee_class(a.m)
-    digits = cls[label_digits(a.m, a.n)]
-    counts = np.stack([(digits == v).sum(axis=1) for v in range(delta + 1)], axis=1)
-    keys, sums = _grouped_sums(counts, a.coeffs)
-    return LeeDistribution(a.m, a.n, delta, dict(zip(keys, sums)))
+    return LeeDistribution(a.m, a.n, delta, _composition_terms(a, _lee_class(a.m), delta + 1))
 
 
 def hamming_distribution(a: AlgebraElement) -> HammingDistribution:
-    weights = label_weights(a.m, a.n)
-    out = np.zeros(a.n + 1, dtype=np.complex128)
-    np.add.at(out, weights, a.coeffs)
-    return HammingDistribution(a.m, a.n, out)
+    return HammingDistribution(a.m, a.n, weight_reduce(a.coeffs, a.m * a.m, a.n))
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +169,6 @@ def _relative_residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / denom
 
 
-def _evaluate_products(values: np.ndarray, digits: np.ndarray, per_coordinate: bool) -> np.ndarray:
-    """prod_i values[i, digit_i] (per_coordinate) or prod_i values[digit_i]."""
-    n = digits.shape[1]
-    out = np.ones(digits.shape[0], dtype=np.complex128)
-    for i in range(n):
-        out *= values[i, digits[:, i]] if per_coordinate else values[digits[:, i]]
-    return out
-
-
 def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
     """Evaluate the exact enumerator of `a` at `points[i, s]`.
 
@@ -178,8 +180,7 @@ def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
     q = a.m * a.m
     if points.shape != (a.n, q):
         raise ValueError(f"expected points of shape ({a.n}, {q}), got {points.shape}")
-    digits = label_digits(a.m, a.n)
-    return complex(a.coeffs @ _evaluate_products(points, digits, True))
+    return contract_axes(a.coeffs, points)
 
 
 def verify_exact_identity(
@@ -218,15 +219,14 @@ def verify_complete_identity(
 ) -> CheckReport:
     """Complete-enumerator identity in m^2 shared variables, by evaluation."""
     rng = np.random.default_rng(seed)
-    digits = label_digits(a.m, a.n)
     dual = transform(sys, a).element
     worst = 0.0
     bad = []
     for t in range(trials):
         z = _unit_disk_points(rng, sys.q)
-        lhs = complex(dual.coeffs @ _evaluate_products(z, digits, False))
+        lhs = contract_axes(dual.coeffs, [z] * a.n)
         w = z @ sys.kernel
-        rhs = complex(a.coeffs @ _evaluate_products(w, digits, False)) / a.mass
+        rhs = contract_axes(a.coeffs, [w] * a.n) / a.mass
         resid = _relative_residual(lhs, rhs)
         worst = max(worst, resid)
         if resid > IDENTITY_TOL:
@@ -252,7 +252,6 @@ def verify_lee_identity(
     _require_odd(sys.m)
     rng = np.random.default_rng(seed)
     cls = _lee_class(sys.m)
-    digits = cls[label_digits(a.m, a.n)]
     delta = (sys.q - 1) // 2
     dual = transform(sys, a).element
     # subst[i, s]: coefficient of z_s in the replacement for Lee variable i
@@ -263,9 +262,9 @@ def verify_lee_identity(
     bad = []
     for t in range(trials):
         z = _unit_disk_points(rng, delta + 1)
-        lhs = complex(dual.coeffs @ _evaluate_products(z, digits, False))
+        lhs = contract_axes(dual.coeffs, [z[cls]] * a.n)
         w = subst @ z
-        rhs = complex(a.coeffs @ _evaluate_products(w, digits, False)) / a.mass
+        rhs = contract_axes(a.coeffs, [w[cls]] * a.n) / a.mass
         resid = _relative_residual(lhs, rhs)
         worst = max(worst, resid)
         if resid > IDENTITY_TOL:

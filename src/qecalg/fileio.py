@@ -104,6 +104,8 @@ def read_element(path) -> AlgebraElement:
     header = _take_header(lines, path, "element v1", ["m", "n"])
     m = _header_int(header, "m", path)
     n = _header_int(header, "n", path)
+    if m < 2 or n < 1:
+        raise FormatError(f"need m >= 2 and n >= 1, got m={m}, n={n}", path)
     size = (m * m) ** n
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = set()

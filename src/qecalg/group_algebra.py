@@ -10,6 +10,10 @@ g_i in the canonical GroupOrdering.  The transform
 has a fast path (the kernel matrix applied along each of the n axes, cost
 O(n * m^2 * m^(2n))) and a naive reference path (direct double summation,
 cost O(m^(4n))) kept solely to certify the fast one.
+
+Sums over labels (by Hamming weight, by composition, or weighted by a
+product of per-coordinate values) are reduced one axis at a time on the
+coefficients viewed as an (m^2,) * n tensor; no per-label table is built.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import GroupElement, PhaseSystem, canonical_ordering
+from .error_basis import GroupElement, PhaseSystem, build_pauli_system, canonical_ordering
 from .errors import ShapeMismatch, ZeroMass
 from .reports import CheckReport
 
@@ -30,33 +34,38 @@ from .reports import CheckReport
 MASS_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def label_digits(m: int, n: int) -> np.ndarray:
-    """(N, n) array: mixed-radix digits (base m^2) of every flat index."""
-    q = m * m
-    idx = np.arange(q ** n)
-    digits = np.empty((q ** n, n), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        digits[:, i] = idx % q
-        idx //= q
-    digits.setflags(write=False)
-    return digits
+def weight_reduce(values: np.ndarray, q: int, n: int, op=np.add) -> np.ndarray:
+    """(n + 1,) array: `op` reduced over the labels of each Hamming weight.
+
+    `values` is a flat array of length q^n in label order.  One axis at a
+    time, the slice at digit 0 keeps its weight and the reduction over the
+    nonzero digits moves up one weight, so no per-label table is built.
+    """
+    acc = values.reshape(1, -1)
+    for _ in range(n):
+        acc = acc.reshape(acc.shape[0], q, -1)
+        out = np.full((acc.shape[0] + 1, acc.shape[2]), op.identity, dtype=acc.dtype)
+        out[:-1] = acc[:, 0]
+        op(out[1:], op.reduce(acc[:, 1:], axis=1), out=out[1:])
+        acc = out
+    return acc.reshape(n + 1)
 
 
-@lru_cache(maxsize=None)
-def label_weights(m: int, n: int) -> np.ndarray:
-    """(N,) array of Hamming weights: count of nonzero digits per index."""
-    w = (label_digits(m, n) != 0).sum(axis=1).astype(np.int32)
-    w.setflags(write=False)
-    return w
+def label_sums(table: np.ndarray, n: int) -> np.ndarray:
+    """Flat array over all labels g of sum_i table[g_i], one axis at a time."""
+    out = table
+    for _ in range(n - 1):
+        out = np.add.outer(out, table).reshape(-1)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _places(m: int, n: int) -> np.ndarray:
-    q = m * m
-    p = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    p.setflags(write=False)
-    return p
+def contract_axes(values: np.ndarray, vectors) -> complex:
+    """sum_g values[g] * prod_i vectors[i][g_i], contracting vectors[i]
+    along axis i (first coordinate first); O(len(values)) work."""
+    t = values
+    for v in vectors:
+        t = v @ t.reshape(len(v), -1)
+    return complex(t[0])
 
 
 def encode_label(m: int, label: Sequence[GroupElement]) -> int:
@@ -147,20 +156,50 @@ def scale(r: complex, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.m, a.n, r * a.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _character_table(m: int) -> np.ndarray:
+    """A nondegenerate character table of Z_m x Z_m in ordering order (the
+    generalized Pauli kernel); transforming twice with it multiplies by m^2."""
+    return build_pauli_system(m).kernel
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Group convolution: out[k] = sum over g+h = k of a_g * b_h."""
+    """Group convolution: out[k] = sum over g+h = k of a_g * b_h.
+
+    Characters are homomorphisms, chi_h(A B) = chi_h(A) chi_h(B), so the
+    product is the pointwise product of the unnormalised transforms, taken
+    back by one more kernel pass and scaled by 1/m^(2n) (the double-transform
+    identity).  When one operand has at most m^2 terms it is cheaper to shift
+    the other term by term, and exact: z^g z^h = z^(g+h) holds bit for bit.
+    """
     _check_shapes(a, b)
-    ordering = canonical_ordering(a.m)
-    digits = label_digits(a.m, a.n)
-    places = _places(a.m, a.n)
-    out = np.zeros_like(a.coeffs)
-    support = np.nonzero(a.coeffs)[0]
-    for gi in support:
-        # indices of g + h for all h, digit by digit; h -> g+h is a bijection
-        shifted = ordering.add_table[digits[gi][None, :], digits]  # (N, n)
-        target = shifted @ places
-        out[target] += a.coeffs[gi] * b.coeffs
+    if np.count_nonzero(b.coeffs) < np.count_nonzero(a.coeffs):
+        a, b = b, a
+    if np.count_nonzero(a.coeffs) <= a.m * a.m:
+        return AlgebraElement(a.m, a.n, _shifted_sum(a, b))
+    kernel = _character_table(a.m)
+    product = _kernel.apply_axiswise(kernel, a.coeffs, a.n)
+    product *= _kernel.apply_axiswise(kernel, b.coeffs, b.n)
+    out = _kernel.apply_axiswise(kernel, product, a.n)
+    out /= a.size
     return AlgebraElement(a.m, a.n, out)
+
+
+def _shifted_sum(a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
+    """sum over the support of a of a_g * (b shifted by g), where the shift
+    permutes each axis by k -> index of (alpha_k - alpha_{g_i})."""
+    ordering = canonical_ordering(a.m)
+    shape = (ordering.size,) * a.n
+    minus = ordering.add_table[:, ordering.neg_table].T  # minus[d, k]: alpha_k - alpha_d
+    tensor = b.coeffs.reshape(shape)
+    out = np.zeros(a.size, dtype=np.complex128)
+    for idx in np.nonzero(a.coeffs)[0]:
+        shifted = tensor
+        for axis, d in enumerate(np.unravel_index(idx, shape)):
+            if d:
+                shifted = np.take(shifted, minus[d], axis=axis)
+        out += a.coeffs[idx] * shifted.reshape(-1)
+    return out
 
 
 def transform(
@@ -191,10 +230,10 @@ def transform_naive(sys: PhaseSystem, a: AlgebraElement) -> TransformResult:
     mass = a.mass
     if abs(mass) <= MASS_TOL:
         raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
-    digits = label_digits(a.m, a.n)
+    digits = np.indices((a.m * a.m,) * a.n).reshape(a.n, -1)
     chars = np.ones((a.size, a.size), dtype=np.complex128)
-    for i in range(a.n):
-        chars *= sys.kernel[digits[:, i][:, None], digits[None, :, i]]
+    for d in digits:
+        chars *= sys.kernel[d[:, None], d[None, :]]
     out = chars @ a.coeffs / mass
     return TransformResult(AlgebraElement(a.m, a.n, out), mass)
 

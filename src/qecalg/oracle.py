@@ -1,7 +1,8 @@
-"""Brute-force dense-matrix reference implementations.
+"""Brute-force reference implementations.
 
-Everything here materializes operators as explicit m^n x m^n matrices and
-exists solely to certify the fast paths at small sizes; nothing scales.
+Everything here materializes operators as explicit m^n x m^n matrices, or
+the per-label table of all m^(2n) labels, and exists solely to certify the
+fast paths at small sizes; nothing scales and nothing is cached.
 """
 
 from __future__ import annotations
@@ -9,13 +10,86 @@ from __future__ import annotations
 import numpy as np
 
 from .code_analysis import BasisVectors, CodeSpec, StabilizerGenerators, validate_code
-from .error_basis import PhaseSystem
+from .error_basis import PhaseSystem, canonical_ordering
 from .errors import SizeCap
-from .group_algebra import AlgebraElement, label_digits
+from .group_algebra import AlgebraElement
 from .reports import CheckReport
 
 DEFAULT_SIZE_CAP = 256
 _TOL = 1e-9
+
+
+def label_digits(m: int, n: int) -> np.ndarray:
+    """(m^(2n), n) table: the ordering-index digits of every flat index."""
+    q = m * m
+    idx = np.arange(q ** n)
+    digits = np.empty((q ** n, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        digits[:, i] = idx % q
+        idx //= q
+    return digits
+
+
+def _grouped_terms(keys: np.ndarray, coeffs: np.ndarray) -> dict:
+    """Sum coefficients by unique key row; exactly-zero sums are dropped."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.complex128)
+    np.add.at(sums, inverse.reshape(-1), coeffs)
+    return {tuple(int(x) for x in row): complex(v) for row, v in zip(uniq, sums) if v != 0}
+
+
+def oracle_hamming_distribution(a: AlgebraElement) -> np.ndarray:
+    """A_w = sum of c_g over labels of weight w, from the label table."""
+    weights = (label_digits(a.m, a.n) != 0).sum(axis=1)
+    out = np.zeros(a.n + 1, dtype=np.complex128)
+    np.add.at(out, weights, a.coeffs)
+    return out
+
+
+def oracle_composition_terms(a: AlgebraElement, lee: bool = False) -> dict:
+    """Complete (or, for odd m, Lee) distribution from the label table."""
+    q = a.m * a.m
+    digits = label_digits(a.m, a.n)
+    count = q
+    if lee:
+        delta = (q - 1) // 2
+        digits = np.where(digits > delta, q - digits, digits)
+        count = delta + 1
+    counts = np.stack([(digits == v).sum(axis=1) for v in range(count)], axis=1)
+    return _grouped_terms(counts, a.coeffs)
+
+
+def oracle_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
+    """sum_g c_g prod_i points[i, g_i]; a 1-D `points` is shared by all i."""
+    points = np.asarray(points, dtype=np.complex128)
+    digits = label_digits(a.m, a.n)
+    prods = np.ones(a.size, dtype=np.complex128)
+    for i in range(a.n):
+        prods *= points[digits[:, i]] if points.ndim == 1 else points[i, digits[:, i]]
+    return complex(a.coeffs @ prods)
+
+
+def oracle_minimum_distance(a: AlgebraElement, dual: AlgebraElement, k: int) -> int:
+    """Smallest weight >= 1 where c differs from c' (K > 1) or c is
+    nonzero (K = 1), read off the label table."""
+    weights = (label_digits(a.m, a.n) != 0).sum(axis=1)
+    if k > 1:
+        mask = np.abs(a.coeffs - dual.coeffs) > _TOL
+    else:
+        mask = (np.abs(a.coeffs) > _TOL) & (weights > 0)
+    return int(weights[mask].min())
+
+
+def oracle_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Group convolution by scattering b once per support element of a."""
+    ordering = canonical_ordering(a.m)
+    digits = label_digits(a.m, a.n)
+    places = ordering.size ** np.arange(a.n - 1, -1, -1, dtype=np.int64)
+    out = np.zeros(a.size, dtype=np.complex128)
+    for gi in np.nonzero(a.coeffs)[0]:
+        target = ordering.add_table[digits[gi][None, :], digits] @ places
+        out[target] += a.coeffs[gi] * b.coeffs
+    return AlgebraElement(a.m, a.n, out)
 
 
 def _check_cap(m: int, n: int, cap: int) -> None:

@@ -30,8 +30,7 @@ from qecalg import (
     verify_lee_identity,
     verify_hamming_identity,
 )
-from qecalg.group_algebra import label_digits
-from qecalg.oracle import codewords_from_stabilizers, oracle_character, verify_basis_axioms
+from qecalg.oracle import codewords_from_stabilizers, label_digits, oracle_character, verify_basis_axioms
 
 
 @contextmanager

@@ -196,3 +196,22 @@ def test_version_line_in_text_reports(capsys):
     code, out, _ = run(capsys, "analyze", "513")
     assert code == 0
     assert f"# qecalg {__version__}" in out
+
+
+@pytest.mark.parametrize("header", ["m 2\nn -1", "m 2\nn 0", "m 1\nn 3", "m -2\nn 3"])
+def test_element_header_out_of_range_is_input_error(capsys, tmp_path, header):
+    path = tmp_path / "bad.elem"
+    path.write_text(f"element v1\n{header}\n")
+    code, _, err = run(capsys, "transform", str(path))
+    assert code == 2
+    assert "need m >= 2 and n >= 1" in err
+
+
+def test_element_too_large_for_memory_is_input_error(capsys, tmp_path):
+    # m=2, n=24: 4^24 complex coefficients, 4 PiB, more than any address space
+    path = tmp_path / "huge.elem"
+    path.write_text("element v1\nm 2\nn 24\n0 1,0\n")
+    code, _, err = run(capsys, "transform", str(path))
+    assert code == 2
+    assert err.startswith("error: out of memory")
+    assert "PiB" in err

@@ -22,8 +22,7 @@ from qecalg.errors import (
     NonIntegerDimension,
     NonOrthonormalBasis,
 )
-from qecalg.group_algebra import label_weights
-from qecalg.oracle import codewords_from_stabilizers
+from qecalg.oracle import codewords_from_stabilizers, label_digits, oracle_dual_element
 
 
 def full_space_code(m, n):
@@ -100,9 +99,11 @@ def test_dual_five_qubit_normalizer(sys2, five_qubit_code):
 
 
 def test_dual_routes_agree(sys2):
+    # the closed form c'_h = (1/K) sum_ij |<v_i|E_h|v_j>|^2, computed by the
+    # dense-matrix oracle, against the library's single route
     for k, seed in ((1, 3), (2, 4), (4, 5)):
         code = random_code(2, 3, k, seed=seed)
-        direct = dual_element(sys2, code)
+        direct = oracle_dual_element(sys2, code)
         via_transform = transform(sys2, associated_element(sys2, code)).element
         assert np.abs(direct.coeffs - via_transform.coeffs).max() < 1e-9
 
@@ -227,22 +228,23 @@ def test_non_integer_dimension(sys2):
     with pytest.raises((NonIntegerDimension, NonOrthonormalBasis)):
         analyze(sys2, code)
     # direct guard: doctored coefficients whose mass is irrational
-    weights = label_weights(2, 1)
     c = np.array([1.0, 0.3, 0.0, 0.0])
     k_exact = 2 / c.sum()
     assert abs(k_exact - round(k_exact)) > 1e-6
 
 
 def test_minimum_distance_helper():
-    weights = np.array([0, 1, 1, 2])
-    c = np.array([1.0, 0.0, 0.0, 1.0])
-    cd = np.array([1.0, 0.0, 1.0, 1.0])
-    assert _minimum_distance(weights, c, cd, k=2) == 1
-    assert _minimum_distance(weights, c, cd, k=1) == 2
+    # m=2, n=2: flat index 5 is (X, X), weight 2; index 1 is (I, X), weight 1
+    c = np.zeros(16)
+    c[[0, 5]] = 1.0
+    cd = c.copy()
+    cd[1] = 1.0
+    assert _minimum_distance(2, 2, c, cd, k=2) == 1
+    assert _minimum_distance(2, 2, c, cd, k=1) == 2
     with pytest.raises(NoDistance):
-        _minimum_distance(weights, c, c, k=2)
+        _minimum_distance(2, 2, c, c, k=2)
     with pytest.raises(NoDistance):
-        _minimum_distance(weights, np.array([1.0, 0, 0, 0]), None, k=1)
+        _minimum_distance(2, 2, np.eye(1, 16)[0], None, k=1)
 
 
 def test_generic_basis_route_matches_pauli_fast_path(sys2):
@@ -314,7 +316,7 @@ def test_purity_definition_matches_support(sys2, shor_code, five_qubit_code):
     for code in (shor_code, five_qubit_code):
         report = analyze(sys2, code)
         c = associated_element(sys2, code)
-        weights = label_weights(code.m, code.n)
+        weights = (label_digits(code.m, code.n) != 0).sum(axis=1)
         support_below_d = np.any(
             (np.abs(c.coeffs) > 1e-9) & (weights > 0) & (weights < report.d)
         )

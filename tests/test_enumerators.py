@@ -288,7 +288,7 @@ def test_evaluation_and_closed_form_agree(sys2):
     rhs_coeffs = macwilliams_hamming(hamming_distribution(e), e.mass)
     rhs_closed = rhs_coeffs @ np.array([x ** (n - i) * y ** i for i in range(n + 1)])
     # substitution route: w[r] = x + stuff; evaluate W_C at the substituted values
-    from qecalg.group_algebra import label_digits
+    from qecalg.oracle import label_digits
     digs = label_digits(2, 3)
     prods = np.ones(len(digs), dtype=complex)
     for i in range(n):

@@ -12,10 +12,10 @@ from qecalg import (
     random_code,
 )
 from qecalg.errors import SizeCap
-from qecalg.group_algebra import label_digits
 from qecalg.oracle import (
     build_operator,
     codewords_from_stabilizers,
+    label_digits,
     oracle_associated_element,
     oracle_character,
     oracle_dual_element,
