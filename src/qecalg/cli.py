@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -37,14 +36,6 @@ from .oracle import verify_basis_axioms
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("QECALG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _sha256(data: bytes) -> str:
@@ -84,10 +75,10 @@ def _system_for(m: int, args):
     return build_pauli_system(m)
 
 
-def _element_pair(sys_, kind, payload, threads):
+def _element_pair(sys_, kind, payload):
     """(C, C') for either input kind: C is built once, C' is its transform."""
     primary = associated_element(sys_, payload) if kind == "code" else payload
-    return primary, transform(sys_, primary, threads=threads).element
+    return primary, transform(sys_, primary).element
 
 
 def _fmt_complex(c: complex) -> list[float]:
@@ -123,7 +114,6 @@ def _base_report(args, command: str, inputs: dict) -> dict:
         "version": __version__,
         "command": command,
         "inputs": inputs,
-        "threads": args.threads,
         "text": [],
     }
 
@@ -178,7 +168,7 @@ def _cmd_enumerate(args) -> int:
     display, kind, payload, digest = _resolve_input(args.input)
     m = payload.m
     sys_ = _system_for(m, args)
-    primary, dual = _element_pair(sys_, kind, payload, args.threads)
+    primary, dual = _element_pair(sys_, kind, payload)
     rec_c = _dist_records(args.kind, primary)
     rec_d = _dist_records(args.kind, dual)
     report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
@@ -289,7 +279,7 @@ def _cmd_transform(args) -> int:
     with open(args.element, "rb") as fh:
         digest = _sha256(fh.read())
     sys_ = _system_for(element.m, args)
-    result = transform(sys_, element, threads=args.threads)
+    result = transform(sys_, element)
     out_path = args.output or (args.element + ".transformed")
     write_element(out_path, result.element)
     c0 = result.element.coeffs[0]
@@ -323,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["text", "machine"], default="text")
         p.add_argument("--basis-file", help="custom error basis file (default: generalized Pauli)")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="transform worker threads (env QECALG_THREADS)")
 
     p = sub.add_parser("analyze", help="K, d, purity, and Hamming distributions of a code")
     p.add_argument("code", help="catalog name or code file")

@@ -1,14 +1,15 @@
 """From quantum codes to algebra elements: dimension, distance, purity.
 
-A code given by orthonormal basis vectors {v_i} maps to the element with
+A code given by orthonormal basis vectors {v_i} (the rows of V) maps to the
+Shor-Laflamme expansion of its projector P = sum_i |v_i><v_i|,
 
-    c_g = (1/K^2) |sum_i <v_i| E_g |v_i>|^2,
+    c_g = (1/K^2) |tr(E_g P)|^2,
 
-computed without ever materializing an m^n x m^n operator: for the
-generalized Pauli basis, E_(a,b) acts on a state as an index shift by a and
-a diagonal phase in b, so for a fixed shift a all Z-parts b are obtained at
-once by contracting the m x m phase character matrix along each coordinate
-axis of the pointwise product conj(v(.+a)) * v(.).
+for any nice error basis.  E_g = (x)_i E_{g_i} is a tensor product, so with
+the m^n x m^n matrix Q = conj(V)^T V = P^T (as many entries as C has
+coefficients) viewed with its row and column digits interleaved, every trace
+comes out of one contraction of the (m^2, m^2) matrix E_g[r, c] along each
+of the n (r_i, c_i) axes; no error operator E_g is ever built.
 
 A code given by stabilizer generators maps to the indicator of the generated
 index subgroup.  For every input kind C is built once and C' is its
@@ -26,18 +27,12 @@ the normalizer).  From the pair (C, C'):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import (
-    GroupElement,
-    PhaseSystem,
-    _roots_of_unity,
-    canonical_ordering,
-)
+from .error_basis import GroupElement, PhaseSystem, canonical_ordering
 from .errors import (
     ClosureOverflow,
     NoDistance,
@@ -130,7 +125,7 @@ def validate_code(code: CodeSpec) -> None:
         v = code.body.vectors
         gram = v @ v.conj().T
         resid = np.abs(gram - np.eye(v.shape[0])).max()
-        if resid > COEFF_TOL:
+        if not resid <= COEFF_TOL:  # NaN fails too
             raise NonOrthonormalBasis(f"max |<v_i|v_j> - delta_ij| = {resid:.3e}")
     else:
         gens = code.body.labels
@@ -163,95 +158,38 @@ def stabilizer_group_indices(code: CodeSpec) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=None)
-def _phase_character_matrix(m: int) -> np.ndarray:
-    """F[b, j] = exp(2*pi*i*b*j/m): contracting F along every coordinate of
-    u(j) yields sum_j u(j) * prod_l F[b_l, j_l] for all Z-parts b at once."""
-    roots = _roots_of_unity(m)
-    f = roots[np.outer(np.arange(m), np.arange(m)) % m]
-    f.setflags(write=False)
-    return f
+def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
+    """c_g = |tr(E_g P)|^2 / K^2 for the projector P onto the rows of V.
 
-
-@lru_cache(maxsize=None)
-def _rowmajor_digit_permutation(m: int) -> np.ndarray | None:
-    """Per-coordinate permutation taking row-major (a,b) digits to ordering
-    digits, or None when the ordering is already row-major (even m)."""
-    ordering = canonical_ordering(m)
-    perm = np.array([g.a * m + g.b for g in ordering.order], dtype=np.intp)
-    if np.array_equal(perm, np.arange(m * m)):
-        return None
-    perm.setflags(write=False)
-    return perm
-
-
-def _reorder_pair_axes(t_all: np.ndarray, m: int, n: int) -> np.ndarray:
-    """(m^n, m^n) array over (X-parts, Z-parts) -> flat coefficient layout."""
-    t = t_all.reshape((m,) * (2 * n))
-    interleave = [ax for i in range(n) for ax in (i, n + i)]
-    t = np.transpose(t, interleave).reshape((m * m,) * n)
-    perm = _rowmajor_digit_permutation(m)
-    if perm is not None:
-        for axis in range(n):
-            t = np.take(t, perm, axis=axis)
-    return np.ascontiguousarray(t.reshape(-1))
-
-
-def _shifted_conj(vectors: np.ndarray, shift: tuple[int, ...], m: int, n: int) -> np.ndarray:
-    """conj(v(. + shift)) for every row, via an index roll per coordinate."""
-    v = vectors.reshape((vectors.shape[0],) + (m,) * n)
-    rolled = np.roll(v, tuple(-s for s in shift), axis=tuple(range(1, n + 1)))
-    return rolled.conj().reshape(vectors.shape)
-
-
-def _all_shifts(m: int, n: int):
-    shifts = np.indices((m,) * n).reshape(n, -1).T
-    return [tuple(int(x) for x in row) for row in shifts]
-
-
-def _associated_basis_generic(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    """C for basis input under any nice error basis.
-
-    Applies each E_g factor by factor (one m x m contraction per coordinate,
-    identity factors skipped) and takes c_g = |sum_i <v_i|E_g|v_i>|^2 / K^2.
+    With Q = conj(V)^T V = P^T, tr(E_g P) = sum_{r,c} E_g[r, c] Q[r, c], and
+    E_g = (x)_i E_{g_i} factorizes over the (r_i, c_i) index pairs: with Q's
+    axes interleaved to (r_1, c_1, ..., r_n, c_n), all traces are one
+    contraction of the (m^2, m^2) matrix E_g[r, c] along each pair axis.
     """
     m, n = code.m, code.n
-    vectors = code.body.vectors
-    k = vectors.shape[0]
-    states = vectors.reshape((k,) + (m,) * n)
-    c = np.empty((m * m) ** n, dtype=np.complex128)
-    for idx, digits in enumerate(np.ndindex(*(m * m,) * n)):
-        w = states
-        for axis, d in enumerate(digits):
-            if d:
-                w = np.moveaxis(
-                    np.tensordot(sys.matrices[d], w, axes=([1], [axis + 1])), 0, axis + 1
-                )
-        c[idx] = abs(np.vdot(vectors, w.reshape(k, -1))) ** 2 / k ** 2
-    return AlgebraElement(m, n, c)
-
-
-def _associated_basis_pauli(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    m, n = code.m, code.n
-    vectors = code.body.vectors
-    k = vectors.shape[0]
-    f = _phase_character_matrix(m)
-    dim = m ** n
-    t_all = np.empty((dim, dim), dtype=np.complex128)
-    for row, shift in enumerate(_all_shifts(m, n)):
-        u = (_shifted_conj(vectors, shift, m, n) * vectors).sum(axis=0)
-        t_all[row] = _kernel.apply_axiswise(f, u, n)
-    coeffs = np.abs(t_all) ** 2 / k ** 2
-    return AlgebraElement(m, n, _reorder_pair_axes(coeffs.astype(np.complex128), m, n))
+    v = code.body.vectors
+    k = v.shape[0]
+    q = v.conj().T @ v
+    interleave = [ax for i in range(n) for ax in (i, n + i)]
+    q = np.ascontiguousarray(q.reshape((m,) * (2 * n)).transpose(interleave)).reshape(-1)
+    t = _kernel.apply_axiswise(sys.matrices.reshape(m * m, m * m), q, n)
+    del q
+    # |t|^2 / K^2 in place: no complex temporary, and an imaginary part of exactly 0
+    re, im = t.real, t.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    re /= k * k
+    im[...] = 0.0
+    return AlgebraElement(m, n, t)
 
 
 def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """The algebra element encoding the code (c_0 is always 1).
 
     Stabilizer input: indicator of the generated index subgroup.  Basis
-    input: Pauli systems take the shift+phase fast path (all Z-parts of a
-    fixed X-shift in one contraction); other bases apply their matrices
-    factor by factor.
+    input: |tr(E_g P)|^2 / K^2 for every label in one axis contraction,
+    under any nice error basis.
     """
     validate_code(code)
     m, n = code.m, code.n
@@ -259,9 +197,7 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
         coeffs = np.zeros((m * m) ** n, dtype=np.complex128)
         coeffs[stabilizer_group_indices(code)] = 1.0
         return AlgebraElement(m, n, coeffs)
-    if sys.pauli:
-        return _associated_basis_pauli(sys, code)
-    return _associated_basis_generic(sys, code)
+    return _associated_basis(sys, code)
 
 
 def dual_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:

@@ -115,9 +115,8 @@ class PhaseSystem:
     omega[i, j]  = w_{alpha_i alpha_j}  (phase in E_i E_j = w * E_{i+j})
     kernel[h, g] = w_{hg} * conj(w_{gh}), the per-coordinate character value
     matrices     = the m^2 single-system unitaries realizing the basis,
-                   indexed in ordering order
-    pauli        = True when the matrices are the built-in X^a Z^b family,
-                   unlocking the shift+phase fast path in code analysis.
+                   indexed in ordering order; code analysis contracts them
+                   directly, so every nice error basis takes the same route.
     """
 
     m: int
@@ -125,7 +124,6 @@ class PhaseSystem:
     kernel: np.ndarray
     ordering: GroupOrdering
     matrices: np.ndarray
-    pauli: bool = False
 
     @property
     def q(self) -> int:
@@ -177,7 +175,7 @@ def build_pauli_system(m: int) -> PhaseSystem:
     kernel.setflags(write=False)
     return PhaseSystem(
         m=m, omega=omega, kernel=kernel, ordering=ordering,
-        matrices=_pauli_matrices(m, ordering), pauli=True,
+        matrices=_pauli_matrices(m, ordering),
     )
 
 

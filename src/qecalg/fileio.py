@@ -1,7 +1,8 @@
 """On-disk formats for elements, codes, and custom error bases.
 
 All three formats are line oriented; blank lines and lines starting with
-'#' are ignored.  Complex numbers are written as "re,im".
+'#' are ignored.  Complex numbers are written as "re,im" and must be finite;
+headers need m >= 2 and n >= 1.
 
 Element file ("element v1"):
     element v1
@@ -31,6 +32,7 @@ are rejected rather than silently permuted.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +56,12 @@ def _parse_complex(token: str, path: Path, lineno: int) -> complex:
     if len(parts) != 2:
         raise FormatError(f"expected 're,im', got {token!r}", path, lineno)
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re, im = float(parts[0]), float(parts[1])
     except ValueError:
         raise FormatError(f"bad number in {token!r}", path, lineno) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise FormatError(f"non-finite number in {token!r}", path, lineno)
+    return complex(re, im)
 
 
 def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
@@ -96,16 +101,27 @@ def _header_int(header: dict, key: str, path: Path) -> int:
         raise FormatError(f"{key} must be an integer, got {header[key]!r}", path) from None
 
 
+_LEAST = {"m": 2, "n": 1}
+
+
+def _header_dims(header: dict, path: Path, keys: tuple[str, ...]) -> list[int]:
+    """The header fields `keys` ("m", and "n" where present), checked against
+    m >= 2 and n >= 1 before anything is sized from them."""
+    values = [_header_int(header, key, path) for key in keys]
+    if any(v < _LEAST[key] for key, v in zip(keys, values)):
+        need = " and ".join(f"{key} >= {_LEAST[key]}" for key in keys)
+        got = ", ".join(f"{key}={v}" for key, v in zip(keys, values))
+        raise FormatError(f"need {need}, got {got}", path)
+    return values
+
+
 # --- elements ---
 
 def read_element(path) -> AlgebraElement:
     path = Path(path)
     lines = _significant_lines(path)
     header = _take_header(lines, path, "element v1", ["m", "n"])
-    m = _header_int(header, "m", path)
-    n = _header_int(header, "n", path)
-    if m < 2 or n < 1:
-        raise FormatError(f"need m >= 2 and n >= 1, got m={m}, n={n}", path)
+    m, n = _header_dims(header, path, ("m", "n"))
     size = (m * m) ** n
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = set()
@@ -143,8 +159,7 @@ def read_code(path) -> CodeSpec:
     path = Path(path)
     lines = _significant_lines(path)
     header = _take_header(lines, path, "code v1", ["m", "n", "kind"])
-    m = _header_int(header, "m", path)
-    n = _header_int(header, "n", path)
+    m, n = _header_dims(header, path, ("m", "n"))
     kind = header["kind"]
     if kind == "stabilizer":
         generators = []
@@ -195,7 +210,7 @@ def read_custom_basis(path) -> PhaseSystem:
     path = Path(path)
     lines = _significant_lines(path)
     header = _take_header(lines, path, "errorbasis v1", ["m", "ordering"])
-    m = _header_int(header, "m", path)
+    (m,) = _header_dims(header, path, ("m",))
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"
     if header["ordering"] != expected_ordering:
         raise FormatError(

