@@ -18,6 +18,7 @@ from .error_basis import (
     canonical_ordering,
     character,
     validate_custom_basis,
+    verify_basis_axioms,
     verify_kernel_row_sums,
 )
 from .group_algebra import (
@@ -68,7 +69,7 @@ __all__ = [
     "__version__",
     "GroupElement", "GroupOrdering", "PhaseSystem",
     "build_pauli_system", "canonical_ordering", "character",
-    "validate_custom_basis", "verify_kernel_row_sums",
+    "validate_custom_basis", "verify_basis_axioms", "verify_kernel_row_sums",
     "AlgebraElement", "TransformResult", "add", "scale", "multiply",
     "transform", "transform_naive", "double_transform_scaling_check",
     "encode_label", "decode_index", "random_element",

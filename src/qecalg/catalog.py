@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 from .code_analysis import CodeSpec
 from .fileio import read_code
@@ -35,12 +34,6 @@ def load(name: str) -> CodeSpec:
         return read_code(path)
 
 
-def resolve(source: str) -> tuple[str, "CodeSpec", bytes]:
-    """Resolve a CLI code argument: catalog name first, then file path.
-
-    Returns (display name, code, raw bytes for digesting).
-    """
-    if source in CATALOG:
-        return f"catalog:{source}", load(source), read_bytes(source)
-    path = Path(source)
-    return str(path), read_code(path), path.read_bytes()
+def resolve(name: str) -> tuple[str, CodeSpec, bytes]:
+    """(display name, code, raw bytes for digesting) of a catalog code."""
+    return f"catalog:{name}", load(name), read_bytes(name)

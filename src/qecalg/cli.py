@@ -27,11 +27,10 @@ from .enumerators import (
     verify_lee_identity,
     verify_hamming_identity,
 )
-from .error_basis import build_pauli_system, verify_kernel_row_sums
+from .error_basis import build_pauli_system, verify_basis_axioms, verify_kernel_row_sums
 from .errors import QecalgError
-from .fileio import read_custom_basis, read_element, write_element
+from .fileio import read_code, read_custom_basis, read_element, write_element
 from .group_algebra import AlgebraElement, double_transform_scaling_check, transform
-from .oracle import verify_basis_axioms
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,8 +59,7 @@ def _resolve_input(source: str):
             break
     if first.startswith("element"):
         return source, "element", read_element(source), _sha256(raw)
-    _, code, _ = catalog.resolve(source)
-    return source, "code", code, _sha256(raw)
+    return source, "code", read_code(source), _sha256(raw)
 
 
 def _system_for(m: int, args):
@@ -189,78 +187,60 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _verify_target_element(args, sys_holder: dict):
-    """Element under test for t4/t6/t8/t9/double, plus input metadata."""
+# identity -> check of (system, subject, args); each lambda looks its check up
+# in the module globals at call time, so a patched global takes effect
+_VERIFY_CHECKS = {
+    "t4": lambda sys_, c, args: verify_exact_identity(sys_, c, args.trials, seed=args.seed),
+    "t6": lambda sys_, c, args: verify_complete_identity(sys_, c, args.trials, seed=args.seed),
+    "t8": lambda sys_, c, args: verify_lee_identity(sys_, c, args.trials, seed=args.seed),
+    "t9": lambda sys_, c, args: verify_hamming_identity(sys_, c),
+    "lemma1": lambda sys_, _, args: verify_kernel_row_sums(sys_),
+    "axioms": lambda sys_, _, args: verify_basis_axioms(sys_),
+    "cs": lambda sys_, code, args: check_cs_ordering(sys_, code),
+    "double": lambda sys_, c, args: double_transform_scaling_check(sys_, c),
+}
+
+
+def _verify_subject(args):
+    """(system, subject, inputs) for `verify`.
+
+    The subject is None for lemma1/axioms, which check the basis alone, the
+    code for cs, and the element C for the other identities.
+    """
+    identity = args.identity
+    if identity in ("lemma1", "axioms"):
+        if args.basis_file:
+            return read_custom_basis(args.basis_file), None, {"basis_file": args.basis_file}
+        if args.input is not None:
+            raise QecalgError(f"--identity {identity} takes --m or --basis-file, not a code")
+        if args.m is None:
+            raise QecalgError(f"--identity {identity} needs --m (or --basis-file)")
+        return build_pauli_system(args.m), None, {"pauli_m": args.m}
     if args.random_code:
         m, n, k = (int(x) for x in args.random_code.split(","))
-        code = random_code(m, n, k, args.seed)
-        sys_ = _system_for(m, args)
-        sys_holder["sys"] = sys_
-        return associated_element(sys_, code), {
-            "random_code": args.random_code, "seed": args.seed,
-        }
-    if args.input is None:
-        raise QecalgError("this identity needs an input (file/catalog) or --random-code")
-    display, kind, payload, digest = _resolve_input(args.input)
+        kind, payload = "code", random_code(m, n, k, args.seed)
+        inputs = {"random_code": args.random_code, "seed": args.seed}
+    elif args.input is None:
+        raise QecalgError("--identity cs needs a code or --random-code" if identity == "cs"
+                          else "this identity needs an input (file/catalog) or --random-code")
+    else:
+        display, kind, payload, digest = _resolve_input(args.input)
+        if identity == "cs" and kind != "code":
+            raise QecalgError("--identity cs needs a code, not an element")
+        inputs = {"input": display, "sha256": digest}
     sys_ = _system_for(payload.m, args)
-    sys_holder["sys"] = sys_
-    element = associated_element(sys_, payload) if kind == "code" else payload
-    return element, {"input": display, "sha256": digest}
+    if identity == "cs" or kind == "element":
+        return sys_, payload, inputs
+    return sys_, associated_element(sys_, payload), inputs
 
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    holder: dict = {}
-    identity = args.identity
-
-    if identity in ("lemma1", "axioms") and args.input is None and not args.basis_file:
-        if args.m is None:
-            raise QecalgError(f"--identity {identity} needs --m (or --basis-file)")
-        sys_ = build_pauli_system(args.m)
-        inputs = {"pauli_m": args.m}
-    elif identity in ("lemma1", "axioms"):
-        if args.basis_file:
-            sys_ = read_custom_basis(args.basis_file)
-            inputs = {"basis_file": args.basis_file}
-        else:
-            raise QecalgError(f"--identity {identity} takes --m or --basis-file, not a code")
-    elif identity == "cs":
-        if args.random_code:
-            m, n, k = (int(x) for x in args.random_code.split(","))
-            code = random_code(m, n, k, args.seed)
-            inputs = {"random_code": args.random_code, "seed": args.seed}
-        else:
-            if args.input is None:
-                raise QecalgError("--identity cs needs a code or --random-code")
-            display, kind, code, digest = _resolve_input(args.input)
-            if kind != "code":
-                raise QecalgError("--identity cs needs a code, not an element")
-            inputs = {"input": display, "sha256": digest}
-        sys_ = _system_for(code.m, args)
-    else:
-        element, inputs = _verify_target_element(args, holder)
-        sys_ = holder["sys"]
-
-    if identity == "lemma1":
-        check = verify_kernel_row_sums(sys_)
-    elif identity == "axioms":
-        check = verify_basis_axioms(sys_)
-    elif identity == "cs":
-        check = check_cs_ordering(sys_, code)
-    elif identity == "double":
-        check = double_transform_scaling_check(sys_, element)
-    elif identity == "t4":
-        check = verify_exact_identity(sys_, element, args.trials, seed=args.seed)
-    elif identity == "t6":
-        check = verify_complete_identity(sys_, element, args.trials, seed=args.seed)
-    elif identity == "t8":
-        check = verify_lee_identity(sys_, element, args.trials, seed=args.seed)
-    else:
-        check = verify_hamming_identity(sys_, element)
-
+    sys_, subject, inputs = _verify_subject(args)
+    check = _VERIFY_CHECKS[args.identity](sys_, subject, args)
     report = _base_report(args, "verify", inputs)
     report["results"] = {
-        "identity": identity,
+        "identity": args.identity,
         "passed": check.passed,
         "max_residual": check.max_residual,
         "failures": [str(f) for f in check.failures],
@@ -327,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one of the identity/axiom checks")
     p.add_argument("input", nargs="?", help="catalog name, code file, or element file")
-    p.add_argument("--identity", required=True,
-                   choices=["t4", "t6", "t8", "t9", "lemma1", "axioms", "cs", "double"],
+    p.add_argument("--identity", required=True, choices=list(_VERIFY_CHECKS),
                    help="t4/t6/t8/t9: exact/complete/Lee/Hamming enumerator transform "
                         "identities; lemma1: phase-kernel row sums; axioms: error-basis "
                         "axioms; cs: coefficient ordering c <= c'; double: double-"

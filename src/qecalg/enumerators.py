@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .error_basis import GroupElement, GroupOrdering, PhaseSystem, canonical_ordering
+from .error_basis import GroupElement, GroupOrdering, PhaseSystem
 from .errors import EvenM
 from .group_algebra import AlgebraElement, contract_axes, label_sums, transform, weight_reduce
 from .reports import CheckReport
@@ -183,6 +183,33 @@ def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
     return contract_axes(a.coeffs, points)
 
 
+def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: int,
+                      seed: int, draw) -> CheckReport:
+    """The trial loop shared by the evaluation identities.
+
+    Per trial, draw(rng) gives one vector per coordinate at which to evaluate
+    the enumerator of C', and the substituted vectors at which to evaluate
+    that of C; the two values must agree up to the factor 1/M.
+    """
+    rng = np.random.default_rng(seed)
+    dual = transform(sys, a).element
+    residuals = []
+    for _ in range(trials):
+        z, w = draw(rng)
+        lhs = contract_axes(dual.coeffs, z)
+        rhs = contract_axes(a.coeffs, w) / a.mass
+        residuals.append(_relative_residual(lhs, rhs))
+    residuals = np.array(residuals, dtype=float)
+    bad = tuple(int(t) for t in np.flatnonzero(~(residuals <= IDENTITY_TOL)))  # NaN fails
+    return CheckReport(
+        name=name,
+        passed=not bad,
+        max_residual=float(np.max(residuals, initial=0.0)),
+        failures=bad,
+        detail=f"{trials} evaluation points",
+    )
+
+
 def verify_exact_identity(
     sys: PhaseSystem, a: AlgebraElement, trials: int, seed: int = 0
 ) -> CheckReport:
@@ -192,52 +219,22 @@ def verify_exact_identity(
     s; the enumerator of C' at z must equal (1/M) times the enumerator of C
     with z[i, r] replaced by sum_s kernel[s, r] * z[i, s].
     """
-    rng = np.random.default_rng(seed)
-    dual = transform(sys, a).element
-    worst = 0.0
-    bad = []
-    for t in range(trials):
+    def draw(rng):
         z = _unit_disk_points(rng, (a.n, sys.q))
-        lhs = exact_enumerator_value(dual, z)
-        w = z @ sys.kernel  # w[i, r] = sum_s z[i, s] * kernel[s, r]
-        rhs = exact_enumerator_value(a, w) / a.mass
-        resid = _relative_residual(lhs, rhs)
-        worst = max(worst, resid)
-        if resid > IDENTITY_TOL:
-            bad.append(t)
-    return CheckReport(
-        name="exact-identity",
-        passed=not bad,
-        max_residual=worst,
-        failures=tuple(bad),
-        detail=f"{trials} evaluation points",
-    )
+        return z, z @ sys.kernel
+
+    return _evaluation_check("exact-identity", sys, a, trials, seed, draw)
 
 
 def verify_complete_identity(
     sys: PhaseSystem, a: AlgebraElement, trials: int, seed: int = 0
 ) -> CheckReport:
     """Complete-enumerator identity in m^2 shared variables, by evaluation."""
-    rng = np.random.default_rng(seed)
-    dual = transform(sys, a).element
-    worst = 0.0
-    bad = []
-    for t in range(trials):
+    def draw(rng):
         z = _unit_disk_points(rng, sys.q)
-        lhs = contract_axes(dual.coeffs, [z] * a.n)
-        w = z @ sys.kernel
-        rhs = contract_axes(a.coeffs, [w] * a.n) / a.mass
-        resid = _relative_residual(lhs, rhs)
-        worst = max(worst, resid)
-        if resid > IDENTITY_TOL:
-            bad.append(t)
-    return CheckReport(
-        name="complete-identity",
-        passed=not bad,
-        max_residual=worst,
-        failures=tuple(bad),
-        detail=f"{trials} evaluation points",
-    )
+        return [z] * a.n, [z @ sys.kernel] * a.n
+
+    return _evaluation_check("complete-identity", sys, a, trials, seed, draw)
 
 
 def verify_lee_identity(
@@ -250,32 +247,18 @@ def verify_lee_identity(
     well defined on classes because kernel[s, -g] = conj(kernel[s, g]).
     """
     _require_odd(sys.m)
-    rng = np.random.default_rng(seed)
     cls = _lee_class(sys.m)
     delta = (sys.q - 1) // 2
-    dual = transform(sys, a).element
     # subst[i, s]: coefficient of z_s in the replacement for Lee variable i
     subst = np.zeros((delta + 1, delta + 1))
     subst[:, 0] = 1.0
     subst[:, 1:] = 2.0 * sys.kernel[1:delta + 1, :delta + 1].real.T
-    worst = 0.0
-    bad = []
-    for t in range(trials):
+
+    def draw(rng):
         z = _unit_disk_points(rng, delta + 1)
-        lhs = contract_axes(dual.coeffs, [z[cls]] * a.n)
-        w = subst @ z
-        rhs = contract_axes(a.coeffs, [w[cls]] * a.n) / a.mass
-        resid = _relative_residual(lhs, rhs)
-        worst = max(worst, resid)
-        if resid > IDENTITY_TOL:
-            bad.append(t)
-    return CheckReport(
-        name="lee-identity",
-        passed=not bad,
-        max_residual=worst,
-        failures=tuple(bad),
-        detail=f"{trials} evaluation points",
-    )
+        return [z[cls]] * a.n, [(subst @ z)[cls]] * a.n
+
+    return _evaluation_check("lee-identity", sys, a, trials, seed, draw)
 
 
 def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:

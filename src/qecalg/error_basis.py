@@ -8,8 +8,12 @@ kernel entry is
     kernel[h, g] = w_{hg} * conj(w_{gh}) = exp(2*pi*i*(d*a - b*c)/m),
 
 the per-coordinate factor of every character used downstream.  User-supplied
-bases are accepted as explicit matrices and validated against the defining
-axioms before their phase table is extracted.
+bases are accepted as explicit matrices: their phase table is extracted by
+traces and checked, with the matrices, against the defining axioms.
+
+The axioms have one checker, `verify_basis_axioms`: `validate_custom_basis`
+runs it on every custom basis, and `qecalg verify --identity axioms` reports
+it for the built-in or a file-given basis.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
     q = sys.q
     sums = (sys.omega * np.conj(sys.omega.T)).sum(axis=1)  # entry h: sum over g
     resid = np.abs(sums[1:])
-    bad = tuple(int(h) for h in range(1, q) if abs(sums[h]) > PHASE_TOL)
+    bad = tuple(int(h) for h in range(1, q) if not abs(sums[h]) <= PHASE_TOL)
     return CheckReport(
         name="kernel-row-sums",
         passed=not bad,
@@ -199,14 +203,40 @@ def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
     )
 
 
+def verify_basis_axioms(sys: PhaseSystem) -> CheckReport:
+    """Check E_0 = I, tr E_g = m * delta(g,0) and E_g E_h = w_{gh} E_{g+h}
+    with |w_{gh}| = 1 on the stored matrices and omega table.  Failures are
+    ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails."""
+    m, q = sys.m, sys.q
+    mats, add = sys.matrices, sys.ordering.add_table
+    checks = [(("identity", 0), np.abs(mats[0] - np.eye(m)).max())]
+    for i in range(q):
+        checks.append((("trace", i), abs(np.trace(mats[i]) - (m if i == 0 else 0.0))))
+    for i in range(q):
+        for j in range(q):
+            w = sys.omega[i, j]
+            r = np.maximum(np.abs(mats[i] @ mats[j] - w * mats[int(add[i, j])]).max(),
+                           abs(abs(w) - 1.0))
+            checks.append((("closure", i, j), r))
+    residuals = np.array([r for _, r in checks], dtype=float)
+    bad = tuple(key for (key, _), r in zip(checks, residuals) if not r <= PHASE_TOL)
+    return CheckReport(
+        name="basis-axioms",
+        passed=not bad,
+        max_residual=float(residuals.max()),
+        failures=bad,
+    )
+
+
 def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     """Accept a user-supplied nice error basis given as explicit matrices.
 
     `matrices` must contain exactly m^2 unitary m x m matrices, indexed by
     group elements in canonical ordering order.  Checks, in order: unitarity,
-    E_0 = I, tr E_g = m * delta(g,0), closure E_g E_h = w_{gh} E_{g+h} with
-    |w_{gh}| = 1, and the vanishing row sums of the extracted phase kernel.
-    Each failure raises the matching exception naming the offending indices.
+    then `verify_basis_axioms` on the phase table w_{gh} = tr(E_{g+h}^dag E_g E_h)/m
+    (E_0 = I, traces, closure), then the vanishing row sums of the phase
+    kernel.  The first failure raises the matching exception naming the
+    offending indices; a NaN anywhere fails.
     """
     mats = np.asarray(matrices, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -221,29 +251,14 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     eye = np.eye(m)
 
     for i in range(q):
-        if np.abs(mats[i] @ mats[i].conj().T - eye).max() > PHASE_TOL:
+        if not np.abs(mats[i] @ mats[i].conj().T - eye).max() <= PHASE_TOL:
             raise NonUnitary(f"matrix {i} (element {ordering.order[i]}) is not unitary")
-    if np.abs(mats[0] - eye).max() > PHASE_TOL:
-        raise IdentityViolation("matrix 0 is not the identity")
-    for i in range(q):
-        expected = m if i == 0 else 0.0
-        tr = np.trace(mats[i])
-        if abs(tr - expected) > PHASE_TOL:
-            raise TraceViolation(
-                f"tr E_{i} = {tr:.6g}, expected {expected} (element {ordering.order[i]})"
-            )
 
     omega = np.empty((q, q), dtype=np.complex128)
     for i in range(q):
         for j in range(q):
             k = int(ordering.add_table[i, j])
-            prod = mats[i] @ mats[j]
-            w = np.trace(mats[k].conj().T @ prod) / m
-            if abs(abs(w) - 1.0) > PHASE_TOL or np.abs(prod - w * mats[k]).max() > PHASE_TOL:
-                raise ClosureViolation(
-                    f"E_{i} E_{j} is not a unit phase times E_{k}"
-                )
-            omega[i, j] = w
+            omega[i, j] = np.trace(mats[k].conj().T @ (mats[i] @ mats[j])) / m
     kernel = omega * np.conj(omega.T)
     omega.setflags(write=False)
     kernel.setflags(write=False)
@@ -251,6 +266,21 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     mats.setflags(write=False)
     sys = PhaseSystem(m=m, omega=omega, kernel=kernel, ordering=ordering, matrices=mats)
 
+    axioms = verify_basis_axioms(sys)
+    if not axioms.passed:
+        kind, i, *rest = axioms.failures[0]
+        if kind == "identity":
+            raise IdentityViolation("matrix 0 is not the identity")
+        if kind == "trace":
+            expected = m if i == 0 else 0.0
+            raise TraceViolation(
+                f"tr E_{i} = {np.trace(mats[i]):.6g}, expected {expected} "
+                f"(element {ordering.order[i]})"
+            )
+        (j,) = rest
+        raise ClosureViolation(
+            f"E_{i} E_{j} is not a unit phase times E_{int(ordering.add_table[i, j])}"
+        )
     report = verify_kernel_row_sums(sys)
     if not report.passed:
         raise RowSumViolation(report.detail)

@@ -2,7 +2,10 @@
 
 Everything here materializes operators as explicit m^n x m^n matrices, or
 the per-label table of all m^(2n) labels, and exists solely to certify the
-fast paths at small sizes; nothing scales and nothing is cached.
+fast paths at small sizes; nothing scales and nothing is cached.  No module
+of the package imports it: it is the second route of the tests and the
+benchmark only.  The basis axioms are not re-checked here; their one checker
+is `error_basis.verify_basis_axioms`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from .code_analysis import BasisVectors, CodeSpec, StabilizerGenerators, validat
 from .error_basis import PhaseSystem, canonical_ordering
 from .errors import SizeCap
 from .group_algebra import AlgebraElement
-from .reports import CheckReport
 
 DEFAULT_SIZE_CAP = 256
 _TOL = 1e-9
@@ -114,49 +116,13 @@ def oracle_character(sys: PhaseSystem, h, g, cap: int = DEFAULT_SIZE_CAP) -> com
     return complex(np.trace(eh.conj().T @ eg.conj().T @ eh @ eg) / sys.m ** len(h))
 
 
-def verify_basis_axioms(sys: PhaseSystem) -> CheckReport:
-    """Check identity, traces, and phase closure of the stored matrices
-    against the stored omega table."""
-    m, q = sys.m, sys.q
-    mats = sys.matrices
-    worst = 0.0
-    bad = []
-
-    r = float(np.abs(mats[0] - np.eye(m)).max())
-    worst = max(worst, r)
-    if r > _TOL:
-        bad.append(("identity", 0))
-    for i in range(q):
-        expected = m if i == 0 else 0.0
-        r = abs(np.trace(mats[i]) - expected)
-        worst = max(worst, r)
-        if r > _TOL:
-            bad.append(("trace", i))
-    add = sys.ordering.add_table
-    for i in range(q):
-        for j in range(q):
-            w = sys.omega[i, j]
-            r = max(
-                float(np.abs(mats[i] @ mats[j] - w * mats[int(add[i, j])]).max()),
-                abs(abs(w) - 1.0),
-            )
-            worst = max(worst, r)
-            if r > _TOL:
-                bad.append(("closure", i, j))
-    return CheckReport(
-        name="basis-axioms",
-        passed=not bad,
-        max_residual=worst,
-        failures=tuple(bad),
-    )
-
-
 def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Orthogonal projector onto the code space, as a dense matrix.
 
     For stabilizer input, each generator contributes the averaging projector
     (1/m) sum_t (phi E)^t with phi = exp(i*pi*phase/m); the phased operator
-    must have order dividing m.
+    must have order dividing m, and the product must have rank >= 1 (e.g.
+    <Z, -Z> stabilizes nothing).
     """
     validate_code(code)
     _check_cap(code.m, code.n, cap)
@@ -179,6 +145,8 @@ def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> 
         p = p @ (avg / code.m)
     if np.abs(p @ p - p).max() > _TOL or np.abs(p - p.conj().T).max() > _TOL:
         raise ValueError("stabilizer data does not define an orthogonal projector")
+    if round(float(np.trace(p).real)) == 0:
+        raise ValueError("stabilizer data defines an empty code (projector of rank 0)")
     return p
 
 

@@ -30,7 +30,8 @@ from qecalg import (
     verify_lee_identity,
     verify_hamming_identity,
 )
-from qecalg.oracle import codewords_from_stabilizers, label_digits, oracle_character, verify_basis_axioms
+from qecalg.error_basis import verify_basis_axioms
+from qecalg.oracle import codewords_from_stabilizers, label_digits, oracle_character
 
 
 @contextmanager

@@ -1,12 +1,41 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qecalg import AlgebraElement, CodeSpec
+from qecalg import (
+    AlgebraElement,
+    CodeSpec,
+    associated_element,
+    build_pauli_system,
+    canonical_ordering,
+    catalog,
+    check_cs_ordering,
+    double_transform_scaling_check,
+    random_code,
+    random_element,
+    verify_complete_identity,
+    verify_exact_identity,
+    verify_hamming_identity,
+    verify_kernel_row_sums,
+    verify_basis_axioms,
+    verify_lee_identity,
+)
 from qecalg.cli import main
-from qecalg.fileio import read_element, write_code, write_element
+from qecalg.fileio import (
+    read_code,
+    read_custom_basis,
+    read_element,
+    write_code,
+    write_custom_basis,
+    write_element,
+)
 from qecalg.reports import CheckReport
+
+from conftest import explicit_operator
 
 
 def run(capsys, *argv):
@@ -233,3 +262,114 @@ def test_bad_code_or_basis_file_is_input_error(capsys, tmp_path, suffix, body, f
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert fragment in err
+
+
+# --- verify: every input route, pinned against the library call ---
+
+def _verify_inputs(tmp_path):
+    """kind -> (argv naming the input, the element C the library checks)."""
+    sys2 = build_pauli_system(2)
+    code_path = tmp_path / "rand.code"
+    write_code(code_path, random_code(2, 3, 2, 11))
+    elem_path = tmp_path / "rand.elem"
+    write_element(elem_path, random_element(2, 3, 5))
+    return {
+        "catalog": (["513"], associated_element(sys2, catalog.load("513"))),
+        "code-file": ([str(code_path)], associated_element(sys2, read_code(code_path))),
+        "element-file": ([str(elem_path)], read_element(elem_path)),
+        "random-code": (["--random-code", "2,3,2"],
+                        associated_element(sys2, random_code(2, 3, 2, 3))),
+    }
+
+
+def _library_check(identity, sys_, subject):
+    """The library's report for `verify --identity ... --trials 4 --seed 3`."""
+    return {
+        "t4": lambda: verify_exact_identity(sys_, subject, 4, seed=3),
+        "t6": lambda: verify_complete_identity(sys_, subject, 4, seed=3),
+        "t8": lambda: verify_lee_identity(sys_, subject, 4, seed=3),
+        "t9": lambda: verify_hamming_identity(sys_, subject),
+        "double": lambda: double_transform_scaling_check(sys_, subject),
+        "cs": lambda: check_cs_ordering(sys_, subject),
+        "lemma1": lambda: verify_kernel_row_sums(sys_),
+        "axioms": lambda: verify_basis_axioms(sys_),
+    }[identity]()
+
+
+def _assert_verify_matches(capsys, argv, identity, expected):
+    code, out, err = run(capsys, "verify", *argv, "--identity", identity,
+                         "--trials", "4", "--seed", "3", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert expected.passed
+    assert json.loads(out)["results"] == {
+        "identity": identity, "passed": True, "max_residual": expected.max_residual,
+        "failures": [str(f) for f in expected.failures], "seed": 3, "trials": 4,
+    }
+
+
+@pytest.mark.parametrize("kind", ["catalog", "code-file", "element-file", "random-code"])
+@pytest.mark.parametrize("identity", ["t4", "t6", "t9", "double"])
+def test_verify_matrix_element_identities(capsys, tmp_path, identity, kind):
+    argv, subject = _verify_inputs(tmp_path)[kind]
+    expected = _library_check(identity, build_pauli_system(2), subject)
+    _assert_verify_matches(capsys, argv, identity, expected)
+
+
+def test_verify_matrix_t8_and_cs(capsys):
+    sys3 = build_pauli_system(3)
+    subject = associated_element(sys3, catalog.load("311qutrit"))
+    _assert_verify_matches(capsys, ["311qutrit"], "t8", _library_check("t8", sys3, subject))
+    expected = _library_check("cs", build_pauli_system(2), catalog.load("422"))
+    _assert_verify_matches(capsys, ["422"], "cs", expected)
+
+
+@pytest.mark.parametrize("identity", ["lemma1", "axioms"])
+@pytest.mark.parametrize("source", ["m", "basis-file"])
+def test_verify_matrix_basis_checks(capsys, tmp_path, identity, source):
+    if source == "m":
+        argv, sys_ = ["--m", "3"], build_pauli_system(3)
+    else:
+        # a regauged qutrit basis: valid, but not the built-in one
+        phases = np.exp(2j * np.pi * np.random.default_rng(2).random(9))
+        phases[0] = 1.0
+        mats = np.array([p * explicit_operator(3, g.a, g.b)
+                         for p, g in zip(phases, canonical_ordering(3).order)])
+        path = tmp_path / "regauged3.errorbasis"
+        write_custom_basis(path, 3, mats)
+        argv, sys_ = ["--basis-file", str(path)], read_custom_basis(path)
+    _assert_verify_matches(capsys, argv, identity, _library_check(identity, sys_, None))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--identity", "t4"], "this identity needs an input (file/catalog) or --random-code"),
+        (["--identity", "cs"], "--identity cs needs a code or --random-code"),
+        (["ELEMENT", "--identity", "cs"], "--identity cs needs a code, not an element"),
+        (["513", "--identity", "lemma1"], "--identity lemma1 takes --m or --basis-file, not a code"),
+        (["--identity", "lemma1"], "--identity lemma1 needs --m (or --basis-file)"),
+        (["--identity", "axioms", "--random-code", "2,3,2"],
+         "--identity axioms needs --m (or --basis-file)"),
+        (["311qutrit", "--identity", "t6", "--basis-file", "BASIS2"],
+         "basis file has m=2 but the input needs m=3"),
+        (["--identity", "cs", "--random-code", "3,2,2", "--basis-file", "BASIS2"],
+         "basis file has m=2 but the input needs m=3"),
+    ],
+    ids=["t4-no-input", "cs-no-input", "cs-element", "lemma1-code", "lemma1-no-m",
+         "axioms-random-code", "t6-basis-m", "cs-basis-m"],
+)
+def test_verify_matrix_input_errors(capsys, tmp_path, argv, message):
+    write_element(tmp_path / "e.elem", random_element(2, 2, 1))
+    write_custom_basis(tmp_path / "p2.errorbasis", 2, np.asarray(build_pauli_system(2).matrices))
+    paths = {"ELEMENT": str(tmp_path / "e.elem"), "BASIS2": str(tmp_path / "p2.errorbasis")}
+    code, out, err = run(capsys, "verify", *[paths.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_does_not_import_the_oracle():
+    import qecalg
+    probe = "import sys, qecalg.cli; print('qecalg.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "False"

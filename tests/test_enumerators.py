@@ -296,3 +296,15 @@ def test_evaluation_and_closed_form_agree(sys2):
     rhs_subst = (e.coeffs @ prods) / e.mass
     assert abs(digits_val_lhs - rhs_closed) < 1e-9 * max(1.0, abs(rhs_closed))
     assert abs(rhs_subst - rhs_closed) < 1e-9 * max(1.0, abs(rhs_closed))
+
+
+@pytest.mark.parametrize("check", [verify_exact_identity, verify_complete_identity,
+                                   verify_lee_identity])
+def test_evaluation_identities_fail_on_nan(sys3, check):
+    coeffs = random_element(3, 2, 4).coeffs.copy()
+    coeffs[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        report = check(sys3, AlgebraElement(3, 2, coeffs), 3, seed=1)
+    assert not report.passed
+    assert report.failures == (0, 1, 2)
+    assert np.isnan(report.max_residual)

@@ -9,9 +9,10 @@ from qecalg import (
     canonical_ordering,
     character,
     validate_custom_basis,
+    verify_basis_axioms,
     verify_kernel_row_sums,
 )
-from qecalg.error_basis import group_add, group_neg
+from qecalg.error_basis import PhaseSystem, group_add, group_neg
 from qecalg.errors import (
     ClosureViolation,
     IdentityViolation,
@@ -206,3 +207,23 @@ def test_regauged_basis_has_same_kernel(sys2):
     sys_new = validate_custom_basis(mats)
     assert np.abs(sys_new.omega - sys2.omega).max() > 1e-6  # really regauged
     assert np.abs(sys_new.kernel - sys2.kernel).max() < 1e-12
+
+
+def test_custom_basis_with_nan_is_rejected():
+    mats = _pauli_matrix_list(2)
+    mats[2] = mats[2].astype(complex)
+    mats[2][0, 1] = np.nan  # E_(1,0) = X with one NaN entry
+    with pytest.raises(NonUnitary, match="matrix 2"):
+        validate_custom_basis(mats)
+
+
+def test_basis_axioms_fail_nan_phase(sys2):
+    omega = sys2.omega.copy()
+    omega[1, 2] = np.nan
+    broken = PhaseSystem(m=2, omega=omega, kernel=sys2.kernel, ordering=sys2.ordering,
+                         matrices=sys2.matrices)
+    report = verify_basis_axioms(broken)
+    assert not report.passed
+    assert report.failures == (("closure", 1, 2),)
+    assert np.isnan(report.max_residual)
+    assert not verify_kernel_row_sums(broken).passed

@@ -10,6 +10,7 @@ from qecalg import (
     encode_label,
     pauli_label,
     random_code,
+    verify_basis_axioms,
 )
 from qecalg.errors import SizeCap
 from qecalg.oracle import (
@@ -19,7 +20,7 @@ from qecalg.oracle import (
     oracle_associated_element,
     oracle_character,
     oracle_dual_element,
-    verify_basis_axioms,
+    projector,
 )
 
 from conftest import explicit_operator
@@ -159,3 +160,12 @@ def test_verify_basis_axioms_flags_corrupted_phase(sys2):
     report = verify_basis_axioms(corrupted)
     assert not report.passed
     assert any(f[0] == "closure" for f in report.failures)
+
+
+def test_projector_rejects_empty_code(sys2):
+    # <Z x I, -Z x I> stabilizes no state: its projector has rank 0
+    empty = CodeSpec.from_stabilizers(2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], phases=[0, 2])
+    with pytest.raises(ValueError, match="rank 0"):
+        projector(sys2, empty)
+    with pytest.raises(ValueError, match="rank 0"):
+        oracle_associated_element(sys2, empty)
