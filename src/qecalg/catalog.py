@@ -12,6 +12,8 @@ CATALOG = {
     "422": "four_two_two_422.code",
     "913shor": "shor_913.code",
     "311qutrit": "qutrit_repetition_311.code",
+    "steane713": "steane_713.code",
+    "rm15": "reed_muller_15.code",
 }
 
 

@@ -137,6 +137,7 @@ def _cmd_analyze(args) -> int:
         "mass": result.mass,
         "A": [_fmt_complex(c) for c in result.primary_distribution.a],
         "A_dual": [_fmt_complex(c) for c in result.dual_distribution.a],
+        "path": result.path,
     }
     report["text"] = [
         f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
@@ -201,6 +202,14 @@ _VERIFY_CHECKS = {
 }
 
 
+def _random_code_dims(value: str) -> tuple[int, int, int]:
+    try:
+        m, n, k = (int(x) for x in value.split(","))  # a wrong count is a ValueError too
+    except ValueError:
+        raise QecalgError(f"--random-code wants M,N,K (three integers), got {value!r}") from None
+    return m, n, k
+
+
 def _verify_subject(args):
     """(system, subject, inputs) for `verify`.
 
@@ -217,7 +226,7 @@ def _verify_subject(args):
             raise QecalgError(f"--identity {identity} needs --m (or --basis-file)")
         return build_pauli_system(args.m), None, {"pauli_m": args.m}
     if args.random_code:
-        m, n, k = (int(x) for x in args.random_code.split(","))
+        m, n, k = _random_code_dims(args.random_code)
         kind, payload = "code", random_code(m, n, k, args.seed)
         inputs = {"random_code": args.random_code, "seed": args.seed}
     elif args.input is None:

@@ -12,15 +12,25 @@ comes out of one contraction of the (m^2, m^2) matrix E_g[r, c] along each
 of the n (r_i, c_i) axes; no error operator E_g is ever built.
 
 A code given by stabilizer generators maps to the indicator of the generated
-index subgroup.  For every input kind C is built once and C' is its
-transform (for basis input C' has the closed form
-c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2, which the dense-matrix oracle
-computes to certify this route; for stabilizer input C' is the indicator of
-the normalizer).  From the pair (C, C'):
+index subgroup S.  `analyze` takes one of two routes:
 
-    K    = m^n / mass(C)
-    d    = min weight where c_g != c'_g        (K > 1)
-           min nonzero weight where c_g != 0   (K = 1)
+  exact (stabilizer input)  S is enumerated by coset doubling on small-
+      integer arrays, A_w counts its elements of weight w, and A' = B comes
+      from the Hamming identity (t9) in integer arithmetic,
+          B(x, y) = (1/|S|) A(x + (m^2 - 1) y, x - y);
+      no array of m^(2n) coefficients is built.  t9 holds for every nice
+      error basis (the kernel rows sum to zero, lemma 1), so these numbers
+      do not depend on the basis.
+  dense (basis input)  C is built once and C' is its transform (it equals
+      the closed form c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2, which the
+      dense-matrix oracle computes to certify this route).
+
+Either way
+
+    K    = m^n / mass(C)                      (mass(C) = |S| = sum_w A_w)
+    d    = min weight where c_g != c'_g       (K > 1; = min{w : B_w > A_w},
+                                               because c <= c' entrywise)
+           min nonzero weight where c_g != 0  (K = 1)
     pure = no support of C at weights strictly between 0 and d.
 """
 
@@ -32,15 +42,16 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import GroupElement, PhaseSystem, canonical_ordering
+from .error_basis import PHASE_TOL, GroupElement, PhaseSystem, canonical_ordering
 from .errors import (
-    ClosureOverflow,
+    InconsistentStabilizers,
     NoDistance,
     NonCommutingGenerators,
     NonIntegerDimension,
     NonOrthonormalBasis,
+    ShapeMismatch,
 )
-from .enumerators import HammingDistribution, hamming_distribution
+from .enumerators import HammingDistribution, hamming_distribution, macwilliams_terms
 from .group_algebra import AlgebraElement, transform, weight_reduce
 from .reports import CheckReport
 
@@ -67,8 +78,12 @@ def pauli_label(s: str) -> Label:
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGenerators:
+    """Generator labels, and optionally one phase exponent p per generator
+    (the operator is exp(i*pi*p/m) E_g).  phases=None is phase-free: only
+    the index group is analysed and no phase is checked."""
+
     labels: tuple[Label, ...]
-    phases: tuple[int, ...]
+    phases: tuple[int, ...] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +106,8 @@ class CodeSpec:
         for gen in labels:
             if len(gen) != n:
                 raise ValueError(f"generator has {len(gen)} coordinates, expected {n}")
-        ph = tuple(phases) if phases is not None else tuple(0 for _ in labels)
-        if len(ph) != len(labels):
+        ph = None if phases is None else tuple(phases)
+        if ph is not None and len(ph) != len(labels):
             raise ValueError("one phase exponent per generator required")
         return cls(m, n, StabilizerGenerators(labels, ph))
 
@@ -135,26 +150,92 @@ def validate_code(code: CodeSpec) -> None:
                     raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
 
 
-def stabilizer_group_indices(code: CodeSpec) -> np.ndarray:
-    """Flat coefficient indices of the subgroup generated by the labels.
+def _locate(group: np.ndarray, target: np.ndarray) -> int | None:
+    """Column of `group` equal to `target`, narrowing the candidates one
+    coordinate at a time so that no temporary of the size of `group` is built."""
+    hit = np.flatnonzero(group[0] == target[0])
+    for j in range(1, group.shape[0]):
+        hit = hit[group[j, hit] == target[j]]
+    return int(hit[0]) if hit.size else None
 
-    Breadth-first coset expansion in the index group; no prime-power
-    assumption on m.  Capped at m^(2n) (the whole group).
+
+def _ordering_positions(m: int) -> np.ndarray:
+    """(m, m) table: the canonical ordering index of (a, b)."""
+    index = canonical_ordering(m).index
+    return np.array([[index[(a, b)] for b in range(m)] for a in range(m)], dtype=np.intp)
+
+
+def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:
+    """The index group S generated by the labels, as a (2n, |S|) array whose
+    columns are the elements (a_1, b_1, ..., a_n, b_n), identity first, in
+    the smallest unsigned dtype holding m - 1 (2n bytes per element for
+    m <= 256).  Each coordinate of all elements is one contiguous row.
+
+    Coset doubling: for each generator g, find the first t >= 1 with t g
+    already in S, then append the cosets S + t' g for t' = 1 .. t - 1, so S
+    grows t-fold and no element is formed twice; no prime-power case is needed.
+
+    When the code carries phases, each element also carries the phase of its
+    operator, a product taken coordinate by coordinate from `sys.omega`.  At
+    the stopping t, (phi E_g)^t must equal the operator already stored for
+    t g; otherwise the group holds a nontrivial multiple of the identity and
+    InconsistentStabilizers is raised.
     """
-    ordering = canonical_ordering(code.m)
-    cap = ordering.size ** code.n
-    add = ordering.add_table
-    group = {(0,) * code.n}
-    for gen in code.body.labels:
-        gd = tuple(ordering.index_of(g) for g in gen)
-        layer = set(group)
-        for _ in range(1, code.m):
-            layer = {tuple(int(add[x[i], gd[i]]) for i in range(code.n)) for x in layer}
-            group |= layer
-            if len(group) > cap:
-                raise ClosureOverflow(f"closure exceeded {cap} elements")
-    places = ordering.size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-    idx = np.sort(np.array([np.dot(t, places) for t in group], dtype=np.int64))
+    validate_code(code)
+    if sys.m != code.m:
+        raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
+    m, n = code.m, code.n
+    dtype = np.min_scalar_type(m - 1)
+    plus = ((np.arange(m)[:, None] + np.arange(m)) % m).astype(dtype)
+    phases = code.body.phases
+    if phases is not None:
+        pos = _ordering_positions(m)
+
+        def omega_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            """prod_i omega[left_i, right_i] for each column of `left`."""
+            out = np.ones(left.shape[1], dtype=np.complex128)
+            for i in range(n):
+                out *= sys.omega[pos[left[2 * i], left[2 * i + 1]],
+                                 pos[right[2 * i], right[2 * i + 1]]]
+            return out
+
+        lam = np.ones(1, dtype=np.complex128)
+    group = np.zeros((2 * n, 1), dtype=dtype)
+    for k, label in enumerate(code.body.labels):
+        g = np.array([x for pair in label for x in pair], dtype=dtype)
+        shifts = [g]  # t g for t = 1, 2, ...; the last one is in S
+        while (hit := _locate(group, shifts[-1])) is None:
+            shifts.append(plus[shifts[-1], g])
+        if phases is not None:
+            phi = np.exp(1j * np.pi * phases[k] / m)
+            mu = [phi]  # (phi E_g)^t = mu[t - 1] E_(t g)
+            for tg in shifts[:-1]:
+                mu.append(mu[-1] * phi * omega_product(tg[:, None], g)[0])
+            if not abs(mu[-1] - lam[hit]) <= PHASE_TOL:
+                turn = np.angle(mu[-1] / lam[hit]) / (2 * np.pi) % 1.0
+                raise InconsistentStabilizers(
+                    f"generator {k} to the power {len(shifts)} is exp(2*pi*i*{turn:.6g}) "
+                    "times an element of the group: the group holds a multiple of the identity"
+                )
+            lam = np.concatenate([lam] + [lam * mu[t] * omega_product(group, tg)
+                                          for t, tg in enumerate(shifts[:-1])])
+        size = group.shape[1]
+        grown = np.empty((2 * n, size * len(shifts)), dtype=dtype)
+        grown[:, :size] = group
+        for t, tg in enumerate(shifts[:-1], start=1):
+            for j, v in enumerate(tg):
+                np.take(plus[v], group[j], out=grown[j, t * size:(t + 1) * size])
+        group = grown
+    return group
+
+
+def _group_indices(group: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Flat coefficient indices of the columns of `stabilizer_group`."""
+    pos = _ordering_positions(m)
+    idx = np.zeros(group.shape[1], dtype=np.int64)
+    for i in range(n):
+        idx *= m * m
+        idx += pos[group[2 * i], group[2 * i + 1]]
     return idx
 
 
@@ -187,16 +268,17 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
 def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """The algebra element encoding the code (c_0 is always 1).
 
-    Stabilizer input: indicator of the generated index subgroup.  Basis
-    input: |tr(E_g P)|^2 / K^2 for every label in one axis contraction,
-    under any nice error basis.
+    Stabilizer input: indicator of the generated index subgroup (with the
+    phase check of `stabilizer_group`).  Basis input: |tr(E_g P)|^2 / K^2
+    for every label in one axis contraction, under any nice error basis.
     """
-    validate_code(code)
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
+        idx = _group_indices(stabilizer_group(sys, code), m, n)
         coeffs = np.zeros((m * m) ** n, dtype=np.complex128)
-        coeffs[stabilizer_group_indices(code)] = 1.0
+        coeffs[idx] = 1.0
         return AlgebraElement(m, n, coeffs)
+    validate_code(code)
     return _associated_basis(sys, code)
 
 
@@ -217,6 +299,14 @@ class AnalysisReport:
     mass: float
     primary_distribution: HammingDistribution
     dual_distribution: HammingDistribution
+    path: str  # "exact" (stabilizer input) or "dense" (basis input)
+
+
+def _no_distance(k: int) -> NoDistance:
+    return NoDistance(
+        "no coefficient distinguishes the element from its transform"
+        if k > 1 else "element has no support off the identity"
+    )
 
 
 def _minimum_distance(m: int, n: int, c: np.ndarray, c_dual: np.ndarray, k: int) -> int:
@@ -231,15 +321,43 @@ def _minimum_distance(m: int, n: int, c: np.ndarray, c_dual: np.ndarray, k: int)
         np.greater(np.abs(part), COEFF_TOL, out=mask[s:s + _MASK_SLICE])
     hit = np.flatnonzero(weight_reduce(mask, m * m, n, np.logical_or)[1:])
     if not hit.size:
-        raise NoDistance(
-            "no coefficient distinguishes the element from its transform"
-            if k > 1 else "element has no support off the identity"
-        )
+        raise _no_distance(k)
     return int(hit[0]) + 1
 
 
+def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
+    """K, d, purity, A and A' of a stabilizer code from the elements of S."""
+    m, n = code.m, code.n
+    group = stabilizer_group(sys, code)
+    size = group.shape[1]
+    if m ** n % size:
+        raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
+    k = m ** n // size
+    weights = np.count_nonzero(group[0::2] | group[1::2], axis=0)
+    del group
+    a = [int(x) for x in np.bincount(weights, minlength=n + 1)]
+    b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
+    if any(x % size for x in b):
+        raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
+    b = [x // size for x in b]
+    hit = [w for w in range(1, n + 1) if (b[w] > a[w] if k > 1 else a[w])]
+    if not hit:
+        raise _no_distance(k)
+    d = hit[0]
+    return AnalysisReport(
+        K=k, d=d, pure=not any(a[1:d]), mass=float(size),
+        primary_distribution=HammingDistribution(m, n, np.array(a, dtype=np.complex128)),
+        dual_distribution=HammingDistribution(
+            m, n, np.array([float(x) for x in b], dtype=np.complex128)),
+        path="exact",
+    )
+
+
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
-    """Extract K, d, and purity from the associated element and its dual."""
+    """Extract K, d, and purity: exactly from the stabilizer group for
+    stabilizer input, from the associated element and its dual otherwise."""
+    if isinstance(code.body, StabilizerGenerators):
+        return _analyze_exact(sys, code)
     c = associated_element(sys, code)
     c_dual = transform(sys, c).element
     mass = c.mass.real
@@ -254,6 +372,7 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
         K=k, d=d, pure=pure, mass=mass,
         primary_distribution=dist,
         dual_distribution=hamming_distribution(c_dual),
+        path="dense",
     )
 
 

@@ -261,12 +261,11 @@ def verify_lee_identity(
     return _evaluation_check("lee-identity", sys, a, trials, seed, draw)
 
 
-def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
-    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion."""
-    n, q = dist.n, dist.m * dist.m
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for j in range(n + 1):
-        aj = dist.a[j]
+def macwilliams_terms(a, q: int, n: int) -> list:
+    """Coefficients of W(x + (q-1)y, x - y) for W = sum_j a_j x^(n-j) y^j, by
+    binomial expansion; exact integers when the a_j are Python ints."""
+    out = [0] * (n + 1)
+    for j, aj in enumerate(a):
         if aj == 0:
             continue
         # (x + (q-1)y)^(n-j) * (x - y)^j, coefficient of x^(n-k) y^k
@@ -274,7 +273,13 @@ def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
             base = aj * comb(n - j, p) * (q - 1) ** p
             for s in range(j + 1):
                 out[p + s] += base * comb(j, s) * (-1) ** s
-    return out / mass
+    return out
+
+
+def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
+    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion."""
+    terms = macwilliams_terms(dist.a, dist.m * dist.m, dist.n)
+    return np.array(terms, dtype=np.complex128) / mass
 
 
 def verify_hamming_identity(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:

@@ -203,19 +203,22 @@ def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
     )
 
 
-def verify_basis_axioms(sys: PhaseSystem) -> CheckReport:
+def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) -> CheckReport:
     """Check E_0 = I, tr E_g = m * delta(g,0) and E_g E_h = w_{gh} E_{g+h}
     with |w_{gh}| = 1 on the stored matrices and omega table.  Failures are
-    ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails."""
+    ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails.
+    `products[i, j]` = E_i E_j may be passed in when the caller has formed them."""
     m, q = sys.m, sys.q
     mats, add = sys.matrices, sys.ordering.add_table
+    if products is None:
+        products = mats[:, None] @ mats[None, :]
     checks = [(("identity", 0), np.abs(mats[0] - np.eye(m)).max())]
     for i in range(q):
         checks.append((("trace", i), abs(np.trace(mats[i]) - (m if i == 0 else 0.0))))
     for i in range(q):
         for j in range(q):
             w = sys.omega[i, j]
-            r = np.maximum(np.abs(mats[i] @ mats[j] - w * mats[int(add[i, j])]).max(),
+            r = np.maximum(np.abs(products[i, j] - w * mats[int(add[i, j])]).max(),
                            abs(abs(w) - 1.0))
             checks.append((("closure", i, j), r))
     residuals = np.array([r for _, r in checks], dtype=float)
@@ -254,11 +257,14 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
         if not np.abs(mats[i] @ mats[i].conj().T - eye).max() <= PHASE_TOL:
             raise NonUnitary(f"matrix {i} (element {ordering.order[i]}) is not unitary")
 
+    # every E_i E_j in one batched matmul, bit-identical to one matmul per pair;
+    # the axiom check below reuses them
+    products = mats[:, None] @ mats[None, :]
     omega = np.empty((q, q), dtype=np.complex128)
     for i in range(q):
         for j in range(q):
             k = int(ordering.add_table[i, j])
-            omega[i, j] = np.trace(mats[k].conj().T @ (mats[i] @ mats[j])) / m
+            omega[i, j] = np.trace(mats[k].conj().T @ products[i, j]) / m
     kernel = omega * np.conj(omega.T)
     omega.setflags(write=False)
     kernel.setflags(write=False)
@@ -266,7 +272,7 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     mats.setflags(write=False)
     sys = PhaseSystem(m=m, omega=omega, kernel=kernel, ordering=ordering, matrices=mats)
 
-    axioms = verify_basis_axioms(sys)
+    axioms = verify_basis_axioms(sys, products)
     if not axioms.passed:
         kind, i, *rest = axioms.failures[0]
         if kind == "identity":

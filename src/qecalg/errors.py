@@ -53,8 +53,9 @@ class NonCommutingGenerators(QecalgError):
     """Stabilizer generators are not pairwise symplectically orthogonal."""
 
 
-class ClosureOverflow(QecalgError):
-    """Generator closure exceeded the size of the full index group."""
+class InconsistentStabilizers(QecalgError):
+    """Phased stabilizer generators generate a nontrivial multiple of the
+    identity, so they stabilize no state."""
 
 
 class NonIntegerDimension(QecalgError):

@@ -19,6 +19,10 @@ Code file ("code v1"):
     ...                         #   n "a,b" exponent pairs
                                 # basis: K rows of m^n "re,im" entries
 
+Code files are phase-free: a stabilizer generator is its label alone, so
+`read_code` gives a code whose index group is analysed with no phase check,
+and `write_code` writes the labels of a phased code without its phases.
+
 Custom error basis file ("errorbasis v1"):
     errorbasis v1
     m 2

@@ -120,9 +120,9 @@ def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> 
     """Orthogonal projector onto the code space, as a dense matrix.
 
     For stabilizer input, each generator contributes the averaging projector
-    (1/m) sum_t (phi E)^t with phi = exp(i*pi*phase/m); the phased operator
-    must have order dividing m, and the product must have rank >= 1 (e.g.
-    <Z, -Z> stabilizes nothing).
+    (1/m) sum_t (phi E)^t with phi = exp(i*pi*phase/m), phase 0 for a
+    phase-free code; the phased operator must have order dividing m, and the
+    product must have rank >= 1 (e.g. <Z, -Z> stabilizes nothing).
     """
     validate_code(code)
     _check_cap(code.m, code.n, cap)
@@ -131,7 +131,8 @@ def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> 
         v = code.body.vectors
         return v.T @ v.conj()
     p = np.eye(dim, dtype=np.complex128)
-    for gen, phase in zip(code.body.labels, code.body.phases):
+    phases = code.body.phases or (0,) * len(code.body.labels)
+    for gen, phase in zip(code.body.labels, phases):
         op = np.exp(1j * np.pi * phase / code.m) * build_operator(sys, gen, cap)
         power = np.eye(dim, dtype=np.complex128)
         avg = np.zeros_like(power)

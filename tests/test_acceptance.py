@@ -145,6 +145,8 @@ def test_criterion_6_macwilliams_identities():
         catalog_elements = []
         for name in catalog.names():
             code = catalog.load(name)
+            if (code.m * code.m) ** code.n > 4 ** 9:
+                continue  # rm15: a dense C of 4^15 coefficients; only `analyze` takes it
             sys_ = systems[code.m]
             catalog_elements.append((code.m, code.n, associated_element(sys_, code)))
 

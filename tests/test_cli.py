@@ -366,6 +366,36 @@ def test_verify_matrix_input_errors(capsys, tmp_path, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["2,3", "2,x,2"])
+def test_verify_malformed_random_code(capsys, value):
+    code, out, err = run(capsys, "verify", "--identity", "cs", "--random-code", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --random-code wants M,N,K (three integers), got '{value}'\n"
+
+
+def test_analyze_reports_its_path(capsys, tmp_path):
+    # stabilizer input takes the exact route, basis input the dense one
+    code, out, _ = run(capsys, "analyze", "311qutrit", "--format", "machine")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["path"] == "exact"
+    # exact integers: no round-off left in A' at m = 3
+    assert results["A_dual"] == [[1.0, 0.0], [6.0, 0.0], [12.0, 0.0], [62.0, 0.0]]
+    path = tmp_path / "full.code"
+    write_code(path, CodeSpec.from_basis(2, 2, np.eye(4, dtype=complex)))
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 0 and json.loads(out)["results"]["path"] == "dense"
+
+
+def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):
+    # code files are phase-free, so a phased code reaches the CLI only
+    # through the library; the exception is a QecalgError, exit 2
+    empty = CodeSpec.from_stabilizers(2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], phases=[0, 2])
+    monkeypatch.setattr(catalog, "resolve", lambda name: (f"catalog:{name}", empty, b""))
+    code, out, err = run(capsys, "analyze", "422")
+    assert (code, out) == (2, "")
+    assert "multiple of the identity" in err
+
+
 def test_cli_does_not_import_the_oracle():
     import qecalg
     probe = "import sys, qecalg.cli; print('qecalg.oracle' in sys.modules)"

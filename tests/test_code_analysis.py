@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,19 +8,22 @@ from qecalg import (
     CodeSpec,
     GroupElement,
     analyze,
+    catalog,
     associated_element,
     build_pauli_system,
     check_cs_ordering,
     dual_element,
     encode_label,
+    hamming_distribution,
     pauli_label,
     random_code,
     symplectic_product,
     transform,
     validate_custom_basis,
 )
-from qecalg.code_analysis import BasisVectors, _minimum_distance, stabilizer_group_indices
+from qecalg.code_analysis import BasisVectors, _minimum_distance, stabilizer_group
 from qecalg.errors import (
+    InconsistentStabilizers,
     NoDistance,
     NonCommutingGenerators,
     NonIntegerDimension,
@@ -29,6 +34,9 @@ from qecalg.oracle import (
     label_digits,
     oracle_associated_element,
     oracle_dual_element,
+    oracle_hamming_distribution,
+    oracle_minimum_distance,
+    projector,
 )
 
 
@@ -166,9 +174,9 @@ def test_composite_m_closure():
     # binary case enjoys; the closure must still be a plain subgroup
     gens = [((0, 1), (0, 3))]
     code = CodeSpec.from_stabilizers(4, 2, gens)
-    idx = stabilizer_group_indices(code)
-    assert len(idx) == 4
     sys4 = __import__("qecalg").build_pauli_system(4)
+    group = stabilizer_group(sys4, code)
+    assert group.shape == (4, 4)
     report = analyze(sys4, code)
     assert report.K == 4 ** 2 / 4
 
@@ -329,3 +337,189 @@ def test_purity_definition_matches_support(sys2, shor_code, five_qubit_code):
             (np.abs(c.coeffs) > 1e-9) & (weights > 0) & (weights < report.d)
         )
         assert report.pure == (not support_below_d)
+
+
+# --- the exact stabilizer route ---
+
+def _scrambled_generators(m, n, exponents, seed, gates=400):
+    """Commuting generators: Z^e on qudit i for the i-th exponent e, then a
+    seeded random circuit of Fourier, phase and SUM gates acting on the
+    labels (each gate preserves the symplectic form over Z_m)."""
+    rng = np.random.default_rng(seed)
+    gens = np.zeros((len(exponents), n, 2), dtype=np.int64)
+    for i, e in enumerate(exponents):
+        gens[i, i, 1] = e
+    for _ in range(gates):
+        kind = rng.integers(3)
+        c, t = rng.choice(n, 2, replace=False)
+        if kind == 0:  # Fourier on c: (a, b) -> (-b, a)
+            gens[:, c] = np.stack([-gens[:, c, 1], gens[:, c, 0]], axis=1)
+        elif kind == 1:  # phase on c: b += a
+            gens[:, c, 1] += gens[:, c, 0]
+        else:  # SUM c -> t: a_t += a_c, b_c -= b_t
+            gens[:, t, 0] += gens[:, c, 0]
+            gens[:, c, 1] -= gens[:, t, 1]
+        gens %= m
+    return [[tuple(int(x) for x in pair) for pair in g] for g in gens]
+
+
+def _consistent_phases(sys_, m, n, gens):
+    """The first phase exponent per generator that keeps the group free of
+    multiples of the identity, chosen generator by generator."""
+    phases = []
+    for i in range(len(gens)):
+        for p in range(2 * m):
+            try:
+                stabilizer_group(sys_, CodeSpec.from_stabilizers(m, n, gens[:i + 1], phases + [p]))
+            except InconsistentStabilizers:
+                continue
+            phases.append(p)
+            break
+        else:
+            raise AssertionError(f"no consistent phase for generator {i}")
+    return phases
+
+
+# seeded codes as (m, n, exponents of the Z-type seeds), and catalog codes
+# (Shor is impure); all have m^(2n) <= 4^9, and the dense-matrix oracle runs
+# on every case with m^n <= 256
+EXACT_CASES = [(2, 5, [1, 1, 1, 1]), (2, 9, [1] * 8),
+               (3, 3, [1, 1]), (3, 4, [1, 1, 1]),
+               (4, 2, [2]), (4, 3, [1, 1, 2]),
+               (6, 2, [1, 3]), (6, 2, [2, 3]),
+               "513", "422", "913shor", "311qutrit"]
+
+
+@pytest.mark.parametrize("case", EXACT_CASES, ids=str)
+def test_exact_route_matches_dense(case):
+    if isinstance(case, str):
+        code = catalog.load(case)
+        m, n, gens = code.m, code.n, code.body.labels
+    else:
+        m, n, exponents = case
+        gens = _scrambled_generators(m, n, exponents, seed=100 * m + n)
+        code = CodeSpec.from_stabilizers(m, n, gens)
+    sys_ = build_pauli_system(m)
+    exact = analyze(sys_, code)
+    assert exact.path == "exact"
+
+    c = associated_element(sys_, code)
+    c_dual = transform(sys_, c).element
+    a_dense = hamming_distribution(c).a
+    b_dense = hamming_distribution(c_dual).a
+    k = round(m ** n / c.mass.real)
+    d = _minimum_distance(m, n, c.coeffs, c_dual.coeffs, k)
+    assert (exact.K, exact.d, exact.mass) == (k, d, c.mass.real)
+    assert exact.pure == bool(np.all(np.abs(a_dense[1:d]) <= 1e-9))
+    assert np.array_equal(exact.primary_distribution.a, a_dense)
+    b = exact.dual_distribution.a
+    assert np.array_equal(b, np.round(b.real))
+    assert np.abs(b - b_dense).max() <= 1e-9
+
+    # the numbers do not depend on the error basis
+    regauged = analyze(_regauged_system(m, seed=m), code)
+    assert (regauged.K, regauged.d, regauged.pure) == (exact.K, exact.d, exact.pure)
+    assert np.array_equal(regauged.dual_distribution.a, b)
+
+    if m ** n > 256:
+        return
+    phased = CodeSpec.from_stabilizers(m, n, gens, _consistent_phases(sys_, m, n, gens))
+    assert np.array_equal(analyze(sys_, phased).dual_distribution.a, b)
+    c_o = oracle_associated_element(sys_, phased)
+    c_dual_o = oracle_dual_element(sys_, phased)
+    # the scattered indicator sits on the right flat indices
+    assert np.abs(c.coeffs - c_o.coeffs).max() <= 1e-9
+    assert np.abs(c_dual.coeffs - c_dual_o.coeffs).max() <= 1e-9
+    assert round(float(np.trace(projector(sys_, phased)).real)) == exact.K
+    assert oracle_minimum_distance(c_o, c_dual_o, exact.K) == exact.d
+    assert np.abs(oracle_hamming_distribution(c_o) - exact.primary_distribution.a).max() <= 1e-9
+    assert np.abs(oracle_hamming_distribution(c_dual_o) - b).max() <= 1e-9
+
+
+def test_exact_route_twenty_qubits_stays_small(sys2):
+    # [[20,1]]: |S| = 2^19 elements of 40 bytes; the dense route would need 4^20 coefficients
+    code = CodeSpec.from_stabilizers(2, 20, _scrambled_generators(2, 20, [1] * 19, seed=20))
+    tracemalloc.start()
+    try:
+        report = analyze(sys2, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    assert (report.K, report.mass) == (2, 2.0 ** 19)
+    a, b = report.primary_distribution.a.real, report.dual_distribution.a.real
+    assert a.sum() == 2 ** 19 and b.sum() == 4 ** 20 / 2 ** 19
+    assert np.all(b[1:report.d] == a[1:report.d]) and b[report.d] > a[report.d]
+
+
+@pytest.mark.parametrize("name,order,a", [
+    ("steane713", 2 ** 6, (1, 0, 0, 0, 21, 0, 42, 0)),
+    ("rm15", 2 ** 14, None),
+])
+def test_catalog_exact_only_codes(sys2, name, order, a):
+    # Steane [[7,1,3]] and the [[15,1,3]] quantum Reed-Muller code, both pure;
+    # at n = 15 a dense C would have 4^15 coefficients
+    report = analyze(sys2, catalog.load(name))
+    assert (report.K, report.d, report.pure) == (2, 3, True)
+    assert report.primary_distribution.a.real.sum() == report.mass == order
+    if a is not None:
+        assert report.primary_distribution.rounded() == a
+
+
+def test_inconsistent_phases_raise(sys2):
+    # <Z x I, -Z x I> stabilizes no state
+    empty = CodeSpec.from_stabilizers(2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], phases=[0, 2])
+    for op in (analyze, associated_element):
+        with pytest.raises(InconsistentStabilizers):
+            op(sys2, empty)
+    # (XZ)^2 = -I: the phase-0 generator squares to a multiple of I
+    with pytest.raises(InconsistentStabilizers):
+        analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]], phases=[0]))
+    # phase-free codes check no phase: the same label is a fine index group
+    assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]])).K == 1
+
+
+def test_consistent_phases_pass(sys2):
+    assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(0, 1)]], phases=[2])).K == 1  # <-Z>
+    assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]], phases=[1])).K == 1  # <iXZ>
+
+
+@pytest.mark.parametrize("basis", ["pauli", "regauged"])
+@pytest.mark.parametrize("m,n,gens,phases", [
+    (2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], [0, 2]),
+    (2, 2, [[(1, 0), (1, 0)], [(1, 1), (1, 1)]], [0, 0]),
+    (2, 2, [[(1, 0), (1, 0)], [(1, 1), (1, 1)]], [0, 2]),
+    # (Z x X)(X x Z) = -(XZ x XZ): the stored phase of a product carries omega
+    (2, 2, [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 1), (1, 1)]], [0, 0, 0]),
+    (2, 2, [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 1), (1, 1)]], [0, 0, 2]),
+    (2, 1, [[(1, 1)]], [0]),
+    (2, 1, [[(1, 1)]], [1]),
+    (3, 1, [[(1, 0)]], [1]),
+    (3, 1, [[(1, 0)]], [2]),
+    # the second generator lands on the coset t = 2 of the first: (phi X)^2
+    (3, 1, [[(1, 0)], [(2, 0)]], [2, 4]),
+    (3, 1, [[(1, 0)], [(2, 0)]], [2, 2]),
+    (4, 1, [[(0, 2)]], [0]),
+    (4, 1, [[(0, 2)]], [2]),
+    (4, 2, [[(2, 2), (0, 0)], [(0, 2), (0, 2)]], [0, 4]),
+])
+def test_phase_check_agrees_with_oracle(basis, m, n, gens, phases):
+    sys_ = build_pauli_system(m)
+    if basis == "regauged":
+        # unit phases that are powers of exp(i*pi/m), so that some phased
+        # generators stay consistent under the changed omega
+        roots = np.exp(1j * np.pi * np.random.default_rng(m).integers(2 * m, size=m * m) / m)
+        roots[0] = 1.0
+        sys_ = validate_custom_basis(np.asarray(sys_.matrices) * roots[:, None, None])
+    code = CodeSpec.from_stabilizers(m, n, gens, phases)
+    try:
+        projector(sys_, code)
+        oracle_raises = False
+    except ValueError:
+        oracle_raises = True
+    try:
+        analyze(sys_, code)
+        library_raises = False
+    except InconsistentStabilizers:
+        library_raises = True
+    assert library_raises == oracle_raises

@@ -227,3 +227,28 @@ def test_basis_axioms_fail_nan_phase(sys2):
     assert report.failures == (("closure", 1, 2),)
     assert np.isnan(report.max_residual)
     assert not verify_kernel_row_sums(broken).passed
+
+
+def test_basis_axioms_take_formed_products(sys2):
+    # validate_custom_basis forms every E_g E_h once, in one batched matmul,
+    # and hands the products to the checker: they equal one matmul per pair
+    # bit for bit, and the report is the one the checker gets alone
+    rng = np.random.default_rng(4)
+    for m in (2, 3, 5):
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        rotated = validate_custom_basis(u @ np.asarray(build_pauli_system(m).matrices) @ u.conj().T)
+        for sys_ in (build_pauli_system(m), rotated):
+            mats = np.asarray(sys_.matrices)
+            products = mats[:, None] @ mats[None, :]
+            for i in range(m * m):
+                for j in range(m * m):
+                    assert np.array_equal(products[i, j], mats[i] @ mats[j])
+            with_products = verify_basis_axioms(sys_, products)
+            alone = verify_basis_axioms(sys_)
+            assert with_products.passed and (with_products.failures, with_products.max_residual) == (
+                alone.failures, alone.max_residual)
+    # a wrong product is caught, so the checker really uses the one passed in
+    mats = np.asarray(sys2.matrices)
+    products = mats[:, None] @ mats[None, :]
+    products[1, 2] *= -1.0
+    assert verify_basis_axioms(sys2, products).failures == (("closure", 1, 2),)

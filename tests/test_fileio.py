@@ -108,7 +108,7 @@ def test_code_format_errors(tmp_path):
 
 
 def test_catalog_entries_load():
-    assert set(catalog.names()) == {"311qutrit", "422", "513", "913shor"}
+    assert set(catalog.names()) == {"311qutrit", "422", "513", "913shor", "rm15", "steane713"}
     for name in catalog.names():
         code = catalog.load(name)
         assert code.kind == "stabilizer"
