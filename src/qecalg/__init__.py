@@ -23,7 +23,6 @@ from .error_basis import (
 )
 from .group_algebra import (
     AlgebraElement,
-    TransformResult,
     add,
     double_transform_scaling_check,
     encode_label,
@@ -32,7 +31,6 @@ from .group_algebra import (
     random_element,
     scale,
     transform,
-    transform_naive,
 )
 from .enumerators import (
     CompleteDistribution,
@@ -70,8 +68,8 @@ __all__ = [
     "GroupElement", "GroupOrdering", "PhaseSystem",
     "build_pauli_system", "canonical_ordering", "character",
     "validate_custom_basis", "verify_basis_axioms", "verify_kernel_row_sums",
-    "AlgebraElement", "TransformResult", "add", "scale", "multiply",
-    "transform", "transform_naive", "double_transform_scaling_check",
+    "AlgebraElement", "add", "scale", "multiply",
+    "transform", "double_transform_scaling_check",
     "encode_label", "decode_index", "random_element",
     "CompleteDistribution", "LeeDistribution", "HammingDistribution",
     "composition", "lee_composition", "complete_distribution",

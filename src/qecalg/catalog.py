@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .code_analysis import CodeSpec
-from .fileio import read_code
+from .fileio import read_bytes, read_code
 
 CATALOG = {
     "513": "five_qubit_513.code",
@@ -21,21 +21,15 @@ def names() -> list[str]:
     return sorted(CATALOG)
 
 
-def _traversable(name: str):
+def resolve(name: str) -> tuple[str, CodeSpec, bytes]:
+    """(display name, code, raw bytes for digesting) of a catalog code,
+    from one read of its resource."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog code {name!r}; available: {names()}")
-    return resources.files("qecalg").joinpath("codes", CATALOG[name])
-
-
-def read_bytes(name: str) -> bytes:
-    return _traversable(name).read_bytes()
+    with resources.as_file(resources.files("qecalg").joinpath("codes", CATALOG[name])) as path:
+        raw = read_bytes(path)
+        return f"catalog:{name}", read_code(path, raw), raw
 
 
 def load(name: str) -> CodeSpec:
-    with resources.as_file(_traversable(name)) as path:
-        return read_code(path)
-
-
-def resolve(name: str) -> tuple[str, CodeSpec, bytes]:
-    """(display name, code, raw bytes for digesting) of a catalog code."""
-    return f"catalog:{name}", load(name), read_bytes(name)
+    return resolve(name)[1]

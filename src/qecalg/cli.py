@@ -29,7 +29,7 @@ from .enumerators import (
 )
 from .error_basis import build_pauli_system, verify_basis_axioms, verify_kernel_row_sums
 from .errors import QecalgError
-from .fileio import read_code, read_custom_basis, read_element, write_element
+from .fileio import read_bytes, read_code, read_custom_basis, read_element, write_element
 from .group_algebra import AlgebraElement, double_transform_scaling_check, transform
 
 EXIT_OK = 0
@@ -49,17 +49,12 @@ def _resolve_input(source: str):
     if source in catalog.CATALOG:
         name, code, raw = catalog.resolve(source)
         return name, "code", code, _sha256(raw)
-    with open(source, "rb") as fh:
-        raw = fh.read()
-    first = ""
-    for line in raw.decode("utf-8", errors="replace").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            first = line
-            break
+    raw = read_bytes(source)
+    lines = (s.strip() for s in raw.decode("utf-8", errors="replace").splitlines())
+    first = next((s for s in lines if s and not s.startswith("#")), "")
     if first.startswith("element"):
-        return source, "element", read_element(source), _sha256(raw)
-    return source, "code", read_code(source), _sha256(raw)
+        return source, "element", read_element(source, raw), _sha256(raw)
+    return source, "code", read_code(source, raw), _sha256(raw)
 
 
 def _system_for(m: int, args):
@@ -71,12 +66,6 @@ def _system_for(m: int, args):
             )
         return sys_
     return build_pauli_system(m)
-
-
-def _element_pair(sys_, kind, payload):
-    """(C, C') for either input kind: C is built once, C' is its transform."""
-    primary = associated_element(sys_, payload) if kind == "code" else payload
-    return primary, transform(sys_, primary).element
 
 
 def _fmt_complex(c: complex) -> list[float]:
@@ -167,7 +156,8 @@ def _cmd_enumerate(args) -> int:
     display, kind, payload, digest = _resolve_input(args.input)
     m = payload.m
     sys_ = _system_for(m, args)
-    primary, dual = _element_pair(sys_, kind, payload)
+    primary = associated_element(sys_, payload) if kind == "code" else payload
+    dual = transform(sys_, primary)
     rec_c = _dist_records(args.kind, primary)
     rec_d = _dist_records(args.kind, dual)
     report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
@@ -264,23 +254,21 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transform(args) -> int:
     t0 = time.perf_counter()
-    element = read_element(args.element)
-    with open(args.element, "rb") as fh:
-        digest = _sha256(fh.read())
+    raw = read_bytes(args.element)
+    element = read_element(args.element, raw)
     sys_ = _system_for(element.m, args)
-    result = transform(sys_, element)
+    dual = transform(sys_, element)
     out_path = args.output or (args.element + ".transformed")
-    write_element(out_path, result.element)
-    c0 = result.element.coeffs[0]
-    report = _base_report(args, "transform", {"element": args.element, "sha256": digest})
+    write_element(out_path, dual)
+    c0, mass = dual.coeffs[0], element.mass
+    report = _base_report(args, "transform", {"element": args.element, "sha256": _sha256(raw)})
     report["results"] = {
-        "mass": _fmt_complex(result.source_mass),
+        "mass": _fmt_complex(mass),
         "c0_dual": _fmt_complex(c0),
         "output": str(out_path),
     }
     report["text"] = [
-        f"M={result.source_mass.real:.12g}"
-        + (f"{result.source_mass.imag:+.12g}i" if abs(result.source_mass.imag) > 1e-9 else ""),
+        f"M={mass.real:.12g}" + (f"{mass.imag:+.12g}i" if abs(mass.imag) > 1e-9 else ""),
         f"c'_0={c0.real:.12g}",
         f"wrote {out_path}",
     ]

@@ -288,7 +288,7 @@ def dual_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     For basis input it equals (1/K) sum_{i,j} |<v_i|E_h|v_j>|^2, which the
     dense-matrix oracle computes directly to certify this route.
     """
-    return transform(sys, associated_element(sys, code)).element
+    return transform(sys, associated_element(sys, code))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +333,10 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     if m ** n % size:
         raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
     k = m ** n // size
-    weights = np.count_nonzero(group[0::2] | group[1::2], axis=0)
+    # one coordinate at a time, so no (n, |S|) temporary joins S at the peak
+    weights = np.zeros(size, dtype=np.min_scalar_type(n))
+    for i in range(n):
+        weights += (group[2 * i] | group[2 * i + 1]) != 0
     del group
     a = [int(x) for x in np.bincount(weights, minlength=n + 1)]
     b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
@@ -359,7 +362,7 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     if isinstance(code.body, StabilizerGenerators):
         return _analyze_exact(sys, code)
     c = associated_element(sys, code)
-    c_dual = transform(sys, c).element
+    c_dual = transform(sys, c)
     mass = c.mass.real
     k_exact = sys.m ** code.n / mass
     k = round(k_exact)
@@ -379,7 +382,7 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:
     """Cauchy-Schwarz consequence: c_g <= c'_g (up to tolerance) everywhere."""
     c = associated_element(sys, code)
-    c_dual = transform(sys, c).element
+    c_dual = transform(sys, c)
     gap = c.coeffs.real - c_dual.coeffs.real
     worst = float(gap.max())
     bad = tuple(int(i) for i in np.nonzero(gap > COEFF_TOL)[0])
@@ -393,6 +396,8 @@ def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:
 
 def random_code(m: int, n: int, k: int, seed: int) -> CodeSpec:
     """Seeded random K-dimensional code: orthonormalized complex Gaussians."""
+    if m < 2 or n < 1:
+        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     dim = m ** n
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= K <= {dim}, got {k}")

@@ -189,10 +189,13 @@ def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: in
 
     Per trial, draw(rng) gives one vector per coordinate at which to evaluate
     the enumerator of C', and the substituted vectors at which to evaluate
-    that of C; the two values must agree up to the factor 1/M.
+    that of C; the two values must agree up to the factor 1/M.  A check of
+    no trials would pass vacuously, so trials < 1 is a ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"{name} needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    dual = transform(sys, a).element
+    dual = transform(sys, a)
     residuals = []
     for _ in range(trials):
         z, w = draw(rng)
@@ -284,7 +287,7 @@ def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
 
 def verify_hamming_identity(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:
     """Hamming-enumerator identity, closed form via binomial expansion."""
-    dual = transform(sys, a).element
+    dual = transform(sys, a)
     lhs = hamming_distribution(dual).a
     rhs = macwilliams_hamming(hamming_distribution(a), a.mass)
     resid = float(np.abs(lhs - rhs).max())

@@ -19,6 +19,9 @@ Code file ("code v1"):
     ...                         #   n "a,b" exponent pairs
                                 # basis: K rows of m^n "re,im" entries
 
+`read_element` and `read_code` take the file's bytes when the caller has
+already read them (`read_bytes`); the path is then only named in messages.
+
 Code files are phase-free: a stabilizer generator is its label alone, so
 `read_code` gives a code whose index group is analysed with no phase check,
 and `write_code` writes the labels of a phased code without its phases.
@@ -36,6 +39,7 @@ are rejected rather than silently permuted.
 
 from __future__ import annotations
 
+import io
 import math
 from pathlib import Path
 
@@ -47,12 +51,21 @@ from .errors import FormatError
 from .group_algebra import AlgebraElement
 
 
-def _significant_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+def read_bytes(path) -> bytes:
+    """The content of the file at `path`; the one place an input file is read."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _significant_lines(path: Path, data: bytes | None = None):
+    """(line number, stripped line) of each significant line of `data` (else
+    of the file), split and decoded as a UTF-8 text-mode open would."""
+    if data is None:
+        data = read_bytes(path)
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _parse_complex(token: str, path: Path, lineno: int) -> complex:
@@ -121,9 +134,9 @@ def _header_dims(header: dict, path: Path, keys: tuple[str, ...]) -> list[int]:
 
 # --- elements ---
 
-def read_element(path) -> AlgebraElement:
+def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
-    lines = _significant_lines(path)
+    lines = _significant_lines(path, data)
     header = _take_header(lines, path, "element v1", ["m", "n"])
     m, n = _header_dims(header, path, ("m", "n"))
     size = (m * m) ** n
@@ -159,9 +172,9 @@ def write_element(path, element: AlgebraElement) -> None:
 
 # --- codes ---
 
-def read_code(path) -> CodeSpec:
+def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
-    lines = _significant_lines(path)
+    lines = _significant_lines(path, data)
     header = _take_header(lines, path, "code v1", ["m", "n", "kind"])
     m, n = _header_dims(header, path, ("m", "n"))
     kind = header["kind"]

@@ -7,9 +7,9 @@ g_i in the canonical GroupOrdering.  The transform
 
     c'_h = (1/M) * sum_g c_g * prod_i kernel[h_i, g_i],    M = sum_g c_g
 
-has a fast path (the kernel matrix applied along each of the n axes, cost
-O(n * m^2 * m^(2n))) and a naive reference path (direct double summation,
-cost O(m^(4n))) kept solely to certify the fast one.
+is the kernel matrix applied along each of the n axes, cost
+O(n * m^2 * m^(2n)); the direct double summation that certifies it lives in
+`oracle.transform_naive`.
 
 Sums over labels (by Hamming weight, by composition, or weighted by a
 product of per-coordinate values) are reduced one axis at a time on the
@@ -89,7 +89,12 @@ def decode_index(m: int, n: int, idx: int) -> tuple[GroupElement, ...]:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Dense element of the group algebra; immutable after construction."""
+    """Dense element of the group algebra.
+
+    The element owns the coefficient array it is given: a contiguous complex128
+    array is kept as is, not copied, and marked read-only, so the caller's
+    array becomes read-only too.  Any other input is converted once.
+    """
 
     m: int
     n: int
@@ -103,7 +108,6 @@ class AlgebraElement:
         size = (self.m * self.m) ** self.n
         if c.shape != (size,):
             raise ValueError(f"expected {size} coefficients, got shape {c.shape}")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "mass", complex(c.sum()))
@@ -111,9 +115,6 @@ class AlgebraElement:
     @property
     def size(self) -> int:
         return self.coeffs.shape[0]
-
-    def recompute_mass(self) -> complex:
-        return complex(self.coeffs.sum())
 
     @classmethod
     def zero(cls, m: int, n: int) -> "AlgebraElement":
@@ -132,12 +133,6 @@ class AlgebraElement:
     def unit(cls, m: int, n: int) -> "AlgebraElement":
         """z^0, the multiplicative identity."""
         return cls.indicator(m, n, [0])
-
-
-@dataclass(frozen=True, eq=False)
-class TransformResult:
-    element: AlgebraElement
-    source_mass: complex
 
 
 def _check_shapes(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -202,8 +197,8 @@ def _shifted_sum(a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
     return out
 
 
-def transform(sys: PhaseSystem, a: AlgebraElement) -> TransformResult:
-    """The MacWilliams-type transform (fast tensor-kernel path)."""
+def transform(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
+    """C' = (1/M) sum_h chi_h(C) z^h, the MacWilliams-type transform of C."""
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
     mass = a.mass
@@ -211,34 +206,15 @@ def transform(sys: PhaseSystem, a: AlgebraElement) -> TransformResult:
         raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
     out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
     out /= mass
-    return TransformResult(AlgebraElement(a.m, a.n, out), mass)
-
-
-def transform_naive(sys: PhaseSystem, a: AlgebraElement) -> TransformResult:
-    """Reference transform by direct double summation; certifies the fast path.
-
-    Materializes the full m^(2n) x m^(2n) character matrix entry by entry
-    from the per-coordinate kernel, never factorizing along axes.
-    """
-    if sys.m != a.m:
-        raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
-    mass = a.mass
-    if abs(mass) <= MASS_TOL:
-        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
-    digits = np.indices((a.m * a.m,) * a.n).reshape(a.n, -1)
-    chars = np.ones((a.size, a.size), dtype=np.complex128)
-    for d in digits:
-        chars *= sys.kernel[d[:, None], d[None, :]]
-    out = chars @ a.coeffs / mass
-    return TransformResult(AlgebraElement(a.m, a.n, out), mass)
+    return AlgebraElement(a.m, a.n, out)
 
 
 def double_transform_scaling_check(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:
     """Verify transform(transform(A)) = (m^(2n) / (M * M')) * A elementwise."""
     first = transform(sys, a)
-    second = transform(sys, first.element)
-    scale_factor = a.size / (first.source_mass * second.source_mass)
-    resid = float(np.abs(second.element.coeffs - scale_factor * a.coeffs).max())
+    second = transform(sys, first)
+    scale_factor = a.size / (a.mass * first.mass)
+    resid = float(np.abs(second.coeffs - scale_factor * a.coeffs).max())
     return CheckReport(
         name="double-transform",
         passed=resid <= 1e-9,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .code_analysis import BasisVectors, CodeSpec, StabilizerGenerators, validate_code
 from .error_basis import PhaseSystem, canonical_ordering
-from .errors import SizeCap
-from .group_algebra import AlgebraElement
+from .errors import ShapeMismatch, SizeCap, ZeroMass
+from .group_algebra import MASS_TOL, AlgebraElement
 
 DEFAULT_SIZE_CAP = 256
 _TOL = 1e-9
@@ -38,6 +38,20 @@ def _grouped_terms(keys: np.ndarray, coeffs: np.ndarray) -> dict:
     sums = np.zeros(len(uniq), dtype=np.complex128)
     np.add.at(sums, inverse.reshape(-1), coeffs)
     return {tuple(int(x) for x in row): complex(v) for row, v in zip(uniq, sums) if v != 0}
+
+
+def transform_naive(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
+    """The transform by direct double summation over the full m^(2n) x m^(2n)
+    character matrix, built entry by entry, never factorized along axes."""
+    if sys.m != a.m:
+        raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
+    mass = a.mass
+    if abs(mass) <= MASS_TOL:
+        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
+    chars = np.ones((a.size, a.size), dtype=np.complex128)
+    for d in label_digits(a.m, a.n).T:
+        chars *= sys.kernel[d[:, None], d[None, :]]
+    return AlgebraElement(a.m, a.n, chars @ a.coeffs / mass)
 
 
 def oracle_hamming_distribution(a: AlgebraElement) -> np.ndarray:
@@ -109,6 +123,25 @@ def build_operator(sys: PhaseSystem, label, cap: int = DEFAULT_SIZE_CAP) -> np.n
     return out
 
 
+def _label_operators(sys: PhaseSystem, n: int, cap: int = DEFAULT_SIZE_CAP):
+    """The operators of all m^(2n) labels in flat-index order, as (m^2, m^n, m^n)
+    blocks sharing the first n - 1 coordinates: each Kronecker prefix is formed
+    once, then multiplied out with all m^2 single-system matrices at once."""
+    m, mats = sys.m, sys.matrices
+    _check_cap(m, n, cap)
+
+    def blocks(prefix, depth):
+        if depth == n - 1:
+            d = prefix.shape[0]
+            yield (prefix[None, :, None, :, None] * mats[:, None, :, None, :]).reshape(
+                m * m, d * m, d * m)
+            return
+        for mat in mats:
+            yield from blocks(np.kron(prefix, mat), depth + 1)
+
+    yield from blocks(np.ones((1, 1), dtype=np.complex128), 0)
+
+
 def oracle_character(sys: PhaseSystem, h, g, cap: int = DEFAULT_SIZE_CAP) -> complex:
     """tr(E_h^dag E_g^dag E_h E_g) / m^n with explicit matrices."""
     eh = build_operator(sys, h, cap)
@@ -169,15 +202,8 @@ def oracle_associated_element(
     """c_g = |tr(E_g P)|^2 / K^2 with an explicitly materialized projector."""
     p = projector(sys, code, cap)
     k = round(float(np.trace(p).real))
-    m, n = code.m, code.n
-    digits = label_digits(m, n)
-    order = sys.ordering.order
-    coeffs = np.empty(digits.shape[0], dtype=np.complex128)
-    for idx in range(digits.shape[0]):
-        label = [order[d] for d in digits[idx]]
-        e = build_operator(sys, label, cap)
-        coeffs[idx] = abs((e * p.T).sum()) ** 2 / k ** 2
-    return AlgebraElement(m, n, coeffs)
+    traces = [(e * p.T).sum(axis=(1, 2)) for e in _label_operators(sys, code.n, cap)]
+    return AlgebraElement(code.m, code.n, np.abs(np.concatenate(traces)) ** 2 / k ** 2)
 
 
 def oracle_dual_element(
@@ -191,13 +217,6 @@ def oracle_dual_element(
     else:
         v = codewords_from_stabilizers(sys, code, cap)
     k = v.shape[0]
-    m, n = code.m, code.n
-    digits = label_digits(m, n)
-    order = sys.ordering.order
-    coeffs = np.empty(digits.shape[0], dtype=np.complex128)
-    for idx in range(digits.shape[0]):
-        label = [order[d] for d in digits[idx]]
-        e = build_operator(sys, label, cap)
-        w = v.conj() @ (e @ v.T)
-        coeffs[idx] = (np.abs(w) ** 2).sum() / k
-    return AlgebraElement(m, n, coeffs)
+    sums = [(np.abs(v.conj() @ (e @ v.T)) ** 2).sum(axis=(1, 2))
+            for e in _label_operators(sys, code.n, cap)]
+    return AlgebraElement(code.m, code.n, np.concatenate(sums) / k)

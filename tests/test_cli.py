@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -366,11 +367,60 @@ def test_verify_matrix_input_errors(capsys, tmp_path, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("value", ["2,3", "2,x,2"])
+@pytest.mark.parametrize("value", ["2,3", "2,x,2", "2,0,1"])
 def test_verify_malformed_random_code(capsys, value):
     code, out, err = run(capsys, "verify", "--identity", "cs", "--random-code", value)
     assert (code, out) == (2, "")
-    assert err == f"error: --random-code wants M,N,K (three integers), got '{value}'\n"
+    message = {"2,0,1": "need m >= 2 and n >= 1, got m=2, n=0"}.get(
+        value, f"--random-code wants M,N,K (three integers), got '{value}'")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_is_input_error(capsys, trials):
+    code, out, err = run(capsys, "verify", "513", "--identity", "t4", "--trials", trials)
+    assert (code, out, err) == (2, "", f"error: exact-identity needs trials >= 1, got {trials}\n")
+
+
+# paths being watched -> the modes they were opened with; audit hooks cannot be
+# removed, so one hook is installed once and does nothing while nothing is watched
+_OPENS: dict = {}
+
+
+def _record_open(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        path = os.path.realpath(args[0])
+        if path in _OPENS:
+            _OPENS[path].append(args[1])
+
+
+@pytest.fixture(scope="module")
+def open_log():
+    sys.addaudithook(_record_open)
+    yield _OPENS
+    _OPENS.clear()
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate", "verify", "transform"])
+def test_each_input_is_read_once(capsys, tmp_path, open_log, command):
+    code_path, elem_path, out_path = tmp_path / "c.code", tmp_path / "e.elem", tmp_path / "e.out"
+    write_code(code_path, random_code(2, 2, 2, 1))
+    write_element(elem_path, random_element(2, 2, 3))
+    resource = resources.files("qecalg").joinpath("codes", catalog.CATALOG["513"])
+    with resources.as_file(resource) as catalog_path:
+        argv, source, written = {
+            "analyze": (["analyze", str(code_path)], code_path, []),
+            "enumerate": (["enumerate", str(elem_path), "--kind", "hamming"], elem_path, []),
+            "verify": (["verify", "513", "--identity", "t9"], catalog_path, []),
+            "transform": (["transform", str(elem_path), "-o", str(out_path)], elem_path, [out_path]),
+        }[command]
+        open_log.clear()
+        open_log.update((os.path.realpath(p), []) for p in [source, *written])
+        assert run(capsys, *argv)[0] == 0
+    # one read of the input, one write of each output, and nothing else (the
+    # audit event gives the raw mode, without "b")
+    assert open_log == {os.path.realpath(source): ["r"],
+                     **{os.path.realpath(p): ["w"] for p in written}}
 
 
 def test_analyze_reports_its_path(capsys, tmp_path):

@@ -119,7 +119,7 @@ def test_dual_routes_agree(sys2):
     for k, seed in ((1, 3), (2, 4), (4, 5)):
         code = random_code(2, 3, k, seed=seed)
         direct = oracle_dual_element(sys2, code)
-        via_transform = transform(sys2, associated_element(sys2, code)).element
+        via_transform = transform(sys2, associated_element(sys2, code))
         assert np.abs(direct.coeffs - via_transform.coeffs).max() < 1e-9
 
 
@@ -404,7 +404,7 @@ def test_exact_route_matches_dense(case):
     assert exact.path == "exact"
 
     c = associated_element(sys_, code)
-    c_dual = transform(sys_, c).element
+    c_dual = transform(sys_, c)
     a_dense = hamming_distribution(c).a
     b_dense = hamming_distribution(c_dual).a
     k = round(m ** n / c.mass.real)
@@ -445,7 +445,9 @@ def test_exact_route_twenty_qubits_stays_small(sys2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    # the last doubling holds S and its half; the weight count adds little
+    group_bytes = 40 * 2 ** 19
+    assert peak < 1.8 * group_bytes, f"traced peak {peak / group_bytes:.2f} x the bytes of S"
     assert (report.K, report.mass) == (2, 2.0 ** 19)
     a, b = report.primary_distribution.a.real, report.dual_distribution.a.real
     assert a.sum() == 2 ** 19 and b.sum() == 4 ** 20 / 2 ** 19

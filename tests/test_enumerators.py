@@ -163,14 +163,14 @@ def test_hamming_five_qubit_against_subset_closure(sys2, five_qubit_code):
 
     element = associated_element(sys2, five_qubit_code)
     assert hamming_distribution(element).rounded() == tuple(expected)
-    dual = transform(sys2, element).element
+    dual = transform(sys2, element)
     assert hamming_distribution(dual).rounded() == (1, 0, 0, 30, 15, 18)
 
 
 def test_four_two_two_distributions(sys2, four_two_two_code):
     element = associated_element(sys2, four_two_two_code)
     assert hamming_distribution(element).rounded() == (1, 0, 0, 0, 3)
-    dual = transform(sys2, element).element
+    dual = transform(sys2, element)
     assert hamming_distribution(dual).rounded() == (1, 0, 18, 24, 21)
 
 
@@ -257,7 +257,7 @@ def test_hamming_identity_unit_element(sys2, sys3):
     for sys_, m, n in ((sys2, 2, 3), (sys3, 3, 2)):
         z0 = AlgebraElement.unit(m, n)
         assert verify_hamming_identity(sys_, z0).passed
-        full = transform(sys_, z0).element
+        full = transform(sys_, z0)
         got = hamming_distribution(full).a.real
         q = m * m
         expected = [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
@@ -275,7 +275,7 @@ def test_evaluation_and_closed_form_agree(sys2):
     # evaluating the complete-enumerator substitution at z_0=x, z_!=0=y must
     # reproduce the Hamming closed form
     e = random_element(2, 3, seed=9)
-    dual = transform(sys2, e).element
+    dual = transform(sys2, e)
     rng = np.random.default_rng(12)
     x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     q, n = 4, 3
@@ -308,3 +308,12 @@ def test_evaluation_identities_fail_on_nan(sys3, check):
     assert not report.passed
     assert report.failures == (0, 1, 2)
     assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("check", [verify_exact_identity, verify_complete_identity,
+                                   verify_lee_identity])
+def test_evaluation_identities_reject_no_trials(sys3, check, trials):
+    # a check that evaluates nothing must not report a pass
+    with pytest.raises(ValueError, match=f"needs trials >= 1, got {trials}"):
+        check(sys3, random_element(3, 2, 4), trials)

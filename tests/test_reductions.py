@@ -73,7 +73,7 @@ def test_hamming_distribution_matches_table(m, n):
 
 def test_hamming_distribution_integer_exact(sys2, shor_code):
     element = associated_element(sys2, shor_code)
-    dual = transform(sys2, element).element
+    dual = transform(sys2, element)
     for e in (element, dual):
         assert np.array_equal(hamming_distribution(e).a, oracle_hamming_distribution(e))
 
@@ -137,7 +137,7 @@ def test_minimum_distance_matches_table(sys2, sys3):
     cases += [(sys3, random_code(3, 2, k, seed=80 + k)) for k in (1, 3)]
     for sys_, code in cases:
         c = associated_element(sys_, code)
-        dual = transform(sys_, c).element
+        dual = transform(sys_, c)
         k = analyze(sys_, code).K
         want = oracle_minimum_distance(c, dual, k)
         assert _minimum_distance(code.m, code.n, c.coeffs, dual.coeffs, k) == want
