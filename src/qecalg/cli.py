@@ -50,11 +50,25 @@ def _resolve_input(source: str):
         name, code, raw = catalog.resolve(source)
         return name, "code", code, _sha256(raw)
     raw = read_bytes(source)
-    lines = (s.strip() for s in raw.decode("utf-8", errors="replace").splitlines())
-    first = next((s for s in lines if s and not s.startswith("#")), "")
-    if first.startswith("element"):
+    if _first_significant_line(raw).startswith("element"):
         return source, "element", read_element(source, raw), _sha256(raw)
     return source, "code", read_code(source, raw), _sha256(raw)
+
+
+def _first_significant_line(raw: bytes) -> str:
+    """The first line of `raw` that is neither blank nor a '#' comment, split
+    at `str.splitlines` boundaries and decoded with errors replaced ("" if
+    none).  Only a prefix is decoded: it grows fourfold until a line ends in it.
+    """
+    size = 4096
+    while True:
+        lines = raw[:size].decode("utf-8", errors="replace").splitlines()
+        if size < len(raw):
+            del lines[-1:]  # it may be cut short, or end in half a line break
+        first = next((s for s in map(str.strip, lines) if s and not s.startswith("#")), None)
+        if first is not None or size >= len(raw):
+            return first or ""
+        size *= 4
 
 
 def _system_for(m: int, args):
@@ -141,14 +155,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _dist_records(kind: str, element: AlgebraElement):
+    """The machine records of the `kind` distribution of `element` and its
+    text: the A=(...) tuple for hamming, one "key -> value" line per term
+    otherwise."""
     if kind == "hamming":
-        dist = hamming_distribution(element)
-        return [[[i], _fmt_complex(c)] for i, c in enumerate(dist.a)]
+        a = hamming_distribution(element).a
+        return [[[i], _fmt_complex(c)] for i, c in enumerate(a)], [f"A={_distribution_text(a)}"]
     if kind == "complete":
         terms = complete_distribution(element).terms
     else:
         terms = lee_distribution(element).terms
-    return [[list(key), _fmt_complex(val)] for key, val in sorted(terms.items())]
+    records = [[list(key), _fmt_complex(val)] for key, val in sorted(terms.items())]
+    text = []
+    for key, (re, im) in records:
+        val = f"{re:.12g}" if abs(im) <= 1e-9 else f"{re:.12g}{im:+.12g}i"
+        text.append(f"  {tuple(key)} -> {val}")
+    return records, text
 
 
 def _cmd_enumerate(args) -> int:
@@ -158,20 +180,15 @@ def _cmd_enumerate(args) -> int:
     sys_ = _system_for(m, args)
     primary = associated_element(sys_, payload) if kind == "code" else payload
     dual = transform(sys_, primary)
-    rec_c = _dist_records(args.kind, primary)
-    rec_d = _dist_records(args.kind, dual)
+    rec_c, text_c = _dist_records(args.kind, primary)
+    rec_d, text_d = _dist_records(args.kind, dual)
     report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
     report["results"] = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
     lines = [f"{args.kind} distribution"]
     if args.kind == "hamming":
-        lines.append(f"C : A={_distribution_text(hamming_distribution(primary).a)}")
-        lines.append(f"C': A={_distribution_text(hamming_distribution(dual).a)}")
+        lines += [f"C : {text_c[0]}", f"C': {text_d[0]}"]
     else:
-        for tag, recs in (("C ", rec_c), ("C'", rec_d)):
-            lines.append(f"{tag}:")
-            for key, (re, im) in recs:
-                val = f"{re:.12g}" if abs(im) <= 1e-9 else f"{re:.12g}{im:+.12g}i"
-                lines.append(f"  {tuple(key)} -> {val}")
+        lines += ["C :", *text_c, "C':", *text_d]
     report["text"] = lines
     report["elapsed_s"] = time.perf_counter() - t0
     _emit(report, args)

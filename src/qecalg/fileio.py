@@ -22,6 +22,19 @@ Code file ("code v1"):
 `read_element` and `read_code` take the file's bytes when the caller has
 already read them (`read_bytes`); the path is then only named in messages.
 
+Every reader decodes the whole input as UTF-8 once (a file that is not
+UTF-8 is a `FormatError` naming the line of the first bad byte), splits it
+at universal newlines (\\n, \\r\\n, \\r) as a text-mode open would, and strips
+each line.  The element body and the "re,im" entries of basis rows are then
+converted in bulk: one `map(int, ...)` over the indices, one `map(float,
+...)` over the re and im halves, and numpy checks of range, duplicates and
+finiteness.  Each check looks only at the lines before the first bad line
+found so far, so the error raised, message and line, is the one a
+line-by-line parse meets first.  The element body goes in blocks of about a
+million characters, so a large file needs little memory beyond its text and
+its coefficients.  `write_element` formats the nonzero coefficients with one
+%-format per block of lines.
+
 Code files are phase-free: a stabilizer generator is its label alone, so
 `read_code` gives a code whose index group is analysed with no phase check,
 and `write_code` writes the labels of a phased code without its phases.
@@ -39,8 +52,7 @@ are rejected rather than silently permuted.
 
 from __future__ import annotations
 
-import io
-import math
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +62,12 @@ from .error_basis import PhaseSystem, validate_custom_basis
 from .errors import FormatError
 from .group_algebra import AlgebraElement
 
+# characters of the file per block of lines parsed at once, and lines per
+# %-format in write_element: they bound the memory a large file needs beyond
+# its coefficients
+_BLOCK_CHARS = 1 << 20
+_WRITE_BLOCK = 1 << 16
+
 
 def read_bytes(path) -> bytes:
     """The content of the file at `path`; the one place an input file is read."""
@@ -57,28 +75,91 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def _significant_lines(path: Path, data: bytes | None = None):
-    """(line number, stripped line) of each significant line of `data` (else
-    of the file), split and decoded as a UTF-8 text-mode open would."""
+def _significant_blocks(path: Path, data: bytes | None = None):
+    """The line numbers and the stripped texts of the significant lines of
+    `data` (else of the file), in blocks of about _BLOCK_CHARS characters of
+    the file, split at universal newlines as a text-mode open splits it."""
     if data is None:
         data = read_bytes(path)
-    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def _parse_complex(token: str, path: Path, lineno: int) -> complex:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise FormatError(f"expected 're,im', got {token!r}", path, lineno)
     try:
-        re, im = float(parts[0]), float(parts[1])
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[: exc.start].decode("utf-8")
+        line = 1 + prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n")
+        raise FormatError(f"not valid UTF-8 ({exc.reason})", path, line) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first, start = 1, 0
+    while start <= len(text):
+        end = text.find("\n", start + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end
+        stripped = list(map(str.strip, text[start:end].split("\n")))
+        numbers = [i for i, line in enumerate(stripped, start=first) if line and line[0] != "#"]
+        yield numbers, [stripped[i - first] for i in numbers]
+        first, start = first + len(stripped), end + 1
+
+
+def _significant_lines(path: Path, data: bytes | None = None) -> tuple[list[int], list[str]]:
+    """All blocks of `_significant_blocks` as one."""
+    numbers, lines = [], []
+    for block_numbers, block_lines in _significant_blocks(path, data):
+        numbers += block_numbers
+        lines += block_lines
+    return numbers, lines
+
+
+def _first(flags: np.ndarray) -> int:
+    """The position of the first True in `flags`, len(flags) if none."""
+    return int(flags.argmax()) if flags.any() else len(flags)
+
+
+def _convert(convert, tokens: list[str]) -> tuple[list, int]:
+    """`convert` of each token before the first one it rejects with a
+    ValueError, and that token's position (len(tokens) if none)."""
+    try:
+        return list(map(convert, tokens)), len(tokens)
     except ValueError:
-        raise FormatError(f"bad number in {token!r}", path, lineno) from None
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise FormatError(f"non-finite number in {token!r}", path, lineno)
-    return complex(re, im)
+        pass
+
+    def accepts(token):
+        try:
+            convert(token)
+        except ValueError:
+            return False
+        return True
+
+    stop = next(i for i, token in enumerate(tokens) if not accepts(token))
+    return list(map(convert, tokens[:stop])), stop
+
+
+def _complex_tokens(tokens: list[str]) -> tuple[np.ndarray, int, str | None]:
+    """The (re, im) rows of the "re,im" tokens before the first malformed
+    one, that token's position (len(tokens) if none) and its message."""
+    commas = np.fromiter(map(str.count, tokens, repeat(",")), np.intp, len(tokens))
+    stop = _first(commas != 1)
+    message = f"expected 're,im', got {tokens[stop]!r}" if stop < len(tokens) else None
+    halves, bad = _convert(float, ",".join(tokens[:stop]).split(",") if stop else [])
+    if bad < 2 * stop:
+        stop, message = bad // 2, f"bad number in {tokens[bad // 2]!r}"
+    pairs = np.array(halves[: 2 * stop], dtype=np.float64).reshape(stop, 2)
+    bad = _first(~np.isfinite(pairs).all(axis=1))
+    if bad < stop:
+        stop, message = bad, f"non-finite number in {tokens[bad]!r}"
+    return pairs[:stop], stop, message
+
+
+def _complex_rows(numbers, lines, width: int, what: str, path: Path) -> np.ndarray:
+    """The (len(lines), width) complex matrix of lines of `width` "re,im"
+    tokens each; `what` names a line in the token-count message."""
+    rows = [line.split() for line in lines]
+    stop = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+    error = f"{what} has {len(rows[stop])} entries, expected {width}" if stop < len(rows) else None
+    tokens = [token for row in rows[:stop] for token in row]
+    pairs, bad, message = _complex_tokens(tokens)
+    if bad < len(tokens):
+        stop, error = bad // width, message
+    if error is not None:
+        raise FormatError(error, path, numbers[stop])
+    return pairs.view(np.complex128).reshape(len(rows), width)
 
 
 def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
@@ -91,22 +172,20 @@ def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
         raise FormatError(f"bad integer in {token!r}", path, lineno) from None
 
 
-def _take_header(lines, path: Path, magic: str, keys: list[str]) -> dict:
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise FormatError("empty file", path) from None
-    if line != magic:
-        raise FormatError(f"expected header {magic!r}, got {line!r}", path, lineno)
+def _take_header(numbers, lines, path: Path, magic: str, keys: list[str]) -> dict:
+    """The header fields `keys` that follow the line `magic`; the body is
+    lines[1 + len(keys):]."""
+    if not lines:
+        raise FormatError("empty file", path)
+    if lines[0] != magic:
+        raise FormatError(f"expected header {magic!r}, got {lines[0]!r}", path, numbers[0])
     out = {}
-    for key in keys:
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise FormatError(f"missing header field {key!r}", path) from None
-        parts = line.split(maxsplit=1)
+    for i, key in enumerate(keys, start=1):
+        if i >= len(lines):
+            raise FormatError(f"missing header field {key!r}", path)
+        parts = lines[i].split(maxsplit=1)
         if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"expected '{key} <value>', got {line!r}", path, lineno)
+            raise FormatError(f"expected '{key} <value>', got {lines[i]!r}", path, numbers[i])
         out[key] = parts[1]
     return out
 
@@ -132,55 +211,91 @@ def _header_dims(header: dict, path: Path, keys: tuple[str, ...]) -> list[int]:
     return values
 
 
+def _repeats(index: np.ndarray) -> np.ndarray:
+    """Flags of the entries of `index` equal to an earlier entry."""
+    order = np.argsort(index, kind="stable")
+    flags = np.zeros(len(index), dtype=bool)
+    flags[order[1:][index[order[1:]] == index[order[:-1]]]] = True
+    return flags
+
+
 # --- elements ---
 
 def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
-    lines = _significant_lines(path, data)
-    header = _take_header(lines, path, "element v1", ["m", "n"])
+    blocks = _significant_blocks(path, data)
+    numbers, lines = [], []
+    for block_numbers, block_lines in blocks:
+        numbers += block_numbers
+        lines += block_lines
+        if len(lines) >= 3:
+            break
+    header = _take_header(numbers, lines, path, "element v1", ["m", "n"])
     m, n = _header_dims(header, path, ("m", "n"))
     size = (m * m) ** n
     coeffs = np.zeros(size, dtype=np.complex128)
-    seen = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected '<index> <re,im>', got {line!r}", path, lineno)
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise FormatError(f"bad index {parts[0]!r}", path, lineno) from None
-        if not 0 <= idx < size:
-            raise FormatError(f"index {idx} out of range [0, {size})", path, lineno)
-        if idx in seen:
-            raise FormatError(f"duplicate index {idx}", path, lineno)
-        seen.add(idx)
-        coeffs[idx] = _parse_complex(parts[1], path, lineno)
+    seen = np.zeros(size, dtype=bool)
+    for numbers, lines in chain([(numbers[3:], lines[3:])], blocks):
+        index, pairs = _element_lines(numbers, lines, seen, path)
+        seen[index] = True
+        coeffs.view(np.float64).reshape(size, 2)[index] = pairs
     return AlgebraElement(m, n, coeffs)
+
+
+def _element_lines(numbers, lines, seen: np.ndarray, path: Path):
+    """The indices and (re, im) rows of a block of element body lines, given
+    the indices `seen` on earlier lines; a bad line raises."""
+    # `stop` is the first bad line found so far and `error` its message;
+    # every later check looks only at the lines before it
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    stop = _first(counts != 2)
+    error = f"expected '<index> <re,im>', got {lines[stop]!r}" if stop < len(lines) else None
+    tokens = " ".join(lines[:stop]).split()
+    index, bad = _convert(int, tokens[0::2])
+    if bad < stop:
+        stop, error = bad, f"bad index {tokens[2 * bad]!r}"
+    if index and (min(index) < 0 or max(index) >= len(seen)):
+        stop = next(i for i, idx in enumerate(index) if not 0 <= idx < len(seen))
+        error = f"index {index[stop]} out of range [0, {len(seen)})"
+    index = np.array(index[:stop], dtype=np.int64)
+    bad = _first(_repeats(index) | seen[index])
+    if bad < stop:
+        stop, error = bad, f"duplicate index {index[bad]}"
+    pairs, bad, message = _complex_tokens(tokens[1 : 2 * stop : 2])
+    if bad < stop:
+        stop, error = bad, message
+    if error is not None:
+        raise FormatError(error, path, numbers[stop])
+    return index, pairs
 
 
 def write_element(path, element: AlgebraElement) -> None:
     path = Path(path)
+    index = np.flatnonzero(element.coeffs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("element v1\n")
-        fh.write(f"m {element.m}\n")
-        fh.write(f"n {element.n}\n")
-        for idx in np.nonzero(element.coeffs)[0]:
-            c = element.coeffs[idx]
-            fh.write(f"{idx} {c.real:.17g},{c.imag:.17g}\n")
+        fh.write(f"element v1\nm {element.m}\nn {element.n}\n")
+        for start in range(0, index.size, _WRITE_BLOCK):
+            block = index[start : start + _WRITE_BLOCK]
+            pairs = element.coeffs[block].view(np.float64)
+            fields = [None] * (3 * block.size)
+            fields[0::3] = block.tolist()
+            fields[1::3] = pairs[0::2].tolist()
+            fields[2::3] = pairs[1::2].tolist()
+            fh.write("%d %.17g,%.17g\n" * block.size % tuple(fields))
 
 
 # --- codes ---
 
 def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
-    lines = _significant_lines(path, data)
-    header = _take_header(lines, path, "code v1", ["m", "n", "kind"])
+    numbers, lines = _significant_lines(path, data)
+    header = _take_header(numbers, lines, path, "code v1", ["m", "n", "kind"])
     m, n = _header_dims(header, path, ("m", "n"))
+    numbers, lines = numbers[4:], lines[4:]
     kind = header["kind"]
     if kind == "stabilizer":
         generators = []
-        for lineno, line in lines:
+        for lineno, line in zip(numbers, lines):
             tokens = line.split()
             if len(tokens) != n:
                 raise FormatError(
@@ -191,18 +306,10 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
             raise FormatError("stabilizer code needs at least one generator", path)
         return CodeSpec.from_stabilizers(m, n, generators)
     if kind == "basis":
-        dim = m ** n
-        rows = []
-        for lineno, line in lines:
-            tokens = line.split()
-            if len(tokens) != dim:
-                raise FormatError(
-                    f"basis row has {len(tokens)} entries, expected {dim}", path, lineno
-                )
-            rows.append([_parse_complex(t, path, lineno) for t in tokens])
-        if not rows:
+        rows = _complex_rows(numbers, lines, m ** n, "basis row", path)
+        if len(rows) == 0:
             raise FormatError("basis code needs at least one row", path)
-        return CodeSpec.from_basis(m, n, np.array(rows, dtype=np.complex128))
+        return CodeSpec.from_basis(m, n, rows)
     raise FormatError(f"unknown kind {kind!r} (want stabilizer|basis)", path)
 
 
@@ -225,8 +332,8 @@ def write_code(path, code: CodeSpec) -> None:
 
 def read_custom_basis(path) -> PhaseSystem:
     path = Path(path)
-    lines = _significant_lines(path)
-    header = _take_header(lines, path, "errorbasis v1", ["m", "ordering"])
+    numbers, lines = _significant_lines(path)
+    header = _take_header(numbers, lines, path, "errorbasis v1", ["m", "ordering"])
     (m,) = _header_dims(header, path, ("m",))
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"
     if header["ordering"] != expected_ordering:
@@ -235,18 +342,12 @@ def read_custom_basis(path) -> PhaseSystem:
             f"{expected_ordering!r} for m={m}",
             path,
         )
-    rows = []
-    for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) != m:
-            raise FormatError(f"matrix row has {len(tokens)} entries, expected {m}", path, lineno)
-        rows.append([_parse_complex(t, path, lineno) for t in tokens])
+    rows = _complex_rows(numbers[3:], lines[3:], m, "matrix row", path)
     if len(rows) != m ** 3:
         raise FormatError(
             f"expected m^2 = {m * m} matrices ({m ** 3} rows), got {len(rows)} rows", path
         )
-    mats = np.array(rows, dtype=np.complex128).reshape(m * m, m, m)
-    return validate_custom_basis(mats)
+    return validate_custom_basis(rows.reshape(m * m, m, m))
 
 
 def write_custom_basis(path, m: int, matrices: np.ndarray) -> None:

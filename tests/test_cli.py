@@ -453,3 +453,70 @@ def test_cli_does_not_import_the_oracle():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=env)
     assert done.stdout.strip() == "False"
+
+
+_ENUMERATE_513 = {
+    "text": "hamming distribution\nC : A=(1,0,0,0,15,0)\nC': A=(1,0,0,30,15,18)\n",
+    "C": [[[0], [1.0, 0.0]], [[1], [0.0, 0.0]], [[2], [0.0, 0.0]], [[3], [0.0, 0.0]],
+          [[4], [15.0, 0.0]], [[5], [0.0, 0.0]]],
+    "C_dual": [[[0], [1.0, 0.0]], [[1], [0.0, 0.0]], [[2], [0.0, 0.0]], [[3], [30.0, 0.0]],
+               [[4], [15.0, 0.0]], [[5], [18.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_enumerate_hamming_computes_each_distribution_once(capsys, monkeypatch, fmt):
+    import qecalg.cli as cli
+    calls = []
+    original = cli.hamming_distribution
+
+    def counted(element):
+        calls.append(element)
+        return original(element)
+
+    monkeypatch.setattr(cli, "hamming_distribution", counted)
+    code, out, _ = run(capsys, "enumerate", "513", "--kind", "hamming", "--format", fmt)
+    assert code == 0 and len(calls) == 2
+    if fmt == "text":
+        assert out == _ENUMERATE_513["text"] + "# qecalg 0.1.0\n"
+    else:
+        report = json.loads(out)
+        assert report["results"] == {"kind": "hamming", "C": _ENUMERATE_513["C"],
+                                     "C_dual": _ENUMERATE_513["C_dual"]}
+        assert report["text"] == _ENUMERATE_513["text"].splitlines()
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " "])
+def test_input_kind_sniff_splits_lines_like_splitlines(capsys, tmp_path, sep):
+    # the sniff ends a line at `sep`, so the first significant line is
+    # "element v1" and the file is read as an element; the element parser ends
+    # lines only at \n, \r\n and \r, so the comment swallows the magic
+    path = tmp_path / "sniff.txt"
+    path.write_bytes(f"# note{sep}element v1\nm 2\nn 1\n0 1,0\n".encode())
+    code, out, err = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert (code, out) == (2, "")
+    assert "line 2: expected header 'element v1', got 'm 2'" in err
+
+
+@pytest.mark.parametrize("comment", [4090, 4095, 20000])
+def test_input_kind_sniff_reads_past_a_long_prefix(capsys, tmp_path, comment):
+    # the first significant line does not end in the first decoded prefix: at
+    # 4090 the prefix cuts "element v1" short, at 4095 it ends between the \r
+    # and the \n of a line break, and 20000 needs two more prefixes
+    path = tmp_path / "late.elem"
+    write_element(path, random_element(2, 1, 2))
+    path.write_bytes(b"#" * comment + b"\r\n" + path.read_bytes())
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert code == 0 and out.startswith("hamming distribution\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate", "transform"])
+def test_invalid_utf8_input_is_input_error_with_line(capsys, tmp_path, command):
+    path = tmp_path / "bad.code"
+    path.write_bytes(b"code v1\nm 2\nn 1\nkind stabilizer\n1,0 \xe9\n")
+    argv = {"analyze": ["analyze", str(path)],
+            "enumerate": ["enumerate", str(path), "--kind", "hamming"],
+            "transform": ["transform", str(path)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 5: not valid UTF-8 (invalid continuation byte)\n"

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qecalg import AlgebraElement, CodeSpec, build_pauli_system, catalog, random_element
-from qecalg.errors import FormatError
+from qecalg import AlgebraElement, CodeSpec, build_pauli_system, catalog, fileio, random_element
+from qecalg.errors import FormatError, QecalgError
 from qecalg.fileio import (
     read_code,
     read_custom_basis,
@@ -11,6 +15,8 @@ from qecalg.fileio import (
     write_custom_basis,
     write_element,
 )
+
+from element_io_reference import read_element_reference, write_element_reference
 
 
 def test_element_roundtrip(tmp_path):
@@ -159,3 +165,185 @@ def test_custom_basis_format_errors(tmp_path, body, fragment):
     with pytest.raises(FormatError) as err:
         read_custom_basis(path)
     assert fragment in str(err.value)
+
+
+# --- the bulk parser and writer against the line-by-line reference ---
+
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+# whitespace inside a line: str.split() separates tokens at all of these, while
+# only \n, \r\n and \r end a line of the file
+_SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " \u3000"]
+_NUMBERS = ["0", "1", "-2.5", "1e-300", "5e-324", "-0", "1_0", "\u0663", "\u0661.\u0665",
+            "nan", "-inf", "infinity", "1e999", "", "x", "1,0", "0x1", "+3"]
+
+
+def _outcome(read, data):
+    try:
+        e = read("t.elem", data)
+    except FormatError as exc:
+        return "error", str(exc), exc.line
+    return "element", e.m, e.n, e.coeffs.tobytes()
+
+
+@st.composite
+def _index_tokens(draw, size):
+    return draw(st.one_of(
+        st.integers(-2, size + 1).map(str),
+        st.sampled_from(["1_0", "\u0663", "+1", "01", "x", "1.0", "1,0", "9" * 30]),
+    ))
+
+
+@st.composite
+def _value_tokens(draw):
+    parts = draw(st.lists(
+        st.one_of(st.sampled_from(_NUMBERS),
+                  st.floats(allow_nan=False, width=64).map(lambda x: f"{x:.17g}")),
+        min_size=1, max_size=3))
+    return ",".join(parts)
+
+
+@st.composite
+def _element_texts(draw):
+    m, n = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    size = (m * m) ** n
+    header = ["element v1", f"m {m}", f"n {n}"]
+    if draw(st.booleans()):
+        header[draw(st.integers(0, 2))] = draw(st.sampled_from(["m 2", "n 0", "m x", "element"]))
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["entry"] * 6 + ["comment", "blank", "tokens"]))
+        if kind == "comment":
+            body.append("#" + draw(st.sampled_from(["", " note", " 1 1,0"])))
+        elif kind == "blank":
+            body.append(draw(st.sampled_from(["", " ", "\x0c", "\u2028"])))
+        else:
+            count = 2 if kind == "entry" else draw(st.sampled_from([1, 3]))
+            tokens = [draw(_index_tokens(size))] + [draw(_value_tokens()) for _ in range(count - 1)]
+            body.append(draw(st.sampled_from(_SPACES)).join(tokens))
+    lines = header + body
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_texts())
+def test_read_element_matches_line_by_line_reference(text):
+    data = text.encode("utf-8")
+    want = _outcome(read_element_reference, data)
+    assert _outcome(read_element, data) == want
+    # blocks of a few characters: the header, the duplicate check and the
+    # line numbers all run across block boundaries
+    with mock.patch.object(fileio, "_BLOCK_CHARS", 5):
+        assert _outcome(read_element, data) == want
+
+
+@pytest.mark.parametrize("body", [
+    "0 1,0\n1 1,0\n0 1,0\n1 x,0\n",       # duplicate before a bad value
+    "0 1,0\n1 x,0\n0 1,0\n",              # bad value before a duplicate
+    "0 1,0\n1 1,inf\n9 1,0\n",            # non-finite before out of range
+    "0 1,0\n9 1,0\n1 1,2,3\n",            # out of range before a bad token
+    "0 1,0\nx 1,0\n1 1,0 2\n",            # bad index before a bad token count
+    "0 1,0\n1 2\n2 1,0 3\n",              # bad token before a bad token count
+    "2 1,0\n1 1,0\n3 ,\n2 1,0\n",        # empty halves before a duplicate
+])
+@pytest.mark.parametrize("block", [1 << 20, 1, 9])
+def test_read_element_reports_the_first_bad_line(monkeypatch, body, block):
+    monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
+    data = ("element v1\nm 2\nn 1\n" + body).encode()
+    got = _outcome(read_element, data)
+    assert got[0] == "error" and got == _outcome(read_element_reference, data)
+
+
+@st.composite
+def _headed_bytes(draw):
+    """A header of one of the three formats (with m^(2n) <= 4096) and any body."""
+    magic, fields = draw(st.sampled_from([
+        ("element v1", ["m 2", "n 3"]), ("element v1", ["m 4", "n 3"]),
+        ("code v1", ["m 2", "n 2", "kind stabilizer"]), ("code v1", ["m 3", "n 1", "kind basis"]),
+        ("errorbasis v1", ["m 2", "ordering row-major"]),
+        ("errorbasis v1", ["m 3", "ordering lee-paired"]),
+    ]))
+    head = "\n".join([magic, *fields]) + "\n"
+    return head.encode() + draw(st.binary(max_size=200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=100), _headed_bytes()))
+def test_any_bytes_read_or_format_error(tmp_path_factory, data):
+    # element and code files either parse or raise FormatError; a custom basis
+    # that parses may still fail validation, which is another QecalgError
+    path = tmp_path_factory.getbasetemp() / "fuzz.errorbasis"
+    path.write_bytes(data)
+    for read in (read_element, read_code):
+        try:
+            read(path, data)
+        except FormatError:
+            pass
+    try:
+        read_custom_basis(path)
+    except QecalgError:
+        pass
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"element v1\nm 2\nn 1\n0 1,0\n1 \xff,0\n", 5),
+    (b"element v1\r\nm 2\r\n\xe2\x82", 3),
+    (b"\xc3(", 1),
+], ids=["body", "crlf-truncated", "first-byte"])
+def test_invalid_utf8_is_format_error_with_line(tmp_path, data, line):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    for read in (read_element, read_code, read_custom_basis):
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert err.value.line == line
+        assert f"line {line}: not valid UTF-8" in str(err.value)
+
+
+def _write_both(tmp_path, element):
+    write_element(tmp_path / "new.elem", element)
+    write_element_reference(tmp_path / "old.elem", element)
+    return (tmp_path / "new.elem").read_bytes(), (tmp_path / "old.elem").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["gaussian", "sparse", "signed-zero", "subnormal", "huge"])
+def test_write_element_matches_reference_bytes(tmp_path, case):
+    rng = np.random.default_rng(11)
+    size = 4 ** 4
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if case == "sparse":
+        coeffs[rng.random(size) < 0.9] = 0
+    elif case == "signed-zero":
+        coeffs.real[::3] = -0.0
+        coeffs.imag[::2] = -0.0
+        coeffs[::5] = complex(-0.0, -0.0)
+    elif case == "subnormal":
+        coeffs *= 5e-324 * rng.integers(1, 1000, size)
+    elif case == "huge":
+        coeffs *= 1e300
+    new, old = _write_both(tmp_path, AlgebraElement(2, 4, coeffs))
+    assert new == old
+    back = read_element(tmp_path / "new.elem")
+    assert np.array_equal(back.coeffs, coeffs)
+
+
+def test_write_element_blocks_join_seamlessly(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+    element = random_element(2, 3, seed=4)
+    new, old = _write_both(tmp_path, element)
+    assert new == old and new.count(b"\n") == 3 + np.count_nonzero(element.coeffs)
+
+
+def test_basis_rows_report_the_first_bad_line(tmp_path):
+    # a bad entry on an earlier row wins over a short later row, as row by row
+    path = tmp_path / "bad.code"
+    path.write_text("code v1\nm 2\nn 1\nkind basis\n1,0 0,0\n1,0 inf,0\n0,0\n")
+    with pytest.raises(FormatError) as err:
+        read_code(path)
+    assert (err.value.line, "non-finite number in 'inf,0'" in str(err.value)) == (6, True)
+    path.write_text("errorbasis v1\nm 2\nordering row-major\n1,0 0,0\n0,0\n1,0 x,0\n")
+    with pytest.raises(FormatError) as err:
+        read_custom_basis(path)
+    assert (err.value.line, "matrix row has 1 entries, expected 2" in str(err.value)) == (5, True)

@@ -42,3 +42,70 @@ def test_shape_validation():
         kernel.apply_axiswise(np.eye(4), np.zeros(17), 2)
     with pytest.raises(ValueError):
         kernel.apply_axiswise(np.eye(3), np.zeros(1), 0)
+
+
+# --- the real route for real 4 x 4 matrices (the m=2 Pauli side) ---
+
+def _complex_loop(mat, vec, n):
+    """The complex per-axis contraction that every non-real matrix takes."""
+    s = mat.shape[0]
+    a = np.asarray(vec, dtype=np.complex128)
+    mat = np.asarray(mat, dtype=np.complex128)
+    for axis in range(n):
+        a = np.matmul(mat, a.reshape(s ** axis, s, -1))
+    return a.reshape(-1)
+
+
+@pytest.fixture
+def real_route_calls(monkeypatch):
+    calls = []
+    real = kernel._apply_real
+
+    def spy(mat, a, n):
+        calls.append(n)
+        return real(mat, a, n)
+
+    monkeypatch.setattr(kernel, "_apply_real", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_real_matrix_matches_tensordot(n, real_route_calls):
+    rng = np.random.default_rng(40 + n)
+    mat = rng.standard_normal((4, 4))
+    vec = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
+    got = kernel.apply_axiswise(mat, vec, n)
+    want = _einsum_reference(mat, vec, n)
+    assert real_route_calls == [n]
+    assert got.dtype == np.complex128
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_integer_input_is_bit_identical_to_complex_loop(n, sys2, real_route_calls):
+    # the m=2 Pauli kernel is complex-typed with a zero imaginary part
+    rng = np.random.default_rng(n)
+    vec = rng.integers(-9, 10, 4 ** n) + 1j * rng.integers(-9, 10, 4 ** n)
+    vec[rng.random(4 ** n) < 0.5] = 0
+    got = kernel.apply_axiswise(sys2.kernel, vec, n)
+    assert real_route_calls == [n]
+    assert got.view(np.uint64).tolist() == _complex_loop(sys2.kernel, vec, n).view(np.uint64).tolist()
+
+
+def test_real_route_leaves_readonly_input_untouched(real_route_calls):
+    rng = np.random.default_rng(9)
+    vec = rng.standard_normal(4 ** 3) + 1j * rng.standard_normal(4 ** 3)
+    vec.setflags(write=False)
+    keep = vec.copy()
+    out = kernel.apply_axiswise(rng.standard_normal((4, 4)), vec, 3)
+    assert real_route_calls == [3]
+    assert np.array_equal(vec, keep) and not np.shares_memory(out, vec)
+    assert out.flags.writeable
+
+
+def test_complex_side4_matrix_takes_the_complex_loop(real_route_calls):
+    rng = np.random.default_rng(10)
+    mat, vec = _random_case(rng, 4, 3)
+    got = kernel.apply_axiswise(mat, vec, 3)
+    assert real_route_calls == []
+    assert got.view(np.uint64).tolist() == _complex_loop(mat, vec, 3).view(np.uint64).tolist()
