@@ -75,8 +75,10 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
 
     A composition is keyed by its counts as mixed-radix digits in base n+1,
     built one axis at a time by broadcasting; symbols are split into as many
-    int64 key columns as needed.  Sums that are exactly zero (unoccupied keys
-    of indicator elements) are dropped; keys come out in sorted order.
+    int64 key columns as needed.  Symbol 0 takes the most significant digit,
+    within a column and across columns, so the keys np.unique returns are
+    already in lexicographic order of the counts.  Sums that are exactly zero
+    (unoccupied keys of indicator elements) are dropped.
     """
     base = a.n + 1
     per_column = 1
@@ -86,7 +88,7 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
     columns = []
     for j, width in enumerate(widths):
         places = np.zeros(count, dtype=np.int64)
-        places[j * per_column:j * per_column + width] = base ** np.arange(width, dtype=np.int64)
+        places[j * per_column:j * per_column + width] = _powers(base, width)
         columns.append(label_sums(places[symbol], a.n))
     if len(columns) == 1:  # the common case; 1-D unique is ~20x faster
         keys, inverse = np.unique(columns[0], return_inverse=True)
@@ -98,10 +100,14 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
     im = np.bincount(inverse, weights=a.coeffs.imag, minlength=len(keys))
     keep = (re != 0) | (im != 0)
     counts = np.concatenate(
-        [keys[keep, j, None] // base ** np.arange(width, dtype=np.int64) % base
-         for j, width in enumerate(widths)], axis=1)
-    terms = {tuple(row): complex(r, i) for row, r, i in zip(counts.tolist(), re[keep], im[keep])}
-    return dict(sorted(terms.items()))
+        [keys[keep, j, None] // _powers(base, width) % base for j, width in enumerate(widths)],
+        axis=1)
+    return {tuple(row): complex(r, i) for row, r, i in zip(counts.tolist(), re[keep], im[keep])}
+
+
+def _powers(base: int, width: int) -> np.ndarray:
+    """base^(width-1), ..., base^0: the places of `width` digits, first most significant."""
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
 def composition(label: Sequence[GroupElement], ordering: GroupOrdering) -> tuple[int, ...]:
@@ -158,15 +164,11 @@ def hamming_distribution(a: AlgebraElement) -> HammingDistribution:
 # identity verification
 # ---------------------------------------------------------------------------
 
-def _unit_disk_points(rng: np.random.Generator, shape) -> np.ndarray:
-    r = np.sqrt(rng.random(shape))
-    theta = rng.random(shape) * 2 * np.pi
-    return r * np.exp(1j * theta)
-
-
-def _relative_residual(lhs: complex, rhs: complex) -> float:
-    denom = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / denom
+def _unit_disk_points(rng: np.random.Generator, trials: int, shape: tuple) -> np.ndarray:
+    """(trials, *shape) points on the unit disk.  One draw of all radii and
+    angles, in the order of a radius draw and an angle draw per trial."""
+    u = rng.random((trials, 2) + shape)
+    return np.sqrt(u[:, 0]) * np.exp(1j * (u[:, 1] * 2 * np.pi))
 
 
 def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
@@ -180,29 +182,28 @@ def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
     q = a.m * a.m
     if points.shape != (a.n, q):
         raise ValueError(f"expected points of shape ({a.n}, {q}), got {points.shape}")
-    return contract_axes(a.coeffs, points)
+    return complex(contract_axes(a.coeffs, points[None])[0])
 
 
 def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: int,
                       seed: int, draw) -> CheckReport:
-    """The trial loop shared by the evaluation identities.
+    """The trial evaluations shared by the evaluation identities.
 
-    Per trial, draw(rng) gives one vector per coordinate at which to evaluate
-    the enumerator of C', and the substituted vectors at which to evaluate
-    that of C; the two values must agree up to the factor 1/M.  A check of
-    no trials would pass vacuously, so trials < 1 is a ValueError.
+    draw(rng, trials) gives stacked (trials, n, m^2) points at which to
+    evaluate the enumerator of C', and the substituted points at which to
+    evaluate that of C; per trial the two values must agree up to the factor
+    1/M.  A check of no trials would pass vacuously, so trials < 1 is a
+    ValueError.
     """
     if trials < 1:
         raise ValueError(f"{name} needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     dual = transform(sys, a)
-    residuals = []
-    for _ in range(trials):
-        z, w = draw(rng)
-        lhs = contract_axes(dual.coeffs, z)
-        rhs = contract_axes(a.coeffs, w) / a.mass
-        residuals.append(_relative_residual(lhs, rhs))
-    residuals = np.array(residuals, dtype=float)
+    z, w = draw(rng, trials)
+    lhs = contract_axes(dual.coeffs, z)
+    rhs = contract_axes(a.coeffs, w) / a.mass
+    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    residuals = np.abs(lhs - rhs) / denom
     bad = tuple(int(t) for t in np.flatnonzero(~(residuals <= IDENTITY_TOL)))  # NaN fails
     return CheckReport(
         name=name,
@@ -222,8 +223,8 @@ def verify_exact_identity(
     s; the enumerator of C' at z must equal (1/M) times the enumerator of C
     with z[i, r] replaced by sum_s kernel[s, r] * z[i, s].
     """
-    def draw(rng):
-        z = _unit_disk_points(rng, (a.n, sys.q))
+    def draw(rng, trials):
+        z = _unit_disk_points(rng, trials, (a.n, sys.q))
         return z, z @ sys.kernel
 
     return _evaluation_check("exact-identity", sys, a, trials, seed, draw)
@@ -233,9 +234,9 @@ def verify_complete_identity(
     sys: PhaseSystem, a: AlgebraElement, trials: int, seed: int = 0
 ) -> CheckReport:
     """Complete-enumerator identity in m^2 shared variables, by evaluation."""
-    def draw(rng):
-        z = _unit_disk_points(rng, sys.q)
-        return [z] * a.n, [z @ sys.kernel] * a.n
+    def draw(rng, trials):
+        z = _unit_disk_points(rng, trials, (sys.q,))
+        return _shared(z, a.n), _shared(z @ sys.kernel, a.n)
 
     return _evaluation_check("complete-identity", sys, a, trials, seed, draw)
 
@@ -257,11 +258,16 @@ def verify_lee_identity(
     subst[:, 0] = 1.0
     subst[:, 1:] = 2.0 * sys.kernel[1:delta + 1, :delta + 1].real.T
 
-    def draw(rng):
-        z = _unit_disk_points(rng, delta + 1)
-        return [z[cls]] * a.n, [(subst @ z)[cls]] * a.n
+    def draw(rng, trials):
+        z = _unit_disk_points(rng, trials, (delta + 1,))
+        return _shared(z[:, cls], a.n), _shared((z @ subst.T)[:, cls], a.n)
 
     return _evaluation_check("lee-identity", sys, a, trials, seed, draw)
+
+
+def _shared(points: np.ndarray, n: int) -> np.ndarray:
+    """(trials, n, s) view giving every coordinate the same (trials, s) points."""
+    return np.broadcast_to(points[:, None], (points.shape[0], n, points.shape[1]))
 
 
 def macwilliams_terms(a, q: int, n: int) -> list:

@@ -33,6 +33,9 @@ from .reports import CheckReport
 # for O(1) coefficients).
 MASS_TOL = 1e-12
 
+# coefficients per slice when a residual is formed piecewise
+_RESIDUAL_SLICE = 1 << 16
+
 
 def weight_reduce(values: np.ndarray, q: int, n: int, op=np.add) -> np.ndarray:
     """(n + 1,) array: `op` reduced over the labels of each Hamming weight.
@@ -59,13 +62,23 @@ def label_sums(table: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def contract_axes(values: np.ndarray, vectors) -> complex:
-    """sum_g values[g] * prod_i vectors[i][g_i], contracting vectors[i]
-    along axis i (first coordinate first); O(len(values)) work."""
-    t = values
-    for v in vectors:
-        t = v @ t.reshape(len(v), -1)
-    return complex(t[0])
+def contract_axes(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(T,) array: sum_g values[g] * prod_i vectors[t, i, g_i] for each t.
+
+    `vectors` is a stacked (T, n, s) array; axis i of `values` is contracted
+    with vectors[:, i] (first coordinate first).  Up to s trials go at a time:
+    one GEMM over the first axis, whose (trials, s^(n-1)) output is never
+    larger than `values`, then one batched matmul per remaining axis.
+    """
+    count, n, s = vectors.shape
+    out = np.empty(count, dtype=np.result_type(values, vectors))
+    for start in range(0, count, s):
+        v = vectors[start:start + s]
+        t = v[:, 0] @ values.reshape(s, -1)
+        for i in range(1, n):
+            t = np.matmul(v[:, i, None], t.reshape(len(v), s, -1))
+        out[start:start + s] = t.reshape(-1)
+    return out
 
 
 def encode_label(m: int, label: Sequence[GroupElement]) -> int:
@@ -210,11 +223,19 @@ def transform(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
 
 
 def double_transform_scaling_check(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:
-    """Verify transform(transform(A)) = (m^(2n) / (M * M')) * A elementwise."""
+    """Verify transform(transform(A)) = (m^(2n) / (M * M')) * A elementwise.
+
+    Only M' of the first transform outlives the second, and the residual is
+    formed a slice at a time, so no full-size temporary is built for it.
+    """
     first = transform(sys, a)
-    second = transform(sys, first)
     scale_factor = a.size / (a.mass * first.mass)
-    resid = float(np.abs(second.coeffs - scale_factor * a.coeffs).max())
+    second = transform(sys, first).coeffs
+    del first
+    step = _RESIDUAL_SLICE
+    parts = [np.abs(second[s:s + step] - scale_factor * a.coeffs[s:s + step]).max()
+             for s in range(0, a.size, step)]
+    resid = float(np.max(parts))
     return CheckReport(
         name="double-transform",
         passed=resid <= 1e-9,

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -22,6 +24,7 @@ from qecalg import (
     verify_lee_identity,
     verify_hamming_identity,
 )
+from qecalg import build_pauli_system, enumerators
 from qecalg.enumerators import _lee_class
 from qecalg.errors import EvenM
 
@@ -317,3 +320,125 @@ def test_evaluation_identities_reject_no_trials(sys3, check, trials):
     # a check that evaluates nothing must not report a pass
     with pytest.raises(ValueError, match=f"needs trials >= 1, got {trials}"):
         check(sys3, random_element(3, 2, 4), trials)
+
+
+# --- the batched trials against a loop over trials ---
+
+def _contract_one(values, vectors):
+    """sum_g values[g] prod_i vectors[i][g_i], one trial, one axis at a time."""
+    t = values
+    for v in vectors:
+        t = v @ t.reshape(len(v), -1)
+    return complex(t[0])
+
+
+def _per_trial_reference(check, sys, a, trials, seed):
+    """(points for C', values at C' and at C, residuals) of an evaluation
+    check, drawn and evaluated one trial at a time: a radius draw and an
+    angle draw per trial."""
+    rng = np.random.default_rng(seed)
+    dual = transform(sys, a)
+    q, n = sys.q, a.n
+    delta = (q - 1) // 2
+    shape = {verify_exact_identity: (n, q), verify_complete_identity: q,
+             verify_lee_identity: delta + 1}[check]
+    points, values, residuals = [], [], []
+    for _ in range(trials):
+        r = np.sqrt(rng.random(shape))
+        theta = rng.random(shape) * 2 * np.pi
+        z = r * np.exp(1j * theta)
+        if check is verify_exact_identity:
+            zc, w = z, z @ sys.kernel
+        elif check is verify_complete_identity:
+            zc, w = [z] * n, [z @ sys.kernel] * n
+        else:
+            cls = _lee_class(sys.m)
+            subst = np.zeros((delta + 1, delta + 1))
+            subst[:, 0] = 1.0
+            subst[:, 1:] = 2.0 * sys.kernel[1:delta + 1, :delta + 1].real.T
+            zc, w = [z[cls]] * n, [(subst @ z)[cls]] * n
+        lhs = _contract_one(dual.coeffs, zc)
+        rhs = _contract_one(a.coeffs, w) / a.mass
+        points.append(np.array(zc))
+        values.append((lhs, rhs))
+        residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    return np.array(points), np.array(values).T, np.array(residuals)
+
+
+def _check_against_reference(monkeypatch, check, sys, a, trials, seed):
+    """Run `check`, recording the points it draws for C' and its per-trial
+    residuals (from its two evaluations, C' then C), and compare them with
+    the per-trial reference; returns the report."""
+    seen = {"values": []}
+    real_check, real_contract = enumerators._evaluation_check, enumerators.contract_axes
+
+    def spy_check(name, sys_, a_, trials_, seed_, draw):
+        def recording_draw(rng, count):
+            z, w = draw(rng, count)
+            seen["points"] = np.ascontiguousarray(z)
+            return z, w
+        return real_check(name, sys_, a_, trials_, seed_, recording_draw)
+
+    def spy_contract(values, vectors):
+        out = real_contract(values, vectors)
+        seen["values"].append(out)
+        return out
+
+    monkeypatch.setattr(enumerators, "_evaluation_check", spy_check)
+    monkeypatch.setattr(enumerators, "contract_axes", spy_contract)
+    report = check(sys, a, trials, seed=seed)
+    lhs, rhs = seen["values"][0], seen["values"][1] / a.mass
+    residuals = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+
+    want_points, (want_lhs, want_rhs), want_residuals = _per_trial_reference(
+        check, sys, a, trials, seed)
+    assert seen["points"].shape == want_points.shape == (trials, a.n, sys.q)
+    assert seen["points"].view(np.uint64).tolist() == want_points.view(np.uint64).tolist()
+    assert np.abs(residuals - want_residuals).max() <= 1e-13
+    for got, want in ((lhs, want_lhs), (rhs, want_rhs)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(report.max_residual - want_residuals.max()) <= 1e-13
+    want_bad = tuple(int(t) for t in np.flatnonzero(~(want_residuals <= 1e-9)))
+    assert report.failures == want_bad and report.passed == (not want_bad)
+    return report
+
+
+_DIFFERENTIAL_CASES = [
+    (check, m, n)
+    for m, n in ((2, 3), (3, 3), (4, 2), (5, 2))
+    for check in (verify_exact_identity, verify_complete_identity, verify_lee_identity)
+    if check is not verify_lee_identity or m % 2
+]
+
+
+@pytest.mark.parametrize("trials", [1, 7, 20])
+@pytest.mark.parametrize("check,m,n", _DIFFERENTIAL_CASES)
+def test_batched_trials_match_per_trial_loop(monkeypatch, check, m, n, trials):
+    a = random_element(m, n, seed=10 * m + n)
+    report = _check_against_reference(monkeypatch, check, build_pauli_system(m), a, trials,
+                                       seed=3 * m + trials)
+    assert report.passed
+
+
+def test_batched_trials_match_per_trial_loop_failing_lee(monkeypatch, sys3):
+    # a kernel entry off by 1e-8 breaks the Lee identity in most, not all, trials
+    kernel = sys3.kernel.copy()
+    kernel[1, 2] *= 1 + 1e-8
+    sys_ = dataclasses.replace(sys3, kernel=kernel)
+    report = _check_against_reference(monkeypatch, verify_lee_identity, sys_,
+                                      random_element(3, 3, 1), 20, seed=4)
+    assert 0 < len(report.failures) < 20
+
+
+@pytest.mark.parametrize("check", [verify_exact_identity, verify_complete_identity])
+def test_evaluation_check_memory(sys2, check):
+    # C' and the first contraction's (m^2 trials, 4^8) output, each the size of C
+    a = random_element(2, 9, seed=5, nonneg=True)
+    tracemalloc.start()
+    try:
+        report = check(sys2, a, 16, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2.3 * a.coeffs.nbytes, f"traced peak {peak / a.coeffs.nbytes:.2f} x the element"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,25 @@ def test_double_transform_random(sys2, sys3):
         for seed in range(10):
             report = double_transform_scaling_check(sys_, random_element(m, n, seed, nonneg=True))
             assert report.passed, report.summary()
+
+
+def test_double_transform_memory_and_residual(sys2, sys3):
+    # m=2 n=9: 4^9 coefficients, four residual slices
+    for sys_, m, n in ((sys2, 2, 9), (sys3, 3, 5)):
+        a = random_element(m, n, seed=3, nonneg=True)
+        tracemalloc.start()
+        try:
+            report = double_transform_scaling_check(sys_, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the second transform's two kernel outputs and the first transform
+        assert peak < 3.1 * a.coeffs.nbytes, f"traced peak {peak / a.coeffs.nbytes:.2f} x the element"
+        first = transform(sys_, a)
+        second = transform(sys_, first)
+        whole = np.abs(second.coeffs - a.size / (a.mass * first.mass) * a.coeffs).max()
+        assert np.float64(report.max_residual).view(np.uint64) == np.float64(whole).view(np.uint64)
+        assert report.passed
 
 
 def test_five_qubit_transform_is_normalizer_indicator(sys2, five_qubit_code):

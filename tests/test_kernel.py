@@ -19,7 +19,9 @@ def _einsum_reference(mat, vec, n):
     return t.reshape(-1)
 
 
-@pytest.mark.parametrize("s,n", [(2, 1), (2, 5), (3, 3), (4, 4), (4, 8), (9, 2)])
+# (3, 6) ... (9, 3): where a per-axis batched matmul would end in tiny batches
+@pytest.mark.parametrize("s,n", [(2, 1), (2, 5), (3, 3), (4, 4), (4, 8), (9, 2),
+                                 (3, 6), (5, 4), (6, 3), (9, 3), (3, 1), (9, 1), (16, 1)])
 def test_python_kernel_matches_tensordot(s, n):
     rng = np.random.default_rng(s * 100 + n)
     mat, vec = _random_case(rng, s, n)
@@ -47,12 +49,13 @@ def test_shape_validation():
 # --- the real route for real 4 x 4 matrices (the m=2 Pauli side) ---
 
 def _complex_loop(mat, vec, n):
-    """The complex per-axis contraction that every non-real matrix takes."""
+    """The complex contraction that every non-real matrix takes: contract the
+    leading axis and move it to the end, one GEMM per axis."""
     s = mat.shape[0]
     a = np.asarray(vec, dtype=np.complex128)
     mat = np.asarray(mat, dtype=np.complex128)
-    for axis in range(n):
-        a = np.matmul(mat, a.reshape(s ** axis, s, -1))
+    for _ in range(n):
+        a = a.reshape(s, -1).T @ mat.T
     return a.reshape(-1)
 
 

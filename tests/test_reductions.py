@@ -84,6 +84,20 @@ def test_complete_distribution_matches_table(m, n):
         _assert_same_terms(complete_distribution(element).terms, oracle_composition_terms(element))
 
 
+# (6, 3) keys take two int64 columns: (n+1)^(m^2) = 4^36 overflows int64
+@pytest.mark.parametrize("m,n,lee", [(4, 3, False), (3, 4, False), (3, 4, True), (2, 7, False),
+                                     (5, 3, False), (5, 3, True), (6, 3, False)])
+def test_composition_keys_come_out_sorted(m, n, lee):
+    # the table reference sums in flat label order, as the library's bincount
+    # does, and sorts its keys with np.unique; so the values are bit-identical
+    for element in _elements(m, n, seed=60 * m + n):
+        got = (lee_distribution if lee else complete_distribution)(element).terms
+        want = oracle_composition_terms(element, lee=lee)
+        assert list(got) == sorted(got) == list(want)
+        got_bits = np.array(list(got.values())).view(np.uint64).tolist()
+        assert got_bits == np.array(list(want.values())).view(np.uint64).tolist()
+
+
 def test_complete_distribution_drops_cancelled_keys():
     m, n = 3, 2
     _, element = _elements(m, n, seed=5)
@@ -116,7 +130,7 @@ def test_exact_and_complete_evaluations_match_table(m, n):
         got = exact_enumerator_value(element, points)
         assert _close(got, oracle_enumerator_value(element, points))
         shared = points[0]
-        got = group_algebra.contract_axes(element.coeffs, [shared] * n)
+        got = group_algebra.contract_axes(element.coeffs, np.array([[shared] * n]))[0]
         assert _close(got, oracle_enumerator_value(element, shared))
 
 
@@ -126,7 +140,7 @@ def test_lee_evaluation_matches_table(m, n):
     cls = _lee_class(m)
     for element in _elements(m, n, seed=50 * m + n):
         z = rng.standard_normal(cls.max() + 1) + 1j * rng.standard_normal(cls.max() + 1)
-        got = group_algebra.contract_axes(element.coeffs, [z[cls]] * n)
+        got = group_algebra.contract_axes(element.coeffs, np.array([[z[cls]] * n]))[0]
         assert _close(got, oracle_enumerator_value(element, z[cls]))
 
 
