@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, catalog
 from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, random_code
 from .enumerators import (
+    HammingDistribution,
     complete_distribution,
     hamming_distribution,
     lee_distribution,
@@ -86,18 +87,18 @@ def _fmt_complex(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
-def _distribution_text(dist_a: np.ndarray) -> str:
-    rounded = np.round(dist_a.real)
-    if np.abs(dist_a - rounded).max() <= 1e-6:
-        return "(" + ",".join(str(int(v)) for v in rounded) + ")"
-    return "(" + ",".join(f"{v.real:.6g}" for v in dist_a) + ")"
+def _distribution_text(dist: HammingDistribution) -> str:
+    ints = dist.rounded()
+    if ints is not None:
+        return "(" + ",".join(map(str, ints)) + ")"
+    return "(" + ",".join(f"{v.real:.6g}" for v in dist.a) + ")"
 
 
-def _rounding_note(*dists: np.ndarray) -> str | None:
-    resid = max(float(np.abs(d - np.round(d.real)).max()) for d in dists)
-    if resid <= 1e-6:
-        return f"# coefficients integer-rounded, max residual {resid:.2e}"
-    return None
+def _rounding_note(*dists: HammingDistribution) -> str | None:
+    if any(d.rounded() is None for d in dists):
+        return None
+    resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in dists)
+    return f"# coefficients integer-rounded, max residual {resid:.2e}"
 
 
 def _emit(report: dict, args) -> None:
@@ -128,8 +129,8 @@ def _cmd_analyze(args) -> int:
         raise QecalgError("analyze needs a code file, not an element file")
     sys_ = _system_for(payload.m, args)
     result = analyze(sys_, payload)
-    a_txt = _distribution_text(result.primary_distribution.a)
-    b_txt = _distribution_text(result.dual_distribution.a)
+    a_txt = _distribution_text(result.primary_distribution)
+    b_txt = _distribution_text(result.dual_distribution)
     report = _base_report(args, "analyze", {"code": display, "sha256": digest})
     report["results"] = {
         "m": payload.m,
@@ -146,7 +147,7 @@ def _cmd_analyze(args) -> int:
         f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
         f"A={a_txt}; A'={b_txt}"
     ]
-    note = _rounding_note(result.primary_distribution.a, result.dual_distribution.a)
+    note = _rounding_note(result.primary_distribution, result.dual_distribution)
     if note:
         report["text"].append(note)
     report["elapsed_s"] = time.perf_counter() - t0
@@ -159,8 +160,9 @@ def _dist_records(kind: str, element: AlgebraElement):
     text: the A=(...) tuple for hamming, one "key -> value" line per term
     otherwise."""
     if kind == "hamming":
-        a = hamming_distribution(element).a
-        return [[[i], _fmt_complex(c)] for i, c in enumerate(a)], [f"A={_distribution_text(a)}"]
+        dist = hamming_distribution(element)
+        return ([[[i], _fmt_complex(c)] for i, c in enumerate(dist.a)],
+                [f"A={_distribution_text(dist)}"])
     if kind == "complete":
         terms = complete_distribution(element).terms
     else:

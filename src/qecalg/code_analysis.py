@@ -25,13 +25,17 @@ index subgroup S.  `analyze` takes one of two routes:
       the closed form c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2, which the
       dense-matrix oracle computes to certify this route).
 
-Either way
+Either way K, d and purity are read off the Hamming pair (A, A'):
 
     K    = m^n / mass(C)                      (mass(C) = |S| = sum_w A_w)
-    d    = min weight where c_g != c'_g       (K > 1; = min{w : B_w > A_w},
-                                               because c <= c' entrywise)
-           min nonzero weight where c_g != 0  (K = 1)
-    pure = no support of C at weights strictly between 0 and d.
+    d    = min weight where c_g != c'_g       (K > 1)
+         = min{w >= 1 : B_w > A_w}            (c <= c' entrywise, so B_w > A_w
+                                               iff some weight-w coefficient differs)
+           min{w >= 1 : A_w > 0}              (K = 1; c >= 0)
+    pure = A_w = 0 for every 0 < w < d.
+
+Both routes call `_distance_and_purity`; on the exact route's integers
+every comparison is exact, on the dense route's floats it uses COEFF_TOL.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .enumerators import HammingDistribution, hamming_distribution, macwilliams_terms
-from .group_algebra import AlgebraElement, transform, weight_reduce
+from .group_algebra import AlgebraElement, transform
 from .reports import CheckReport
 
 COEFF_TOL = 1e-9
 DIMENSION_TOL = 1e-6
-_MASK_SLICE = 1 << 16
 
 Label = tuple[GroupElement, ...]
 
@@ -113,10 +116,9 @@ class CodeSpec:
 
     @classmethod
     def from_basis(cls, m: int, n: int, vectors: np.ndarray) -> "CodeSpec":
-        v = np.ascontiguousarray(vectors, dtype=np.complex128)
+        v = np.array(vectors, dtype=np.complex128, order="C")
         if v.ndim != 2 or v.shape[1] != m ** n:
             raise ValueError(f"expected vectors of shape (K, {m ** n})")
-        v = v.copy()
         v.setflags(write=False)
         return cls(m, n, BasisVectors(v))
 
@@ -302,27 +304,19 @@ class AnalysisReport:
     path: str  # "exact" (stabilizer input) or "dense" (basis input)
 
 
-def _no_distance(k: int) -> NoDistance:
-    return NoDistance(
+def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
+    """d and purity from the Hamming pair (A, A'): d is the first weight
+    w >= 1 with B_w - A_w > COEFF_TOL (K > 1), or with A_w > COEFF_TOL
+    (K = 1); pure means |A_w| <= COEFF_TOL for 1 <= w < d.  Because
+    c <= c' entrywise, B_w > A_w holds exactly when a weight-w coefficient
+    of C differs from C'.  Python ints are compared exactly."""
+    for d in range(1, len(a)):
+        if (b[d] - a[d] if k > 1 else a[d]).real > COEFF_TOL:
+            return d, all(abs(x) <= COEFF_TOL for x in a[1:d])
+    raise NoDistance(
         "no coefficient distinguishes the element from its transform"
         if k > 1 else "element has no support off the identity"
     )
-
-
-def _minimum_distance(m: int, n: int, c: np.ndarray, c_dual: np.ndarray, k: int) -> int:
-    """First weight w >= 1 holding a coefficient where c differs from c'
-    (K > 1), or where c is nonzero (K = 1); reduced one axis at a time."""
-    # in slices, so that no full-size c - c' or modulus array is ever alive
-    mask = np.empty(c.shape, dtype=bool)
-    for s in range(0, c.size, _MASK_SLICE):
-        part = c[s:s + _MASK_SLICE]
-        if k > 1:
-            part = part - c_dual[s:s + _MASK_SLICE]
-        np.greater(np.abs(part), COEFF_TOL, out=mask[s:s + _MASK_SLICE])
-    hit = np.flatnonzero(weight_reduce(mask, m * m, n, np.logical_or)[1:])
-    if not hit.size:
-        raise _no_distance(k)
-    return int(hit[0]) + 1
 
 
 def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
@@ -343,12 +337,9 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     if any(x % size for x in b):
         raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
     b = [x // size for x in b]
-    hit = [w for w in range(1, n + 1) if (b[w] > a[w] if k > 1 else a[w])]
-    if not hit:
-        raise _no_distance(k)
-    d = hit[0]
+    d, pure = _distance_and_purity(a, b, k)
     return AnalysisReport(
-        K=k, d=d, pure=not any(a[1:d]), mass=float(size),
+        K=k, d=d, pure=pure, mass=float(size),
         primary_distribution=HammingDistribution(m, n, np.array(a, dtype=np.complex128)),
         dual_distribution=HammingDistribution(
             m, n, np.array([float(x) for x in b], dtype=np.complex128)),
@@ -368,13 +359,12 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     k = round(k_exact)
     if k < 1 or abs(k_exact - k) > DIMENSION_TOL:
         raise NonIntegerDimension(f"m^n / M = {k_exact!r} is not an integer")
-    d = _minimum_distance(code.m, code.n, c.coeffs, c_dual.coeffs, k)
-    dist = hamming_distribution(c)
-    pure = bool(np.all(np.abs(dist.a[1:d]) <= COEFF_TOL))
+    dist, dual = hamming_distribution(c), hamming_distribution(c_dual)
+    d, pure = _distance_and_purity(dist.a, dual.a, k)
     return AnalysisReport(
         K=k, d=d, pure=pure, mass=mass,
         primary_distribution=dist,
-        dual_distribution=hamming_distribution(c_dual),
+        dual_distribution=dual,
         path="dense",
     )
 
@@ -406,5 +396,5 @@ def random_code(m: int, n: int, k: int, seed: int) -> CodeSpec:
         mat = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
         q, r = np.linalg.qr(mat)
         if np.abs(np.diag(r)).min() > 1e-8:
-            return CodeSpec.from_basis(m, n, q.T.conj().copy())
+            return CodeSpec.from_basis(m, n, q.T.conj())
     raise RuntimeError(f"rank-deficient draws for seeds {seed}..{seed + 15}")

@@ -37,19 +37,19 @@ MASS_TOL = 1e-12
 _RESIDUAL_SLICE = 1 << 16
 
 
-def weight_reduce(values: np.ndarray, q: int, n: int, op=np.add) -> np.ndarray:
-    """(n + 1,) array: `op` reduced over the labels of each Hamming weight.
+def weight_reduce(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """(n + 1,) array: the sum of `values` over the labels of each Hamming weight.
 
     `values` is a flat array of length q^n in label order.  One axis at a
-    time, the slice at digit 0 keeps its weight and the reduction over the
-    nonzero digits moves up one weight, so no per-label table is built.
+    time, the slice at digit 0 keeps its weight and the sum over the nonzero
+    digits moves up one weight, so no per-label table is built.
     """
     acc = values.reshape(1, -1)
     for _ in range(n):
         acc = acc.reshape(acc.shape[0], q, -1)
-        out = np.full((acc.shape[0] + 1, acc.shape[2]), op.identity, dtype=acc.dtype)
+        out = np.zeros((acc.shape[0] + 1, acc.shape[2]), dtype=acc.dtype)
         out[:-1] = acc[:, 0]
-        op(out[1:], op.reduce(acc[:, 1:], axis=1), out=out[1:])
+        out[1:] += acc[:, 1:].sum(axis=1)
         acc = out
     return acc.reshape(n + 1)
 

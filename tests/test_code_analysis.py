@@ -21,7 +21,7 @@ from qecalg import (
     transform,
     validate_custom_basis,
 )
-from qecalg.code_analysis import BasisVectors, _minimum_distance, stabilizer_group
+from qecalg.code_analysis import BasisVectors, _distance_and_purity, stabilizer_group
 from qecalg.errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -252,17 +252,17 @@ def test_non_integer_dimension(sys2):
 
 
 def test_minimum_distance_helper():
-    # m=2, n=2: flat index 5 is (X, X), weight 2; index 1 is (I, X), weight 1
-    c = np.zeros(16)
-    c[[0, 5]] = 1.0
-    cd = c.copy()
-    cd[1] = 1.0
-    assert _minimum_distance(2, 2, c, cd, k=2) == 1
-    assert _minimum_distance(2, 2, c, cd, k=1) == 2
-    with pytest.raises(NoDistance):
-        _minimum_distance(2, 2, c, c, k=2)
-    with pytest.raises(NoDistance):
-        _minimum_distance(2, 2, np.eye(1, 16)[0], None, k=1)
+    # m=2, n=2 with c at (I, I) and (X, X) (weight 2), and c' also at (I, X)
+    # (weight 1): A = (1, 0, 1), A' = (1, 1, 1)
+    a, b = [1, 0, 1], [1, 1, 1]
+    assert _distance_and_purity(a, b, k=2) == (1, True)
+    assert _distance_and_purity(a, b, k=1) == (2, True)
+    # floats: a gap of 1e-10 is no difference, and support below d is impure
+    assert _distance_and_purity([1.0, 0.5, 0.5], [1.0, 0.5 + 1e-10, 2.5], k=2) == (2, False)
+    with pytest.raises(NoDistance, match="distinguishes"):
+        _distance_and_purity(a, a, k=2)
+    with pytest.raises(NoDistance, match="no support"):
+        _distance_and_purity(np.eye(1, 3)[0], None, k=1)
 
 
 def _regauged_system(m, seed):
@@ -339,6 +339,41 @@ def test_purity_definition_matches_support(sys2, shor_code, five_qubit_code):
         assert report.pure == (not support_below_d)
 
 
+def _margin_corpus(case):
+    """(system, code) pairs: a catalog code in basis form under the Pauli
+    basis, a regauged basis and a random rotation of its codewords; or every
+    K of a seeded random code at (m, n) under the Pauli and a regauged basis."""
+    if isinstance(case, str):
+        code = catalog.load(case)
+        m, n = code.m, code.n
+        vectors = codewords_from_stabilizers(build_pauli_system(m), code, cap=512)
+        k = vectors.shape[0]
+        rng = np.random.default_rng(k)
+        u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        basis = CodeSpec.from_basis(m, n, vectors)
+        return [(build_pauli_system(m), basis), (_regauged_system(m, seed=m), basis),
+                (build_pauli_system(m), CodeSpec.from_basis(m, n, u @ vectors))]
+    m, n = case
+    return [(sys_, random_code(m, n, k, seed=10 * m + k))
+            for sys_ in (build_pauli_system(m), _regauged_system(m, seed=m))
+            for k in range(1, m ** n + 1)]
+
+
+@pytest.mark.parametrize("case", ["513", "422", "913shor", "311qutrit", "steane713",
+                                  (2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (6, 2)], ids=str)
+def test_distance_rules_agree_with_wide_margins(case):
+    # d read off (A, A') equals the coefficient rule, and no Hamming gap
+    # B_w - A_w (A_w for K = 1) comes near COEFF_TOL
+    for sys_, code in _margin_corpus(case):
+        report = analyze(sys_, code)
+        assert report.path == "dense"
+        c = associated_element(sys_, code)
+        assert report.d == oracle_minimum_distance(c, transform(sys_, c), report.K)
+        a, b = report.primary_distribution.a.real, report.dual_distribution.a.real
+        gap = np.abs(b[1:] - a[1:] if report.K > 1 else a[1:])
+        assert np.all((gap <= 1e-12) | (gap >= 1e-2)), (report.K, gap)
+
+
 # --- the exact stabilizer route ---
 
 def _scrambled_generators(m, n, exponents, seed, gates=400):
@@ -408,7 +443,7 @@ def test_exact_route_matches_dense(case):
     a_dense = hamming_distribution(c).a
     b_dense = hamming_distribution(c_dual).a
     k = round(m ** n / c.mass.real)
-    d = _minimum_distance(m, n, c.coeffs, c_dual.coeffs, k)
+    d = oracle_minimum_distance(c, c_dual, k)
     assert (exact.K, exact.d, exact.mass) == (k, d, c.mass.real)
     assert exact.pure == bool(np.all(np.abs(a_dense[1:d]) <= 1e-9))
     assert np.array_equal(exact.primary_distribution.a, a_dense)

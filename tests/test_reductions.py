@@ -10,6 +10,7 @@ import pytest
 import qecalg
 from qecalg import (
     AlgebraElement,
+    CodeSpec,
     analyze,
     associated_element,
     catalog,
@@ -23,9 +24,9 @@ from qecalg import (
     transform,
 )
 from qecalg import group_algebra
-from qecalg.code_analysis import _minimum_distance
 from qecalg.enumerators import _lee_class
 from qecalg.oracle import (
+    codewords_from_stabilizers,
     oracle_composition_terms,
     oracle_enumerator_value,
     oracle_hamming_distribution,
@@ -147,14 +148,18 @@ def test_lee_evaluation_matches_table(m, n):
 def test_minimum_distance_matches_table(sys2, sys3):
     cases = [(sys2, catalog.load(name)) for name in ("513", "422", "913shor")]
     cases.append((sys3, catalog.load("311qutrit")))
+    # the catalog codes in basis form take the dense route (Shor has m^n = 512)
+    cases += [(sys_, CodeSpec.from_basis(code.m, code.n,
+                                         codewords_from_stabilizers(sys_, code, cap=512)))
+              for sys_, code in cases]
     cases += [(sys2, random_code(2, 3, k, seed=70 + k)) for k in (1, 2, 4)]
     cases += [(sys3, random_code(3, 2, k, seed=80 + k)) for k in (1, 3)]
     for sys_, code in cases:
         c = associated_element(sys_, code)
         dual = transform(sys_, c)
-        k = analyze(sys_, code).K
-        want = oracle_minimum_distance(c, dual, k)
-        assert _minimum_distance(code.m, code.n, c.coeffs, dual.coeffs, k) == want
+        report = analyze(sys_, code)
+        assert report.path == ("exact" if code.kind == "stabilizer" else "dense")
+        assert report.d == oracle_minimum_distance(c, dual, report.K)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
