@@ -23,6 +23,7 @@ from .enumerators import (
     complete_distribution,
     hamming_distribution,
     lee_distribution,
+    macwilliams_hamming,
     verify_exact_identity,
     verify_complete_identity,
     verify_lee_identity,
@@ -156,17 +157,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _dist_records(kind: str, element: AlgebraElement):
-    """The machine records of the `kind` distribution of `element` and its
-    text: the A=(...) tuple for hamming, one "key -> value" line per term
-    otherwise."""
-    if kind == "hamming":
-        dist = hamming_distribution(element)
-        return ([[[i], _fmt_complex(c)] for i, c in enumerate(dist.a)],
-                [f"A={_distribution_text(dist)}"])
-    if kind == "complete":
-        terms = complete_distribution(element).terms
-    else:
-        terms = lee_distribution(element).terms
+    """The machine records of the complete or Lee distribution of `element`
+    and its text, one "key -> value" line per term."""
+    terms = (complete_distribution if kind == "complete" else lee_distribution)(element).terms
     records = [[list(key), _fmt_complex(val)] for key, val in sorted(terms.items())]
     text = []
     for key, (re, im) in records:
@@ -178,19 +171,25 @@ def _dist_records(kind: str, element: AlgebraElement):
 def _cmd_enumerate(args) -> int:
     t0 = time.perf_counter()
     display, kind, payload, digest = _resolve_input(args.input)
-    m = payload.m
-    sys_ = _system_for(m, args)
-    primary = associated_element(sys_, payload) if kind == "code" else payload
-    dual = transform(sys_, primary)
-    rec_c, text_c = _dist_records(args.kind, primary)
-    rec_d, text_d = _dist_records(args.kind, dual)
-    report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
-    report["results"] = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
+    sys_ = _system_for(payload.m, args)
     lines = [f"{args.kind} distribution"]
     if args.kind == "hamming":
-        lines += [f"C : {text_c[0]}", f"C': {text_d[0]}"]
+        if kind == "code":  # analyze's pair, so the exact route for stabilizer input
+            result = analyze(sys_, payload)
+            dist, dual = result.primary_distribution, result.dual_distribution
+        else:  # t9 of A: C' is never built
+            dist = hamming_distribution(payload)
+            dual = HammingDistribution(payload.m, payload.n, macwilliams_hamming(dist, payload.mass))
+        rec_c, rec_d = ([[[i], _fmt_complex(c)] for i, c in enumerate(d.a)] for d in (dist, dual))
+        lines += [f"C : A={_distribution_text(dist)}", f"C': A={_distribution_text(dual)}"]
     else:
+        primary = associated_element(sys_, payload) if kind == "code" else payload
+        dual = transform(sys_, primary)
+        rec_c, text_c = _dist_records(args.kind, primary)
+        rec_d, text_d = _dist_records(args.kind, dual)
         lines += ["C :", *text_c, "C':", *text_d]
+    report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
+    report["results"] = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
     report["text"] = lines
     report["elapsed_s"] = time.perf_counter() - t0
     _emit(report, args)

@@ -21,21 +21,20 @@ index subgroup S.  `analyze` takes one of two routes:
       no array of m^(2n) coefficients is built.  t9 holds for every nice
       error basis (the kernel rows sum to zero, lemma 1), so these numbers
       do not depend on the basis.
-  dense (basis input)  C is built once and C' is its transform (it equals
-      the closed form c'_h = (1/K) sum_{i,j} |<v_i| E_h |v_j>|^2, which the
-      dense-matrix oracle computes to certify this route).
+  dense (basis input)  C is built once, A is its Hamming distribution and
+      A' comes from t9 in floating point; the transform C' is never built.
 
-Either way K, d and purity are read off the Hamming pair (A, A'):
+K comes from S or V, and d and purity from the Hamming pair (A, A'):
 
-    K    = m^n / mass(C)                      (mass(C) = |S| = sum_w A_w)
+    K    = m^n / |S|  (exact route), the row count of V (dense route)
     d    = min weight where c_g != c'_g       (K > 1)
          = min{w >= 1 : B_w > A_w}            (c <= c' entrywise, so B_w > A_w
                                                iff some weight-w coefficient differs)
            min{w >= 1 : A_w > 0}              (K = 1; c >= 0)
     pure = A_w = 0 for every 0 < w < d.
 
-Both routes call `_distance_and_purity`; on the exact route's integers
-every comparison is exact, on the dense route's floats it uses COEFF_TOL.
+Both routes end in `_pair_report`; on the exact route's integers every
+comparison is exact, on the dense route's floats it uses COEFF_TOL.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ from .errors import (
     NonOrthonormalBasis,
     ShapeMismatch,
 )
-from .enumerators import HammingDistribution, hamming_distribution, macwilliams_terms
+from .enumerators import (
+    HammingDistribution, hamming_distribution, macwilliams_hamming, macwilliams_terms)
 from .group_algebra import AlgebraElement, transform
 from .reports import CheckReport
 
 COEFF_TOL = 1e-9
-DIMENSION_TOL = 1e-6
 
 Label = tuple[GroupElement, ...]
 
@@ -319,6 +318,19 @@ def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
     )
 
 
+def _pair_report(code: CodeSpec, k: int, mass: float, a: Sequence, b: Sequence,
+                 path: str) -> AnalysisReport:
+    """The report of the Hamming pair (A, A') = (a, b), with d and purity
+    decided on `a` and `b` as given (Python ints on the exact route)."""
+    d, pure = _distance_and_purity(a, b, k)
+    return AnalysisReport(
+        K=k, d=d, pure=pure, mass=mass,
+        primary_distribution=HammingDistribution(code.m, code.n, np.array(a, dtype=np.complex128)),
+        dual_distribution=HammingDistribution(code.m, code.n, np.array(b, dtype=np.complex128)),
+        path=path,
+    )
+
+
 def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     """K, d, purity, A and A' of a stabilizer code from the elements of S."""
     m, n = code.m, code.n
@@ -326,7 +338,6 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     size = group.shape[1]
     if m ** n % size:
         raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
-    k = m ** n // size
     # one coordinate at a time, so no (n, |S|) temporary joins S at the peak
     weights = np.zeros(size, dtype=np.min_scalar_type(n))
     for i in range(n):
@@ -336,37 +347,18 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
     if any(x % size for x in b):
         raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
-    b = [x // size for x in b]
-    d, pure = _distance_and_purity(a, b, k)
-    return AnalysisReport(
-        K=k, d=d, pure=pure, mass=float(size),
-        primary_distribution=HammingDistribution(m, n, np.array(a, dtype=np.complex128)),
-        dual_distribution=HammingDistribution(
-            m, n, np.array([float(x) for x in b], dtype=np.complex128)),
-        path="exact",
-    )
+    return _pair_report(code, m ** n // size, float(size), a, [x // size for x in b], "exact")
 
 
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     """Extract K, d, and purity: exactly from the stabilizer group for
-    stabilizer input, from the associated element and its dual otherwise."""
+    stabilizer input, from the associated element and t9 otherwise."""
     if isinstance(code.body, StabilizerGenerators):
         return _analyze_exact(sys, code)
     c = associated_element(sys, code)
-    c_dual = transform(sys, c)
-    mass = c.mass.real
-    k_exact = sys.m ** code.n / mass
-    k = round(k_exact)
-    if k < 1 or abs(k_exact - k) > DIMENSION_TOL:
-        raise NonIntegerDimension(f"m^n / M = {k_exact!r} is not an integer")
-    dist, dual = hamming_distribution(c), hamming_distribution(c_dual)
-    d, pure = _distance_and_purity(dist.a, dual.a, k)
-    return AnalysisReport(
-        K=k, d=d, pure=pure, mass=mass,
-        primary_distribution=dist,
-        dual_distribution=dual,
-        path="dense",
-    )
+    dist = hamming_distribution(c)
+    return _pair_report(code, code.body.vectors.shape[0], c.mass.real, dist.a,
+                        macwilliams_hamming(dist, c.mass), "dense")
 
 
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:

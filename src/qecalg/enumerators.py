@@ -14,7 +14,8 @@ evaluation at points on the complex unit disk; the Hamming identity
 
     W_C'(x, y) = (1/M) * W_C(x + (m^2 - 1) y, x - y)
 
-is bivariate and checked symbolically by binomial expansion.
+is bivariate; `macwilliams_hamming` expands it binomially, the one route to
+A' from A, and `verify_hamming_identity` builds C' to certify that route.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .error_basis import GroupElement, GroupOrdering, PhaseSystem
-from .errors import EvenM
-from .group_algebra import AlgebraElement, contract_axes, label_sums, transform, weight_reduce
+from .errors import EvenM, ZeroMass
+from .group_algebra import (
+    MASS_TOL, AlgebraElement, contract_axes, label_sums, transform, weight_reduce)
 from .reports import CheckReport
 
 IDENTITY_TOL = 1e-9
@@ -286,7 +288,10 @@ def macwilliams_terms(a, q: int, n: int) -> list:
 
 
 def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
-    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion."""
+    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion;
+    a (numerically) zero mass raises ZeroMass, as in `transform`."""
+    if abs(mass) <= MASS_TOL:
+        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
     terms = macwilliams_terms(dist.a, dist.m * dist.m, dist.n)
     return np.array(terms, dtype=np.complex128) / mass
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -169,6 +170,8 @@ def test_transform_zero_mass(capsys, tmp_path):
     code, _, err = run(capsys, "transform", str(src))
     assert code == 2
     assert "mass" in err.lower()
+    # enumerate takes A' from t9, not from the transform, and says the same
+    assert run(capsys, "enumerate", str(src), "--kind", "hamming") == (2, "", err)
 
 
 def test_transform_machine_roundtrip_identical_coeffs(capsys, tmp_path):
@@ -465,18 +468,24 @@ _ENUMERATE_513 = {
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_enumerate_hamming_computes_each_distribution_once(capsys, monkeypatch, fmt):
+def test_enumerate_hamming_computes_each_distribution_once(capsys, monkeypatch, tmp_path, fmt):
+    # A' is t9 of A on every input: no route of enumerate --kind hamming
+    # builds the transform C'
     import qecalg.cli as cli
-    calls = []
-    original = cli.hamming_distribution
+    import qecalg.code_analysis as code_analysis
 
-    def counted(element):
-        calls.append(element)
-        return original(element)
+    def refuse(*args):
+        raise AssertionError("transform called")
 
-    monkeypatch.setattr(cli, "hamming_distribution", counted)
+    monkeypatch.setattr(cli, "transform", refuse)
+    monkeypatch.setattr(code_analysis, "transform", refuse)
+    code_path, elem_path = tmp_path / "c.code", tmp_path / "e.elem"
+    write_code(code_path, random_code(3, 2, 2, 4))
+    write_element(elem_path, random_element(2, 2, 3))
+    for source in (str(code_path), str(elem_path)):
+        assert run(capsys, "enumerate", source, "--kind", "hamming", "--format", fmt)[0] == 0
     code, out, _ = run(capsys, "enumerate", "513", "--kind", "hamming", "--format", fmt)
-    assert code == 0 and len(calls) == 2
+    assert code == 0
     if fmt == "text":
         assert out == _ENUMERATE_513["text"] + "# qecalg 0.1.0\n"
     else:
@@ -484,6 +493,39 @@ def test_enumerate_hamming_computes_each_distribution_once(capsys, monkeypatch, 
         assert report["results"] == {"kind": "hamming", "C": _ENUMERATE_513["C"],
                                      "C_dual": _ENUMERATE_513["C_dual"]}
         assert report["text"] == _ENUMERATE_513["text"].splitlines()
+
+
+def _zz_chain(m, n):
+    """Z_i Z_(i+1)^dagger on each neighbouring pair: a K = m code."""
+    return CodeSpec.from_stabilizers(
+        m, n, [[(0, 1) if j == i else (0, m - 1) if j == i + 1 else (0, 0) for j in range(n)]
+               for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("source", [(3, 5), (3, 6), (5, 4), "rm15", "basis"], ids=str)
+def test_enumerate_hamming_agrees_with_analyze(capsys, tmp_path, source):
+    # one route to (A, A'): enumerate prints analyze's records bit for bit,
+    # exact integers for stabilizer input and t9 of A for basis input
+    target = str(tmp_path / "c.code")
+    if source == "rm15":
+        target = source
+    elif source == "basis":
+        write_code(target, random_code(3, 3, 2, seed=1))
+    else:
+        write_code(target, _zz_chain(*source))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", target, "--kind", "hamming", "--format", "machine")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    enumerated = json.loads(out)["results"]
+    code, out, _ = run(capsys, "analyze", target, "--format", "machine")
+    assert code == 0
+    analyzed = json.loads(out)["results"]
+    assert enumerated["C"] == [[[w], v] for w, v in enumerate(analyzed["A"])]
+    assert enumerated["C_dual"] == [[[w], v] for w, v in enumerate(analyzed["A_dual"])]
+    assert all(im == 0.0 for _, im in analyzed["A_dual"])
+    if source == "rm15":  # the exact route: no element of 4^15 coefficients
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " "])

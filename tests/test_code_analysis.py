@@ -367,6 +367,9 @@ def test_distance_rules_agree_with_wide_margins(case):
     for sys_, code in _margin_corpus(case):
         report = analyze(sys_, code)
         assert report.path == "dense"
+        # K is the row count of V; the mass agrees with it far inside any tolerance
+        assert report.K == code.body.vectors.shape[0]
+        assert abs(code.m ** code.n / report.mass - report.K) <= 1e-12 * report.K
         c = associated_element(sys_, code)
         assert report.d == oracle_minimum_distance(c, transform(sys_, c), report.K)
         a, b = report.primary_distribution.a.real, report.dual_distribution.a.real
