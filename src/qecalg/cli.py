@@ -295,31 +295,27 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qecalg",
-        description="Group-algebra weight enumerators and MacWilliams-type "
-                    "identities for quantum error-correcting codes.",
-        epilog=f"built-in catalog codes: {', '.join(catalog.names())}",
-    )
-    parser.add_argument("--version", action="version", version=f"qecalg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p) -> None:
+    p.add_argument("--format", choices=["text", "machine"], default="text")
+    p.add_argument("--basis-file", help="custom error basis file (default: generalized Pauli)")
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.add_argument("--basis-file", help="custom error basis file (default: generalized Pauli)")
 
+def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze", help="K, d, purity, and Hamming distributions of a code")
     p.add_argument("code", help="catalog name or code file")
-    common(p)
+    _common(p)
     p.set_defaults(func=_cmd_analyze)
 
+
+def _add_enumerate(sub) -> None:
     p = sub.add_parser("enumerate", help="weight distribution of a code or element and its dual")
     p.add_argument("input", help="catalog name, code file, or element file")
     p.add_argument("--kind", choices=["complete", "lee", "hamming"], required=True)
-    common(p)
+    _common(p)
     p.set_defaults(func=_cmd_enumerate)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run one of the identity/axiom checks")
     p.add_argument("input", nargs="?", help="catalog name, code file, or element file")
     p.add_argument("--identity", required=True, choices=list(_VERIFY_CHECKS),
@@ -332,21 +328,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-code", metavar="M,N,K",
                    help="verify against a seeded random code instead of a file")
-    common(p)
+    _common(p)
     p.set_defaults(func=_cmd_verify)
 
+
+def _add_transform(sub) -> None:
     p = sub.add_parser("transform", help="transform an element file")
     p.add_argument("element", help="element file")
     p.add_argument("-o", "--output", help="output path (default: <input>.transformed)")
-    common(p)
+    _common(p)
     p.set_defaults(func=_cmd_transform)
 
+
+# subcommand -> the function that adds its parser, in help order
+_SUBCOMMANDS = {
+    "analyze": _add_analyze,
+    "enumerate": _add_enumerate,
+    "verify": _add_verify,
+    "transform": _add_transform,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: by default the full tree, or, when `command` names
+    a subcommand, the top level with only that subcommand's parser.
+
+    The second form parses every argv that starts with `command` as the full
+    tree does, errors included: its usage line still lists all commands.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qecalg",
+        description="Group-algebra weight enumerators and MacWilliams-type "
+                    "identities for quantum error-correcting codes.",
+        epilog=f"built-in catalog codes: {', '.join(catalog.names())}",
+    )
+    parser.add_argument("--version", action="version", version=f"qecalg {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
+    else:
+        # the metavar the full tree derives from its choices; setting it there
+        # too would rename `command` in its invalid-choice and required errors
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        _SUBCOMMANDS[command](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds only its own subcommand's parser; help, --version and
+    # top-level usage errors get the full tree
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except QecalgError as exc:

@@ -254,7 +254,8 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     q = v.conj().T @ v
     interleave = [ax for i in range(n) for ax in (i, n + i)]
     q = np.ascontiguousarray(q.reshape((m,) * (2 * n)).transpose(interleave)).reshape(-1)
-    t = _kernel.apply_axiswise(sys.matrices.reshape(m * m, m * m), q, n)
+    # q is ours: the kernel alternates between it and one scratch array
+    t = _kernel.apply_axiswise(sys.matrices.reshape(m * m, m * m), q, n, overwrite_input=True)
     del q
     # |t|^2 / K^2 in place: no complex temporary, and an imaginary part of exactly 0
     re, im = t.real, t.imag

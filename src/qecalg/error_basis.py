@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,23 +88,23 @@ def canonical_ordering(m: int) -> GroupOrdering:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    elems = [GroupElement(a, b) for a in range(m) for b in range(m)]
+    q = m * m
+    flat = np.arange(q)  # a * m + b, so flat order is lexicographic (a, b) order
+    neg = (-(flat // m) % m) * m + (-flat % m)
     if m % 2 == 0:
-        order = tuple(elems)
+        codes = flat
         delta = None
     else:
-        reps = sorted({min(g, group_neg(g, m)) for g in elems[1:]})
-        tail = [group_neg(g, m) for g in reversed(reps)]
-        order = tuple([GroupElement(0, 0)] + reps + tail)
-        delta = (m * m - 1) // 2
+        reps = flat[flat < neg]  # the smaller of each {g, -g}; odd m has no g = -g != 0
+        codes = np.concatenate([[0], reps, neg[reps[::-1]]])
+        delta = (q - 1) // 2
+    a, b = np.divmod(codes, m)
+    order = tuple(map(GroupElement, a.tolist(), b.tolist()))
     index = {g: i for i, g in enumerate(order)}
-    q = m * m
-    add_table = np.empty((q, q), dtype=np.intp)
-    neg_table = np.empty(q, dtype=np.intp)
-    for i, g in enumerate(order):
-        neg_table[i] = index[group_neg(g, m)]
-        for j, h in enumerate(order):
-            add_table[i, j] = index[group_add(g, h, m)]
+    pos = np.empty(q, dtype=np.intp)  # flat code -> ordering index
+    pos[codes] = np.arange(q)
+    add_table = pos[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
+    neg_table = pos[neg[codes]]
     add_table.setflags(write=False)
     neg_table.setflags(write=False)
     return GroupOrdering(
@@ -137,27 +138,10 @@ class PhaseSystem:
 def _roots_of_unity(m: int) -> np.ndarray:
     """exp(2*pi*i*k/m) for k = 0..m-1, with components snapped to exact
     0 / +-1 when within 1e-12 so that binary systems stay integer-exact."""
-    k = np.arange(m)
-    roots = np.exp(2j * np.pi * k / m)
-    re, im = roots.real.copy(), roots.imag.copy()
-    for arr in (re, im):
-        for target in (0.0, 1.0, -1.0):
-            arr[np.abs(arr - target) < 1e-12] = target
-    return re + 1j * im
-
-
-def _pauli_matrices(m: int, ordering: GroupOrdering) -> np.ndarray:
-    """Explicit E_(a,b) = X^a Z^b, one m x m matrix per ordering index.
-
-    E_(a,b)|j> = w^(b*j) |j+a mod m>.
-    """
-    roots = _roots_of_unity(m)
-    mats = np.zeros((m * m, m, m), dtype=np.complex128)
-    for i, (a, b) in enumerate(ordering.order):
-        for j in range(m):
-            mats[i, (j + a) % m, j] = roots[(b * j) % m]
-    mats.setflags(write=False)
-    return mats
+    parts = np.exp(2j * np.pi * np.arange(m) / m).view(np.float64)  # (re, im) pairs
+    for target in (0.0, 1.0, -1.0):
+        parts[np.abs(parts - target) < 1e-12] = target
+    return parts.view(np.complex128)
 
 
 def build_pauli_system(m: int) -> PhaseSystem:
@@ -169,18 +153,17 @@ def build_pauli_system(m: int) -> PhaseSystem:
         raise ValueError(f"m must be >= 2, got {m}")
     ordering = canonical_ordering(m)
     roots = _roots_of_unity(m)
-    q = m * m
-    omega = np.empty((q, q), dtype=np.complex128)
-    for i, (_, b) in enumerate(ordering.order):
-        for j, (c, _) in enumerate(ordering.order):
-            omega[i, j] = roots[(b * c) % m]
+    # the X and Z exponents by ordering index
+    a, b = np.fromiter(chain.from_iterable(ordering.order), np.intp, 2 * m * m).reshape(-1, 2).T
+    omega = roots[b[:, None] * a % m]  # omega[i, j] = w^(b_i * a_j)
     kernel = omega * np.conj(omega.T)
-    omega.setflags(write=False)
-    kernel.setflags(write=False)
-    return PhaseSystem(
-        m=m, omega=omega, kernel=kernel, ordering=ordering,
-        matrices=_pauli_matrices(m, ordering),
-    )
+    # the matrices E_(a,b)|j> = w^(b*j) |j+a mod m>, one per ordering index
+    j = np.arange(m)
+    mats = np.zeros((m * m, m, m), dtype=np.complex128)
+    mats[np.arange(m * m)[:, None], (j + a[:, None]) % m, j] = roots[b[:, None] * j % m]
+    for arr in (omega, kernel, mats):
+        arr.setflags(write=False)
+    return PhaseSystem(m=m, omega=omega, kernel=kernel, ordering=ordering, matrices=mats)
 
 
 def character(sys: PhaseSystem, h: GroupElement, g: GroupElement) -> complex:

@@ -562,3 +562,65 @@ def test_invalid_utf8_input_is_input_error_with_line(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: line 5: not valid UTF-8 (invalid continuation byte)\n"
+
+
+# --- the parser: a call builds only its own subcommand's parser ---
+
+def _per_command_argvs():
+    """For each command: help, a missing required argument, an unknown
+    option, a bad choice and a non-integer --trials."""
+    return {
+        "analyze": [[], ["513", "--bogus"], ["513", "--format", "json"],
+                    ["513", "--trials", "x"]],
+        "enumerate": [["513"], ["513", "--kind", "hamming", "--bogus"],
+                      ["513", "--kind", "weight"], ["513", "--kind", "lee", "--format", "json"],
+                      ["513", "--kind", "lee", "--trials", "x"]],
+        "verify": [["513"], ["513", "--identity", "t4", "--bogus"],
+                   ["513", "--identity", "t5"], ["513", "--identity", "t4", "--format", "json"],
+                   ["513", "--identity", "t4", "--trials", "x"]],
+        "transform": [[], ["x.elem", "--bogus"], ["x.elem", "--format", "json"],
+                      ["x.elem", "--trials", "x"]],
+    }
+
+
+_PARSER_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--", "analyze", "513"]] + [
+    [command, *rest]
+    for command, argvs in _per_command_argvs().items()
+    for rest in [["-h"], *argvs]
+]
+
+
+def _outcome(call, argv, capsys):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_tree(argv):
+    from qecalg import cli
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_parser_matches_the_full_tree(capsys, argv):
+    # the same stdout, stderr and exit code as the full parser tree, usage
+    # lines and help texts included
+    assert _outcome(main, list(argv), capsys) == _outcome(_full_tree, list(argv), capsys)
+
+
+def test_a_call_builds_one_subparser(capsys, monkeypatch):
+    import argparse
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["analyze", "513"]) == 0
+    assert built == ["analyze"]

@@ -377,6 +377,22 @@ def test_distance_rules_agree_with_wide_margins(case):
         assert np.all((gap <= 1e-12) | (gap >= 1e-2)), (report.K, gap)
 
 
+
+@pytest.mark.parametrize("m,n", [(2, 10), (4, 5), (3, 6)])
+def test_basis_element_peaks_at_twice_its_size(m, n):
+    # the interleaved Q and one kernel scratch array alternate; the caller's
+    # input (V) is tiny, so the traced peak stays near two elements
+    code = random_code(m, n, 2, seed=5)
+    sys_ = build_pauli_system(m)
+    tracemalloc.start()
+    try:
+        c = associated_element(sys_, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * c.coeffs.nbytes, f"traced peak {peak / c.coeffs.nbytes:.2f} x the element"
+
+
 # --- the exact stabilizer route ---
 
 def _scrambled_generators(m, n, exponents, seed, gates=400):

@@ -252,3 +252,78 @@ def test_basis_axioms_take_formed_products(sys2):
     products = mats[:, None] @ mats[None, :]
     products[1, 2] *= -1.0
     assert verify_basis_axioms(sys2, products).failures == (("closure", 1, 2),)
+
+
+# --- the tables against the per-element loops they replaced ---
+
+def _reference_ordering(m):
+    """(order, index, add_table, neg_table) built one element at a time."""
+    elems = [GroupElement(a, b) for a in range(m) for b in range(m)]
+    if m % 2 == 0:
+        order = tuple(elems)
+    else:
+        reps = sorted({min(g, group_neg(g, m)) for g in elems[1:]})
+        tail = [group_neg(g, m) for g in reversed(reps)]
+        order = tuple([GroupElement(0, 0)] + reps + tail)
+    index = {g: i for i, g in enumerate(order)}
+    q = m * m
+    add_table = np.empty((q, q), dtype=np.intp)
+    neg_table = np.empty(q, dtype=np.intp)
+    for i, g in enumerate(order):
+        neg_table[i] = index[group_neg(g, m)]
+        for j, h in enumerate(order):
+            add_table[i, j] = index[group_add(g, h, m)]
+    return order, index, add_table, neg_table
+
+
+def _reference_roots(m):
+    """The m-th roots of unity with components within 1e-12 of 0, 1 or -1
+    snapped, one component at a time."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    re, im = roots.real.copy(), roots.imag.copy()
+    for arr in (re, im):
+        for target in (0.0, 1.0, -1.0):
+            arr[np.abs(arr - target) < 1e-12] = target
+    return re + 1j * im
+
+
+def _reference_pauli(m, order):
+    """(omega, kernel, matrices) built one entry at a time."""
+    roots = _reference_roots(m)
+    q = m * m
+    omega = np.empty((q, q), dtype=np.complex128)
+    for i, (_, b) in enumerate(order):
+        for j, (c, _) in enumerate(order):
+            omega[i, j] = roots[(b * c) % m]
+    kernel = omega * np.conj(omega.T)
+    mats = np.zeros((q, m, m), dtype=np.complex128)
+    for i, (a, b) in enumerate(order):
+        for j in range(m):
+            mats[i, (j + a) % m, j] = roots[(b * j) % m]
+    return omega, kernel, mats
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if np.iscomplexobj(want):
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_tables_match_the_element_loops(m):
+    ordering = canonical_ordering(m)
+    order, index, add_table, neg_table = _reference_ordering(m)
+    assert ordering.order == order
+    assert all(type(g) is GroupElement and type(g.a) is type(g.b) is int
+               for g in ordering.order)
+    assert ordering.index == index
+    assert ordering.lee_delta == (None if m % 2 == 0 else (m * m - 1) // 2)
+    _same_bits(ordering.add_table, add_table)
+    _same_bits(ordering.neg_table, neg_table)
+    sys_ = build_pauli_system(m)
+    assert sys_.ordering is ordering
+    for got, want in zip((sys_.omega, sys_.kernel, sys_.matrices), _reference_pauli(m, order)):
+        _same_bits(got, want)
+    for arr in (ordering.add_table, ordering.neg_table, sys_.omega, sys_.kernel, sys_.matrices):
+        assert not arr.flags.writeable

@@ -64,9 +64,9 @@ def real_route_calls(monkeypatch):
     calls = []
     real = kernel._apply_real
 
-    def spy(mat, a, n):
+    def spy(mat, a, n, *rest):
         calls.append(n)
-        return real(mat, a, n)
+        return real(mat, a, n, *rest)
 
     monkeypatch.setattr(kernel, "_apply_real", spy)
     return calls
@@ -84,7 +84,7 @@ def test_real_matrix_matches_tensordot(n, real_route_calls):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 9])
 def test_integer_input_is_bit_identical_to_complex_loop(n, sys2, real_route_calls):
     # the m=2 Pauli kernel is complex-typed with a zero imaginary part
     rng = np.random.default_rng(n)
@@ -112,3 +112,23 @@ def test_complex_side4_matrix_takes_the_complex_loop(real_route_calls):
     got = kernel.apply_axiswise(mat, vec, 3)
     assert real_route_calls == []
     assert got.view(np.uint64).tolist() == _complex_loop(mat, vec, 3).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("s,n", [(4, 1), (4, 6), (4, 7), (9, 1), (9, 4)])
+def test_overwrite_input_uses_one_scratch_array(s, n):
+    # the caller's array is one of the two buffers: the same bits, and the
+    # call allocates about one array of the input's size, not two
+    import tracemalloc
+    rng = np.random.default_rng(s + n)
+    mat = rng.standard_normal((s, s)) if s == 4 else _random_case(rng, s, n)[0]
+    vec = rng.standard_normal(s ** n) + 1j * rng.standard_normal(s ** n)
+    want = kernel.apply_axiswise(mat, vec, n)
+    scratch = vec.copy()
+    tracemalloc.start()
+    try:
+        got = kernel.apply_axiswise(mat, scratch, n, overwrite_input=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert peak <= vec.nbytes + 16384  # the small matrices and views besides
