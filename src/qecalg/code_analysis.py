@@ -14,13 +14,19 @@ of the n (r_i, c_i) axes; no error operator E_g is ever built.
 A code given by stabilizer generators maps to the indicator of the generated
 index subgroup S.  `analyze` takes one of two routes:
 
-  exact (stabilizer input)  S is enumerated by coset doubling on small-
-      integer arrays, A_w counts its elements of weight w, and A' = B comes
-      from the Hamming identity (t9) in integer arithmetic,
+  exact (stabilizer input)  the generators are reduced to Howell form over
+      Z_m (Howell 1986; Storjohann-Mulders 1998), rows h_k of orders t_k
+      with every element of S equal to sum_k c_k h_k, 0 <= c_k < t_k, in
+      exactly one way.  S is then streamed, never stored: a table of the
+      combinations of the last rows (at most _BLOCK elements) plus one
+      offset per combination of the others.  A_w counts the elements of
+      weight w block by block, and A' = B comes from the Hamming identity
+      (t9) in integer arithmetic,
           B(x, y) = (1/|S|) A(x + (m^2 - 1) y, x - y);
-      no array of m^(2n) coefficients is built.  t9 holds for every nice
-      error basis (the kernel rows sum to zero, lemma 1), so these numbers
-      do not depend on the basis.
+      no array of m^(2n) coefficients is built, and memory is O(n _BLOCK).
+      t9 holds for every nice error basis (the kernel rows sum to zero,
+      lemma 1), so these numbers do not depend on the basis.  Phased
+      generators are checked for consistency through the reduction.
   dense (basis input)  C is built once, A is its Hamming distribution and
       A' comes from t9 in floating point; the transform C' is never built.
 
@@ -39,7 +45,10 @@ comparison is exact, on the dense route's floats it uses COEFF_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +69,10 @@ from .group_algebra import AlgebraElement, transform
 from .reports import CheckReport
 
 COEFF_TOL = 1e-9
+
+# S is streamed in blocks of at most this many elements (the stored combinations
+# of the low Howell rows)
+_BLOCK = 1 << 16
 
 Label = tuple[GroupElement, ...]
 
@@ -135,6 +148,24 @@ def symplectic_product(g: Label, h: Label, m: int) -> int:
     return total % m
 
 
+def _generator_rows(code: CodeSpec) -> np.ndarray:
+    """The (r, 2n) generator rows (a_1, b_1, ..., a_n, b_n), checked to
+    commute pairwise: the symplectic products of all pairs are the one
+    integer product X Z^T - Z X^T mod m."""
+    m, n = code.m, code.n
+    r = len(code.body.labels)
+    flat = chain.from_iterable(chain.from_iterable(code.body.labels))
+    gens = np.fromiter(flat, np.int64, r * 2 * n).reshape(r, n, 2)
+    x, z = gens[:, :, 0], gens[:, :, 1]
+    clash = (x @ z.T - z @ x.T) % m
+    if clash.any():
+        # antisymmetric with a zero diagonal: the first nonzero entry in
+        # row-major order is the first pair i < j
+        i, j = np.argwhere(clash)[0]
+        raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
+    return gens.reshape(r, 2 * n)
+
+
 def validate_code(code: CodeSpec) -> None:
     """Orthonormality for basis input, pairwise commutation for stabilizers."""
     if isinstance(code.body, BasisVectors):
@@ -144,100 +175,182 @@ def validate_code(code: CodeSpec) -> None:
         if not resid <= COEFF_TOL:  # NaN fails too
             raise NonOrthonormalBasis(f"max |<v_i|v_j> - delta_ij| = {resid:.3e}")
     else:
-        gens = code.body.labels
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if symplectic_product(gens[i], gens[j], code.m) != 0:
-                    raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
-
-
-def _locate(group: np.ndarray, target: np.ndarray) -> int | None:
-    """Column of `group` equal to `target`, narrowing the candidates one
-    coordinate at a time so that no temporary of the size of `group` is built."""
-    hit = np.flatnonzero(group[0] == target[0])
-    for j in range(1, group.shape[0]):
-        hit = hit[group[j, hit] == target[j]]
-    return int(hit[0]) if hit.size else None
+        _generator_rows(code)
 
 
 def _ordering_positions(m: int) -> np.ndarray:
     """(m, m) table: the canonical ordering index of (a, b)."""
-    index = canonical_ordering(m).index
-    return np.array([[index[(a, b)] for b in range(m)] for a in range(m)], dtype=np.intp)
+    a, b = np.array(canonical_ordering(m).order, dtype=np.intp).T
+    pos = np.empty((m, m), dtype=np.intp)
+    pos[a, b] = np.arange(m * m)
+    return pos
 
 
-def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:
-    """The index group S generated by the labels, as a (2n, |S|) array whose
-    columns are the elements (a_1, b_1, ..., a_n, b_n), identity first, in
-    the smallest unsigned dtype holding m - 1 (2n bytes per element for
-    m <= 256).  Each coordinate of all elements is one contiguous row.
+def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
+    """(u, g): a unit u of Z_m with u a = g = gcd(a, m) mod m, for 0 < a < m."""
+    g = math.gcd(a, m)
+    u = pow(a // g, -1, m // g)
+    while math.gcd(u, m) != 1:  # lift the inverse mod m/g to a unit mod m
+        u += m // g
+    return u, g
 
-    Coset doubling: for each generator g, find the first t >= 1 with t g
-    already in S, then append the cosets S + t' g for t' = 1 .. t - 1, so S
-    grows t-fold and no element is formed twice; no prime-power case is needed.
 
-    When the code carries phases, each element also carries the phase of its
-    operator, a product taken coordinate by coordinate from `sys.omega`.  At
-    the stopping t, (phi E_g)^t must equal the operator already stored for
-    t g; otherwise the group holds a nontrivial multiple of the identity and
-    InconsistentStabilizers is raised.
+class _Phases:
+    """The phases of phased generators through the row steps: each row h
+    stands for the operator lam E_h of the group the generators generate."""
+
+    def __init__(self, sys: PhaseSystem, m: int):
+        self.omega, self.pos, self.m = sys.omega, _ordering_positions(m), m
+
+    def _omega(self, left: np.ndarray, right: np.ndarray) -> complex:
+        """prod over qudits and over the rows of `left` of omega(left, right),
+        the phase in E_l E_r = omega E_(l+r)."""
+        return self.omega[self.pos[left[..., 0::2], left[..., 1::2]],
+                          self.pos[right[0::2], right[1::2]]].prod()
+
+    def power(self, h: np.ndarray, lam: complex, e: int) -> complex:
+        """The phase of (lam E_h)^e = lam^e prod_{0<u<e} omega(u h, h) E_(e h)."""
+        return lam ** e * self._omega(np.arange(1, e)[:, None] * h % self.m, h)
+
+    def combine(self, h1: np.ndarray, lam1: complex, e1: int,
+                h2: np.ndarray, lam2: complex, e2: int) -> complex:
+        """The phase of (lam1 E_h1)^e1 (lam2 E_h2)^e2, exponents taken mod m."""
+        e1, e2 = e1 % self.m, e2 % self.m
+        return (self.power(h1, lam1, e1) * self.power(h2, lam2, e2)
+                * self._omega(e1 * h1 % self.m, e2 * h2 % self.m))
+
+
+def _require_identity(lam: complex, what: str) -> None:
+    """Raise InconsistentStabilizers unless the operator lam I is I."""
+    if not abs(lam - 1.0) <= PHASE_TOL:
+        turn = np.angle(lam) / (2 * np.pi) % 1.0
+        raise InconsistentStabilizers(
+            f"{what} is exp(2*pi*i*{turn:.6g}) times the identity: "
+            "the group holds a multiple of the identity")
+
+
+def _howell_form(gens: np.ndarray, m: int,
+                 phases: _Phases | None = None, lam: list | None = None):
+    """Howell form over Z_m of the rows of `gens`: rows h_k whose pivot (the
+    first nonzero entry) p_k divides m, in strictly increasing columns, with
+    the entries above each pivot reduced below it, and t_k h_k in the span
+    of the later rows for t_k = m / p_k.  Every element of the row span is
+    sum_k c_k h_k with 0 <= c_k < t_k in exactly one way, so its order is
+    prod_k t_k.  Returns the rows and the orders t_k.
+
+    Each column is cleared by unimodular row steps (Storjohann's): the row
+    whose entry generates the largest ideal is the pivot row, rows are added
+    to it until its entry generates the ideal of the whole column (needed
+    only when m has two prime factors), it is scaled by a unit to the
+    divisor g, and a multiple of it is subtracted from every other row.  For
+    g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
+
+    With `phases`, `lam` holds the phase of each generator's operator, and
+    the phase of every row is carried through each step (the generators'
+    operators must have order dividing m, so exponents are taken mod m).
+    Every step is invertible, so the rows' operators generate the same group,
+    and every row left at the end is zero: its operator must be the identity
+    itself, or InconsistentStabilizers is raised.  That also checks each
+    order relation t_k h_k = sum_{j>k} c_j h_j: the annihilator row is the
+    operator of t_k h_k, and it ends as a word in the later rows and the
+    zero rows.  So the operators of S are well defined, one per element.
     """
-    validate_code(code)
+    mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
+    lam = None if phases is None else np.array(lam, dtype=np.complex128)
+    k, cols = 0, []
+    while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
+        col = int(todo[0])  # every row below k is zero before this column
+        vals = mat[k:, col]
+        p = k + int(np.argmin(np.gcd(vals, m)))  # a zero entry has gcd m, the largest
+        g = math.gcd(int(mat[p, col]), m)
+        # only when m has two prime factors can an entry lie outside the ideal
+        # of the pivot's: then c times its row joins the pivot row, for a c
+        # with gcd(a + c b, m) = gcd(a, b, m), which always exists
+        for i in k + np.flatnonzero(vals % g):
+            a, b = int(mat[p, col]), int(mat[i, col])
+            c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
+            if lam is not None:
+                lam[p] = phases.combine(mat[p], lam[p], 1, mat[i], lam[i], c)
+            mat[p] = (mat[p] + c * mat[i]) % m
+        u, g = _unit_to_divisor(int(mat[p, col]), m)
+        if lam is not None:
+            lam[p] = phases.power(mat[p], lam[p], u)
+            lam[[k, p]] = lam[[p, k]]
+        if u != 1:
+            mat[p] = u * mat[p] % m
+        if p != k:
+            mat[[k, p]] = mat[[p, k]]
+        q = mat[:, col] // g  # clears the rows below k, reduces those above below g
+        q[k] = 0
+        if lam is not None:
+            for i in np.flatnonzero(q):
+                lam[i] = phases.combine(mat[i], lam[i], 1, mat[k], lam[k], -int(q[i]))
+        mat -= q[:, None] * mat[k]
+        mat %= m
+        cols.append(col)
+        k += 1
+        if g != 1:
+            mat = np.vstack([mat, m // g * mat[k - 1] % m])
+            if lam is not None:
+                lam = np.append(lam, phases.power(mat[k - 1], lam[k - 1], m // g))
+    if lam is not None:
+        for x in lam[k:]:  # every row left is zero
+            _require_identity(x, "a product of the generators")
+    rows = mat[:k]
+    return rows, m // rows[np.arange(k), cols]
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z_m x Z_m on pair codes a m + b: the (m^2, m^2) sum table and the
+    negation table, read-only, in the smallest unsigned dtype holding m^2 - 1."""
+    a, b = np.divmod(np.arange(m * m), m)
+    dtype = np.min_scalar_type(m * m - 1)
+    plus = ((a[:, None] + a) % m * m + (b[:, None] + b) % m).astype(dtype)
+    neg = (-a % m * m + -b % m).astype(dtype)
+    plus.setflags(write=False)
+    neg.setflags(write=False)
+    return plus, neg
+
+
+def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The index group S as two tables of per-qudit pair codes a m + b:
+    `low`, (n, L) with L <= _BLOCK, the combinations of the last Howell rows,
+    and `high`, (n, |S| / L), those of the others.  Every element of S is
+    low[:, j] + high[:, k] (added qudit by qudit in Z_m x Z_m) for exactly
+    one (j, k), so S is streamed in |S| / L blocks and never stored.
+
+    Phased codes are checked first: each generator's operator must have
+    order dividing m, then the Howell reduction carries the phases."""
+    gens = _generator_rows(code)
     if sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n = code.m, code.n
-    dtype = np.min_scalar_type(m - 1)
-    plus = ((np.arange(m)[:, None] + np.arange(m)) % m).astype(dtype)
-    phases = code.body.phases
-    if phases is not None:
-        pos = _ordering_positions(m)
+    if code.body.phases is None:
+        rows, orders = _howell_form(gens, m)
+    else:
+        phases = _Phases(sys, m)
+        lam = [np.exp(1j * np.pi * p / m) for p in code.body.phases]
+        for k, (g, phi) in enumerate(zip(gens, lam)):
+            _require_identity(phases.power(g, phi, m), f"generator {k} to the power {m}")
+        rows, orders = _howell_form(gens, m, phases, lam)
+    plus, _ = _pair_tables(m)
+    # the pair codes of every multiple: codes[k, :, t] is t h_k, and each
+    # index array below is C-ordered, so that every table comes out C-ordered
+    t = np.arange(m)
+    codes = (rows[:, 0::2, None] * t % m * m + rows[:, 1::2, None] * t % m).astype(plus.dtype)
 
-        def omega_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-            """prod_i omega[left_i, right_i] for each column of `left`."""
-            out = np.ones(left.shape[1], dtype=np.complex128)
-            for i in range(n):
-                out *= sys.omega[pos[left[2 * i], left[2 * i + 1]],
-                                 pos[right[2 * i], right[2 * i + 1]]]
-            return out
+    def combinations(ks) -> np.ndarray:
+        out = np.zeros((n, 1), dtype=plus.dtype)
+        for k in ks:
+            out = plus[out[:, None, :], codes[k, :, :orders[k], None]].reshape(n, -1)
+        return out
 
-        lam = np.ones(1, dtype=np.complex128)
-    group = np.zeros((2 * n, 1), dtype=dtype)
-    for k, label in enumerate(code.body.labels):
-        g = np.array([x for pair in label for x in pair], dtype=dtype)
-        shifts = [g]  # t g for t = 1, 2, ...; the last one is in S
-        while (hit := _locate(group, shifts[-1])) is None:
-            shifts.append(plus[shifts[-1], g])
-        if phases is not None:
-            phi = np.exp(1j * np.pi * phases[k] / m)
-            mu = [phi]  # (phi E_g)^t = mu[t - 1] E_(t g)
-            for tg in shifts[:-1]:
-                mu.append(mu[-1] * phi * omega_product(tg[:, None], g)[0])
-            if not abs(mu[-1] - lam[hit]) <= PHASE_TOL:
-                turn = np.angle(mu[-1] / lam[hit]) / (2 * np.pi) % 1.0
-                raise InconsistentStabilizers(
-                    f"generator {k} to the power {len(shifts)} is exp(2*pi*i*{turn:.6g}) "
-                    "times an element of the group: the group holds a multiple of the identity"
-                )
-            lam = np.concatenate([lam] + [lam * mu[t] * omega_product(group, tg)
-                                          for t, tg in enumerate(shifts[:-1])])
-        size = group.shape[1]
-        grown = np.empty((2 * n, size * len(shifts)), dtype=dtype)
-        grown[:, :size] = group
-        for t, tg in enumerate(shifts[:-1], start=1):
-            for j, v in enumerate(tg):
-                np.take(plus[v], group[j], out=grown[j, t * size:(t + 1) * size])
-        group = grown
-    return group
-
-
-def _group_indices(group: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Flat coefficient indices of the columns of `stabilizer_group`."""
-    pos = _ordering_positions(m)
-    idx = np.zeros(group.shape[1], dtype=np.int64)
-    for i in range(n):
-        idx *= m * m
-        idx += pos[group[2 * i], group[2 * i + 1]]
-    return idx
+    split, size = len(orders), 1
+    while split and size * orders[split - 1] <= _BLOCK:
+        split -= 1
+        size *= int(orders[split])
+    return combinations(range(split, len(orders))), combinations(range(split))
 
 
 def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
@@ -271,14 +384,22 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """The algebra element encoding the code (c_0 is always 1).
 
     Stabilizer input: indicator of the generated index subgroup (with the
-    phase check of `stabilizer_group`).  Basis input: |tr(E_g P)|^2 / K^2
-    for every label in one axis contraction, under any nice error basis.
+    phase check of `_index_group`), scattered block by block.  Basis input:
+    |tr(E_g P)|^2 / K^2 for every label in one axis contraction, under any
+    nice error basis.
     """
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
-        idx = _group_indices(stabilizer_group(sys, code), m, n)
-        coeffs = np.zeros((m * m) ** n, dtype=np.complex128)
-        coeffs[idx] = 1.0
+        low, high = _index_group(sys, code)
+        q = m * m
+        to_pos = _ordering_positions(m).reshape(-1)[_pair_tables(m)[0]]  # ordering index of u + v
+        coeffs = np.zeros(q ** n, dtype=np.complex128)
+        for offset in high.T:
+            idx = np.zeros(low.shape[1], dtype=np.int64)
+            for i in range(n):
+                idx *= q
+                idx += to_pos[offset[i]][low[i]]
+            coeffs[idx] = 1.0
         return AlgebraElement(m, n, coeffs)
     validate_code(code)
     return _associated_basis(sys, code)
@@ -333,18 +454,20 @@ def _pair_report(code: CodeSpec, k: int, mass: float, a: Sequence, b: Sequence,
 
 
 def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
-    """K, d, purity, A and A' of a stabilizer code from the elements of S."""
+    """K, d, purity, A and A' of a stabilizer code, with S streamed in blocks."""
     m, n = code.m, code.n
-    group = stabilizer_group(sys, code)
-    size = group.shape[1]
+    low, high = _index_group(sys, code)
+    size = low.shape[1] * high.shape[1]
     if m ** n % size:
         raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
-    # one coordinate at a time, so no (n, |S|) temporary joins S at the peak
-    weights = np.zeros(size, dtype=np.min_scalar_type(n))
-    for i in range(n):
-        weights += (group[2 * i] | group[2 * i + 1]) != 0
-    del group
-    a = [int(x) for x in np.bincount(weights, minlength=n + 1)]
+    # a qudit of low + offset is nonzero iff its low pair differs from -offset
+    _, neg = _pair_tables(m)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    weight = np.min_scalar_type(n)
+    for minus in neg[high].T:
+        differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
+        counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
+    a = [int(x) for x in counts]
     b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
     if any(x % size for x in b):
         raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")

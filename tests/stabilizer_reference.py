@@ -1,0 +1,113 @@
+"""The coset-doubling enumeration of S that `qecalg.code_analysis` replaced.
+
+Kept only as the reference the Howell-form stream is tested against, the
+way `element_io_reference.py` certifies the bulk element parser: S is built
+generator by generator and stored whole, each generator's order is found by
+searching the stored group, and the phases of phased codes are carried on
+every stored element.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qecalg.code_analysis import CodeSpec, validate_code
+from qecalg.error_basis import PHASE_TOL, PhaseSystem, canonical_ordering
+from qecalg.errors import InconsistentStabilizers, ShapeMismatch
+
+
+def _locate(group: np.ndarray, target: np.ndarray) -> int | None:
+    """Column of `group` equal to `target`, narrowing the candidates one
+    coordinate at a time so that no temporary of the size of `group` is built."""
+    hit = np.flatnonzero(group[0] == target[0])
+    for j in range(1, group.shape[0]):
+        hit = hit[group[j, hit] == target[j]]
+    return int(hit[0]) if hit.size else None
+
+
+def _ordering_positions(m: int) -> np.ndarray:
+    """(m, m) table: the canonical ordering index of (a, b)."""
+    index = canonical_ordering(m).index
+    return np.array([[index[(a, b)] for b in range(m)] for a in range(m)], dtype=np.intp)
+
+
+def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:
+    """The index group S generated by the labels, as a (2n, |S|) array whose
+    columns are the elements (a_1, b_1, ..., a_n, b_n), identity first, in
+    the smallest unsigned dtype holding m - 1 (2n bytes per element for
+    m <= 256).  Each coordinate of all elements is one contiguous row.
+
+    Coset doubling: for each generator g, find the first t >= 1 with t g
+    already in S, then append the cosets S + t' g for t' = 1 .. t - 1, so S
+    grows t-fold and no element is formed twice; no prime-power case is needed.
+
+    When the code carries phases, each element also carries the phase of its
+    operator, a product taken coordinate by coordinate from `sys.omega`.  At
+    the stopping t, (phi E_g)^t must equal the operator already stored for
+    t g; otherwise the group holds a nontrivial multiple of the identity and
+    InconsistentStabilizers is raised.
+    """
+    validate_code(code)
+    if sys.m != code.m:
+        raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
+    m, n = code.m, code.n
+    dtype = np.min_scalar_type(m - 1)
+    plus = ((np.arange(m)[:, None] + np.arange(m)) % m).astype(dtype)
+    phases = code.body.phases
+    if phases is not None:
+        pos = _ordering_positions(m)
+
+        def omega_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            """prod_i omega[left_i, right_i] for each column of `left`."""
+            out = np.ones(left.shape[1], dtype=np.complex128)
+            for i in range(n):
+                out *= sys.omega[pos[left[2 * i], left[2 * i + 1]],
+                                 pos[right[2 * i], right[2 * i + 1]]]
+            return out
+
+        lam = np.ones(1, dtype=np.complex128)
+    group = np.zeros((2 * n, 1), dtype=dtype)
+    for k, label in enumerate(code.body.labels):
+        g = np.array([x for pair in label for x in pair], dtype=dtype)
+        shifts = [g]  # t g for t = 1, 2, ...; the last one is in S
+        while (hit := _locate(group, shifts[-1])) is None:
+            shifts.append(plus[shifts[-1], g])
+        if phases is not None:
+            phi = np.exp(1j * np.pi * phases[k] / m)
+            mu = [phi]  # (phi E_g)^t = mu[t - 1] E_(t g)
+            for tg in shifts[:-1]:
+                mu.append(mu[-1] * phi * omega_product(tg[:, None], g)[0])
+            if not abs(mu[-1] - lam[hit]) <= PHASE_TOL:
+                turn = np.angle(mu[-1] / lam[hit]) / (2 * np.pi) % 1.0
+                raise InconsistentStabilizers(
+                    f"generator {k} to the power {len(shifts)} is exp(2*pi*i*{turn:.6g}) "
+                    "times an element of the group: the group holds a multiple of the identity"
+                )
+            lam = np.concatenate([lam] + [lam * mu[t] * omega_product(group, tg)
+                                          for t, tg in enumerate(shifts[:-1])])
+        size = group.shape[1]
+        grown = np.empty((2 * n, size * len(shifts)), dtype=dtype)
+        grown[:, :size] = group
+        for t, tg in enumerate(shifts[:-1], start=1):
+            for j, v in enumerate(tg):
+                np.take(plus[v], group[j], out=grown[j, t * size:(t + 1) * size])
+        group = grown
+    return group
+
+
+def group_indices(group: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Flat coefficient indices of the columns of `stabilizer_group`."""
+    pos = _ordering_positions(m)
+    idx = np.zeros(group.shape[1], dtype=np.int64)
+    for i in range(n):
+        idx *= m * m
+        idx += pos[group[2 * i], group[2 * i + 1]]
+    return idx
+
+
+def hamming_counts(group: np.ndarray, n: int) -> list[int]:
+    """A_w: the number of columns of `stabilizer_group` of weight w."""
+    weights = np.zeros(group.shape[1], dtype=np.min_scalar_type(n))
+    for i in range(n):
+        weights += (group[2 * i] | group[2 * i + 1]) != 0
+    return [int(x) for x in np.bincount(weights, minlength=n + 1)]

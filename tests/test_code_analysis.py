@@ -21,7 +21,8 @@ from qecalg import (
     transform,
     validate_custom_basis,
 )
-from qecalg.code_analysis import BasisVectors, _distance_and_purity, stabilizer_group
+from qecalg import code_analysis
+from qecalg.code_analysis import BasisVectors, _distance_and_purity, validate_code
 from qecalg.errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -38,6 +39,7 @@ from qecalg.oracle import (
     oracle_minimum_distance,
     projector,
 )
+from stabilizer_reference import group_indices, hamming_counts, stabilizer_group
 
 
 def full_space_code(m, n):
@@ -175,9 +177,8 @@ def test_composite_m_closure():
     gens = [((0, 1), (0, 3))]
     code = CodeSpec.from_stabilizers(4, 2, gens)
     sys4 = __import__("qecalg").build_pauli_system(4)
-    group = stabilizer_group(sys4, code)
-    assert group.shape == (4, 4)
     report = analyze(sys4, code)
+    assert report.mass == 4
     assert report.K == 4 ** 2 / 4
 
 
@@ -237,6 +238,24 @@ def test_validation_errors(sys2):
             sys2,
             CodeSpec.from_stabilizers(2, 1, [((1, 0),), ((0, 1),)]),
         )
+
+
+def test_commutation_check_names_the_first_pair():
+    # the one integer product reports the pair the pairwise loop finds first
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 4, 6):
+        for _ in range(50):
+            n, r = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            gens = [tuple(map(tuple, rng.integers(0, m, size=(n, 2)))) for _ in range(r)]
+            first = next(((i, j) for i in range(r) for j in range(i + 1, r)
+                          if symplectic_product(gens[i], gens[j], m)), None)
+            code = CodeSpec.from_stabilizers(m, n, gens)
+            if first is None:
+                validate_code(code)
+                continue
+            with pytest.raises(NonCommutingGenerators,
+                               match=f"^generators {first[0]} and {first[1]} do not commute$"):
+                validate_code(code)
 
 
 def test_non_integer_dimension(sys2):
@@ -424,7 +443,7 @@ def _consistent_phases(sys_, m, n, gens):
     for i in range(len(gens)):
         for p in range(2 * m):
             try:
-                stabilizer_group(sys_, CodeSpec.from_stabilizers(m, n, gens[:i + 1], phases + [p]))
+                analyze(sys_, CodeSpec.from_stabilizers(m, n, gens[:i + 1], phases + [p]))
             except InconsistentStabilizers:
                 continue
             phases.append(p)
@@ -506,6 +525,111 @@ def test_exact_route_twenty_qubits_stays_small(sys2):
     a, b = report.primary_distribution.a.real, report.dual_distribution.a.real
     assert a.sum() == 2 ** 19 and b.sum() == 4 ** 20 / 2 ** 19
     assert np.all(b[1:report.d] == a[1:report.d]) and b[report.d] > a[report.d]
+
+
+def test_exact_route_twenty_four_qubits_streams(sys2):
+    # [[24,1]]: |S| = 2^23 elements, streamed in blocks; storing S would take 384 MiB
+    code = CodeSpec.from_stabilizers(2, 24, _scrambled_generators(2, 24, [1] * 23, seed=24))
+    tracemalloc.start()
+    try:
+        report = analyze(sys2, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    assert report.primary_distribution.a.real.sum() == 2 ** 23
+    assert (report.K, report.mass) == (2, 2.0 ** 23)
+
+
+def _random_generator_sets(rng, m, n, count):
+    """Commuting generator lists, shuffled: Z-type seeds of random exponents
+    put through a random circuit (a zero exponent gives the identity; at
+    n = 1, multiples of one random label), then redundant generators, which
+    are random combinations of the others and generators times a proper
+    divisor of m (times m - 1 for prime m)."""
+    divisors = [d for d in range(2, m) if m % d == 0] or [m - 1]
+    for _ in range(count):
+        exponents = rng.integers(0, m, size=rng.integers(1, n + 1))
+        if n == 1:  # multiples of one random label
+            gens = exponents[:, None, None] * rng.integers(0, m, size=2) % m
+        else:
+            gens = np.array(_scrambled_generators(m, n, exponents.tolist(),
+                                                  seed=int(rng.integers(1 << 30)), gates=40))
+        extra = [rng.integers(0, m, size=len(gens)) @ gens.reshape(len(gens), -1) % m
+                 for _ in range(rng.integers(0, 3))]
+        extra += [rng.choice(divisors) * gens[rng.integers(len(gens))].reshape(-1) % m
+                  for _ in range(rng.integers(0, 3))]
+        rows = [g.reshape(-1) for g in gens] + extra
+        order = rng.permutation(len(rows))
+        yield [[tuple(int(x) for x in rows[i][2 * j:2 * j + 2]) for j in range(n)] for i in order]
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])
+def test_stream_matches_coset_doubling(monkeypatch, m, block):
+    # the Howell-form stream against the stored coset-doubling group: order,
+    # Hamming counts and (where m^(2n) is small) the scattered indicator;
+    # block 1 and 7 put every or nearly every Howell row on the offset side
+    if block is not None:
+        monkeypatch.setattr(code_analysis, "_BLOCK", block)
+    sys_ = build_pauli_system(m)
+    rng = np.random.default_rng(m)
+    for n in range(1, 6):
+        if m ** n > 6000:
+            break
+        for gens in _random_generator_sets(rng, m, n, 4):
+            code = CodeSpec.from_stabilizers(m, n, gens)
+            group = stabilizer_group(sys_, code)
+            report = analyze(sys_, code)
+            assert report.mass == group.shape[1]
+            assert report.primary_distribution.rounded() == tuple(hamming_counts(group, n))
+            if m ** (2 * n) <= 1 << 16:
+                c = associated_element(sys_, code).coeffs
+                expected = np.zeros_like(c)
+                expected[group_indices(group, m, n)] = 1.0
+                assert np.array_equal(c, expected)
+
+
+def test_phase_check_agrees_with_oracle_on_random_codes():
+    # random (redundant, divisor-scaled) generators under the Pauli basis and
+    # a regauged one whose omega has powers of exp(i pi/m); the phases are
+    # random, or the library's consistent choice, as is or with one moved
+    rng = np.random.default_rng(2024)
+    systems = {}
+    counts = {False: 0, True: 0}
+    for trial in range(300):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        basis = ("pauli", "regauged")[trial // 4 % 2]
+        if (m, basis) not in systems:
+            sys_ = build_pauli_system(m)
+            if basis == "regauged":
+                roots = np.exp(1j * np.pi * rng.integers(2 * m, size=m * m) / m)
+                roots[0] = 1.0
+                sys_ = validate_custom_basis(np.asarray(sys_.matrices) * roots[:, None, None])
+            systems[m, basis] = sys_
+        sys_ = systems[m, basis]
+        gens = next(_random_generator_sets(rng, m, n, 1))
+        if trial % 4 < 2:  # a consistent choice, with one phase moved half the time
+            phases = _consistent_phases(sys_, m, n, gens)
+            if trial % 4:
+                phases[rng.integers(len(gens))] += int(rng.integers(1, 2 * m))
+        else:
+            phases = rng.integers(0, 2 * m, size=len(gens)).tolist()
+        code = CodeSpec.from_stabilizers(m, n, gens, phases)
+        try:
+            projector(sys_, code)
+            oracle_raises = False
+        except ValueError:
+            oracle_raises = True
+        try:
+            analyze(sys_, code)
+            library_raises = False
+        except InconsistentStabilizers:
+            library_raises = True
+        assert library_raises == oracle_raises, (m, n, basis, gens, code.body.phases)
+        counts[oracle_raises] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 @pytest.mark.parametrize("name,order,a", [
