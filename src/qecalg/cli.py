@@ -8,11 +8,11 @@ input or usage errors.  `--format machine` emits one stable JSON object
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -295,57 +295,55 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _common(p) -> None:
-    p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.add_argument("--basis-file", help="custom error basis file (default: generalized Pauli)")
+def _non_negative_int(value: str) -> int:
+    """An integer >= 0: numpy refuses a negative seed with a message that
+    names no option."""
+    number = int(value)
+    if number < 0:
+        raise ValueError(value)
+    return number
 
 
-def _add_analyze(sub) -> None:
-    p = sub.add_parser("analyze", help="K, d, purity, and Hamming distributions of a code")
-    p.add_argument("code", help="catalog name or code file")
-    _common(p)
-    p.set_defaults(func=_cmd_analyze)
+_non_negative_int.__name__ = "non-negative int"  # argparse names the type in its error
 
+# the flags and settings (argparse's add_argument keywords) of the options
+# every subcommand takes
+_FORMAT = (("--format",), {"choices": ["text", "machine"], "default": "text"})
+_BASIS_FILE = (("--basis-file",), {"help": "custom error basis file (default: generalized Pauli)"})
 
-def _add_enumerate(sub) -> None:
-    p = sub.add_parser("enumerate", help="weight distribution of a code or element and its dual")
-    p.add_argument("input", help="catalog name, code file, or element file")
-    p.add_argument("--kind", choices=["complete", "lee", "hamming"], required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run one of the identity/axiom checks")
-    p.add_argument("input", nargs="?", help="catalog name, code file, or element file")
-    p.add_argument("--identity", required=True, choices=list(_VERIFY_CHECKS),
-                   help="t4/t6/t8/t9: exact/complete/Lee/Hamming enumerator transform "
-                        "identities; lemma1: phase-kernel row sums; axioms: error-basis "
-                        "axioms; cs: coefficient ordering c <= c'; double: double-"
-                        "transform scaling")
-    p.add_argument("--m", type=int, help="level count for lemma1/axioms on the Pauli system")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-code", metavar="M,N,K",
-                   help="verify against a seeded random code instead of a file")
-    _common(p)
-    p.set_defaults(func=_cmd_verify)
-
-
-def _add_transform(sub) -> None:
-    p = sub.add_parser("transform", help="transform an element file")
-    p.add_argument("element", help="element file")
-    p.add_argument("-o", "--output", help="output path (default: <input>.transformed)")
-    _common(p)
-    p.set_defaults(func=_cmd_transform)
-
-
-# subcommand -> the function that adds its parser, in help order
-_SUBCOMMANDS = {
-    "analyze": _add_analyze,
-    "enumerate": _add_enumerate,
-    "verify": _add_verify,
-    "transform": _add_transform,
+# subcommand -> (help, handler, arguments), in help order.  An argument is
+# (flags, settings): a positional has one flag without dashes, and settings
+# are add_argument keywords.  build_parser and _plain_args both read this.
+_COMMANDS = {
+    "analyze": ("K, d, purity, and Hamming distributions of a code", _cmd_analyze, [
+        (("code",), {"help": "catalog name or code file"}),
+        _FORMAT, _BASIS_FILE,
+    ]),
+    "enumerate": ("weight distribution of a code or element and its dual", _cmd_enumerate, [
+        (("input",), {"help": "catalog name, code file, or element file"}),
+        (("--kind",), {"choices": ["complete", "lee", "hamming"], "required": True}),
+        _FORMAT, _BASIS_FILE,
+    ]),
+    "verify": ("run one of the identity/axiom checks", _cmd_verify, [
+        (("input",), {"nargs": "?", "help": "catalog name, code file, or element file"}),
+        (("--identity",), {
+            "required": True, "choices": list(_VERIFY_CHECKS),
+            "help": "t4/t6/t8/t9: exact/complete/Lee/Hamming enumerator transform "
+                    "identities; lemma1: phase-kernel row sums; axioms: error-basis "
+                    "axioms; cs: coefficient ordering c <= c'; double: double-"
+                    "transform scaling"}),
+        (("--m",), {"type": int, "help": "level count for lemma1/axioms on the Pauli system"}),
+        (("--trials",), {"type": int, "default": 20}),
+        (("--seed",), {"type": _non_negative_int, "default": 0}),
+        (("--random-code",), {"metavar": "M,N,K",
+                              "help": "verify against a seeded random code instead of a file"}),
+        _FORMAT, _BASIS_FILE,
+    ]),
+    "transform": ("transform an element file", _cmd_transform, [
+        (("element",), {"help": "element file"}),
+        (("-o", "--output"), {"help": "output path (default: <input>.transformed)"}),
+        _FORMAT, _BASIS_FILE,
+    ]),
 }
 
 
@@ -356,6 +354,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     The second form parses every argv that starts with `command` as the full
     tree does, errors included: its usage line still lists all commands.
     """
+    import argparse  # here, not at the top: a plain call never needs it
+
     parser = argparse.ArgumentParser(
         prog="qecalg",
         description="Group-algebra weight enumerators and MacWilliams-type "
@@ -363,25 +363,84 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         epilog=f"built-in catalog codes: {', '.join(catalog.names())}",
     )
     parser.add_argument("--version", action="version", version=f"qecalg {__version__}")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
-    else:
-        # the metavar the full tree derives from its choices; setting it there
-        # too would rename `command` in its invalid-choice and required errors
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        _SUBCOMMANDS[command](sub)
+    # one subcommand's parser shows the metavar the full tree derives from its
+    # choices; setting it on the full tree too would rename `command` in its
+    # invalid-choice and required errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, settings in arguments:
+            p.add_argument(*flags, **settings)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    """The attribute argparse stores an argument under."""
+    name = next((f for f in flags if f.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """The attributes `build_parser().parse_args(argv)` gives, read straight
+    from `_COMMANDS`, or None unless argv is a plain call.
+
+    A plain call is a command, then its positionals and options in any order,
+    each option spelled as in the table and followed by a value of its own
+    that does not start with '-'.  Help, --version, abbreviations,
+    '--opt=value', '--', unknown or repeated options, a missing or extra
+    positional and a bad value all give None, and argparse reads them.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    by_flag = {flag: flags for flags, _ in arguments if flags[0].startswith("-") for flag in flags}
+    given, positionals = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        value = next(rest, "-")  # a missing value is turned down like an option
+        if arg not in by_flag or by_flag[arg] in given or value.startswith("-"):
+            return None
+        given[by_flag[arg]] = value
+    args = {"command": argv[0], "func": handler}
+    for flags, settings in arguments:
+        positional = not flags[0].startswith("-")
+        if positional and positionals:
+            given[flags] = positionals.pop(0)
+        if flags in given:
+            try:
+                value = settings.get("type", str)(given[flags])
+            except ValueError:
+                return None
+            if "choices" in settings and value not in settings["choices"]:
+                return None
+        elif settings.get("required") or positional and settings.get("nargs") != "?":
+            return None
+        else:
+            value = settings.get("default")
+        args[_dest(flags)] = value
+    return None if positionals else args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call builds only its own subcommand's parser; help, --version and
-    # top-level usage errors get the full tree
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    plain = _plain_args(argv)
+    if plain is not None:
+        args = SimpleNamespace(**plain)
+    else:
+        # argparse, for help, --version, errors and every other spelling; a
+        # call that names its command builds only that subcommand's parser
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed call; an input error prints one line and exits 2."""
     try:
         return args.func(args)
     except QecalgError as exc:

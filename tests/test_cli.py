@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,6 +10,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecalg import (
     AlgebraElement,
@@ -564,22 +569,32 @@ def test_invalid_utf8_input_is_input_error_with_line(capsys, tmp_path, command):
     assert err == f"error: {path}: line 5: not valid UTF-8 (invalid continuation byte)\n"
 
 
-# --- the parser: a call builds only its own subcommand's parser ---
+# --- the parser: a plain call is read from the argument table, anything else
+# by argparse with only its own subcommand's parser ---
 
 def _per_command_argvs():
     """For each command: help, a missing required argument, an unknown
-    option, a bad choice and a non-integer --trials."""
+    option, a bad choice, a non-integer --trials, the retired --threads and
+    a dash-led value of an option that takes any string; and an extra
+    positional and a repeated option."""
     return {
         "analyze": [[], ["513", "--bogus"], ["513", "--format", "json"],
-                    ["513", "--trials", "x"]],
+                    ["513", "--trials", "x"], ["513", "--threads", "2"],
+                    ["513", "--basis-file", "-x"], ["513", "422"],
+                    ["513", "--format", "machine", "--format", "text"]],
         "enumerate": [["513"], ["513", "--kind", "hamming", "--bogus"],
                       ["513", "--kind", "weight"], ["513", "--kind", "lee", "--format", "json"],
-                      ["513", "--kind", "lee", "--trials", "x"]],
+                      ["513", "--kind", "lee", "--trials", "x"],
+                      ["513", "--kind", "hamming", "--threads", "2"],
+                      ["513", "--kind", "hamming", "--basis-file", "-x"]],
         "verify": [["513"], ["513", "--identity", "t4", "--bogus"],
                    ["513", "--identity", "t5"], ["513", "--identity", "t4", "--format", "json"],
-                   ["513", "--identity", "t4", "--trials", "x"]],
+                   ["513", "--identity", "t4", "--trials", "x"],
+                   ["513", "--identity", "t9", "--threads", "2"],
+                   ["--identity", "cs", "--random-code", "-x"]],
         "transform": [[], ["x.elem", "--bogus"], ["x.elem", "--format", "json"],
-                      ["x.elem", "--trials", "x"]],
+                      ["x.elem", "--trials", "x"], ["x.elem", "--threads", "2"],
+                      ["x.elem", "-o", "-x"]],
     }
 
 
@@ -590,37 +605,196 @@ _PARSER_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--", "analyze", "513"]]
 ]
 
 
-def _outcome(call, argv, capsys):
-    try:
-        code = call(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of `call(argv)`, elapsed_s taken out of a
+    machine report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": 0', out.getvalue()), err.getvalue()
 
 
 def _full_tree(argv):
     from qecalg import cli
-    args = cli.build_parser().parse_args(argv)
-    return args.func(args)
+    return cli._dispatch(cli.build_parser().parse_args(argv))
+
+
+def _assert_read_like_the_full_tree(argv):
+    """_plain_args reads argv as the full tree does or turns it down, and main
+    prints and exits as the full tree does, usage lines and help texts
+    included."""
+    from qecalg import cli
+    plain = cli._plain_args(list(argv))
+    if plain is not None:
+        assert plain == vars(cli.build_parser().parse_args(list(argv)))
+    assert _outcome(main, list(argv)) == _outcome(_full_tree, list(argv))
 
 
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
-def test_parser_matches_the_full_tree(capsys, argv):
-    # the same stdout, stderr and exit code as the full parser tree, usage
-    # lines and help texts included
-    assert _outcome(main, list(argv), capsys) == _outcome(_full_tree, list(argv), capsys)
+def test_parser_matches_the_full_tree(argv):
+    _assert_read_like_the_full_tree(argv)
 
 
-def test_a_call_builds_one_subparser(capsys, monkeypatch):
+@pytest.mark.parametrize("command", list(_per_command_argvs()))
+def test_threads_is_a_usage_error(command):
+    rest = next(a for a in _per_command_argvs()[command] if "--threads" in a)
+    code, out, err = _outcome(main, [command, *rest])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --threads 2\n")
+
+
+def test_top_level_errors_name_the_command_argument():
+    # only the one-subcommand parser sets the subparsers' metavar
+    for argv, message in [([], "the following arguments are required: command"),
+                          (["bogus"], "argument command: invalid choice: 'bogus'")]:
+        code, out, err = _outcome(main, argv)
+        assert (code, out) == (2, "") and message in err
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """An m=2 element file, an m=2 basis file and an output path."""
+    root = tmp_path_factory.mktemp("cli")
+    write_element(root / "e.elem", random_element(2, 2, 7))
+    write_custom_basis(root / "p2.errorbasis", 2, np.asarray(build_pauli_system(2).matrices))
+    return {"ELEM": str(root / "e.elem"), "BASIS": str(root / "p2.errorbasis"),
+            "OUT": str(root / "e.out")}
+
+
+# the values drawn for each positional and for each option without choices
+# or an int type; "ELEM", "BASIS" and "OUT" name the files of `cli_files`
+_DRAWN_VALUES = {
+    "code": ["513", "422", "311qutrit", "missing.code"],
+    "input": ["422", "311qutrit", "ELEM"],
+    "element": ["ELEM", "missing.elem"],
+    "--basis-file": ["BASIS", "missing.errorbasis"],
+    "--random-code": ["2,2,1", "3,2,2", "2,3"],
+    "-o": ["OUT"],
+}
+_DRAWN_INTS = ["1", "3", "0", " 2", "+2", "1_0"]
+_BAD_VALUES = ["x", "", "-1", "-x", "json"]
+_STRAYS = ["-h", "--version", "--", "--bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed argv for a command of the table, with up to three faults,
+    its pieces shuffled.
+
+    Well formed: each positional once and each option at most once (a
+    required one always), spelled in full, with a good value.  A fault
+    gives a piece a bad or dash-led value, abbreviates an option or writes
+    it as --opt=value, repeats or drops a piece, or adds an extra positional
+    or a stray -h, --version, -- or unknown option.
+    """
+    from qecalg import cli
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = []  # (the good values of the piece, its arguments)
+    for flags, settings in cli._COMMANDS[command][2]:
+        if "choices" in settings:
+            values = settings["choices"]
+        elif "type" in settings:
+            values = _DRAWN_INTS
+        else:
+            values = _DRAWN_VALUES[flags[0]]
+        if not flags[0].startswith("-"):
+            if settings.get("nargs") != "?" or draw(st.booleans()):
+                pieces.append((values, [draw(st.sampled_from(values))]))
+        elif settings.get("required") or draw(st.booleans()):
+            pieces.append((values, [draw(st.sampled_from(flags)), draw(st.sampled_from(values))]))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["value", "abbreviate", "equals", "repeat", "drop",
+                                      "extra", "stray"]))
+        if fault == "extra":
+            pieces.append(([], [draw(st.sampled_from(["513", "ELEM", "x"]))]))
+        elif fault == "stray":
+            pieces.append(([], [draw(st.sampled_from(_STRAYS))]))
+        elif pieces:
+            values, piece = pieces[draw(st.integers(0, len(pieces) - 1))]
+            if fault == "value":
+                piece[-1] = draw(st.sampled_from(_BAD_VALUES))
+            elif fault == "drop":
+                pieces.remove((values, piece))
+            elif fault == "repeat":  # with a value of its own: argparse keeps the last
+                pieces.append((values, [*piece[:-1], draw(st.sampled_from(values or piece))]))
+            elif len(piece) == 2 and fault == "abbreviate":
+                piece[0] = piece[0][:4]
+            elif len(piece) == 2:
+                piece[:] = [f"{piece[0]}={piece[1]}"]
+    pieces = [piece for _, piece in pieces]
+    return [command, *(arg for piece in draw(st.permutations(pieces)) for arg in piece)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_plain_reader_matches_the_full_tree(cli_files, argv):
+    _assert_read_like_the_full_tree([cli_files.get(arg, arg) for arg in argv])
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "513", "--format", "machine"],
+    ["enumerate", "ELEM", "--format", "machine", "--kind", "complete"],
+    ["verify", "--identity", "cs", "--random-code", "2,2,1", "--seed", "4"],
+    ["verify", "--m", "3", "--identity", "axioms"],
+    ["transform", "-o", "OUT", "ELEM", "--basis-file", "BASIS"],
+], ids=" ".join)
+def test_plain_calls_are_read_from_the_table(cli_files, argv):
+    argv = [cli_files.get(arg, arg) for arg in argv]
+    from qecalg import cli
+    assert cli._plain_args(argv) is not None
+    _assert_read_like_the_full_tree(argv)
+
+
+def test_a_call_builds_one_subparser(monkeypatch):
     import argparse
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    parsers, subparsers = [], []
+    init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
 
-    def spy(self, name, **kwargs):
-        built.append(name)
+    def spy_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def spy_add_parser(self, name, **kwargs):
+        subparsers.append(name)
         return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    assert main(["analyze", "513"]) == 0
-    assert built == ["analyze"]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
+    # a plain call constructs no parser at all
+    assert _outcome(main, ["analyze", "513"])[0] == 0
+    assert (parsers, subparsers) == ([], [])
+    # an abbreviated option is left to argparse, with only its subcommand's parser
+    assert _outcome(main, ["analyze", "513", "--form", "machine"])[0] == 0
+    assert subparsers == ["analyze"]
+    assert parsers == ["qecalg", "qecalg analyze"]
+
+
+def test_a_plain_call_imports_no_argparse():
+    import qecalg
+    probe = ("import sys, qecalg.cli; code = qecalg.cli.main(['analyze', '513']); "
+             "print(code, 'argparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--random-code", "2,2,1", "--identity", "t4"],
+    ["ELEM3", "--identity", "t4"],
+    ["ELEM3", "--identity", "t6"],
+    ["ELEM3", "--identity", "t8"],
+], ids=" ".join)
+def test_negative_seed_is_a_usage_error(tmp_path, argv):
+    # numpy refuses a negative seed; argparse turns it down first, naming --seed
+    write_element(tmp_path / "e3.elem", random_element(3, 1, 2))
+    argv = ["verify", *[str(tmp_path / "e3.elem") if a == "ELEM3" else a for a in argv],
+            "--seed", "-1"]
+    code, out, err = _outcome(main, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("qecalg verify: error: argument --seed: "
+                        "invalid non-negative int value: '-1'\n")
+    assert _outcome(main, [*argv[:-1], "0"])[0] == 0
