@@ -225,14 +225,31 @@ def _verify_subject(args):
     code for cs, and the element C for the other identities.
     """
     identity = args.identity
+    # every source given must be used: two for the same input are an error
+    code = f"input {args.input!r}" if args.input is not None else None
+    if code and args.random_code:
+        raise QecalgError(f"give an input or --random-code, not both "
+                          f"(got {code} and --random-code {args.random_code})")
+    code = code or (args.random_code and f"--random-code {args.random_code}")
     if identity in ("lemma1", "axioms"):
-        if args.basis_file:
-            return read_custom_basis(args.basis_file), None, {"basis_file": args.basis_file}
+        if args.m is not None and args.basis_file:
+            raise QecalgError(f"give --m or --basis-file, not both "
+                              f"(got --m {args.m} and --basis-file {args.basis_file})")
+        basis = (f"--m {args.m}" if args.m is not None
+                 else args.basis_file and f"--basis-file {args.basis_file}")
+        if code and basis:
+            raise QecalgError(f"--identity {identity} takes --m or --basis-file, not a code "
+                              f"(got {code} and {basis})")
         if args.input is not None:
             raise QecalgError(f"--identity {identity} takes --m or --basis-file, not a code")
-        if args.m is None:
+        if not basis:
             raise QecalgError(f"--identity {identity} needs --m (or --basis-file)")
+        if args.basis_file:
+            return read_custom_basis(args.basis_file), None, {"basis_file": args.basis_file}
         return build_pauli_system(args.m), None, {"pauli_m": args.m}
+    if args.m is not None:
+        raise QecalgError(f"--m is only for --identity lemma1/axioms; --identity {identity} "
+                          f"takes m from its input, not from --m {args.m}")
     if args.random_code:
         m, n, k = _random_code_dims(args.random_code)
         kind, payload = "code", random_code(m, n, k, args.seed)

@@ -22,7 +22,7 @@ Code file ("code v1"):
 `read_element` and `read_code` take the file's bytes when the caller has
 already read them (`read_bytes`); the path is then only named in messages.
 
-Every reader decodes the whole input as UTF-8 once (a file that is not
+A reader decodes the whole input as UTF-8 once (a file that is not
 UTF-8 is a `FormatError` naming the line of the first bad byte), splits it
 at universal newlines (\\n, \\r\\n, \\r) as a text-mode open would, and strips
 each line.  The element body and the "re,im" entries of basis rows are then
@@ -30,10 +30,21 @@ converted in bulk: one `map(int, ...)` over the indices, one `map(float,
 ...)` over the re and im halves, and numpy checks of range, duplicates and
 finiteness.  Each check looks only at the lines before the first bad line
 found so far, so the error raised, message and line, is the one a
-line-by-line parse meets first.  The element body goes in blocks of about a
-million characters, so a large file needs little memory beyond its text and
-its coefficients.  `write_element` formats the nonzero coefficients with one
-%-format per block of lines.
+line-by-line parse meets first.  `write_element` formats the nonzero
+coefficients with one %-format per block of lines.
+
+An element file is read in blocks of about a million characters of whole
+lines, so a large file needs little memory beyond its bytes and its
+coefficients, and its header from its first significant lines alone.  An
+element file of ASCII with \\n line ends is not decoded: each block whose
+every line is `<integer> <number>,<number>`, one space and one comma, the
+way `write_element` (%d %.17g,%.17g) and `repr` spell it, is converted from
+its bytes by one `np.fromstring` and checked with numpy (an index holds no
+".", "e" or "E"; range, duplicates, finiteness).  Any other block (a
+comment, a blank line, a tab, a token such as "1-2") and any block that
+fails a check takes the line route above, as does every other file (CRLF,
+non-ASCII).  So every spelling that route accepts is still accepted, with
+the same coefficients to the bit and the same first bad line and message.
 
 Code files are phase-free: a stabilizer generator is its label alone, so
 `read_code` gives a code whose index group is analysed with no phase check,
@@ -52,7 +63,8 @@ are rejected rather than silently permuted.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +87,9 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def _significant_blocks(path: Path, data: bytes | None = None):
-    """The line numbers and the stripped texts of the significant lines of
-    `data` (else of the file), in blocks of about _BLOCK_CHARS characters of
-    the file, split at universal newlines as a text-mode open splits it."""
+def _decoded(path: Path, data: bytes | None = None) -> str:
+    """The text of `data` (else of the file), with \\r\\n and \\r line ends
+    made \\n, as a text-mode open reads it."""
     if data is None:
         data = read_bytes(path)
     try:
@@ -87,24 +98,44 @@ def _significant_blocks(path: Path, data: bytes | None = None):
         prefix = data[: exc.start].decode("utf-8")
         line = 1 + prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n")
         raise FormatError(f"not valid UTF-8 ({exc.reason})", path, line) from None
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    first, start = 1, 0
-    while start <= len(text):
-        end = text.find("\n", start + _BLOCK_CHARS)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _significant(first: int, text: str | bytes) -> tuple[list[int], list[str]]:
+    """The line numbers and the stripped texts of the significant lines of
+    `text` (ASCII if bytes), whose first line is line `first`."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    stripped = list(map(str.strip, text.split("\n")))
+    numbers = [i for i, line in enumerate(stripped, start=first) if line and line[0] != "#"]
+    return numbers, [stripped[i - first] for i in numbers]
+
+
+def _head(text: str | bytes, count: int):
+    """`_significant` of the lines of `text` up to its `count`-th significant
+    line, and the offset and the number of the line after them."""
+    newline = "\n" if isinstance(text, str) else b"\n"
+    numbers, lines, start, first = [], [], 0, 1
+    while len(lines) < count and start < len(text):
+        end = text.find(newline, start)
         end = len(text) if end < 0 else end
-        stripped = list(map(str.strip, text[start:end].split("\n")))
-        numbers = [i for i, line in enumerate(stripped, start=first) if line and line[0] != "#"]
-        yield numbers, [stripped[i - first] for i in numbers]
-        first, start = first + len(stripped), end + 1
+        more, found = _significant(first, text[start:end])
+        numbers += more
+        lines += found
+        start, first = end + 1, first + 1
+    return numbers, lines, start, first
 
 
-def _significant_lines(path: Path, data: bytes | None = None) -> tuple[list[int], list[str]]:
-    """All blocks of `_significant_blocks` as one."""
-    numbers, lines = [], []
-    for block_numbers, block_lines in _significant_blocks(path, data):
-        numbers += block_numbers
-        lines += block_lines
-    return numbers, lines
+def _blocks(text: str | bytes, start: int, first: int):
+    """The blocks of about _BLOCK_CHARS characters of whole lines of
+    text[start:], whose first line is line `first`, each with the number of
+    its first line."""
+    newline = "\n" if isinstance(text, str) else b"\n"
+    while start < len(text):
+        end = text.find(newline, start + _BLOCK_CHARS)
+        end = len(text) if end < 0 else end
+        yield first, text[start:end]
+        first, start = first + text.count(newline, start, end) + 1, end + 1
 
 
 def _first(flags: np.ndarray) -> int:
@@ -223,23 +254,74 @@ def _repeats(index: np.ndarray) -> np.ndarray:
 
 def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
-    blocks = _significant_blocks(path, data)
-    numbers, lines = [], []
-    for block_numbers, block_lines in blocks:
-        numbers += block_numbers
-        lines += block_lines
-        if len(lines) >= 3:
-            break
+    if data is None:
+        data = read_bytes(path)
+    # ASCII with \n line ends is read from its bytes, block by block; any
+    # other file is decoded and its line ends made \n first
+    text = data if data.isascii() and b"\r" not in data else _decoded(path, data)
+    numbers, lines, start, first = _head(text, 3)
     header = _take_header(numbers, lines, path, "element v1", ["m", "n"])
     m, n = _header_dims(header, path, ("m", "n"))
     size = (m * m) ** n
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
-    for numbers, lines in chain([(numbers[3:], lines[3:])], blocks):
-        index, pairs = _element_lines(numbers, lines, seen, path)
+    for first, block in _blocks(text, start, first):
+        parsed = _written_lines(block, seen) if isinstance(block, bytes) else None
+        if parsed is None:
+            parsed = _element_lines(*_significant(first, block), seen, path)
+        index, pairs = parsed
         seen[index] = True
         coeffs.view(np.float64).reshape(size, 2)[index] = pairs
     return AlgebraElement(m, n, coeffs)
+
+
+# the bytes of a body spelled as the writers spell it, and the table that
+# makes its commas and line ends the spaces np.fromstring splits at
+_WRITTEN = b"0123456789+-.eE ,\n"
+_TO_SPACES = bytes.maketrans(b",\n", b"  ")
+
+
+def _written_lines(block: bytes, seen: np.ndarray):
+    """The indices and (re, im) rows of a block of ASCII element body lines
+    all spelled `<integer> <number>,<number>`, as write_element and repr write
+    them, given the indices `seen` on earlier lines.  None if any line is
+    spelled otherwise (blank, comment, other whitespace, a token float()
+    refuses) or any check fails: `_element_lines` then reads the block."""
+    text = block if block.endswith(b"\n") else block + b"\n"
+    if text.translate(None, _WRITTEN):
+        return None
+    chars = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    spaces = np.flatnonzero(chars == ord(" "))
+    commas = np.flatnonzero(chars == ord(","))
+    if not len(ends) == len(spaces) == len(commas):
+        return None
+    # one space, then one comma, each with a token on both sides, per line
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if ((spaces <= starts) | (commas <= spaces + 1) | (ends <= commas + 1)).any():
+        return None
+    # an index token holds no ".", "e" or "E": float() and int() agree on it
+    marks = (chars == ord(".")) | (chars == ord("e")) | (chars == ord("E"))
+    if np.logical_or.reduceat(marks, np.column_stack((starts, spaces)).ravel())[::2].any():
+        return None
+    try:
+        # raises on a token that is not one number, as float() does; older
+        # numpy warns instead and stops at that token
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text.translate(_TO_SPACES), sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != 3 * len(ends):
+        return None
+    values = values.reshape(len(ends), 3)
+    if not ((values[:, 0] >= 0) & (values[:, 0] < len(seen))).all():
+        return None
+    index = values[:, 0].astype(np.int64)
+    pairs = values[:, 1:]
+    if (_repeats(index) | seen[index]).any() or not np.isfinite(pairs).all():
+        return None
+    return index, pairs
 
 
 def _element_lines(numbers, lines, seen: np.ndarray, path: Path):
@@ -288,7 +370,7 @@ def write_element(path, element: AlgebraElement) -> None:
 
 def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
-    numbers, lines = _significant_lines(path, data)
+    numbers, lines = _significant(1, _decoded(path, data))
     header = _take_header(numbers, lines, path, "code v1", ["m", "n", "kind"])
     m, n = _header_dims(header, path, ("m", "n"))
     numbers, lines = numbers[4:], lines[4:]
@@ -332,7 +414,7 @@ def write_code(path, code: CodeSpec) -> None:
 
 def read_custom_basis(path) -> PhaseSystem:
     path = Path(path)
-    numbers, lines = _significant_lines(path)
+    numbers, lines = _significant(1, _decoded(path))
     header = _take_header(numbers, lines, path, "errorbasis v1", ["m", "ordering"])
     (m,) = _header_dims(header, path, ("m",))
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"

@@ -375,6 +375,42 @@ def test_verify_matrix_input_errors(capsys, tmp_path, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["513", "--random-code", "3,2,2", "--identity", "t9"],
+         "give an input or --random-code, not both (got input '513' and --random-code 3,2,2)"),
+        (["ELEMENT", "--random-code", "2,2,1", "--identity", "cs"],
+         "give an input or --random-code, not both (got input 'ELEMENT' and --random-code 2,2,1)"),
+        (["513", "--identity", "t9", "--m", "7"],
+         "--m is only for --identity lemma1/axioms; --identity t9 takes m from its input, "
+         "not from --m 7"),
+        (["--random-code", "3,2,2", "--identity", "t4", "--m", "3"],
+         "--m is only for --identity lemma1/axioms; --identity t4 takes m from its input, "
+         "not from --m 3"),
+        (["--identity", "lemma1", "--m", "2", "--basis-file", "BASIS2"],
+         "give --m or --basis-file, not both (got --m 2 and --basis-file BASIS2)"),
+        (["513", "--identity", "axioms", "--basis-file", "BASIS2"],
+         "--identity axioms takes --m or --basis-file, not a code "
+         "(got input '513' and --basis-file BASIS2)"),
+        (["--identity", "lemma1", "--random-code", "2,3,2", "--m", "2"],
+         "--identity lemma1 takes --m or --basis-file, not a code "
+         "(got --random-code 2,3,2 and --m 2)"),
+    ],
+    ids=["input-random-code", "element-random-code", "t9-m", "t4-random-code-m",
+         "lemma1-m-basis-file", "axioms-code-basis-file", "lemma1-random-code-m"],
+)
+def test_verify_refuses_two_sources(capsys, tmp_path, argv, message):
+    # each source given is used or refused, naming both: none is dropped silently
+    write_element(tmp_path / "e.elem", random_element(2, 2, 1))
+    write_custom_basis(tmp_path / "p2.errorbasis", 2, np.asarray(build_pauli_system(2).matrices))
+    paths = {"ELEMENT": str(tmp_path / "e.elem"), "BASIS2": str(tmp_path / "p2.errorbasis")}
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    code, out, err = run(capsys, "verify", *[paths.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["2,3", "2,x,2", "2,0,1"])
 def test_verify_malformed_random_code(capsys, value):
     code, out, err = run(capsys, "verify", "--identity", "cs", "--random-code", value)

@@ -347,3 +347,109 @@ def test_basis_rows_report_the_first_bad_line(tmp_path):
     with pytest.raises(FormatError) as err:
         read_custom_basis(path)
     assert (err.value.line, "matrix row has 1 entries, expected 2" in str(err.value)) == (5, True)
+
+
+# --- the bulk route for bodies spelled as the writers spell them ---
+
+# tokens a bulk parser could split or misread: float() refuses all but "1.",
+# ".5", "+5" and "1e999" (which is infinite)
+_SPLITTABLE = ["1-2", "1e5.3", ".", "1.", ".5", "+5", "1e", "e5", "--1", "1+", "1e999",
+               "-1e999", "1..2", "0x1", "1e5e3"]
+
+
+def _rarely(draw, usual, odd):
+    """A draw from `usual`, or one time in eight from `odd`."""
+    return draw(odd if draw(st.integers(0, 7)) == 0 else usual)
+
+
+@st.composite
+def _written_texts(draw):
+    """Element files whose body lines are all `<index> <re>,<im>`, with one
+    space and one comma, as write_element and repr spell them.  The lines
+    mostly hold distinct indices and finite values; a few tokens are signed,
+    duplicated, out of range or not numbers at all."""
+    m, n = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    size = (m * m) ** n
+    order = draw(st.permutations(range(size)))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    value = st.one_of(value.map(lambda x: f"{x:.17g}"), value.map(repr))
+    odd_value = st.sampled_from(["-0", "5e-324", "1E5", *_SPLITTABLE])
+    body, indices = [], []
+    for i in order[: draw(st.integers(0, size))]:
+        odd_index = st.sampled_from(["-0", "-1", str(size), "9" * 30, "1e0", "1.0", *_SPLITTABLE])
+        if indices:  # an index of an earlier line
+            odd_index = st.one_of(odd_index, st.sampled_from(indices))
+        index = _rarely(draw, st.sampled_from([str(i), f"+{i}", f"0{i}"]), odd_index)
+        indices.append(index)
+        line = f"{index} {_rarely(draw, value, odd_value)},{_rarely(draw, value, odd_value)}"
+        # lines of the same characters in another shape, some still valid
+        body.append(_rarely(draw, st.just(line), st.sampled_from([
+            "1,2 3", "0 1 2", "1,2,3", "0 ,1", "0 1,", "0 1,2,3", "0 1 2,3", "0  1,2",
+            f" {line}", f"{line} ", "", " ", ","])))
+    end = draw(st.sampled_from(["\n", ""]))
+    return "\n".join([f"element v1\nm {m}\nn {n}", *body]) + end
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_texts())
+def test_written_bodies_match_line_by_line_reference(text):
+    data = text.encode()
+    want = _outcome(read_element_reference, data)
+    for block in (fileio._BLOCK_CHARS, 5, 64):
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+            assert _outcome(read_element, data) == want
+
+
+def _repr_element_file(path, element):
+    """An element file spelled as perfbench's reference writer spells it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"element v1\nm {element.m}\nn {element.n}\n")
+        fh.writelines(f"{i} {float(c.real)!r},{float(c.imag)!r}\n"
+                      for i, c in enumerate(element.coeffs))
+
+
+@pytest.mark.parametrize("block", [1 << 20, 64, 5])
+@pytest.mark.parametrize("writer", ["write_element", "repr"])
+def test_written_files_are_read_in_bulk(tmp_path, monkeypatch, writer, block):
+    monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
+    element = random_element(2, 3, seed=8)
+    path = tmp_path / "e.elem"
+    (write_element if writer == "write_element" else _repr_element_file)(path, element)
+    with mock.patch.object(fileio, "_element_lines", side_effect=AssertionError("line route")):
+        back = read_element(path)
+    assert back.coeffs.tobytes() == element.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("change", ["comment", "crlf", "tab", "blank"])
+def test_other_spellings_take_the_line_route_to_the_same_element(tmp_path, change):
+    element = random_element(2, 3, seed=9)
+    write_element(tmp_path / "e.elem", element)
+    lines = (tmp_path / "e.elem").read_text().splitlines(keepends=True)
+    if change == "comment":
+        lines.insert(20, "# a comment\n")
+    elif change == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif change == "tab":
+        lines[20] = lines[20].replace(" ", "\t")
+    else:
+        lines.insert(20, "\n")
+    data = "".join(lines).encode()
+    with mock.patch.object(fileio, "_element_lines", wraps=fileio._element_lines) as spy:
+        back = read_element("e.elem", data)
+    assert spy.called
+    assert back.coeffs.tobytes() == element.coeffs.tobytes()
+
+
+def test_reading_a_large_written_file_peaks_low(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.elem"
+    write_element(path, random_element(2, 8, seed=3))  # 65,536 body lines
+    tracemalloc.start()
+    try:
+        read_element(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reading it line by line peaked at 22.8 MiB, in bulk at 9.9 MiB
+    assert peak < 20.1 * 2 ** 20
