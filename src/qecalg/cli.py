@@ -111,7 +111,7 @@ def _emit(report: dict, args) -> None:
         print(f"# qecalg {__version__}")
 
 
-def _base_report(args, command: str, inputs: dict) -> dict:
+def _base_report(command: str, inputs: dict) -> dict:
     return {
         "tool": "qecalg",
         "version": __version__,
@@ -132,7 +132,7 @@ def _cmd_analyze(args) -> int:
     result = analyze(sys_, payload)
     a_txt = _distribution_text(result.primary_distribution)
     b_txt = _distribution_text(result.dual_distribution)
-    report = _base_report(args, "analyze", {"code": display, "sha256": digest})
+    report = _base_report("analyze", {"code": display, "sha256": digest})
     report["results"] = {
         "m": payload.m,
         "n": payload.n,
@@ -188,7 +188,7 @@ def _cmd_enumerate(args) -> int:
         rec_c, text_c = _dist_records(args.kind, primary)
         rec_d, text_d = _dist_records(args.kind, dual)
         lines += ["C :", *text_c, "C':", *text_d]
-    report = _base_report(args, "enumerate", {"input": display, "sha256": digest})
+    report = _base_report("enumerate", {"input": display, "sha256": digest})
     report["results"] = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
     report["text"] = lines
     report["elapsed_s"] = time.perf_counter() - t0
@@ -272,7 +272,7 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     sys_, subject, inputs = _verify_subject(args)
     check = _VERIFY_CHECKS[args.identity](sys_, subject, args)
-    report = _base_report(args, "verify", inputs)
+    report = _base_report("verify", inputs)
     report["results"] = {
         "identity": args.identity,
         "passed": check.passed,
@@ -296,7 +296,7 @@ def _cmd_transform(args) -> int:
     out_path = args.output or (args.element + ".transformed")
     write_element(out_path, dual)
     c0, mass = dual.coeffs[0], element.mass
-    report = _base_report(args, "transform", {"element": args.element, "sha256": _sha256(raw)})
+    report = _base_report("transform", {"element": args.element, "sha256": _sha256(raw)})
     report["results"] = {
         "mass": _fmt_complex(mass),
         "c0_dual": _fmt_complex(c0),

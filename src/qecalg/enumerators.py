@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .error_basis import GroupElement, GroupOrdering, PhaseSystem
-from .errors import EvenM, ZeroMass
+from .errors import EvenM
 from .group_algebra import (
-    MASS_TOL, AlgebraElement, contract_axes, label_sums, transform, weight_reduce)
+    AlgebraElement, checked_mass, contract_axes, label_sums, transform, weight_reduce)
 from .reports import CheckReport
 
 IDENTITY_TOL = 1e-9
@@ -289,9 +289,8 @@ def macwilliams_terms(a, q: int, n: int) -> list:
 
 def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
     """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion;
-    a (numerically) zero mass raises ZeroMass, as in `transform`."""
-    if abs(mass) <= MASS_TOL:
-        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
+    a mass unfit to divide by raises, as in `transform`."""
+    mass = checked_mass(mass, dist.a)
     terms = macwilliams_terms(dist.a, dist.m * dist.m, dist.n)
     return np.array(terms, dtype=np.complex128) / mass
 

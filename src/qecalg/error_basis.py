@@ -45,14 +45,6 @@ class GroupElement(NamedTuple):
     b: int
 
 
-def group_add(g: GroupElement, h: GroupElement, m: int) -> GroupElement:
-    return GroupElement((g.a + h.a) % m, (g.b + h.b) % m)
-
-
-def group_neg(g: GroupElement, m: int) -> GroupElement:
-    return GroupElement((-g.a) % m, (-g.b) % m)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupOrdering:
     """A fixed enumeration alpha_0, ..., alpha_{m^2-1} of Z_m x Z_m.

@@ -22,29 +22,27 @@ Code file ("code v1"):
 `read_element` and `read_code` take the file's bytes when the caller has
 already read them (`read_bytes`); the path is then only named in messages.
 
-A reader decodes the whole input as UTF-8 once (a file that is not
-UTF-8 is a `FormatError` naming the line of the first bad byte), splits it
-at universal newlines (\\n, \\r\\n, \\r) as a text-mode open would, and strips
-each line.  The element body and the "re,im" entries of basis rows are then
-converted in bulk: one `map(int, ...)` over the indices, one `map(float,
-...)` over the re and im halves, and numpy checks of range, duplicates and
-finiteness.  Each check looks only at the lines before the first bad line
-found so far, so the error raised, message and line, is the one a
-line-by-line parse meets first.  `write_element` formats the nonzero
-coefficients with one %-format per block of lines.
+A reader checks that the input is UTF-8 (a file that is not is a
+`FormatError` naming the line of the first bad byte), makes its \\r\\n and \\r
+line ends \\n, as a text-mode open would, and strips each line.
 
-An element file is read in blocks of about a million characters of whole
-lines, so a large file needs little memory beyond its bytes and its
-coefficients, and its header from its first significant lines alone.  An
-element file of ASCII with \\n line ends is not decoded: each block whose
-every line is `<integer> <number>,<number>`, one space and one comma, the
-way `write_element` (%d %.17g,%.17g) and `repr` spell it, is converted from
-its bytes by one `np.fromstring` and checked with numpy (an index holds no
-".", "e" or "E"; range, duplicates, finiteness).  Any other block (a
-comment, a blank line, a tab, a token such as "1-2") and any block that
-fails a check takes the line route above, as does every other file (CRLF,
-non-ASCII).  So every spelling that route accepts is still accepted, with
-the same coefficients to the bit and the same first bad line and message.
+An element body is read from the file's bytes in blocks of about a million
+bytes of whole lines, so a large file needs little memory beyond its bytes
+and its coefficients; the header comes from the first significant lines
+alone.  A block has two routes.  When every line is `<integer>
+<number>,<number>`, one space and one comma, the way `write_element`
+(%d %.17g,%.17g) and `repr` spell it, one `np.fromstring` converts the block
+and numpy checks it (an index holds no ".", "e" or "E"; range, duplicates,
+finiteness).  This holds in any UTF-8 file with any line ends.  Every other
+block (a comment, a blank line, a tab, a token such as "1-2") and every
+block that fails a check goes to one loop, line by line: token count, index,
+range, duplicate, then the "re,im" value.  That loop alone raises, so the
+first bad line and its message are those of a line-by-line parse.  A
+65,536-line m=2 n=8 file (median of 7 fresh processes, 2 vCPUs) reads in
+about 130 ms in the writers' spelling with \\n or \\r\\n line ends, and in
+254 ms with a tab on every line, which the loop reads.  Basis-code rows and
+custom-basis matrices are read by the same kind of loop.  `write_element`
+formats the nonzero coefficients with one %-format per block of lines.
 
 Code files are phase-free: a stabilizer generator is its label alone, so
 `read_code` gives a code whose index group is analysed with no phase check,
@@ -63,8 +61,8 @@ are rejected rather than silently permuted.
 
 from __future__ import annotations
 
+import cmath
 import warnings
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +72,7 @@ from .error_basis import PhaseSystem, validate_custom_basis
 from .errors import FormatError
 from .group_algebra import AlgebraElement
 
-# characters of the file per block of lines parsed at once, and lines per
+# bytes of the file per block of lines parsed at once, and lines per
 # %-format in write_element: they bound the memory a large file needs beyond
 # its coefficients
 _BLOCK_CHARS = 1 << 20
@@ -87,37 +85,39 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def _decoded(path: Path, data: bytes | None = None) -> str:
-    """The text of `data` (else of the file), with \\r\\n and \\r line ends
-    made \\n, as a text-mode open reads it."""
+def _utf8(path: Path, data: bytes | None = None) -> bytes:
+    """The bytes of `data` (else of the file), checked to be UTF-8, with
+    \\r\\n and \\r line ends made \\n, as a text-mode open reads them."""
     if data is None:
         data = read_bytes(path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        prefix = data[: exc.start].decode("utf-8")
-        line = 1 + prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n")
-        raise FormatError(f"not valid UTF-8 ({exc.reason})", path, line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            prefix = data[: exc.start]
+            line = 1 + prefix.count(b"\n") + prefix.count(b"\r") - prefix.count(b"\r\n")
+            raise FormatError(f"not valid UTF-8 ({exc.reason})", path, line) from None
+    # UTF-8 holds the bytes \r and \n only as those characters; `in` scans
+    # far faster than a search for \r\n where there is none
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
-def _significant(first: int, text: str | bytes) -> tuple[list[int], list[str]]:
+def _significant(first: int, text: bytes) -> tuple[list[int], list[str]]:
     """The line numbers and the stripped texts of the significant lines of
-    `text` (ASCII if bytes), whose first line is line `first`."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    stripped = list(map(str.strip, text.split("\n")))
+    `text`, whose first line is line `first`."""
+    stripped = list(map(str.strip, text.decode("utf-8").split("\n")))
     numbers = [i for i, line in enumerate(stripped, start=first) if line and line[0] != "#"]
     return numbers, [stripped[i - first] for i in numbers]
 
 
-def _head(text: str | bytes, count: int):
+def _head(text: bytes, count: int):
     """`_significant` of the lines of `text` up to its `count`-th significant
     line, and the offset and the number of the line after them."""
-    newline = "\n" if isinstance(text, str) else b"\n"
     numbers, lines, start, first = [], [], 0, 1
     while len(lines) < count and start < len(text):
-        end = text.find(newline, start)
+        end = text.find(b"\n", start)
         end = len(text) if end < 0 else end
         more, found = _significant(first, text[start:end])
         numbers += more
@@ -126,71 +126,39 @@ def _head(text: str | bytes, count: int):
     return numbers, lines, start, first
 
 
-def _blocks(text: str | bytes, start: int, first: int):
-    """The blocks of about _BLOCK_CHARS characters of whole lines of
-    text[start:], whose first line is line `first`, each with the number of
-    its first line."""
-    newline = "\n" if isinstance(text, str) else b"\n"
+def _blocks(text: bytes, start: int, first: int):
+    """The blocks of about _BLOCK_CHARS bytes of whole lines of text[start:],
+    whose first line is line `first`, each with the number of its first line."""
     while start < len(text):
-        end = text.find(newline, start + _BLOCK_CHARS)
+        end = text.find(b"\n", start + _BLOCK_CHARS)
         end = len(text) if end < 0 else end
         yield first, text[start:end]
-        first, start = first + text.count(newline, start, end) + 1, end + 1
+        first, start = first + text.count(b"\n", start, end) + 1, end + 1
 
 
-def _first(flags: np.ndarray) -> int:
-    """The position of the first True in `flags`, len(flags) if none."""
-    return int(flags.argmax()) if flags.any() else len(flags)
-
-
-def _convert(convert, tokens: list[str]) -> tuple[list, int]:
-    """`convert` of each token before the first one it rejects with a
-    ValueError, and that token's position (len(tokens) if none)."""
+def _parse_complex(token: str, path: Path, lineno: int) -> complex:
+    parts = token.split(",")
+    if len(parts) != 2:
+        raise FormatError(f"expected 're,im', got {token!r}", path, lineno)
     try:
-        return list(map(convert, tokens)), len(tokens)
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        pass
-
-    def accepts(token):
-        try:
-            convert(token)
-        except ValueError:
-            return False
-        return True
-
-    stop = next(i for i, token in enumerate(tokens) if not accepts(token))
-    return list(map(convert, tokens[:stop])), stop
-
-
-def _complex_tokens(tokens: list[str]) -> tuple[np.ndarray, int, str | None]:
-    """The (re, im) rows of the "re,im" tokens before the first malformed
-    one, that token's position (len(tokens) if none) and its message."""
-    commas = np.fromiter(map(str.count, tokens, repeat(",")), np.intp, len(tokens))
-    stop = _first(commas != 1)
-    message = f"expected 're,im', got {tokens[stop]!r}" if stop < len(tokens) else None
-    halves, bad = _convert(float, ",".join(tokens[:stop]).split(",") if stop else [])
-    if bad < 2 * stop:
-        stop, message = bad // 2, f"bad number in {tokens[bad // 2]!r}"
-    pairs = np.array(halves[: 2 * stop], dtype=np.float64).reshape(stop, 2)
-    bad = _first(~np.isfinite(pairs).all(axis=1))
-    if bad < stop:
-        stop, message = bad, f"non-finite number in {tokens[bad]!r}"
-    return pairs[:stop], stop, message
+        raise FormatError(f"bad number in {token!r}", path, lineno) from None
+    if not cmath.isfinite(value):
+        raise FormatError(f"non-finite number in {token!r}", path, lineno)
+    return value
 
 
 def _complex_rows(numbers, lines, width: int, what: str, path: Path) -> np.ndarray:
     """The (len(lines), width) complex matrix of lines of `width` "re,im"
     tokens each; `what` names a line in the token-count message."""
-    rows = [line.split() for line in lines]
-    stop = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
-    error = f"{what} has {len(rows[stop])} entries, expected {width}" if stop < len(rows) else None
-    tokens = [token for row in rows[:stop] for token in row]
-    pairs, bad, message = _complex_tokens(tokens)
-    if bad < len(tokens):
-        stop, error = bad // width, message
-    if error is not None:
-        raise FormatError(error, path, numbers[stop])
-    return pairs.view(np.complex128).reshape(len(rows), width)
+    rows = []
+    for lineno, line in zip(numbers, lines):
+        tokens = line.split()
+        if len(tokens) != width:
+            raise FormatError(f"{what} has {len(tokens)} entries, expected {width}", path, lineno)
+        rows.append([_parse_complex(token, path, lineno) for token in tokens])
+    return np.array(rows, dtype=np.complex128).reshape(len(rows), width)
 
 
 def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
@@ -254,11 +222,7 @@ def _repeats(index: np.ndarray) -> np.ndarray:
 
 def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
-    if data is None:
-        data = read_bytes(path)
-    # ASCII with \n line ends is read from its bytes, block by block; any
-    # other file is decoded and its line ends made \n first
-    text = data if data.isascii() and b"\r" not in data else _decoded(path, data)
+    text = _utf8(path, data)
     numbers, lines, start, first = _head(text, 3)
     header = _take_header(numbers, lines, path, "element v1", ["m", "n"])
     m, n = _header_dims(header, path, ("m", "n"))
@@ -266,7 +230,7 @@ def read_element(path, data: bytes | None = None) -> AlgebraElement:
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
     for first, block in _blocks(text, start, first):
-        parsed = _written_lines(block, seen) if isinstance(block, bytes) else None
+        parsed = _written_lines(block, seen)
         if parsed is None:
             parsed = _element_lines(*_significant(first, block), seen, path)
         index, pairs = parsed
@@ -326,29 +290,24 @@ def _written_lines(block: bytes, seen: np.ndarray):
 
 def _element_lines(numbers, lines, seen: np.ndarray, path: Path):
     """The indices and (re, im) rows of a block of element body lines, given
-    the indices `seen` on earlier lines; a bad line raises."""
-    # `stop` is the first bad line found so far and `error` its message;
-    # every later check looks only at the lines before it
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    stop = _first(counts != 2)
-    error = f"expected '<index> <re,im>', got {lines[stop]!r}" if stop < len(lines) else None
-    tokens = " ".join(lines[:stop]).split()
-    index, bad = _convert(int, tokens[0::2])
-    if bad < stop:
-        stop, error = bad, f"bad index {tokens[2 * bad]!r}"
-    if index and (min(index) < 0 or max(index) >= len(seen)):
-        stop = next(i for i, idx in enumerate(index) if not 0 <= idx < len(seen))
-        error = f"index {index[stop]} out of range [0, {len(seen)})"
-    index = np.array(index[:stop], dtype=np.int64)
-    bad = _first(_repeats(index) | seen[index])
-    if bad < stop:
-        stop, error = bad, f"duplicate index {index[bad]}"
-    pairs, bad, message = _complex_tokens(tokens[1 : 2 * stop : 2])
-    if bad < stop:
-        stop, error = bad, message
-    if error is not None:
-        raise FormatError(error, path, numbers[stop])
-    return index, pairs
+    the indices `seen` on earlier lines, which it extends; a bad line raises."""
+    index, values = [], []
+    for lineno, line in zip(numbers, lines):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected '<index> <re,im>', got {line!r}", path, lineno)
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise FormatError(f"bad index {parts[0]!r}", path, lineno) from None
+        if not 0 <= idx < len(seen):
+            raise FormatError(f"index {idx} out of range [0, {len(seen)})", path, lineno)
+        if seen[idx]:
+            raise FormatError(f"duplicate index {idx}", path, lineno)
+        seen[idx] = True
+        index.append(idx)
+        values.append(_parse_complex(parts[1], path, lineno))
+    return index, np.array(values, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
 def write_element(path, element: AlgebraElement) -> None:
@@ -370,7 +329,7 @@ def write_element(path, element: AlgebraElement) -> None:
 
 def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
-    numbers, lines = _significant(1, _decoded(path, data))
+    numbers, lines = _significant(1, _utf8(path, data))
     header = _take_header(numbers, lines, path, "code v1", ["m", "n", "kind"])
     m, n = _header_dims(header, path, ("m", "n"))
     numbers, lines = numbers[4:], lines[4:]
@@ -398,10 +357,7 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
 def write_code(path, code: CodeSpec) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("code v1\n")
-        fh.write(f"m {code.m}\n")
-        fh.write(f"n {code.n}\n")
-        fh.write(f"kind {code.kind}\n")
+        fh.write(f"code v1\nm {code.m}\nn {code.n}\nkind {code.kind}\n")
         if code.kind == "stabilizer":
             for gen in code.body.labels:
                 fh.write(" ".join(f"{g.a},{g.b}" for g in gen) + "\n")
@@ -414,7 +370,7 @@ def write_code(path, code: CodeSpec) -> None:
 
 def read_custom_basis(path) -> PhaseSystem:
     path = Path(path)
-    numbers, lines = _significant(1, _decoded(path))
+    numbers, lines = _significant(1, _utf8(path))
     header = _take_header(numbers, lines, path, "errorbasis v1", ["m", "ordering"])
     (m,) = _header_dims(header, path, ("m",))
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"
@@ -436,9 +392,7 @@ def write_custom_basis(path, m: int, matrices: np.ndarray) -> None:
     path = Path(path)
     ordering = "row-major" if m % 2 == 0 else "lee-paired"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("errorbasis v1\n")
-        fh.write(f"m {m}\n")
-        fh.write(f"ordering {ordering}\n")
+        fh.write(f"errorbasis v1\nm {m}\nordering {ordering}\n")
         for mat in matrices:
             for row in mat:
                 fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")

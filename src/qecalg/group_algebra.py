@@ -18,6 +18,7 @@ coefficients viewed as an (m^2,) * n tensor; no per-label table is built.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .error_basis import GroupElement, PhaseSystem, build_pauli_system, canonical_ordering
-from .errors import ShapeMismatch, ZeroMass
+from .errors import QecalgError, ShapeMismatch, ZeroMass
 from .reports import CheckReport
 
 # |M| below this is treated as "mass is zero" (double-precision noise floor
@@ -210,13 +211,23 @@ def _shifted_sum(a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
     return out
 
 
+def checked_mass(mass: complex, values: np.ndarray) -> complex:
+    """`mass`, the sum of `values`, once it is fit to divide by.  A
+    (numerically) zero mass raises ZeroMass.  An inf or nan mass, which
+    would make every quotient nan, raises QecalgError unless a value is nan
+    already: that nan runs through, so a check on it fails, not raises."""
+    if not cmath.isfinite(mass) and not np.isnan(values).any():
+        raise QecalgError(f"mass {mass} is not finite: the coefficient sum overflows")
+    if abs(mass) <= MASS_TOL:
+        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
+    return mass
+
+
 def transform(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
     """C' = (1/M) sum_h chi_h(C) z^h, the MacWilliams-type transform of C."""
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
-    mass = a.mass
-    if abs(mass) <= MASS_TOL:
-        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
+    mass = checked_mass(a.mass, a.coeffs)
     out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
     out /= mass
     return AlgebraElement(a.m, a.n, out)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .code_analysis import BasisVectors, CodeSpec, StabilizerGenerators, validate_code
 from .error_basis import PhaseSystem, canonical_ordering
-from .errors import ShapeMismatch, SizeCap, ZeroMass
-from .group_algebra import MASS_TOL, AlgebraElement
+from .errors import ShapeMismatch, SizeCap
+from .group_algebra import AlgebraElement, checked_mass
 
 DEFAULT_SIZE_CAP = 256
 _TOL = 1e-9
@@ -45,9 +45,7 @@ def transform_naive(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
     character matrix, built entry by entry, never factorized along axes."""
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
-    mass = a.mass
-    if abs(mass) <= MASS_TOL:
-        raise ZeroMass(f"|mass| = {abs(mass):.3e} <= {MASS_TOL}")
+    mass = checked_mass(a.mass, a.coeffs)
     chars = np.ones((a.size, a.size), dtype=np.complex128)
     for d in label_digits(a.m, a.n).T:
         chars *= sys.kernel[d[:, None], d[None, :]]

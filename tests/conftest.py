@@ -1,8 +1,27 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qecalg import build_pauli_system
 from qecalg import catalog
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def root_stays_clean():
+    """Fails the run when its tests leave a new file in the repository root
+    (dot-files, such as the pytest and hypothesis caches, aside)."""
+    def listing():
+        return {name for name in os.listdir(_ROOT) if not name.startswith(".")}
+
+    before = listing()
+    yield
+    left = listing() - before
+    assert not left, f"the tests left {sorted(left)} in {_ROOT}"
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 
@@ -252,6 +253,27 @@ def test_non_finite_element_is_input_error(capsys, tmp_path, value):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "non-finite" in err and "line 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "ELEM"],
+    ["enumerate", "ELEM", "--kind", "hamming"],
+    ["enumerate", "ELEM", "--kind", "complete"],
+    ["verify", "ELEM", "--identity", "t9"],
+    ["verify", "ELEM", "--identity", "double"],
+], ids=" ".join)
+@pytest.mark.parametrize("body", ["0 1e308,0\n1 1e308,0\n",
+                                  "0 1e308,0\n1 1e308,0\n2 1e308,0\n3 -1e308,0\n"],
+                         ids=["mass", "weight-class"])
+def test_overflowing_mass_is_input_error(capsys, tmp_path, argv, body):
+    # every coefficient is finite, their sum M is not; in the second body the
+    # weight-1 sum A_1, which t9 turns into A', overflows too
+    path = tmp_path / "big.elem"
+    path.write_text("element v1\nm 2\nn 1\n" + body)
+    code, out, err = run(capsys, *[str(path) if arg == "ELEM" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert "error: mass (inf+0j) is not finite" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.elem"]
 
 
 @pytest.mark.parametrize(
@@ -767,7 +789,15 @@ def _argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argv=_argvs())
 def test_plain_reader_matches_the_full_tree(cli_files, argv):
-    _assert_read_like_the_full_tree([cli_files.get(arg, arg) for arg in argv])
+    # a drawn `-o x` or `--output=OUT` writes into the working directory, so
+    # each call runs in a fresh one
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            _assert_read_like_the_full_tree([cli_files.get(arg, arg) for arg in argv])
+        finally:
+            os.chdir(cwd)
 
 
 @pytest.mark.parametrize("argv", [

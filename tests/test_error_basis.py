@@ -12,7 +12,7 @@ from qecalg import (
     verify_basis_axioms,
     verify_kernel_row_sums,
 )
-from qecalg.error_basis import PhaseSystem, group_add, group_neg
+from qecalg.error_basis import PhaseSystem
 from qecalg.errors import (
     ClosureViolation,
     IdentityViolation,
@@ -21,6 +21,14 @@ from qecalg.errors import (
 )
 
 from conftest import character_by_trace, explicit_operator, omega_by_matrices
+
+
+def group_add(g: GroupElement, h: GroupElement, m: int) -> GroupElement:
+    return GroupElement((g.a + h.a) % m, (g.b + h.b) % m)
+
+
+def group_neg(g: GroupElement, m: int) -> GroupElement:
+    return GroupElement((-g.a) % m, (-g.b) % m)
 
 
 def test_rejects_m_below_two():

@@ -365,7 +365,8 @@ def _rarely(draw, usual, odd):
 @st.composite
 def _written_texts(draw):
     """Element files whose body lines are all `<index> <re>,<im>`, with one
-    space and one comma, as write_element and repr spell them.  The lines
+    space and one comma, as write_element and repr spell them, and one kind
+    of line end (\\n, \\r\\n or \\r) throughout.  The lines
     mostly hold distinct indices and finite values; a few tokens are signed,
     duplicated, out of range or not numbers at all."""
     m, n = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
@@ -386,8 +387,8 @@ def _written_texts(draw):
         body.append(_rarely(draw, st.just(line), st.sampled_from([
             "1,2 3", "0 1 2", "1,2,3", "0 ,1", "0 1,", "0 1,2,3", "0 1 2,3", "0  1,2",
             f" {line}", f"{line} ", "", " ", ","])))
-    end = draw(st.sampled_from(["\n", ""]))
-    return "\n".join([f"element v1\nm {m}\nn {n}", *body]) + end
+    end = draw(st.sampled_from(_LINE_ENDS))
+    return end.join(["element v1", f"m {m}", f"n {n}", *body]) + draw(st.sampled_from([end, ""]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,26 +410,30 @@ def _repr_element_file(path, element):
 
 
 @pytest.mark.parametrize("block", [1 << 20, 64, 5])
-@pytest.mark.parametrize("writer", ["write_element", "repr"])
+@pytest.mark.parametrize("writer", ["write_element", "repr", "crlf", "cr"])
 def test_written_files_are_read_in_bulk(tmp_path, monkeypatch, writer, block):
+    # crlf and cr: write_element's file with \r\n or \r line ends
     monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
     element = random_element(2, 3, seed=8)
     path = tmp_path / "e.elem"
-    (write_element if writer == "write_element" else _repr_element_file)(path, element)
+    (_repr_element_file if writer == "repr" else write_element)(path, element)
+    end = {"crlf": b"\r\n", "cr": b"\r"}.get(writer)
+    if end is not None:
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
     with mock.patch.object(fileio, "_element_lines", side_effect=AssertionError("line route")):
         back = read_element(path)
     assert back.coeffs.tobytes() == element.coeffs.tobytes()
 
 
-@pytest.mark.parametrize("change", ["comment", "crlf", "tab", "blank"])
+@pytest.mark.parametrize("change", ["comment", "utf8-comment", "tab", "blank"])
 def test_other_spellings_take_the_line_route_to_the_same_element(tmp_path, change):
     element = random_element(2, 3, seed=9)
     write_element(tmp_path / "e.elem", element)
     lines = (tmp_path / "e.elem").read_text().splitlines(keepends=True)
     if change == "comment":
         lines.insert(20, "# a comment\n")
-    elif change == "crlf":
-        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif change == "utf8-comment":
+        lines.insert(20, "# caf\u00e9\n")
     elif change == "tab":
         lines[20] = lines[20].replace(" ", "\t")
     else:
