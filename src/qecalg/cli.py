@@ -4,6 +4,11 @@ Subcommands: analyze, enumerate, verify, transform.  Exit codes: 0 on
 success / check passed, 1 when a verification check ran and failed, 2 on
 input or usage errors.  `--format machine` emits one stable JSON object
 (everything except elapsed_s is reproducible for fixed inputs and seeds).
+
+A file input is read by `fileio.read_input`, which tells a code from an
+element by the first significant line, as the readers read it.  Each
+subcommand returns its exit code, inputs, results and text lines, and
+`_dispatch` frames them in the one report format.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, catalog
-from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, random_code
+from .code_analysis import analyze, associated_element, check_cs_ordering, random_code
 from .enumerators import (
     HammingDistribution,
     complete_distribution,
@@ -31,7 +36,7 @@ from .enumerators import (
 )
 from .error_basis import build_pauli_system, verify_basis_axioms, verify_kernel_row_sums
 from .errors import QecalgError
-from .fileio import read_bytes, read_code, read_custom_basis, read_element, write_element
+from .fileio import read_bytes, read_custom_basis, read_element, read_input, write_element
 from .group_algebra import AlgebraElement, double_transform_scaling_check, transform
 
 EXIT_OK = 0
@@ -52,29 +57,13 @@ def _resolve_input(source: str):
         name, code, raw = catalog.resolve(source)
         return name, "code", code, _sha256(raw)
     raw = read_bytes(source)
-    if _first_significant_line(raw).startswith("element"):
-        return source, "element", read_element(source, raw), _sha256(raw)
-    return source, "code", read_code(source, raw), _sha256(raw)
-
-
-def _first_significant_line(raw: bytes) -> str:
-    """The first line of `raw` that is neither blank nor a '#' comment, split
-    at `str.splitlines` boundaries and decoded with errors replaced ("" if
-    none).  Only a prefix is decoded: it grows fourfold until a line ends in it.
-    """
-    size = 4096
-    while True:
-        lines = raw[:size].decode("utf-8", errors="replace").splitlines()
-        if size < len(raw):
-            del lines[-1:]  # it may be cut short, or end in half a line break
-        first = next((s for s in map(str.strip, lines) if s and not s.startswith("#")), None)
-        if first is not None or size >= len(raw):
-            return first or ""
-        size *= 4
+    payload = read_input(source, raw)
+    kind = "element" if isinstance(payload, AlgebraElement) else "code"
+    return source, kind, payload, _sha256(raw)
 
 
 def _system_for(m: int, args):
-    if getattr(args, "basis_file", None):
+    if args.basis_file:
         sys_ = read_custom_basis(args.basis_file)
         if sys_.m != m:
             raise QecalgError(
@@ -111,20 +100,9 @@ def _emit(report: dict, args) -> None:
         print(f"# qecalg {__version__}")
 
 
-def _base_report(command: str, inputs: dict) -> dict:
-    return {
-        "tool": "qecalg",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "text": [],
-    }
+# --- subcommands: each returns (exit code, inputs, results, text lines) ---
 
-
-# --- subcommands ---
-
-def _cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_analyze(args):
     display, kind, payload, digest = _resolve_input(args.code)
     if kind != "code":
         raise QecalgError("analyze needs a code file, not an element file")
@@ -132,8 +110,7 @@ def _cmd_analyze(args) -> int:
     result = analyze(sys_, payload)
     a_txt = _distribution_text(result.primary_distribution)
     b_txt = _distribution_text(result.dual_distribution)
-    report = _base_report("analyze", {"code": display, "sha256": digest})
-    report["results"] = {
+    results = {
         "m": payload.m,
         "n": payload.n,
         "K": result.K,
@@ -144,16 +121,12 @@ def _cmd_analyze(args) -> int:
         "A_dual": [_fmt_complex(c) for c in result.dual_distribution.a],
         "path": result.path,
     }
-    report["text"] = [
-        f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
-        f"A={a_txt}; A'={b_txt}"
-    ]
+    text = [f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
+            f"A={a_txt}; A'={b_txt}"]
     note = _rounding_note(result.primary_distribution, result.dual_distribution)
     if note:
-        report["text"].append(note)
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK
+        text.append(note)
+    return EXIT_OK, {"code": display, "sha256": digest}, results, text
 
 
 def _dist_records(kind: str, element: AlgebraElement):
@@ -168,8 +141,7 @@ def _dist_records(kind: str, element: AlgebraElement):
     return records, text
 
 
-def _cmd_enumerate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_enumerate(args):
     display, kind, payload, digest = _resolve_input(args.input)
     sys_ = _system_for(payload.m, args)
     lines = [f"{args.kind} distribution"]
@@ -188,12 +160,8 @@ def _cmd_enumerate(args) -> int:
         rec_c, text_c = _dist_records(args.kind, primary)
         rec_d, text_d = _dist_records(args.kind, dual)
         lines += ["C :", *text_c, "C':", *text_d]
-    report = _base_report("enumerate", {"input": display, "sha256": digest})
-    report["results"] = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
-    report["text"] = lines
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK
+    results = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
+    return EXIT_OK, {"input": display, "sha256": digest}, results, lines
 
 
 # identity -> check of (system, subject, args); each lambda looks its check up
@@ -268,12 +236,10 @@ def _verify_subject(args):
     return sys_, associated_element(sys_, payload), inputs
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args):
     sys_, subject, inputs = _verify_subject(args)
     check = _VERIFY_CHECKS[args.identity](sys_, subject, args)
-    report = _base_report("verify", inputs)
-    report["results"] = {
+    results = {
         "identity": args.identity,
         "passed": check.passed,
         "max_residual": check.max_residual,
@@ -281,14 +247,10 @@ def _cmd_verify(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
     }
-    report["text"] = [check.summary()]
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if check.passed else EXIT_CHECK_FAILED), inputs, results, [check.summary()]
 
 
-def _cmd_transform(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_transform(args):
     raw = read_bytes(args.element)
     element = read_element(args.element, raw)
     sys_ = _system_for(element.m, args)
@@ -296,20 +258,13 @@ def _cmd_transform(args) -> int:
     out_path = args.output or (args.element + ".transformed")
     write_element(out_path, dual)
     c0, mass = dual.coeffs[0], element.mass
-    report = _base_report("transform", {"element": args.element, "sha256": _sha256(raw)})
-    report["results"] = {
-        "mass": _fmt_complex(mass),
-        "c0_dual": _fmt_complex(c0),
-        "output": str(out_path),
-    }
-    report["text"] = [
+    results = {"mass": _fmt_complex(mass), "c0_dual": _fmt_complex(c0), "output": str(out_path)}
+    text = [
         f"M={mass.real:.12g}" + (f"{mass.imag:+.12g}i" if abs(mass.imag) > 1e-9 else ""),
         f"c'_0={c0.real:.12g}",
         f"wrote {out_path}",
     ]
-    report["elapsed_s"] = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, {"element": args.element, "sha256": _sha256(raw)}, results, text
 
 
 def _non_negative_int(value: str) -> int:
@@ -457,9 +412,15 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run the parsed call; an input error prints one line and exits 2."""
+    """Run the parsed call and emit its report; an input error, printing the
+    report included, prints one line and exits 2."""
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        code, inputs, results, text = args.func(args)
+        _emit({"tool": "qecalg", "version": __version__, "command": args.command,
+               "inputs": inputs, "results": results, "text": text,
+               "elapsed_s": time.perf_counter() - t0}, args)
+        return code
     except QecalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -178,14 +178,6 @@ def validate_code(code: CodeSpec) -> None:
         _generator_rows(code)
 
 
-def _ordering_positions(m: int) -> np.ndarray:
-    """(m, m) table: the canonical ordering index of (a, b)."""
-    a, b = np.array(canonical_ordering(m).order, dtype=np.intp).T
-    pos = np.empty((m, m), dtype=np.intp)
-    pos[a, b] = np.arange(m * m)
-    return pos
-
-
 def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
     """(u, g): a unit u of Z_m with u a = g = gcd(a, m) mod m, for 0 < a < m."""
     g = math.gcd(a, m)
@@ -200,7 +192,7 @@ class _Phases:
     stands for the operator lam E_h of the group the generators generate."""
 
     def __init__(self, sys: PhaseSystem, m: int):
-        self.omega, self.pos, self.m = sys.omega, _ordering_positions(m), m
+        self.omega, self.pos, self.m = sys.omega, sys.ordering.position, m
 
     def _omega(self, left: np.ndarray, right: np.ndarray) -> complex:
         """prod over qudits and over the rows of `left` of omega(left, right),
@@ -302,19 +294,17 @@ def _howell_form(gens: np.ndarray, m: int,
 
 @lru_cache(maxsize=None)
 def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z_m x Z_m on pair codes a m + b: the (m^2, m^2) sum table and the
-    negation table, read-only, in the smallest unsigned dtype holding m^2 - 1."""
-    a, b = np.divmod(np.arange(m * m), m)
-    dtype = np.min_scalar_type(m * m - 1)
-    plus = ((a[:, None] + a) % m * m + (b[:, None] + b) % m).astype(dtype)
-    neg = (-a % m * m + -b % m).astype(dtype)
-    plus.setflags(write=False)
-    neg.setflags(write=False)
-    return plus, neg
+    """The ordering's sum and negation tables of Z_m x Z_m, read-only, in the
+    smallest unsigned dtype holding m^2 - 1, which the streams compare."""
+    ordering, dtype = canonical_ordering(m), np.min_scalar_type(m * m - 1)
+    tables = [t.astype(dtype) for t in (ordering.add_table, ordering.neg_table)]
+    for t in tables:
+        t.setflags(write=False)
+    return tuple(tables)
 
 
 def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The index group S as two tables of per-qudit pair codes a m + b:
+    """The index group S as two tables of per-qudit ordering indices:
     `low`, (n, L) with L <= _BLOCK, the combinations of the last Howell rows,
     and `high`, (n, |S| / L), those of the others.  Every element of S is
     low[:, j] + high[:, k] (added qudit by qudit in Z_m x Z_m) for exactly
@@ -335,10 +325,11 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
             _require_identity(phases.power(g, phi, m), f"generator {k} to the power {m}")
         rows, orders = _howell_form(gens, m, phases, lam)
     plus, _ = _pair_tables(m)
-    # the pair codes of every multiple: codes[k, :, t] is t h_k, and each
+    # the ordering indices of every multiple: codes[k, :, t] is t h_k, and each
     # index array below is C-ordered, so that every table comes out C-ordered
     t = np.arange(m)
-    codes = (rows[:, 0::2, None] * t % m * m + rows[:, 1::2, None] * t % m).astype(plus.dtype)
+    codes = sys.ordering.position[rows[:, 0::2, None] * t % m,
+                                  rows[:, 1::2, None] * t % m].astype(plus.dtype)
 
     def combinations(ks) -> np.ndarray:
         out = np.zeros((n, 1), dtype=plus.dtype)
@@ -391,14 +382,13 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
         low, high = _index_group(sys, code)
-        q = m * m
-        to_pos = _ordering_positions(m).reshape(-1)[_pair_tables(m)[0]]  # ordering index of u + v
+        q, plus = m * m, sys.ordering.add_table
         coeffs = np.zeros(q ** n, dtype=np.complex128)
         for offset in high.T:
             idx = np.zeros(low.shape[1], dtype=np.int64)
             for i in range(n):
                 idx *= q
-                idx += to_pos[offset[i]][low[i]]
+                idx += plus[offset[i]][low[i]]
             coeffs[idx] = 1.0
         return AlgebraElement(m, n, coeffs)
     validate_code(code)
@@ -440,17 +430,13 @@ def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
     )
 
 
-def _pair_report(code: CodeSpec, k: int, mass: float, a: Sequence, b: Sequence,
+def _pair_report(k: int, mass: float, a: HammingDistribution, b: HammingDistribution,
                  path: str) -> AnalysisReport:
     """The report of the Hamming pair (A, A') = (a, b), with d and purity
-    decided on `a` and `b` as given (Python ints on the exact route)."""
-    d, pure = _distance_and_purity(a, b, k)
-    return AnalysisReport(
-        K=k, d=d, pure=pure, mass=mass,
-        primary_distribution=HammingDistribution(code.m, code.n, np.array(a, dtype=np.complex128)),
-        dual_distribution=HammingDistribution(code.m, code.n, np.array(b, dtype=np.complex128)),
-        path=path,
-    )
+    decided on their exact integers where they carry them (the exact route)."""
+    d, pure = _distance_and_purity(a.exact or a.a, b.exact or b.a, k)
+    return AnalysisReport(K=k, d=d, pure=pure, mass=mass,
+                          primary_distribution=a, dual_distribution=b, path=path)
 
 
 def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
@@ -460,7 +446,7 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     size = low.shape[1] * high.shape[1]
     if m ** n % size:
         raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
-    # a qudit of low + offset is nonzero iff its low pair differs from -offset
+    # a qudit of low + offset is nonzero iff its low index differs from that of -offset
     _, neg = _pair_tables(m)
     counts = np.zeros(n + 1, dtype=np.int64)
     weight = np.min_scalar_type(n)
@@ -471,7 +457,8 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
     if any(x % size for x in b):
         raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
-    return _pair_report(code, m ** n // size, float(size), a, [x // size for x in b], "exact")
+    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, [x // size for x in b]))
+    return _pair_report(m ** n // size, float(size), a, b, "exact")
 
 
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
@@ -481,8 +468,8 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
         return _analyze_exact(sys, code)
     c = associated_element(sys, code)
     dist = hamming_distribution(c)
-    return _pair_report(code, code.body.vectors.shape[0], c.mass.real, dist.a,
-                        macwilliams_hamming(dist, c.mass), "dense")
+    dual = HammingDistribution(code.m, code.n, macwilliams_hamming(dist, c.mass))
+    return _pair_report(code.body.vectors.shape[0], c.mass.real, dist, dual, "dense")
 
 
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .error_basis import GroupElement, GroupOrdering, PhaseSystem
-from .errors import EvenM
+from .errors import EvenM, QecalgError
 from .group_algebra import (
     AlgebraElement, checked_mass, contract_axes, label_sums, transform, weight_reduce)
 from .reports import CheckReport
@@ -57,14 +57,24 @@ class LeeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class HammingDistribution:
-    """Coefficients A_0..A_n, A_i = sum of c_g over labels of weight i."""
+    """Coefficients A_0..A_n, A_i = sum of c_g over labels of weight i, and,
+    where they are known, the same as exact Python ints (complex128 `a` holds
+    integers exactly only below 2^53)."""
 
     m: int
     n: int
     a: np.ndarray
+    exact: tuple[int, ...] | None = None
+
+    @classmethod
+    def of_ints(cls, m: int, n: int, counts: Sequence[int]) -> "HammingDistribution":
+        return cls(m, n, np.array(counts, dtype=np.complex128), tuple(counts))
 
     def rounded(self, tol: float = 1e-6):
-        """Integer-rounded vector, or None if some entry is not near-integer."""
+        """The exact ints, else the integer-rounded vector, or None if some
+        entry is not near-integer."""
+        if self.exact is not None:
+            return self.exact
         r = np.round(self.a.real)
         if np.abs(self.a - r).max() <= tol:
             return tuple(int(v) for v in r)
@@ -289,10 +299,14 @@ def macwilliams_terms(a, q: int, n: int) -> list:
 
 def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
     """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion;
-    a mass unfit to divide by raises, as in `transform`."""
+    a mass unfit to divide by raises, as in `transform`, and so does an
+    overflowing A' of a finite mass."""
     mass = checked_mass(mass, dist.a)
-    terms = macwilliams_terms(dist.a, dist.m * dist.m, dist.n)
-    return np.array(terms, dtype=np.complex128) / mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array(macwilliams_terms(dist.a, dist.m * dist.m, dist.n), np.complex128) / mass
+    if np.isfinite(mass) and not np.isfinite(out).all():
+        raise QecalgError("the t9 image of A overflows: a coefficient of A' is not finite")
+    return out
 
 
 def verify_hamming_identity(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:

@@ -51,14 +51,16 @@ class GroupOrdering:
 
     alpha_0 is always the identity.  For odd m the tail is arranged so that
     alpha_{m^2-i} = -alpha_i for 1 <= i <= delta = (m^2-1)/2, which is what
-    the Lee enumerator needs; `lee_delta` is None for even m.  `add_table`
-    and `neg_table` translate group arithmetic into ordering indices.
+    the Lee enumerator needs; `lee_delta` is None for even m.  `position`,
+    an (m, m) array, is the ordering index of (a, b), and `add_table` and
+    `neg_table` translate group arithmetic into ordering indices.
     """
 
     m: int
     order: tuple[GroupElement, ...]
     lee_delta: int | None
     index: dict
+    position: np.ndarray
     add_table: np.ndarray
     neg_table: np.ndarray
 
@@ -97,10 +99,11 @@ def canonical_ordering(m: int) -> GroupOrdering:
     pos[codes] = np.arange(q)
     add_table = pos[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
     neg_table = pos[neg[codes]]
-    add_table.setflags(write=False)
-    neg_table.setflags(write=False)
+    position = pos.reshape(m, m)
+    for table in (position, add_table, neg_table):
+        table.setflags(write=False)
     return GroupOrdering(
-        m=m, order=order, lee_delta=delta, index=index,
+        m=m, order=order, lee_delta=delta, index=index, position=position,
         add_table=add_table, neg_table=neg_table,
     )
 

@@ -21,6 +21,8 @@ Code file ("code v1"):
 
 `read_element` and `read_code` take the file's bytes when the caller has
 already read them (`read_bytes`); the path is then only named in messages.
+`read_input` reads either kind: the first significant line, as the readers
+read it, picks the reader.
 
 A reader checks that the input is UTF-8 (a file that is not is a
 `FormatError` naming the line of the first bad byte), makes its \\r\\n and \\r
@@ -216,6 +218,16 @@ def _repeats(index: np.ndarray) -> np.ndarray:
     flags = np.zeros(len(index), dtype=bool)
     flags[order[1:][index[order[1:]] == index[order[:-1]]]] = True
     return flags
+
+
+def read_input(path, data: bytes | None = None) -> AlgebraElement | CodeSpec:
+    """The element or the code in a file: an element when its first
+    significant line starts with "element", else a code, whose reader then
+    names the header it expected.  The readers get the checked text, in
+    which their own `_utf8` pass finds nothing to change."""
+    text = _utf8(Path(path), data)
+    _, lines, _, _ = _head(text, 1)
+    return (read_element if lines and lines[0].startswith("element") else read_code)(path, text)
 
 
 # --- elements ---

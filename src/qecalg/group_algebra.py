@@ -46,12 +46,13 @@ def weight_reduce(values: np.ndarray, q: int, n: int) -> np.ndarray:
     digits moves up one weight, so no per-label table is built.
     """
     acc = values.reshape(1, -1)
-    for _ in range(n):
-        acc = acc.reshape(acc.shape[0], q, -1)
-        out = np.zeros((acc.shape[0] + 1, acc.shape[2]), dtype=acc.dtype)
-        out[:-1] = acc[:, 0]
-        out[1:] += acc[:, 1:].sum(axis=1)
-        acc = out
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers judge a non-finite sum
+        for _ in range(n):
+            acc = acc.reshape(acc.shape[0], q, -1)
+            out = np.zeros((acc.shape[0] + 1, acc.shape[2]), dtype=acc.dtype)
+            out[:-1] = acc[:, 0]
+            out[1:] += acc[:, 1:].sum(axis=1)
+            acc = out
     return acc.reshape(n + 1)
 
 
@@ -124,7 +125,8 @@ class AlgebraElement:
             raise ValueError(f"expected {size} coefficients, got shape {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "mass", complex(c.sum()))
+        with np.errstate(over="ignore", invalid="ignore"):  # the callers judge a non-finite sum
+            object.__setattr__(self, "mass", complex(c.sum()))
 
     @property
     def size(self) -> int:
@@ -228,9 +230,13 @@ def transform(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
     mass = checked_mass(a.mass, a.coeffs)
-    out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
-    out /= mass
-    return AlgebraElement(a.m, a.n, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
+        out /= mass
+    dual = AlgebraElement(a.m, a.n, out)
+    if cmath.isfinite(mass) and not cmath.isfinite(dual.mass):  # an inf or nan in C'
+        raise QecalgError(f"the transform overflows: the mass of C' is {dual.mass}")
+    return dual
 
 
 def double_transform_scaling_check(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:

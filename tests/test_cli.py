@@ -33,6 +33,7 @@ from qecalg import (
     verify_lee_identity,
 )
 from qecalg.cli import main
+from qecalg.enumerators import macwilliams_terms
 from qecalg.fileio import (
     read_code,
     read_custom_basis,
@@ -265,6 +266,7 @@ def test_non_finite_element_is_input_error(capsys, tmp_path, value):
 @pytest.mark.parametrize("body", ["0 1e308,0\n1 1e308,0\n",
                                   "0 1e308,0\n1 1e308,0\n2 1e308,0\n3 -1e308,0\n"],
                          ids=["mass", "weight-class"])
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed either
 def test_overflowing_mass_is_input_error(capsys, tmp_path, argv, body):
     # every coefficient is finite, their sum M is not; in the second body the
     # weight-1 sum A_1, which t9 turns into A', overflows too
@@ -273,6 +275,25 @@ def test_overflowing_mass_is_input_error(capsys, tmp_path, argv, body):
     code, out, err = run(capsys, *[str(path) if arg == "ELEM" else arg for arg in argv])
     assert (code, out) == (2, "")
     assert "error: mass (inf+0j) is not finite" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.elem"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "ELEM"],
+    ["enumerate", "ELEM", "--kind", "complete", "--format", "machine"],
+    ["enumerate", "ELEM", "--kind", "hamming"],
+    ["verify", "ELEM", "--identity", "double"],
+    ["verify", "ELEM", "--identity", "t9"],
+], ids=" ".join)
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed either
+def test_overflowing_transform_is_input_error(capsys, tmp_path, argv):
+    # the mass M = 1 is finite, but C' and the t9 image of A overflow: no inf
+    # or nan is written, printed or checked
+    path = tmp_path / "big.elem"
+    path.write_text("element v1\nm 2\nn 1\n0 1e308,0\n1 -1e308,0\n2 1,0\n")
+    code, out, err = run(capsys, *[str(path) if arg == "ELEM" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
     assert [p.name for p in tmp_path.iterdir()] == ["big.elem"]
 
 
@@ -591,16 +612,51 @@ def test_enumerate_hamming_agrees_with_analyze(capsys, tmp_path, source):
         assert elapsed < 1.0
 
 
+def test_exact_integers_above_2_to_the_53(capsys, tmp_path):
+    # one generator ZZ...Z on 30 qubits: |S| = 2 and A' = t9(A) / 2, whose
+    # middle terms are above 2^53, where complex128 no longer holds every integer
+    path = tmp_path / "n30.code"
+    path.write_text("code v1\nm 2\nn 30\nkind stabilizer\n" + " ".join(["0,1"] * 30) + "\n")
+    want = [x // 2 for x in macwilliams_terms([1] + [0] * 29 + [1], 4, 30)]
+    assert want[18] == 16754623805590125 and float(want[18]) != want[18]
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert f"A'=({','.join(map(str, want))})" in out
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert code == 0
+    assert f"C': A=({','.join(map(str, want))})" in out
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "machine")
+    assert json.loads(out)["results"]["A_dual"] == [[float(x), 0.0] for x in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "513"],
+    ["enumerate", "422", "--kind", "hamming"],
+    ["verify", "--identity", "axioms", "--m", "2"],
+    ["transform", "ELEM", "-o", "OUT"],
+], ids=lambda argv: argv[0])
+def test_every_report_has_one_frame(capsys, tmp_path, argv):
+    write_element(tmp_path / "e.elem", random_element(2, 1, 3))
+    paths = {"ELEM": str(tmp_path / "e.elem"), "OUT": str(tmp_path / "e.out")}
+    code, out, _ = run(capsys, *[paths.get(arg, arg) for arg in argv], "--format", "machine")
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == ["command", "elapsed_s", "inputs", "results", "text", "tool",
+                              "version"]
+    assert report["command"] == argv[0]
+
+
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " "])
 def test_input_kind_sniff_splits_lines_like_splitlines(capsys, tmp_path, sep):
-    # the sniff ends a line at `sep`, so the first significant line is
-    # "element v1" and the file is read as an element; the element parser ends
-    # lines only at \n, \r\n and \r, so the comment swallows the magic
+    # the kind is picked from the first significant line as the readers split
+    # lines, at \n, \r\n and \r only, not at every str.splitlines boundary:
+    # `sep` stays inside the comment, which swallows "element v1", so the file
+    # is read as a code and its reader names the header it expected
     path = tmp_path / "sniff.txt"
     path.write_bytes(f"# note{sep}element v1\nm 2\nn 1\n0 1,0\n".encode())
     code, out, err = run(capsys, "enumerate", str(path), "--kind", "hamming")
     assert (code, out) == (2, "")
-    assert "line 2: expected header 'element v1', got 'm 2'" in err
+    assert "line 2: expected header 'code v1', got 'm 2'" in err
 
 
 @pytest.mark.parametrize("comment", [4090, 4095, 20000])

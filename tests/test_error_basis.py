@@ -326,6 +326,8 @@ def test_tables_match_the_element_loops(m):
     assert all(type(g) is GroupElement and type(g.a) is type(g.b) is int
                for g in ordering.order)
     assert ordering.index == index
+    assert all(ordering.position[a, b] == i for (a, b), i in index.items())
+    assert ordering.position.shape == (m, m)
     assert ordering.lee_delta == (None if m % 2 == 0 else (m * m - 1) // 2)
     _same_bits(ordering.add_table, add_table)
     _same_bits(ordering.neg_table, neg_table)
@@ -333,5 +335,6 @@ def test_tables_match_the_element_loops(m):
     assert sys_.ordering is ordering
     for got, want in zip((sys_.omega, sys_.kernel, sys_.matrices), _reference_pauli(m, order)):
         _same_bits(got, want)
-    for arr in (ordering.add_table, ordering.neg_table, sys_.omega, sys_.kernel, sys_.matrices):
+    for arr in (ordering.position, ordering.add_table, ordering.neg_table,
+                sys_.omega, sys_.kernel, sys_.matrices):
         assert not arr.flags.writeable
