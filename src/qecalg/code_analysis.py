@@ -26,7 +26,8 @@ index subgroup S.  `analyze` takes one of two routes:
       no array of m^(2n) coefficients is built, and memory is O(n _BLOCK).
       t9 holds for every nice error basis (the kernel rows sum to zero,
       lemma 1), so these numbers do not depend on the basis.  Phased
-      generators are checked for consistency through the reduction.
+      generators are checked on their powers and on the relation words
+      that one Howell form of [G | I] yields (see `_index_group`).
   dense (basis input)  C is built once, A is its Hamming distribution and
       A' comes from t9 in floating point; the transform C' is never built.
 
@@ -187,31 +188,6 @@ def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
     return u, g
 
 
-class _Phases:
-    """The phases of phased generators through the row steps: each row h
-    stands for the operator lam E_h of the group the generators generate."""
-
-    def __init__(self, sys: PhaseSystem, m: int):
-        self.omega, self.pos, self.m = sys.omega, sys.ordering.position, m
-
-    def _omega(self, left: np.ndarray, right: np.ndarray) -> complex:
-        """prod over qudits and over the rows of `left` of omega(left, right),
-        the phase in E_l E_r = omega E_(l+r)."""
-        return self.omega[self.pos[left[..., 0::2], left[..., 1::2]],
-                          self.pos[right[0::2], right[1::2]]].prod()
-
-    def power(self, h: np.ndarray, lam: complex, e: int) -> complex:
-        """The phase of (lam E_h)^e = lam^e prod_{0<u<e} omega(u h, h) E_(e h)."""
-        return lam ** e * self._omega(np.arange(1, e)[:, None] * h % self.m, h)
-
-    def combine(self, h1: np.ndarray, lam1: complex, e1: int,
-                h2: np.ndarray, lam2: complex, e2: int) -> complex:
-        """The phase of (lam1 E_h1)^e1 (lam2 E_h2)^e2, exponents taken mod m."""
-        e1, e2 = e1 % self.m, e2 % self.m
-        return (self.power(h1, lam1, e1) * self.power(h2, lam2, e2)
-                * self._omega(e1 * h1 % self.m, e2 * h2 % self.m))
-
-
 def _require_identity(lam: complex, what: str) -> None:
     """Raise InconsistentStabilizers unless the operator lam I is I."""
     if not abs(lam - 1.0) <= PHASE_TOL:
@@ -221,8 +197,7 @@ def _require_identity(lam: complex, what: str) -> None:
             "the group holds a multiple of the identity")
 
 
-def _howell_form(gens: np.ndarray, m: int,
-                 phases: _Phases | None = None, lam: list | None = None):
+def _howell_form(gens: np.ndarray, m: int):
     """Howell form over Z_m of the rows of `gens`: rows h_k whose pivot (the
     first nonzero entry) p_k divides m, in strictly increasing columns, with
     the entries above each pivot reduced below it, and t_k h_k in the span
@@ -236,19 +211,8 @@ def _howell_form(gens: np.ndarray, m: int,
     only when m has two prime factors), it is scaled by a unit to the
     divisor g, and a multiple of it is subtracted from every other row.  For
     g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
-
-    With `phases`, `lam` holds the phase of each generator's operator, and
-    the phase of every row is carried through each step (the generators'
-    operators must have order dividing m, so exponents are taken mod m).
-    Every step is invertible, so the rows' operators generate the same group,
-    and every row left at the end is zero: its operator must be the identity
-    itself, or InconsistentStabilizers is raised.  That also checks each
-    order relation t_k h_k = sum_{j>k} c_j h_j: the annihilator row is the
-    operator of t_k h_k, and it ends as a word in the later rows and the
-    zero rows.  So the operators of S are well defined, one per element.
     """
     mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
-    lam = None if phases is None else np.array(lam, dtype=np.complex128)
     k, cols = 0, []
     while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
         col = int(todo[0])  # every row below k is zero before this column
@@ -261,35 +225,33 @@ def _howell_form(gens: np.ndarray, m: int,
         for i in k + np.flatnonzero(vals % g):
             a, b = int(mat[p, col]), int(mat[i, col])
             c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
-            if lam is not None:
-                lam[p] = phases.combine(mat[p], lam[p], 1, mat[i], lam[i], c)
             mat[p] = (mat[p] + c * mat[i]) % m
         u, g = _unit_to_divisor(int(mat[p, col]), m)
-        if lam is not None:
-            lam[p] = phases.power(mat[p], lam[p], u)
-            lam[[k, p]] = lam[[p, k]]
         if u != 1:
             mat[p] = u * mat[p] % m
         if p != k:
             mat[[k, p]] = mat[[p, k]]
         q = mat[:, col] // g  # clears the rows below k, reduces those above below g
         q[k] = 0
-        if lam is not None:
-            for i in np.flatnonzero(q):
-                lam[i] = phases.combine(mat[i], lam[i], 1, mat[k], lam[k], -int(q[i]))
         mat -= q[:, None] * mat[k]
         mat %= m
         cols.append(col)
         k += 1
         if g != 1:
             mat = np.vstack([mat, m // g * mat[k - 1] % m])
-            if lam is not None:
-                lam = np.append(lam, phases.power(mat[k - 1], lam[k - 1], m // g))
-    if lam is not None:
-        for x in lam[k:]:  # every row left is zero
-            _require_identity(x, "a product of the generators")
     rows = mat[:k]
     return rows, m // rows[np.arange(k), cols]
+
+
+def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
+    """The scalar s of prod_k (lam_k E_{g_k})^{c_k} = s I for a word c with
+    sum_k c_k g_k = 0, where mats[k] holds the (n, m, m) qudit matrices of
+    E_{g_k}: the product of the lam_k^{c_k} and, qudit by qudit, of the
+    matrix powers, each product a multiple of I."""
+    word = np.eye(mats.shape[-1])
+    for k in np.flatnonzero(c):
+        word = word @ np.linalg.matrix_power(mats[k], int(c[k]))
+    return np.prod(lam ** c) * np.prod(word[..., 0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +272,11 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
     low[:, j] + high[:, k] (added qudit by qudit in Z_m x Z_m) for exactly
     one (j, k), so S is streamed in |S| / L blocks and never stored.
 
-    Phased codes are checked first: each generator's operator must have
-    order dividing m, then the Howell reduction carries the phases."""
+    Phased codes are checked first: each operator lam_k E_{g_k} must have
+    order dividing m, and each relation sum_k c_k g_k = 0 must give the
+    identity itself.  The relations are read off one Howell form of [G | I]:
+    its rows [h | c] with a pivot in G's columns are S's Howell rows, and the
+    others, [0 | c], are words that generate every relation."""
     gens = _generator_rows(code)
     if sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
@@ -319,11 +284,16 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
     if code.body.phases is None:
         rows, orders = _howell_form(gens, m)
     else:
-        phases = _Phases(sys, m)
-        lam = [np.exp(1j * np.pi * p / m) for p in code.body.phases]
-        for k, (g, phi) in enumerate(zip(gens, lam)):
-            _require_identity(phases.power(g, phi, m), f"generator {k} to the power {m}")
-        rows, orders = _howell_form(gens, m, phases, lam)
+        lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
+        mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
+        powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
+        for k, x in enumerate(powers):
+            _require_identity(x, f"generator {k} to the power {m}")
+        rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
+        span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
+        for c in rows[span:, 2 * n:]:
+            _require_identity(_word_phase(mats, lam, c), "a product of the generators")
+        rows, orders = rows[:span, :2 * n], orders[:span]
     plus, _ = _pair_tables(m)
     # the ordering indices of every multiple: codes[k, :, t] is t h_k, and each
     # index array below is C-ordered, so that every table comes out C-ordered

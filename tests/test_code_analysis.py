@@ -518,7 +518,9 @@ def test_exact_route_twenty_qubits_stays_small(sys2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the last doubling holds S and its half; the weight count adds little
+    # S is streamed in blocks of at most _BLOCK elements (the peak is near a
+    # fifth of the bytes of S, at 40 bytes an element), so the bound holds the
+    # route well below what storing S whole would take
     group_bytes = 40 * 2 ** 19
     assert peak < 1.8 * group_bytes, f"traced peak {peak / group_bytes:.2f} x the bytes of S"
     assert (report.K, report.mass) == (2, 2.0 ** 19)
@@ -588,6 +590,39 @@ def test_stream_matches_coset_doubling(monkeypatch, m, block):
                 expected = np.zeros_like(c)
                 expected[group_indices(group, m, n)] = 1.0
                 assert np.array_equal(c, expected)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])
+def test_howell_form_of_g_and_identity_reads_the_relations(m):
+    # the phase check's reading of the Howell form of [G | I]: the rows with a
+    # pivot in G's columns are G's own Howell rows, and the rest [0 | c] are
+    # relations c G = 0 that, with them, account for all m^r words c
+    rng = np.random.default_rng(100 + m)
+    for n in range(1, 5):
+        for gens in _random_generator_sets(rng, m, n, 6):
+            g = np.array(gens, dtype=np.int64).reshape(len(gens), 2 * n)
+            rows, orders = code_analysis._howell_form(
+                np.hstack([g, np.eye(len(g), dtype=np.int64)]), m)
+            span = np.count_nonzero(rows[:, :2 * n].any(axis=1))
+            howell, howell_orders = code_analysis._howell_form(g, m)
+            assert np.array_equal(rows[:span, :2 * n], howell)
+            assert np.array_equal(orders[:span], howell_orders)
+            assert not (rows[span:, 2 * n:] @ g % m).any()
+            assert np.prod([int(t) for t in orders]) == m ** len(g)
+
+
+def test_phased_twenty_qubits_beyond_the_oracle(sys2):
+    # Z_i on each of 20 qubits and the redundant Z_0 Z_1: the oracle cannot
+    # build a 2^20 x 2^20 projector, but the check reads the one relation word
+    gens = [[(0, int(i == j)) for j in range(20)] for i in range(20)]
+    gens.append([(0, int(j < 2)) for j in range(20)])
+    free = analyze(sys2, CodeSpec.from_stabilizers(2, 20, gens))
+    phased = analyze(sys2, CodeSpec.from_stabilizers(2, 20, gens, [0] * 21))
+    assert (phased.K, phased.d, phased.pure) == (free.K, free.d, free.pure) == (1, 1, True)
+    for dist in ("primary_distribution", "dual_distribution"):
+        assert getattr(phased, dist).exact == getattr(free, dist).exact
+    with pytest.raises(InconsistentStabilizers, match="a product of the generators"):
+        analyze(sys2, CodeSpec.from_stabilizers(2, 20, gens, [0] * 20 + [2]))
 
 
 def test_phase_check_agrees_with_oracle_on_random_codes():
