@@ -93,8 +93,8 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
     (unoccupied keys of indicator elements) are dropped.
     """
     base = a.n + 1
-    per_column = 1
-    while base ** (per_column + 1) <= np.iinfo(np.int64).max:
+    per_column, limit = 1, np.iinfo(np.int64).max
+    while base ** (per_column + 1) <= limit:
         per_column += 1
     widths = [min(per_column, count - start) for start in range(0, count, per_column)]
     columns = []
@@ -114,7 +114,9 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
     counts = np.concatenate(
         [keys[keep, j, None] // _powers(base, width) % base for j, width in enumerate(widths)],
         axis=1)
-    return {tuple(row): complex(r, i) for row, r, i in zip(counts.tolist(), re[keep], im[keep])}
+    # Python floats, not numpy scalars: iterating numpy arrays dominates the cost
+    sums = zip(counts.tolist(), re[keep].tolist(), im[keep].tolist())
+    return {tuple(row): complex(r, i) for row, r, i in sums}
 
 
 def _powers(base: int, width: int) -> np.ndarray:

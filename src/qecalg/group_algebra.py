@@ -68,18 +68,25 @@ def contract_axes(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(T,) array: sum_g values[g] * prod_i vectors[t, i, g_i] for each t.
 
     `vectors` is a stacked (T, n, s) array; axis i of `values` is contracted
-    with vectors[:, i] (first coordinate first).  Up to s trials go at a time:
-    one GEMM over the first axis, whose (trials, s^(n-1)) output is never
-    larger than `values`, then one batched matmul per remaining axis.
+    with vectors[:, i] (first coordinate first).  For n >= 2, up to s^2
+    trials go at a time: one GEMM of each trial's outer product
+    vectors[t, 0] x vectors[t, 1] against the first two axes, whose
+    (trials, s^(n-2)) output is never larger than `values`, then one batched
+    matmul per remaining axis.  For n = 1 it is one GEMM of up to s trials.
     """
     count, n, s = vectors.shape
+    lead = min(n, 2)
+    step = s ** lead
     out = np.empty(count, dtype=np.result_type(values, vectors))
-    for start in range(0, count, s):
-        v = vectors[start:start + s]
-        t = v[:, 0] @ values.reshape(s, -1)
-        for i in range(1, n):
+    for start in range(0, count, step):
+        v = vectors[start:start + step]
+        first = v[:, 0]
+        if lead == 2:
+            first = (first[:, :, None] * v[:, 1, None, :]).reshape(len(v), step)
+        t = first @ values.reshape(step, -1)
+        for i in range(lead, n):
             t = np.matmul(v[:, i, None], t.reshape(len(v), s, -1))
-        out[start:start + s] = t.reshape(-1)
+        out[start:start + step] = t.reshape(-1)
     return out
 
 
@@ -192,7 +199,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     product = _kernel.apply_axiswise(kernel, a.coeffs, a.n)
     product *= _kernel.apply_axiswise(kernel, b.coeffs, b.n)
     out = _kernel.apply_axiswise(kernel, product, a.n)
-    out /= a.size
+    out *= 1 / a.size
     return AlgebraElement(a.m, a.n, out)
 
 
@@ -226,13 +233,19 @@ def checked_mass(mass: complex, values: np.ndarray) -> complex:
 
 
 def transform(sys: PhaseSystem, a: AlgebraElement) -> AlgebraElement:
-    """C' = (1/M) sum_h chi_h(C) z^h, the MacWilliams-type transform of C."""
+    """C' = (1/M) sum_h chi_h(C) z^h, the MacWilliams-type transform of C.
+
+    The scaling is one multiply by 1/M.  numpy divides by a real divisor by
+    multiplying by its reciprocal, so for real M (the element of every code)
+    this equals division as floats; only the sign of an exact zero may
+    differ.  For complex M the two differ by rounding alone.
+    """
     if sys.m != a.m:
         raise ShapeMismatch(f"system has m={sys.m}, element has m={a.m}")
     mass = checked_mass(a.mass, a.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _kernel.apply_axiswise(sys.kernel, a.coeffs, a.n)
-        out /= mass
+        out *= 1 / mass
     dual = AlgebraElement(a.m, a.n, out)
     if cmath.isfinite(mass) and not cmath.isfinite(dual.mass):  # an inf or nan in C'
         raise QecalgError(f"the transform overflows: the mass of C' is {dual.mass}")

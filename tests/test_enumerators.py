@@ -411,7 +411,8 @@ _DIFFERENTIAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("trials", [1, 7, 20])
+# 17 and 82 trials cross a chunk of m^4 trials at m = 2 and m = 3
+@pytest.mark.parametrize("trials", [1, 7, 17, 20, 82])
 @pytest.mark.parametrize("check,m,n", _DIFFERENTIAL_CASES)
 def test_batched_trials_match_per_trial_loop(monkeypatch, check, m, n, trials):
     a = random_element(m, n, seed=10 * m + n)
@@ -432,7 +433,7 @@ def test_batched_trials_match_per_trial_loop_failing_lee(monkeypatch, sys3):
 
 @pytest.mark.parametrize("check", [verify_exact_identity, verify_complete_identity])
 def test_evaluation_check_memory(sys2, check):
-    # C' and the first contraction's (m^2 trials, 4^8) output, each the size of C
+    # C' and the first contraction's (16 trials, 4^7) output, each the size of C
     a = random_element(2, 9, seed=5, nonneg=True)
     tracemalloc.start()
     try:

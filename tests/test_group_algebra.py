@@ -10,6 +10,8 @@ from qecalg import (
     GroupElement,
     add,
     associated_element,
+    build_pauli_system,
+    catalog,
     decode_index,
     double_transform_scaling_check,
     encode_label,
@@ -20,6 +22,8 @@ from qecalg import (
     transform,
 )
 from qecalg.errors import ShapeMismatch, ZeroMass
+from qecalg.group_algebra import contract_axes
+from qecalg.kernel import apply_axiswise
 from qecalg.oracle import transform_naive
 
 
@@ -98,6 +102,65 @@ def test_multiply_commutative_associative():
         left = multiply(multiply(a, b), c)
         right = multiply(a, multiply(b, c))
         assert np.abs(left.coeffs - right.coeffs).max() < 1e-12
+
+
+def test_multiply_scales_as_division():
+    # the kernel route scales by 1/m^(2n) with one multiply: the same floats
+    # as dividing by m^(2n)
+    for m, n in ((2, 3), (3, 2), (4, 2), (5, 2)):
+        a, b = random_element(m, n, seed=m), random_element(m, n, seed=m + 10)
+        kernel = build_pauli_system(m).kernel
+        product = apply_axiswise(kernel, a.coeffs, n) * apply_axiswise(kernel, b.coeffs, n)
+        want = apply_axiswise(kernel, product, n) / a.size
+        assert np.array_equal(multiply(a, b).coeffs, want)
+
+
+def _real_mass_elements():
+    """Elements of the catalog codes small enough to hold densely, and
+    code-like random elements at m = 2..5: all of real mass."""
+    for name in ("513", "422", "913shor", "311qutrit", "steane713"):
+        code = catalog.load(name)
+        yield associated_element(build_pauli_system(code.m), code)
+    for m, n in ((2, 4), (3, 3), (4, 2), (5, 2)):
+        for seed in range(3):
+            yield random_element(m, n, seed=seed, nonneg=True)
+
+
+def test_transform_scales_real_mass_as_division():
+    # a multiply by 1/M equals division by a real M as floats (+0 == -0)
+    for a in _real_mass_elements():
+        assert a.mass.imag == 0
+        sys_ = build_pauli_system(a.m)
+        want = apply_axiswise(sys_.kernel, a.coeffs, a.n) / a.mass
+        assert np.array_equal(transform(sys_, a).coeffs, want)
+
+
+def test_transform_scales_complex_mass_to_rounding():
+    for m, n in ((2, 4), (3, 3), (4, 2), (5, 2)):
+        sys_ = build_pauli_system(m)
+        for seed in range(5):
+            a = random_element(m, n, seed=seed)
+            want = apply_axiswise(sys_.kernel, a.coeffs, a.n) / a.mass
+            got = transform(sys_, a).coeffs
+            assert np.abs(got - want).max() <= 4.5e-16 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("s", [4, 9, 16])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contract_axes_matches_einsum(n, s):
+    # trial counts on both sides of a chunk of s (n = 1) or s^2 (n >= 2) trials
+    rng = np.random.default_rng(100 * s + n)
+    values = rng.standard_normal(s ** n) + 1j * rng.standard_normal(s ** n)
+    for count in (1, s, s * s, s * s + 1):
+        vectors = (rng.standard_normal((count, n, s))
+                   + 1j * rng.standard_normal((count, n, s)))
+        operands = [values.reshape((s,) * n), list(range(n))]
+        for i in range(n):
+            operands += [vectors[:, i], [n, i]]
+        want = np.einsum(*operands, [n])
+        got = contract_axes(values, vectors)
+        assert got.shape == (count,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_transform_of_unit(sys2):
