@@ -319,13 +319,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: by default the full tree, or, when `command` names
-    a subcommand, the top level with only that subcommand's parser.
-
-    The second form parses every argv that starts with `command` as the full
-    tree does, errors included: its usage line still lists all commands.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with one subparser per command of `_COMMANDS`."""
     import argparse  # here, not at the top: a plain call never needs it
 
     parser = argparse.ArgumentParser(
@@ -335,13 +330,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         epilog=f"built-in catalog codes: {', '.join(catalog.names())}",
     )
     parser.add_argument("--version", action="version", version=f"qecalg {__version__}")
-    # one subcommand's parser shows the metavar the full tree derives from its
-    # choices; setting it on the full tree too would rename `command` in its
-    # invalid-choice and required errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_, handler, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flags, settings in arguments:
             p.add_argument(*flags, **settings)
@@ -405,9 +395,8 @@ def main(argv=None) -> int:
     if plain is not None:
         args = SimpleNamespace(**plain)
     else:
-        # argparse, for help, --version, errors and every other spelling; a
-        # call that names its command builds only that subcommand's parser
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        # argparse, for help, --version, errors and every other spelling
+        args = build_parser().parse_args(argv)
     return _dispatch(args)
 
 
@@ -421,10 +410,7 @@ def _dispatch(args) -> int:
                "inputs": inputs, "results": results, "text": text,
                "elapsed_s": time.perf_counter() - t0}, args)
         return code
-    except QecalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
+    except (QecalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

@@ -272,28 +272,26 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
     low[:, j] + high[:, k] (added qudit by qudit in Z_m x Z_m) for exactly
     one (j, k), so S is streamed in |S| / L blocks and never stored.
 
-    Phased codes are checked first: each operator lam_k E_{g_k} must have
-    order dividing m, and each relation sum_k c_k g_k = 0 must give the
-    identity itself.  The relations are read off one Howell form of [G | I]:
-    its rows [h | c] with a pivot in G's columns are S's Howell rows, and the
-    others, [0 | c], are words that generate every relation."""
+    S's Howell rows are read off one Howell form of [G | I]: they are its
+    rows [h | c] with a pivot in G's columns, and the others, [0 | c], are
+    words that generate every relation sum_k c_k g_k = 0.  Phased codes are
+    checked on them: each operator lam_k E_{g_k} must have order dividing m,
+    and each relation word must give the identity itself."""
     gens = _generator_rows(code)
     if sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n = code.m, code.n
-    if code.body.phases is None:
-        rows, orders = _howell_form(gens, m)
-    else:
+    rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
+    span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
+    if code.body.phases is not None:
         lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
         mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
         powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
         for k, x in enumerate(powers):
             _require_identity(x, f"generator {k} to the power {m}")
-        rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
-        span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
         for c in rows[span:, 2 * n:]:
             _require_identity(_word_phase(mats, lam, c), "a product of the generators")
-        rows, orders = rows[:span, :2 * n], orders[:span]
+    rows, orders = rows[:span, :2 * n], orders[:span]
     plus, _ = _pair_tables(m)
     # the ordering indices of every multiple: codes[k, :, t] is t h_k, and each
     # index array below is C-ordered, so that every table comes out C-ordered

@@ -34,6 +34,8 @@ from .group_algebra import (
 from .reports import CheckReport
 
 IDENTITY_TOL = 1e-9
+# Largest distance from an integer at which a Hamming coefficient is rounded.
+ROUNDING_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +72,13 @@ class HammingDistribution:
     def of_ints(cls, m: int, n: int, counts: Sequence[int]) -> "HammingDistribution":
         return cls(m, n, np.array(counts, dtype=np.complex128), tuple(counts))
 
-    def rounded(self, tol: float = 1e-6):
+    def rounded(self):
         """The exact ints, else the integer-rounded vector, or None if some
         entry is not near-integer."""
         if self.exact is not None:
             return self.exact
         r = np.round(self.a.real)
-        if np.abs(self.a - r).max() <= tol:
+        if np.abs(self.a - r).max() <= ROUNDING_TOL:
             return tuple(int(v) for v in r)
         return None
 

@@ -9,7 +9,8 @@ kernel entry is
 
 the per-coordinate factor of every character used downstream.  User-supplied
 bases are accepted as explicit matrices: their phase table is extracted by
-traces and checked, with the matrices, against the defining axioms.
+traces, a row g at a time from the batched products E_g E_h, and checked,
+with the matrices, against the defining axioms.  No check loops over pairs.
 
 The axioms have one checker, `verify_basis_axioms`: `validate_custom_basis`
 runs it on every custom basis, and `qecalg verify --identity axioms` reports
@@ -125,6 +126,16 @@ class PhaseSystem:
     ordering: GroupOrdering
     matrices: np.ndarray
 
+    @classmethod
+    def from_phases(cls, ordering: GroupOrdering, omega: np.ndarray,
+                    matrices: np.ndarray) -> "PhaseSystem":
+        """The system of a phase table and its matrices, with the kernel
+        derived from omega; the three arrays are made read-only in place."""
+        kernel = omega * np.conj(omega.T)
+        for arr in (omega, kernel, matrices):
+            arr.setflags(write=False)
+        return cls(m=ordering.m, omega=omega, kernel=kernel, ordering=ordering, matrices=matrices)
+
     @property
     def q(self) -> int:
         return self.m * self.m
@@ -151,14 +162,11 @@ def build_pauli_system(m: int) -> PhaseSystem:
     # the X and Z exponents by ordering index
     a, b = np.fromiter(chain.from_iterable(ordering.order), np.intp, 2 * m * m).reshape(-1, 2).T
     omega = roots[b[:, None] * a % m]  # omega[i, j] = w^(b_i * a_j)
-    kernel = omega * np.conj(omega.T)
     # the matrices E_(a,b)|j> = w^(b*j) |j+a mod m>, one per ordering index
     j = np.arange(m)
     mats = np.zeros((m * m, m, m), dtype=np.complex128)
     mats[np.arange(m * m)[:, None], (j + a[:, None]) % m, j] = roots[b[:, None] * j % m]
-    for arr in (omega, kernel, mats):
-        arr.setflags(write=False)
-    return PhaseSystem(m=m, omega=omega, kernel=kernel, ordering=ordering, matrices=mats)
+    return PhaseSystem.from_phases(ordering, omega, mats)
 
 
 def character(sys: PhaseSystem, h: GroupElement, g: GroupElement) -> complex:
@@ -167,15 +175,14 @@ def character(sys: PhaseSystem, h: GroupElement, g: GroupElement) -> complex:
 
 
 def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
-    """Check that sum_g w_{gh} * conj(w_{hg}) = 0 for every nonzero h."""
-    q = sys.q
+    """Check that sum_g w_{gh} * conj(w_{hg}) = 0 for every nonzero h; a NaN fails."""
     sums = (sys.omega * np.conj(sys.omega.T)).sum(axis=1)  # entry h: sum over g
     resid = np.abs(sums[1:])
-    bad = tuple(int(h) for h in range(1, q) if not abs(sums[h]) <= PHASE_TOL)
+    bad = tuple((np.flatnonzero(~(resid <= PHASE_TOL)) + 1).tolist())
     return CheckReport(
         name="kernel-row-sums",
         passed=not bad,
-        max_residual=float(resid.max()) if q > 1 else 0.0,
+        max_residual=float(resid.max()),
         failures=bad,
         detail="" if not bad else f"nonzero row sums at h indices {bad}",
     )
@@ -185,22 +192,24 @@ def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) ->
     """Check E_0 = I, tr E_g = m * delta(g,0) and E_g E_h = w_{gh} E_{g+h}
     with |w_{gh}| = 1 on the stored matrices and omega table.  Failures are
     ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails.
-    `products[i, j]` = E_i E_j may be passed in when the caller has formed them."""
+    `products[i, j]` = E_i E_j may be passed in when the caller has formed them.
+    The residuals are one array in that order, the closure ones formed a row
+    i at a time from products[i]; np.hypot takes the moduli of single values."""
     m, q = sys.m, sys.q
-    mats, add = sys.matrices, sys.ordering.add_table
+    mats, omega, add = sys.matrices, sys.omega, sys.ordering.add_table
     if products is None:
         products = mats[:, None] @ mats[None, :]
-    checks = [(("identity", 0), np.abs(mats[0] - np.eye(m)).max())]
+    traces = np.trace(mats, axis1=1, axis2=2)
+    traces[0] -= m
+    closure = np.empty((q, q))
     for i in range(q):
-        checks.append((("trace", i), abs(np.trace(mats[i]) - (m if i == 0 else 0.0))))
-    for i in range(q):
-        for j in range(q):
-            w = sys.omega[i, j]
-            r = np.maximum(np.abs(products[i, j] - w * mats[int(add[i, j])]).max(),
-                           abs(abs(w) - 1.0))
-            checks.append((("closure", i, j), r))
-    residuals = np.array([r for _, r in checks], dtype=float)
-    bad = tuple(key for (key, _), r in zip(checks, residuals) if not r <= PHASE_TOL)
+        closure[i] = np.abs(products[i] - omega[i, :, None, None] * mats[add[i]]).max(axis=(1, 2))
+    np.maximum(closure, np.abs(np.hypot(omega.real, omega.imag) - 1.0), out=closure)
+    residuals = np.concatenate([[np.abs(mats[0] - np.eye(m)).max()],
+                                np.hypot(traces.real, traces.imag), closure.ravel()])
+    bad = tuple(("identity", 0) if k == 0 else ("trace", k - 1) if k <= q
+                else ("closure", *divmod(k - 1 - q, q))
+                for k in np.flatnonzero(~(residuals <= PHASE_TOL)).tolist())
     return CheckReport(
         name="basis-axioms",
         passed=not bad,
@@ -217,9 +226,10 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     then `verify_basis_axioms` on the phase table w_{gh} = tr(E_{g+h}^dag E_g E_h)/m
     (E_0 = I, traces, closure), then the vanishing row sums of the phase
     kernel.  The first failure raises the matching exception naming the
-    offending indices; a NaN anywhere fails.
+    offending indices; a NaN anywhere fails.  All E_g E_h are formed in one
+    batched matmul, which the axiom check reuses, and omega row by row.
     """
-    mats = np.asarray(matrices, dtype=np.complex128)
+    mats = np.array(matrices, dtype=np.complex128)  # a copy: the system owns it
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a sequence of square matrices")
     m = mats.shape[1]
@@ -229,26 +239,19 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     if mats.shape[0] != q:
         raise ValueError(f"expected m^2 = {q} matrices, got {mats.shape[0]}")
     ordering = canonical_ordering(m)
-    eye = np.eye(m)
+    add = ordering.add_table
+    adjoints = mats.conj().transpose(0, 2, 1)
 
-    for i in range(q):
-        if not np.abs(mats[i] @ mats[i].conj().T - eye).max() <= PHASE_TOL:
-            raise NonUnitary(f"matrix {i} (element {ordering.order[i]}) is not unitary")
+    unitary = np.abs(mats @ adjoints - np.eye(m)).max(axis=(1, 2)) <= PHASE_TOL
+    if not unitary.all():
+        i = int(np.argmin(unitary))
+        raise NonUnitary(f"matrix {i} (element {ordering.order[i]}) is not unitary")
 
-    # every E_i E_j in one batched matmul, bit-identical to one matmul per pair;
-    # the axiom check below reuses them
     products = mats[:, None] @ mats[None, :]
     omega = np.empty((q, q), dtype=np.complex128)
-    for i in range(q):
-        for j in range(q):
-            k = int(ordering.add_table[i, j])
-            omega[i, j] = np.trace(mats[k].conj().T @ products[i, j]) / m
-    kernel = omega * np.conj(omega.T)
-    omega.setflags(write=False)
-    kernel.setflags(write=False)
-    mats = mats.copy()
-    mats.setflags(write=False)
-    sys = PhaseSystem(m=m, omega=omega, kernel=kernel, ordering=ordering, matrices=mats)
+    for g in range(q):
+        omega[g] = np.trace(adjoints[add[g]] @ products[g], axis1=1, axis2=2) / m
+    sys = PhaseSystem.from_phases(ordering, omega, mats)
 
     axioms = verify_basis_axioms(sys, products)
     if not axioms.passed:
@@ -262,9 +265,7 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
                 f"(element {ordering.order[i]})"
             )
         (j,) = rest
-        raise ClosureViolation(
-            f"E_{i} E_{j} is not a unit phase times E_{int(ordering.add_table[i, j])}"
-        )
+        raise ClosureViolation(f"E_{i} E_{j} is not a unit phase times E_{int(add[i, j])}")
     report = verify_kernel_row_sums(sys)
     if not report.passed:
         raise RowSumViolation(report.detail)

@@ -761,7 +761,7 @@ def test_threads_is_a_usage_error(command):
 
 
 def test_top_level_errors_name_the_command_argument():
-    # only the one-subcommand parser sets the subparsers' metavar
+    # argparse names the subcommand argument by its dest, "command"
     for argv, message in [([], "the following arguments are required: command"),
                           (["bogus"], "argument command: invalid choice: 'bogus'")]:
         code, out, err = _outcome(main, argv)
@@ -870,8 +870,9 @@ def test_plain_calls_are_read_from_the_table(cli_files, argv):
     _assert_read_like_the_full_tree(argv)
 
 
-def test_a_call_builds_one_subparser(monkeypatch):
+def test_parsers_built_by_a_plain_and_an_argparse_call(monkeypatch):
     import argparse
+    from qecalg import cli
     parsers, subparsers = [], []
     init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
 
@@ -888,10 +889,10 @@ def test_a_call_builds_one_subparser(monkeypatch):
     # a plain call constructs no parser at all
     assert _outcome(main, ["analyze", "513"])[0] == 0
     assert (parsers, subparsers) == ([], [])
-    # an abbreviated option is left to argparse, with only its subcommand's parser
+    # an abbreviated option is left to argparse, which builds the full tree
     assert _outcome(main, ["analyze", "513", "--form", "machine"])[0] == 0
-    assert subparsers == ["analyze"]
-    assert parsers == ["qecalg", "qecalg analyze"]
+    assert subparsers == list(cli._COMMANDS)
+    assert parsers == ["qecalg"] + [f"qecalg {name}" for name in cli._COMMANDS]
 
 
 def test_a_plain_call_imports_no_argparse():

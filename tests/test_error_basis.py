@@ -338,3 +338,129 @@ def test_tables_match_the_element_loops(m):
     for arr in (ordering.position, ordering.add_table, ordering.neg_table,
                 sys_.omega, sys_.kernel, sys_.matrices):
         assert not arr.flags.writeable
+
+
+# --- the array checks against the per-pair loops they replaced ---
+
+def _reference_omega(mats, ordering):
+    """w_{ij} = tr(E_{i+j}^dag E_i E_j) / m, one pair at a time."""
+    q, m = mats.shape[:2]
+    products = mats[:, None] @ mats[None, :]
+    omega = np.empty((q, q), dtype=np.complex128)
+    for i in range(q):
+        for j in range(q):
+            k = int(ordering.add_table[i, j])
+            omega[i, j] = np.trace(mats[k].conj().T @ products[i, j]) / m
+    return omega
+
+
+def _reference_axioms(sys_):
+    """(passed, failures, max_residual) of the axiom check, one pair at a time."""
+    m, q = sys_.m, sys_.q
+    mats, add = sys_.matrices, sys_.ordering.add_table
+    products = mats[:, None] @ mats[None, :]
+    checks = [(("identity", 0), np.abs(mats[0] - np.eye(m)).max())]
+    for i in range(q):
+        checks.append((("trace", i), abs(np.trace(mats[i]) - (m if i == 0 else 0.0))))
+    for i in range(q):
+        for j in range(q):
+            w = sys_.omega[i, j]
+            r = np.maximum(np.abs(products[i, j] - w * mats[int(add[i, j])]).max(),
+                           abs(abs(w) - 1.0))
+            checks.append((("closure", i, j), r))
+    residuals = np.array([r for _, r in checks], dtype=float)
+    bad = tuple(key for (key, _), r in zip(checks, residuals) if not r <= 1e-9)
+    return not bad, bad, float(residuals.max())
+
+
+def _reference_row_sums(sys_):
+    """(passed, failures, max_residual) of the row-sum check, one h at a time."""
+    sums = (sys_.omega * np.conj(sys_.omega.T)).sum(axis=1)
+    bad = tuple(h for h in range(1, sys_.q) if not abs(sums[h]) <= 1e-9)
+    return not bad, bad, float(np.abs(sums[1:]).max())
+
+
+def _report(report):
+    return report.passed, report.failures, report.max_residual
+
+
+def _same_report(got, want):
+    # NaN residuals compare equal here
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+def _test_bases(m):
+    """The Pauli basis, a regauged one (E_0 = I kept) and a unitarily rotated one."""
+    rng = np.random.default_rng(m)
+    pauli = np.asarray(build_pauli_system(m).matrices)
+    phases = np.exp(2j * np.pi * rng.random(m * m))
+    phases[0] = 1.0
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return {"pauli": pauli, "regauged": phases[:, None, None] * pauli,
+            "rotated": u @ pauli @ u.conj().T}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_custom_basis_matches_the_pair_loops(m):
+    ordering = canonical_ordering(m)
+    for mats in _test_bases(m).values():
+        sys_ = validate_custom_basis(mats)
+        omega = _reference_omega(mats, ordering)
+        _same_bits(sys_.omega, omega)
+        _same_bits(sys_.kernel, omega * np.conj(omega.T))
+        _same_bits(sys_.matrices, mats)
+        for arr in (sys_.omega, sys_.kernel, sys_.matrices):
+            assert not arr.flags.writeable
+        # phases off the unit circle by ~1e-12: on a rotated basis, whose
+        # entries are below 1 in modulus, | |w| - 1 | is the largest residual
+        # (at m = 7, on an entry whose modulus np.abs rounds otherwise than abs)
+        scaled = sys_.omega * (1.0 + 1e-12 * np.random.default_rng(1).random(sys_.omega.shape))
+        for checked in (sys_, _corrupted(m, omega=scaled, matrices=sys_.matrices)):
+            _same_report(_report(verify_basis_axioms(checked)), _reference_axioms(checked))
+            _same_report(_report(verify_kernel_row_sums(checked)), _reference_row_sums(checked))
+
+
+def _corrupted(m, omega=None, matrices=None):
+    sys_ = build_pauli_system(m)
+    return PhaseSystem(m=m, omega=sys_.omega if omega is None else omega, kernel=sys_.kernel,
+                       ordering=sys_.ordering, matrices=sys_.matrices if matrices is None
+                       else matrices)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_checks_on_several_failures_match_the_pair_loops(m):
+    sys_ = build_pauli_system(m)
+    mats, omega = np.array(sys_.matrices), np.array(sys_.omega)
+    traced = mats.copy()
+    traced[1] = np.eye(m)  # a trace failure, and closure failures with it
+    nan_phase, nan_entry = omega.copy(), mats.copy()
+    nan_phase[1, 2] = np.nan
+    nan_phase[3, 0] *= 1.5  # not a unit phase
+    nan_entry[3][0, 0] = np.nan
+    cases = [_corrupted(m, matrices=traced), _corrupted(m, omega=nan_phase),
+             _corrupted(m, matrices=nan_entry), _corrupted(m, nan_phase, nan_entry)]
+    for broken in cases:
+        axioms = _report(verify_basis_axioms(broken))
+        _same_report(axioms, _reference_axioms(broken))
+        assert not axioms[0] and len(axioms[1]) > 1
+        _same_report(_report(verify_kernel_row_sums(broken)), _reference_row_sums(broken))
+    assert {f[0] for f in verify_basis_axioms(cases[0]).failures} == {"trace", "closure"}
+    assert np.isnan(verify_basis_axioms(cases[1]).max_residual)
+    assert np.isnan(verify_basis_axioms(cases[2]).max_residual)
+
+
+def test_custom_basis_peak_memory_stays_near_its_products():
+    # the phase table and the closure residuals are formed a row at a time:
+    # no temporary near the (q, q, m, m) products array itself
+    import tracemalloc
+    m = 8
+    mats = _test_bases(m)["rotated"]
+    products_bytes = (m * m) ** 2 * m * m * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        validate_custom_basis(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * products_bytes
