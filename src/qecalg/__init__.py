@@ -33,14 +33,11 @@ from .group_algebra import (
     transform,
 )
 from .enumerators import (
-    CompleteDistribution,
+    CompositionDistribution,
     HammingDistribution,
-    LeeDistribution,
     complete_distribution,
-    composition,
     exact_enumerator_value,
     hamming_distribution,
-    lee_composition,
     lee_distribution,
     macwilliams_hamming,
     verify_exact_identity,
@@ -56,7 +53,6 @@ from .code_analysis import (
     analyze,
     associated_element,
     check_cs_ordering,
-    dual_element,
     pauli_label,
     random_code,
     symplectic_product,
@@ -71,13 +67,12 @@ __all__ = [
     "AlgebraElement", "add", "scale", "multiply",
     "transform", "double_transform_scaling_check",
     "encode_label", "decode_index", "random_element",
-    "CompleteDistribution", "LeeDistribution", "HammingDistribution",
-    "composition", "lee_composition", "complete_distribution",
+    "CompositionDistribution", "HammingDistribution", "complete_distribution",
     "lee_distribution", "hamming_distribution", "macwilliams_hamming",
     "exact_enumerator_value",
     "verify_exact_identity", "verify_complete_identity", "verify_lee_identity", "verify_hamming_identity",
     "CodeSpec", "StabilizerGenerators", "BasisVectors", "AnalysisReport",
-    "associated_element", "dual_element", "analyze", "check_cs_ordering",
+    "associated_element", "analyze", "check_cs_ordering",
     "random_code", "pauli_label", "symplectic_product",
     "CheckReport",
 ]

@@ -85,7 +85,8 @@ def _distribution_text(dist: HammingDistribution) -> str:
 
 
 def _rounding_note(*dists: HammingDistribution) -> str | None:
-    if any(d.rounded() is None for d in dists):
+    """The note on integer-rounded floats; exact ints were never rounded."""
+    if all(d.exact is not None for d in dists) or any(d.rounded() is None for d in dists):
         return None
     resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in dists)
     return f"# coefficients integer-rounded, max residual {resid:.2e}"
@@ -132,8 +133,9 @@ def _cmd_analyze(args):
 def _dist_records(kind: str, element: AlgebraElement):
     """The machine records of the complete or Lee distribution of `element`
     and its text, one "key -> value" line per term."""
-    terms = (complete_distribution if kind == "complete" else lee_distribution)(element).terms
-    records = [[list(key), _fmt_complex(val)] for key, val in sorted(terms.items())]
+    dist = (complete_distribution if kind == "complete" else lee_distribution)(element)
+    records = [list(pair) for pair in zip(
+        dist.counts.tolist(), dist.values.view(np.float64).reshape(-1, 2).tolist())]
     text = []
     for key, (re, im) in records:
         val = f"{re:.12g}" if abs(im) <= 1e-9 else f"{re:.12g}{im:+.12g}i"

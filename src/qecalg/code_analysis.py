@@ -363,15 +363,6 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     return _associated_basis(sys, code)
 
 
-def dual_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    """C', the transform of the associated element, for every input kind.
-
-    For basis input it equals (1/K) sum_{i,j} |<v_i|E_h|v_j>|^2, which the
-    dense-matrix oracle computes directly to certify this route.
-    """
-    return transform(sys, associated_element(sys, code))
-
-
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
     K: int

@@ -8,6 +8,11 @@ Four enumerators, coarsest last:
   Lee       — complete with each element merged with its negation (odd m).
   Hamming   — counts nonzero coordinates.
 
+The complete and Lee distributions are one `CompositionDistribution`: the
+sorted composition rows and their sums as two arrays, from one bincount
+over mixed-radix keys (`_composition_terms`); its `terms` dict is derived
+from the arrays on demand.  The Hamming distribution is A_0..A_n.
+
 Each has a MacWilliams-type identity linking the enumerator of C to that of
 its transform C'.  The exact/complete/Lee identities are verified by random
 evaluation at points on the complex unit disk; the Hamming identity
@@ -27,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .error_basis import GroupElement, GroupOrdering, PhaseSystem
+from .error_basis import PhaseSystem
 from .errors import EvenM, QecalgError
 from .group_algebra import (
     AlgebraElement, checked_mass, contract_axes, label_sums, transform, weight_reduce)
@@ -39,22 +44,26 @@ ROUNDING_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class CompleteDistribution:
-    """Map composition tuple (s_0..s_{m^2-1}) -> summed coefficient."""
+class CompositionDistribution:
+    """Coefficients summed by composition, as two read-only arrays.
+
+    Row t of the int64 (T, width) array `counts` is a composition: how many
+    coordinates carry each of the `width` symbols, the m^2 group elements
+    (complete) or the delta+1 Lee classes (Lee).  Rows are in strictly
+    increasing lexicographic order.  values[t] (complex128) is the sum of
+    the coefficients of the labels of that composition; no value is exactly
+    zero.
+    """
 
     m: int
     n: int
-    terms: dict
+    counts: np.ndarray
+    values: np.ndarray
 
-
-@dataclass(frozen=True, eq=False)
-class LeeDistribution:
-    """Map Lee composition tuple (l_0..l_delta) -> summed coefficient."""
-
-    m: int
-    n: int
-    delta: int
-    terms: dict
+    @property
+    def terms(self) -> dict:
+        """{composition tuple: summed coefficient}, in the order of the rows."""
+        return dict(zip(map(tuple, self.counts.tolist()), self.values.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +92,18 @@ class HammingDistribution:
         return None
 
 
-def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dict:
+def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
+                       count: int) -> CompositionDistribution:
     """Sum coefficients by composition: how many coordinates carry each of
     `count` symbols, symbol[v] being the symbol of ordering index v.
 
     A composition is keyed by its counts as mixed-radix digits in base n+1,
     built one axis at a time by broadcasting; symbols are split into as many
     int64 key columns as needed.  Symbol 0 takes the most significant digit,
-    within a column and across columns, so the keys np.unique returns are
-    already in lexicographic order of the counts.  Sums that are exactly zero
-    (unoccupied keys of indicator elements) are dropped.
+    within a column and across columns, so the keys np.unique returns, split
+    back into digits, are the rows of `counts` in lexicographic order, with
+    no re-sort.  Sums that are exactly zero (unoccupied keys of indicator
+    elements) are dropped.
     """
     base = a.n + 1
     per_column, limit = 1, np.iinfo(np.int64).max
@@ -116,22 +127,16 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray, count: int) -> dic
     counts = np.concatenate(
         [keys[keep, j, None] // _powers(base, width) % base for j, width in enumerate(widths)],
         axis=1)
-    # Python floats, not numpy scalars: iterating numpy arrays dominates the cost
-    sums = zip(counts.tolist(), re[keep].tolist(), im[keep].tolist())
-    return {tuple(row): complex(r, i) for row, r, i in sums}
+    # written pairwise: re + 1j*im would turn an infinite im into a NaN real part
+    values = np.stack([re[keep], im[keep]], axis=1).view(np.complex128).reshape(-1)
+    for arr in (counts, values):
+        arr.setflags(write=False)
+    return CompositionDistribution(a.m, a.n, counts, values)
 
 
 def _powers(base: int, width: int) -> np.ndarray:
     """base^(width-1), ..., base^0: the places of `width` digits, first most significant."""
     return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def composition(label: Sequence[GroupElement], ordering: GroupOrdering) -> tuple[int, ...]:
-    """Counts of each ordering element among the coordinates of the label."""
-    counts = [0] * ordering.size
-    for g in label:
-        counts[ordering.index_of(g)] += 1
-    return tuple(counts)
 
 
 def _require_odd(m: int) -> None:
@@ -151,25 +156,16 @@ def _lee_class(m: int) -> np.ndarray:
     return cls
 
 
-def lee_composition(label: Sequence[GroupElement], ordering: GroupOrdering) -> tuple[int, ...]:
-    """(l_0..l_delta) with l_0 = s_0 and l_i = s_i + s_{m^2-i}."""
-    _require_odd(ordering.m)
-    cls = _lee_class(ordering.m)
-    counts = [0] * (ordering.lee_delta + 1)
-    for g in label:
-        counts[cls[ordering.index_of(g)]] += 1
-    return tuple(counts)
-
-
-def complete_distribution(a: AlgebraElement) -> CompleteDistribution:
+def complete_distribution(a: AlgebraElement) -> CompositionDistribution:
+    """Counts (s_0..s_{m^2-1}) of each group element -> summed coefficient."""
     q = a.m * a.m
-    return CompleteDistribution(a.m, a.n, _composition_terms(a, np.arange(q), q))
+    return _composition_terms(a, np.arange(q), q)
 
 
-def lee_distribution(a: AlgebraElement) -> LeeDistribution:
-    _require_odd(a.m)
-    delta = (a.m * a.m - 1) // 2
-    return LeeDistribution(a.m, a.n, delta, _composition_terms(a, _lee_class(a.m), delta + 1))
+def lee_distribution(a: AlgebraElement) -> CompositionDistribution:
+    """Lee counts (l_0..l_delta), l_0 = s_0 and l_i = s_i + s_{m^2-i}, ->
+    summed coefficient; odd m only (EvenM otherwise)."""
+    return _composition_terms(a, _lee_class(a.m), (a.m * a.m + 1) // 2)
 
 
 def hamming_distribution(a: AlgebraElement) -> HammingDistribution:

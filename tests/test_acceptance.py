@@ -19,7 +19,6 @@ from qecalg import (
     character,
     check_cs_ordering,
     double_transform_scaling_check,
-    dual_element,
     random_code,
     random_element,
     transform,
@@ -119,7 +118,8 @@ def test_criterion_4_five_qubit_code():
             associated_element(sys2, code).coeffs - associated_element(sys2, basis).coeffs
         ).max() < 1e-9
         assert np.abs(
-            dual_element(sys2, code).coeffs - dual_element(sys2, basis).coeffs
+            transform(sys2, associated_element(sys2, code)).coeffs
+            - transform(sys2, associated_element(sys2, basis)).coeffs
         ).max() < 1e-9
         assert time.perf_counter() - start < 5.0
 
@@ -170,7 +170,7 @@ def test_criterion_7_framework_laws():
             for seed in range(count):
                 code = random_code(2, 3, k, seed=500 * k + seed)
                 c = associated_element(sys2, code)
-                c_dual = dual_element(sys2, code)
+                c_dual = transform(sys2, associated_element(sys2, code))
                 assert round(2 ** 3 / c.mass.real) == k
                 assert abs(2 ** 3 / c.mass.real - k) < 1e-6
                 assert abs(c.coeffs[0] - 1.0) < 1e-9

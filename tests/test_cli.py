@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qecalg import (
+    __version__,
     AlgebraElement,
     CodeSpec,
     associated_element,
@@ -521,6 +522,20 @@ def test_analyze_reports_its_path(capsys, tmp_path):
     write_code(path, CodeSpec.from_basis(2, 2, np.eye(4, dtype=complex)))
     code, out, _ = run(capsys, "analyze", str(path), "--format", "machine")
     assert code == 0 and json.loads(out)["results"]["path"] == "dense"
+
+
+def test_rounding_note_only_on_the_dense_route(capsys, tmp_path):
+    # exact-route coefficients are Python ints that nothing rounded
+    code, out, _ = run(capsys, "analyze", "513")
+    assert code == 0
+    notes = [line for line in out.splitlines() if line.startswith("#")]
+    assert notes == [f"# qecalg {__version__}"]
+    path = tmp_path / "bell.code"
+    path.write_text("code v1\nm 2\nn 2\nkind basis\n"
+                    "0.70710678118654752,0 0,0 0,0 0.70710678118654752,0\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "# coefficients integer-rounded, max residual" in out
 
 
 def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from qecalg import (
     associated_element,
     build_pauli_system,
     check_cs_ordering,
-    dual_element,
     encode_label,
     hamming_distribution,
     pauli_label,
@@ -91,19 +90,19 @@ def test_associated_five_qubit_both_paths(sys2, five_qubit_code):
 
 def test_dual_full_space(sys2, sys3):
     for sys_, m, n in ((sys2, 2, 2), (sys3, 3, 1)):
-        dual = dual_element(sys_, full_space_code(m, n))
+        dual = transform(sys_, associated_element(sys_, full_space_code(m, n)))
         assert np.abs(dual.coeffs - 1.0).max() < 1e-9
 
 
 def test_dual_equals_primary_for_k1(sys2):
     code = random_code(2, 3, 1, seed=17)
     c = associated_element(sys2, code)
-    cd = dual_element(sys2, code)
+    cd = transform(sys2, associated_element(sys2, code))
     assert np.abs(c.coeffs - cd.coeffs).max() < 1e-9
 
 
 def test_dual_five_qubit_normalizer(sys2, five_qubit_code):
-    dual = dual_element(sys2, five_qubit_code)
+    dual = transform(sys2, associated_element(sys2, five_qubit_code))
     assert dual.mass == pytest.approx(64.0)
     members = np.nonzero(dual.coeffs.real > 0.5)[0]
     assert len(members) == 64
@@ -158,8 +157,8 @@ def test_shor_basis_path_agrees(sys2, shor_code):
     c_stab = associated_element(sys2, shor_code)
     c_basis = associated_element(sys2, basis)
     assert np.abs(c_stab.coeffs - c_basis.coeffs).max() < 1e-9
-    d_stab = dual_element(sys2, shor_code)
-    d_basis = dual_element(sys2, basis)
+    d_stab = transform(sys2, associated_element(sys2, shor_code))
+    d_basis = transform(sys2, associated_element(sys2, basis))
     assert np.abs(d_stab.coeffs - d_basis.coeffs).max() < 1e-9
 
 
@@ -187,7 +186,7 @@ def test_check_cs_ordering(sys2, five_qubit_code):
     assert report.passed
     # strict inequality exactly on normalizer minus stabilizer
     c = associated_element(sys2, five_qubit_code).coeffs.real
-    cd = dual_element(sys2, five_qubit_code).coeffs.real
+    cd = transform(sys2, associated_element(sys2, five_qubit_code)).coeffs.real
     strict = np.nonzero(cd - c > 0.5)[0]
     assert len(strict) == 64 - 16
     k1 = random_code(2, 3, 1, seed=8)
@@ -212,7 +211,7 @@ def test_unitary_invariance(sys2):
     rng = np.random.default_rng(77)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     recombined = CodeSpec.from_basis(2, 3, u @ v)
-    for op in (associated_element, dual_element):
+    for op in (associated_element, lambda s, c: transform(s, associated_element(s, c))):
         assert np.abs(op(sys2, code).coeffs - op(sys2, recombined).coeffs).max() < 1e-9
 
 
@@ -220,7 +219,7 @@ def test_mass_law_and_unit_coefficients(sys2):
     for k in (1, 2, 4):
         code = random_code(2, 3, k, seed=40 + k)
         c = associated_element(sys2, code)
-        cd = dual_element(sys2, code)
+        cd = transform(sys2, associated_element(sys2, code))
         assert 2 ** 3 / c.mass.real == pytest.approx(k, abs=1e-6)
         assert c.coeffs[0] == pytest.approx(1.0, abs=1e-9)
         assert cd.coeffs[0] == pytest.approx(1.0, abs=1e-9)

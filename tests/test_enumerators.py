@@ -12,9 +12,7 @@ from qecalg import (
     associated_element,
     canonical_ordering,
     complete_distribution,
-    composition,
     hamming_distribution,
-    lee_composition,
     lee_distribution,
     macwilliams_hamming,
     random_element,
@@ -68,29 +66,6 @@ def poly_substitution_coeffs(a_coeffs, q):
 
 # --- compositions ---
 
-def test_composition_examples():
-    ord2 = canonical_ordering(2)
-    z = GroupElement(0, 0)
-    assert composition((z, z), ord2) == (2, 0, 0, 0)
-    label = (GroupElement(0, 1), GroupElement(0, 1), GroupElement(1, 0))
-    assert composition(label, ord2) == (0, 2, 1, 0)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        lab = tuple(ord2.order[i] for i in rng.integers(0, 4, size=6))
-        assert sum(composition(lab, ord2)) == 6
-
-
-def test_lee_composition_examples():
-    ord3 = canonical_ordering(3)
-    z = GroupElement(0, 0)
-    assert lee_composition((z, z, z), ord3) == (3, 0, 0, 0, 0)
-    # alpha_{9-2} = -alpha_2 belongs to Lee class 2
-    lab = (ord3.order[9 - 2],)
-    assert lee_composition(lab, ord3) == (0, 0, 1, 0, 0)
-    with pytest.raises(EvenM):
-        lee_composition((z,), canonical_ordering(2))
-
-
 def test_lee_class_pairing():
     ord3 = canonical_ordering(3)
     cls = _lee_class(3)
@@ -134,6 +109,15 @@ def test_lee_distribution_m3():
         assert terms[key] == 2.0  # +- pairs merged
     with pytest.raises(EvenM):
         lee_distribution(AlgebraElement.unit(2, 1))
+
+
+def test_infinite_imaginary_part_keeps_real_parts():
+    # re + 1j*im would give the inf entry a NaN real part (0 * inf)
+    coeffs = np.array([1, complex(2, np.inf), 3, 0, 5, 6, 7, 8, 0j, 1, 2, 3, 4, 5, 6, 7])
+    for dist in (complete_distribution(AlgebraElement(2, 2, coeffs)),
+                 lee_distribution(AlgebraElement(3, 1, coeffs[:9]))):
+        assert np.isfinite(dist.values.real).all()
+        assert np.isinf(dist.values.imag).sum() == 1
 
 
 def test_lee_from_complete_merging(sys3):

@@ -1,6 +1,7 @@
 """Axis-wise reductions against the per-label table references in oracle.py."""
 
 import importlib
+import json
 import inspect
 import pkgutil
 
@@ -24,6 +25,7 @@ from qecalg import (
     transform,
 )
 from qecalg import group_algebra
+from qecalg.cli import _dist_records, _fmt_complex
 from qecalg.enumerators import _lee_class
 from qecalg.oracle import (
     codewords_from_stabilizers,
@@ -97,6 +99,42 @@ def test_composition_keys_come_out_sorted(m, n, lee):
         assert list(got) == sorted(got) == list(want)
         got_bits = np.array(list(got.values())).view(np.uint64).tolist()
         assert got_bits == np.array(list(want.values())).view(np.uint64).tolist()
+
+
+# (9, 2) Lee keys take two int64 columns too: 3^41 overflows int64
+DIST_CASES = [(4, 3, False), (3, 4, False), (3, 4, True), (5, 3, True), (6, 3, False),
+              (9, 2, True)]
+
+
+@pytest.mark.parametrize("m,n,lee", DIST_CASES)
+def test_distribution_arrays(m, n, lee):
+    width = (m * m + 1) // 2 if lee else m * m
+    for element in _elements(m, n, seed=70 * m + n):
+        dist = (lee_distribution if lee else complete_distribution)(element)
+        counts, values = dist.counts, dist.values
+        assert counts.dtype == np.int64 and counts.shape == (len(values), width)
+        assert (counts.sum(axis=1) == n).all()
+        step = np.diff(counts, axis=0)
+        first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        assert (first > 0).all()  # strictly increasing, lexicographically
+        assert values.dtype == np.complex128 and values.shape == (len(counts),)
+        assert (values != 0).all()
+        for arr in (counts, values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+@pytest.mark.parametrize("m,n,lee", DIST_CASES)
+def test_dist_records_match_the_sorted_dict(m, n, lee):
+    kind = "lee" if lee else "complete"
+    for element in _elements(m, n, seed=80 * m + n):
+        # the records as they were built from the sorted terms dict
+        terms = (complete_distribution if kind == "complete" else lee_distribution)(element).terms
+        records = [[list(key), _fmt_complex(val)] for key, val in sorted(terms.items())]
+        got, text = _dist_records(kind, element)
+        assert json.dumps(got) == json.dumps(records)  # -0.0 and NaN spelled out
+        assert len(text) == len(records)
 
 
 def test_complete_distribution_drops_cancelled_keys():
