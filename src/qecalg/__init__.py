@@ -23,20 +23,15 @@ from .error_basis import (
 )
 from .group_algebra import (
     AlgebraElement,
-    add,
     double_transform_scaling_check,
-    encode_label,
-    decode_index,
     multiply,
     random_element,
-    scale,
     transform,
 )
 from .enumerators import (
     CompositionDistribution,
     HammingDistribution,
     complete_distribution,
-    exact_enumerator_value,
     hamming_distribution,
     lee_distribution,
     macwilliams_hamming,
@@ -55,7 +50,6 @@ from .code_analysis import (
     check_cs_ordering,
     pauli_label,
     random_code,
-    symplectic_product,
 )
 from .reports import CheckReport
 
@@ -64,15 +58,13 @@ __all__ = [
     "GroupElement", "GroupOrdering", "PhaseSystem",
     "build_pauli_system", "canonical_ordering", "character",
     "validate_custom_basis", "verify_basis_axioms", "verify_kernel_row_sums",
-    "AlgebraElement", "add", "scale", "multiply",
-    "transform", "double_transform_scaling_check",
-    "encode_label", "decode_index", "random_element",
+    "AlgebraElement", "multiply", "transform", "double_transform_scaling_check",
+    "random_element",
     "CompositionDistribution", "HammingDistribution", "complete_distribution",
     "lee_distribution", "hamming_distribution", "macwilliams_hamming",
-    "exact_enumerator_value",
     "verify_exact_identity", "verify_complete_identity", "verify_lee_identity", "verify_hamming_identity",
     "CodeSpec", "StabilizerGenerators", "BasisVectors", "AnalysisReport",
     "associated_element", "analyze", "check_cs_ordering",
-    "random_code", "pauli_label", "symplectic_product",
+    "random_code", "pauli_label",
     "CheckReport",
 ]

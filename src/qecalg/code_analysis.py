@@ -140,15 +140,6 @@ class CodeSpec:
         return "stabilizer" if isinstance(self.body, StabilizerGenerators) else "basis"
 
 
-def symplectic_product(g: Label, h: Label, m: int) -> int:
-    """sum_i (a_i d_i - b_i c_i) mod m for g_i=(a_i,b_i), h_i=(c_i,d_i);
-    zero iff E_g and E_h commute."""
-    total = 0
-    for (a, b), (c, d) in zip(g, h):
-        total += a * d - b * c
-    return total % m
-
-
 def _generator_rows(code: CodeSpec) -> np.ndarray:
     """The (r, 2n) generator rows (a_1, b_1, ..., a_n, b_n), checked to
     commute pairwise: the symplectic products of all pairs are the one

@@ -139,15 +139,12 @@ def _powers(base: int, width: int) -> np.ndarray:
     return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def _require_odd(m: int) -> None:
-    if m % 2 == 0:
-        raise EvenM(f"Lee machinery needs odd m, got m={m}")
-
-
 @lru_cache(maxsize=None)
 def _lee_class(m: int) -> np.ndarray:
-    """Ordering index -> Lee class: 0 -> 0, j -> j for j <= delta, else m^2-j."""
-    _require_odd(m)
+    """Ordering index -> Lee class: 0 -> 0, j -> j for j <= delta, else m^2-j;
+    odd m only (EvenM otherwise)."""
+    if m % 2 == 0:
+        raise EvenM(f"Lee machinery needs odd m, got m={m}")
     q = m * m
     delta = (q - 1) // 2
     cls = np.arange(q)
@@ -181,20 +178,6 @@ def _unit_disk_points(rng: np.random.Generator, trials: int, shape: tuple) -> np
     angles, in the order of a radius draw and an angle draw per trial."""
     u = rng.random((trials, 2) + shape)
     return np.sqrt(u[:, 0]) * np.exp(1j * (u[:, 1] * 2 * np.pi))
-
-
-def exact_enumerator_value(a: AlgebraElement, points: np.ndarray) -> complex:
-    """Evaluate the exact enumerator of `a` at `points[i, s]`.
-
-    The exact enumerator uses one variable per (coordinate, group element)
-    pair; its expanded form is the element itself, so it is only ever
-    evaluated, never expanded.
-    """
-    points = np.asarray(points, dtype=np.complex128)
-    q = a.m * a.m
-    if points.shape != (a.n, q):
-        raise ValueError(f"expected points of shape ({a.n}, {q}), got {points.shape}")
-    return complex(contract_axes(a.coeffs, points[None])[0])
 
 
 def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: int,
@@ -262,7 +245,6 @@ def verify_lee_identity(
         z_0 + sum_{s=1..delta} 2*Re(kernel[s, i]) * z_s,
     well defined on classes because kernel[s, -g] = conj(kernel[s, g]).
     """
-    _require_odd(sys.m)
     cls = _lee_class(sys.m)
     delta = (sys.q - 1) // 2
     # subst[i, s]: coefficient of z_s in the replacement for Lee variable i

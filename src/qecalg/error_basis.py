@@ -13,12 +13,14 @@ traces, a row g at a time from the batched products E_g E_h, and checked,
 with the matrices, against the defining axioms.  No check loops over pairs.
 
 The axioms have one checker, `verify_basis_axioms`: `validate_custom_basis`
-runs it on every custom basis, and `qecalg verify --identity axioms` reports
-it for the built-in or a file-given basis.
+runs it once on every custom basis and keeps the report, which `qecalg verify
+--identity axioms` prints for a file-given basis; the built-in basis is
+checked when asked.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -38,6 +40,11 @@ from .reports import CheckReport
 # Absolute tolerance for unit-phase and identity checks on O(1) values.
 PHASE_TOL = 1e-9
 
+# The axiom report of each system `validate_custom_basis` returned.  Its
+# arrays are read-only, so the report holds for as long as the system lives;
+# a system copied with dataclasses.replace is a new key and is checked anew.
+_VALIDATED = weakref.WeakKeyDictionary()
+
 
 class GroupElement(NamedTuple):
     """Element (a, b) of Z_m x Z_m: X-exponent a, Z-exponent b."""
@@ -51,16 +58,15 @@ class GroupOrdering:
     """A fixed enumeration alpha_0, ..., alpha_{m^2-1} of Z_m x Z_m.
 
     alpha_0 is always the identity.  For odd m the tail is arranged so that
-    alpha_{m^2-i} = -alpha_i for 1 <= i <= delta = (m^2-1)/2, which is what
-    the Lee enumerator needs; `lee_delta` is None for even m.  `position`,
-    an (m, m) array, is the ordering index of (a, b), and `add_table` and
-    `neg_table` translate group arithmetic into ordering indices.
+    alpha_{m^2-i} = -alpha_i for 1 <= i <= (m^2-1)/2, which is what the Lee
+    enumerator needs.  `position`, an (m, m) array, is the ordering index of
+    (a, b): the one numbering of Z_m x Z_m, from which every flat label index
+    is built.  `add_table` and `neg_table` translate group arithmetic into
+    ordering indices.
     """
 
     m: int
     order: tuple[GroupElement, ...]
-    lee_delta: int | None
-    index: dict
     position: np.ndarray
     add_table: np.ndarray
     neg_table: np.ndarray
@@ -70,7 +76,7 @@ class GroupOrdering:
         return self.m * self.m
 
     def index_of(self, g: GroupElement) -> int:
-        return self.index[GroupElement(g[0] % self.m, g[1] % self.m)]
+        return int(self.position[g[0] % self.m, g[1] % self.m])
 
 
 @lru_cache(maxsize=None)
@@ -88,14 +94,11 @@ def canonical_ordering(m: int) -> GroupOrdering:
     neg = (-(flat // m) % m) * m + (-flat % m)
     if m % 2 == 0:
         codes = flat
-        delta = None
     else:
         reps = flat[flat < neg]  # the smaller of each {g, -g}; odd m has no g = -g != 0
         codes = np.concatenate([[0], reps, neg[reps[::-1]]])
-        delta = (q - 1) // 2
     a, b = np.divmod(codes, m)
     order = tuple(map(GroupElement, a.tolist(), b.tolist()))
-    index = {g: i for i, g in enumerate(order)}
     pos = np.empty(q, dtype=np.intp)  # flat code -> ordering index
     pos[codes] = np.arange(q)
     add_table = pos[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
@@ -103,10 +106,8 @@ def canonical_ordering(m: int) -> GroupOrdering:
     position = pos.reshape(m, m)
     for table in (position, add_table, neg_table):
         table.setflags(write=False)
-    return GroupOrdering(
-        m=m, order=order, lee_delta=delta, index=index, position=position,
-        add_table=add_table, neg_table=neg_table,
-    )
+    return GroupOrdering(m=m, order=order, position=position,
+                         add_table=add_table, neg_table=neg_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +193,16 @@ def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) ->
     """Check E_0 = I, tr E_g = m * delta(g,0) and E_g E_h = w_{gh} E_{g+h}
     with |w_{gh}| = 1 on the stored matrices and omega table.  Failures are
     ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails.
-    `products[i, j]` = E_i E_j may be passed in when the caller has formed them.
-    The residuals are one array in that order, the closure ones formed a row
-    i at a time from products[i]; np.hypot takes the moduli of single values."""
+    `products[i, j]` = E_i E_j may be passed in when the caller has formed them;
+    without them a system from `validate_custom_basis` gets the report that
+    validation formed.  The residuals are one array in that order, the closure
+    ones formed a row i at a time from products[i]; np.hypot takes the moduli
+    of single values."""
     m, q = sys.m, sys.q
     mats, omega, add = sys.matrices, sys.omega, sys.ordering.add_table
     if products is None:
+        if (report := _VALIDATED.get(sys)) is not None:
+            return report
         products = mats[:, None] @ mats[None, :]
     traces = np.trace(mats, axis1=1, axis2=2)
     traces[0] -= m
@@ -269,4 +274,5 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     report = verify_kernel_row_sums(sys)
     if not report.passed:
         raise RowSumViolation(report.detail)
+    _VALIDATED[sys] = axioms
     return sys

@@ -1,9 +1,10 @@
 """The group algebra over (Z_m x Z_m)^n: elements, ring operations, transform.
 
 An element C = sum_g c_g z^g is stored as a dense complex array of length
-m^(2n).  The flat index encodes the label g = (g_1, ..., g_n) coordinate-
-major (first coordinate most significant), each digit being the position of
-g_i in the canonical GroupOrdering.  The transform
+m^(2n).  The library names a label g = (g_1, ..., g_n) only by its flat
+index: the ordering indices `GroupOrdering.position[a_i, b_i]` of its
+coordinates as base-m^2 digits, first coordinate most significant
+(np.ravel_multi_index over shape (m^2,) * n).  The transform
 
     c'_h = (1/M) * sum_g c_g * prod_i kernel[h_i, g_i],    M = sum_g c_g
 
@@ -19,14 +20,15 @@ coefficients viewed as an (m^2,) * n tensor; no per-label table is built.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import GroupElement, PhaseSystem, build_pauli_system, canonical_ordering
+from .error_basis import PhaseSystem, build_pauli_system, canonical_ordering
 from .errors import QecalgError, ShapeMismatch, ZeroMass
 from .reports import CheckReport
 
@@ -90,25 +92,6 @@ def contract_axes(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_label(m: int, label: Sequence[GroupElement]) -> int:
-    """Flat coefficient index of a label (g_1, ..., g_n)."""
-    ordering = canonical_ordering(m)
-    idx = 0
-    for g in label:
-        idx = idx * ordering.size + ordering.index_of(g)
-    return idx
-
-
-def decode_index(m: int, n: int, idx: int) -> tuple[GroupElement, ...]:
-    """Inverse of encode_label."""
-    ordering = canonical_ordering(m)
-    out = []
-    for _ in range(n):
-        out.append(ordering.order[idx % ordering.size])
-        idx //= ordering.size
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """Dense element of the group algebra.
@@ -144,12 +127,16 @@ class AlgebraElement:
         return cls(m, n, np.zeros((m * m) ** n, dtype=np.complex128))
 
     @classmethod
-    def indicator(cls, m: int, n: int, labels: Iterable) -> "AlgebraElement":
-        """Element with coefficient 1 at each given label (or flat index)."""
-        c = np.zeros((m * m) ** n, dtype=np.complex128)
-        for lab in labels:
-            idx = lab if isinstance(lab, (int, np.integer)) else encode_label(m, lab)
-            c[idx] = 1.0
+    def indicator(cls, m: int, n: int, indices: Iterable[int]) -> "AlgebraElement":
+        """Element with coefficient 1 at each given flat index; an index
+        outside [0, m^(2n)) is a ValueError, anything but an integer a TypeError."""
+        size = (m * m) ** n
+        idx = [operator.index(i) for i in indices]
+        bad = [i for i in idx if not 0 <= i < size]
+        if bad:
+            raise ValueError(f"flat index {bad[0]} outside [0, {size})")
+        c = np.zeros(size, dtype=np.complex128)
+        c[idx] = 1.0
         return cls(m, n, c)
 
     @classmethod
@@ -163,15 +150,6 @@ def _check_shapes(a: AlgebraElement, b: AlgebraElement) -> None:
         raise ShapeMismatch(
             f"(m={a.m}, n={a.n}) vs (m={b.m}, n={b.n})"
         )
-
-
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_shapes(a, b)
-    return AlgebraElement(a.m, a.n, a.coeffs + b.coeffs)
-
-
-def scale(r: complex, a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.m, a.n, r * a.coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""The coset-doubling enumeration of S that `qecalg.code_analysis` replaced.
+"""The coset-doubling enumeration of S that `qecalg.code_analysis` replaced,
+and the per-pair symplectic product its pairwise commutation check replaced.
 
 Kept only as the reference the Howell-form stream is tested against, the
 way `element_io_reference.py` certifies the bulk element parser: S is built
@@ -26,9 +27,21 @@ def _locate(group: np.ndarray, target: np.ndarray) -> int | None:
 
 
 def _ordering_positions(m: int) -> np.ndarray:
-    """(m, m) table: the canonical ordering index of (a, b)."""
-    index = canonical_ordering(m).index
-    return np.array([[index[(a, b)] for b in range(m)] for a in range(m)], dtype=np.intp)
+    """(m, m) table: the canonical ordering index of (a, b), read off the ordering's list."""
+    pos = np.empty((m, m), dtype=np.intp)
+    for i, (a, b) in enumerate(canonical_ordering(m).order):
+        pos[a, b] = i
+    return pos
+
+
+def symplectic_product(g, h, m: int) -> int:
+    """sum_i (a_i d_i - b_i c_i) mod m for g_i = (a_i, b_i), h_i = (c_i, d_i),
+    zero iff E_g and E_h commute: the per-pair reference for the one integer
+    product that `code_analysis._generator_rows` takes of all pairs."""
+    total = 0
+    for (a, b), (c, d) in zip(g, h):
+        total += a * d - b * c
+    return total % m
 
 
 def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:

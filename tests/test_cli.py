@@ -220,6 +220,30 @@ def test_custom_basis_file_flag(capsys, tmp_path):
     assert code == 2 and "m=" in err
 
 
+def test_verify_axioms_checks_a_basis_file_once(capsys, tmp_path, monkeypatch):
+    # reading the file validates it, which runs the checker on the products
+    # E_g E_h it formed; --identity axioms prints that report, so one real
+    # run (one new report) forms the m^4 products once
+    from qecalg import cli, error_basis
+    real, reports = error_basis.verify_basis_axioms, []
+
+    def spy(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(error_basis, "verify_basis_axioms", spy)
+    monkeypatch.setattr(cli, "verify_basis_axioms", spy)
+    path = tmp_path / "pauli3.errorbasis"
+    write_custom_basis(path, 3, np.asarray(build_pauli_system(3).matrices))
+    code, out, _ = run(capsys, "verify", "--identity", "axioms", "--basis-file", str(path))
+    assert code == 0 and f"max residual {reports[0].max_residual:.3e}" in out
+    assert len(reports) == 2 and reports[1] is reports[0]
+    # the built-in basis is checked when asked
+    reports.clear()
+    assert run(capsys, "verify", "--identity", "axioms", "--m", "3")[0] == 0
+    assert len(reports) == 1
+
+
 def test_version_line_in_text_reports(capsys):
     from qecalg import __version__
     code, out, _ = run(capsys, "analyze", "513")

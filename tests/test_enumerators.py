@@ -8,7 +8,6 @@ import pytest
 
 from qecalg import (
     AlgebraElement,
-    GroupElement,
     associated_element,
     canonical_ordering,
     complete_distribution,
@@ -205,15 +204,9 @@ def test_complete_identity_code_and_random(sys2, sys3, four_two_two_code):
 
 def test_lee_identity_trivial_and_derived(sys3):
     assert verify_lee_identity(sys3, AlgebraElement.unit(3, 1), trials=10).passed
-    # indicator of the identity plus one +- pair in coordinate 1
-    ord3 = canonical_ordering(3)
-    zero = GroupElement(0, 0)
-    labels = [
-        (zero, zero),
-        (ord3.order[1], zero),
-        (ord3.order[8], zero),  # the negation of order[1]
-    ]
-    e = AlgebraElement.indicator(3, 2, labels)
+    # indicator of the identity plus one +- pair in coordinate 1: ordering
+    # indices 1 and 8 (its negation), with coordinate 2 at the identity
+    e = AlgebraElement.indicator(3, 2, np.ravel_multi_index(([0, 1, 8], [0, 0, 0]), (9, 9)))
     assert verify_lee_identity(sys3, e, trials=20, seed=2).passed
     for seed in range(5):
         assert verify_lee_identity(sys3, random_element(3, 2, seed), trials=20).passed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,11 +146,8 @@ def test_ordering_invariants(m):
     assert sorted(ordering.order) == sorted(
         GroupElement(a, b) for a in range(m) for b in range(m)
     )
-    if m % 2 == 0:
-        assert ordering.lee_delta is None
-    else:
+    if m % 2 == 1:
         delta = (q - 1) // 2
-        assert ordering.lee_delta == delta
         for i in range(1, delta + 1):
             assert ordering.order[q - i] == group_neg(ordering.order[i], m)
 
@@ -245,7 +244,9 @@ def test_basis_axioms_take_formed_products(sys2):
     for m in (2, 3, 5):
         u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         rotated = validate_custom_basis(u @ np.asarray(build_pauli_system(m).matrices) @ u.conj().T)
-        for sys_ in (build_pauli_system(m), rotated):
+        # a copy of the validated system, so that the checker alone runs
+        # rather than handing back validation's report
+        for sys_ in (build_pauli_system(m), dataclasses.replace(rotated)):
             mats = np.asarray(sys_.matrices)
             products = mats[:, None] @ mats[None, :]
             for i in range(m * m):
@@ -260,6 +261,19 @@ def test_basis_axioms_take_formed_products(sys2):
     products = mats[:, None] @ mats[None, :]
     products[1, 2] *= -1.0
     assert verify_basis_axioms(sys2, products).failures == (("closure", 1, 2),)
+
+
+def test_a_validated_system_keeps_its_axiom_report():
+    # the checker hands a system from validate_custom_basis the report that
+    # validation formed; a copy made with dataclasses.replace is checked anew
+    sys_ = validate_custom_basis(build_pauli_system(3).matrices)
+    report = verify_basis_axioms(sys_)
+    assert report.passed and verify_basis_axioms(sys_) is report
+    assert verify_basis_axioms(dataclasses.replace(sys_)) is not report
+    omega = sys_.omega.copy()
+    omega[1, 2] *= -1.0
+    broken = verify_basis_axioms(dataclasses.replace(sys_, omega=omega))
+    assert broken.failures == (("closure", 1, 2),)
 
 
 # --- the tables against the per-element loops they replaced ---
@@ -325,10 +339,8 @@ def test_tables_match_the_element_loops(m):
     assert ordering.order == order
     assert all(type(g) is GroupElement and type(g.a) is type(g.b) is int
                for g in ordering.order)
-    assert ordering.index == index
     assert all(ordering.position[a, b] == i for (a, b), i in index.items())
     assert ordering.position.shape == (m, m)
-    assert ordering.lee_delta == (None if m % 2 == 0 else (m * m - 1) // 2)
     _same_bits(ordering.add_table, add_table)
     _same_bits(ordering.neg_table, neg_table)
     sys_ = build_pauli_system(m)

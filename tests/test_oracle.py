@@ -6,7 +6,6 @@ from qecalg import (
     GroupElement,
     associated_element,
     build_pauli_system,
-    encode_label,
     pauli_label,
     random_code,
     transform,
@@ -80,8 +79,9 @@ def test_oracle_associated_full_space(sys2):
 def test_oracle_ket_zero(sys2):
     code = CodeSpec.from_basis(2, 1, np.array([[1.0, 0.0]], dtype=complex))
     element = oracle_associated_element(sys2, code)
-    assert element.coeffs[encode_label(2, (GroupElement(0, 1),))] == pytest.approx(1.0)
-    assert element.coeffs[encode_label(2, (GroupElement(1, 0),))] == pytest.approx(0.0)
+    pos = sys2.ordering.position  # at n = 1 the flat index of (a, b) is its ordering index
+    assert element.coeffs[pos[0, 1]] == pytest.approx(1.0)
+    assert element.coeffs[pos[1, 0]] == pytest.approx(0.0)
     # K = 1: dual equals primary
     dual = oracle_dual_element(sys2, code)
     assert np.abs(dual.coeffs - element.coeffs).max() < 1e-12
@@ -96,11 +96,10 @@ def test_oracle_four_two_two_from_codewords(sys2):
     vectors[3, [0b0110, 0b1001]] = s
     code = CodeSpec.from_basis(2, 4, vectors)
     element = oracle_associated_element(sys2, code)
+    pos = sys2.ordering.position
     expected_members = {
-        encode_label(2, pauli_label("IIII")),
-        encode_label(2, pauli_label("XXXX")),
-        encode_label(2, pauli_label("ZZZZ")),
-        encode_label(2, pauli_label("YYYY")),
+        int(np.ravel_multi_index([pos[g] for g in pauli_label(word)], (4,) * 4))
+        for word in ("IIII", "XXXX", "ZZZZ", "YYYY")
     }
     members = set(np.nonzero(element.coeffs.real > 0.5)[0].tolist())
     assert members == expected_members
