@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -99,6 +100,7 @@ def _emit(report: dict, args) -> None:
         for line in report["text"]:
             print(line)
         print(f"# qecalg {__version__}")
+    sys.stdout.flush()  # a reader who has left is met here, not at interpreter exit
 
 
 # --- subcommands: each returns (exit code, inputs, results, text lines) ---
@@ -404,13 +406,20 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     """Run the parsed call and emit its report; an input error, printing the
-    report included, prints one line and exits 2."""
+    report included, prints one line and exits 2.  A reader of stdout that
+    leaves early is no error: the rest of the report goes to os.devnull and
+    the command keeps its exit code."""
     try:
         t0 = time.perf_counter()
         code, inputs, results, text = args.func(args)
-        _emit({"tool": "qecalg", "version": __version__, "command": args.command,
-               "inputs": inputs, "results": results, "text": text,
-               "elapsed_s": time.perf_counter() - t0}, args)
+        try:
+            _emit({"tool": "qecalg", "version": __version__, "command": args.command,
+                   "inputs": inputs, "results": results, "text": text,
+                   "elapsed_s": time.perf_counter() - t0}, args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except (QecalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import PHASE_TOL, GroupElement, PhaseSystem, canonical_ordering
+from .error_basis import PHASE_TOL, GroupElement, PhaseSystem
 from .errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -132,6 +131,8 @@ class CodeSpec:
         v = np.array(vectors, dtype=np.complex128, order="C")
         if v.ndim != 2 or v.shape[1] != m ** n:
             raise ValueError(f"expected vectors of shape (K, {m ** n})")
+        if not len(v):
+            raise ValueError("a basis code needs at least one vector")
         v.setflags(write=False)
         return cls(m, n, BasisVectors(v))
 
@@ -245,17 +246,6 @@ def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
     return np.prod(lam ** c) * np.prod(word[..., 0, 0])
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ordering's sum and negation tables of Z_m x Z_m, read-only, in the
-    smallest unsigned dtype holding m^2 - 1, which the streams compare."""
-    ordering, dtype = canonical_ordering(m), np.min_scalar_type(m * m - 1)
-    tables = [t.astype(dtype) for t in (ordering.add_table, ordering.neg_table)]
-    for t in tables:
-        t.setflags(write=False)
-    return tuple(tables)
-
-
 def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The index group S as two tables of per-qudit ordering indices:
     `low`, (n, L) with L <= _BLOCK, the combinations of the last Howell rows,
@@ -283,7 +273,7 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
         for c in rows[span:, 2 * n:]:
             _require_identity(_word_phase(mats, lam, c), "a product of the generators")
     rows, orders = rows[:span, :2 * n], orders[:span]
-    plus, _ = _pair_tables(m)
+    plus = sys.ordering.add_table
     # the ordering indices of every multiple: codes[k, :, t] is t h_k, and each
     # index array below is C-ordered, so that every table comes out C-ordered
     t = np.arange(m)
@@ -397,7 +387,7 @@ def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     if m ** n % size:
         raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
     # a qudit of low + offset is nonzero iff its low index differs from that of -offset
-    _, neg = _pair_tables(m)
+    neg = sys.ordering.neg_table
     counts = np.zeros(n + 1, dtype=np.int64)
     weight = np.min_scalar_type(n)
     for minus in neg[high].T:

@@ -26,13 +26,12 @@ A' from A, and `verify_hamming_identity` builds C' to certify that route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .error_basis import PhaseSystem
+from .error_basis import PhaseSystem, canonical_ordering
 from .errors import EvenM, QecalgError
 from .group_algebra import (
     AlgebraElement, checked_mass, contract_axes, label_sums, transform, weight_reduce)
@@ -139,18 +138,13 @@ def _powers(base: int, width: int) -> np.ndarray:
     return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
 def _lee_class(m: int) -> np.ndarray:
-    """Ordering index -> Lee class: 0 -> 0, j -> j for j <= delta, else m^2-j;
-    odd m only (EvenM otherwise)."""
+    """Ordering index -> Lee class, the smaller of the indices of g and -g
+    read off `neg_table` (0 -> 0, j -> j for j <= delta, else m^2 - j), as
+    int64; odd m only (EvenM otherwise)."""
     if m % 2 == 0:
         raise EvenM(f"Lee machinery needs odd m, got m={m}")
-    q = m * m
-    delta = (q - 1) // 2
-    cls = np.arange(q)
-    cls[delta + 1:] = q - cls[delta + 1:]
-    cls.setflags(write=False)
-    return cls
+    return np.minimum(np.arange(m * m), canonical_ordering(m).neg_table)
 
 
 def complete_distribution(a: AlgebraElement) -> CompositionDistribution:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +61,10 @@ class GroupOrdering:
     enumerator needs.  `position`, an (m, m) array, is the ordering index of
     (a, b): the one numbering of Z_m x Z_m, from which every flat label index
     is built.  `add_table` and `neg_table` translate group arithmetic into
-    ordering indices.
+    ordering indices; they are stored in the smallest unsigned dtype holding
+    m^2 - 1, which the stabilizer streams compare, and are for indexing only.
+    `position` stays intp, because flat indices are built from it by scalar
+    arithmetic, which overflows or wraps in a small unsigned dtype.
     """
 
     m: int
@@ -101,8 +103,9 @@ def canonical_ordering(m: int) -> GroupOrdering:
     order = tuple(map(GroupElement, a.tolist(), b.tolist()))
     pos = np.empty(q, dtype=np.intp)  # flat code -> ordering index
     pos[codes] = np.arange(q)
-    add_table = pos[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
-    neg_table = pos[neg[codes]]
+    small = pos.astype(np.min_scalar_type(q - 1))
+    add_table = small[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
+    neg_table = small[neg[codes]]
     position = pos.reshape(m, m)
     for table in (position, add_table, neg_table):
         table.setflags(write=False)
@@ -151,8 +154,10 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return parts.view(np.complex128)
 
 
+@lru_cache(maxsize=None)
 def build_pauli_system(m: int) -> PhaseSystem:
-    """Construct the generalized Pauli nice error basis for m levels.
+    """Construct the generalized Pauli nice error basis for m levels, once
+    per m (its arrays are read-only).
 
     Raises ValueError for m < 2.
     """
@@ -161,7 +166,7 @@ def build_pauli_system(m: int) -> PhaseSystem:
     ordering = canonical_ordering(m)
     roots = _roots_of_unity(m)
     # the X and Z exponents by ordering index
-    a, b = np.fromiter(chain.from_iterable(ordering.order), np.intp, 2 * m * m).reshape(-1, 2).T
+    a, b = np.divmod(np.argsort(ordering.position, axis=None), m)
     omega = roots[b[:, None] * a % m]  # omega[i, j] = w^(b_i * a_j)
     # the matrices E_(a,b)|j> = w^(b*j) |j+a mod m>, one per ordering index
     j = np.arange(m)

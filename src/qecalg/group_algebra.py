@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -152,19 +151,13 @@ def _check_shapes(a: AlgebraElement, b: AlgebraElement) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _character_table(m: int) -> np.ndarray:
-    """A nondegenerate character table of Z_m x Z_m in ordering order (the
-    generalized Pauli kernel); transforming twice with it multiplies by m^2."""
-    return build_pauli_system(m).kernel
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Group convolution: out[k] = sum over g+h = k of a_g * b_h.
 
     Characters are homomorphisms, chi_h(A B) = chi_h(A) chi_h(B), so the
-    product is the pointwise product of the unnormalised transforms, taken
-    back by one more kernel pass and scaled by 1/m^(2n) (the double-transform
+    product is the pointwise product of the unnormalised transforms under the
+    generalized Pauli kernel (a nondegenerate character table), taken back
+    by one more kernel pass and scaled by 1/m^(2n) (the double-transform
     identity).  When one operand has at most m^2 terms it is cheaper to shift
     the other term by term, and exact: z^g z^h = z^(g+h) holds bit for bit.
     """
@@ -173,7 +166,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         a, b = b, a
     if np.count_nonzero(a.coeffs) <= a.m * a.m:
         return AlgebraElement(a.m, a.n, _shifted_sum(a, b))
-    kernel = _character_table(a.m)
+    kernel = build_pauli_system(a.m).kernel
     product = _kernel.apply_axiswise(kernel, a.coeffs, a.n)
     product *= _kernel.apply_axiswise(kernel, b.coeffs, b.n)
     out = _kernel.apply_axiswise(kernel, product, a.n)

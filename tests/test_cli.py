@@ -581,6 +581,21 @@ def test_cli_does_not_import_the_oracle():
     assert done.stdout.strip() == "False"
 
 
+def test_a_reader_leaving_early_is_no_error(tmp_path):
+    # as `qecalg enumerate ... | head -1`: the reader takes one line of a
+    # report of about 650 KB, far past a pipe buffer, and closes the pipe
+    import qecalg
+    write_element(tmp_path / "big.elem", random_element(5, 3, seed=1))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
+    argv = [sys.executable, "-m", "qecalg.cli", "enumerate", str(tmp_path / "big.elem"),
+            "--kind", "complete"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"complete distribution\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 _ENUMERATE_513 = {
     "text": "hamming distribution\nC : A=(1,0,0,0,15,0)\nC': A=(1,0,0,30,15,18)\n",
     "C": [[[0], [1.0, 0.0]], [[1], [0.0, 0.0]], [[2], [0.0, 0.0]], [[3], [0.0, 0.0]],

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,14 @@ def test_validation_errors(sys2):
             sys2,
             CodeSpec.from_stabilizers(2, 1, [((1, 0),), ((0, 1),)]),
         )
+
+
+def test_from_basis_refuses_empty_and_misshapen_vectors(sys2):
+    with pytest.raises(ValueError, match="at least one vector"):
+        analyze(sys2, CodeSpec.from_basis(2, 1, np.zeros((0, 2))))
+    for vectors in (np.zeros((1, 2)), np.zeros(4), np.zeros((1, 1, 4))):
+        with pytest.raises(ValueError, match=r"expected vectors of shape \(K, 4\)"):
+            CodeSpec.from_basis(2, 2, vectors)
 
 
 def test_commutation_check_names_the_first_pair():
@@ -672,6 +681,35 @@ def test_catalog_exact_only_codes(sys2, name, order, a):
     assert report.primary_distribution.a.real.sum() == report.mass == order
     if a is not None:
         assert report.primary_distribution.rounded() == a
+
+
+def _shadow(a, k):
+    """The coefficients S_j of x^(n-j) y^j in S(x, y) = K A((x+3y)/2, (y-x)/2),
+    with A(x, y) = sum_w A_w x^(n-w) y^w, as Fractions."""
+    n = len(a) - 1
+    s = [0] * (n + 1)
+    for w, a_w in enumerate(a):
+        poly = [1]  # (x + 3y)^(n-w) (y - x)^w, by the power of y
+        for c0, c1 in [(1, 3)] * (n - w) + [(-1, 1)] * w:
+            poly = [c0 * p + c1 * q for p, q in zip(poly + [0], [0] + poly)]
+        s = [x + a_w * c for x, c in zip(s, poly)]
+    return [Fraction(k * x, 2 ** n) for x in s]
+
+
+def test_qubit_shadows_are_non_negative(sys2):
+    # Rains (IEEE Trans. IT 45, 2361, 1999): the shadow enumerator of every
+    # qubit code has non-negative coefficients; here on the exact integers A
+    # of the catalog's m = 2 codes and of two seeded codes for each n = 2..24
+    codes = [catalog.load(name) for name in ("513", "422", "913shor", "steane713", "rm15")]
+    rng = np.random.default_rng(2)
+    for n in range(2, 25):
+        for r in rng.choice(np.arange(1, min(n, 12) + 1), 2, replace=False).tolist():
+            gens = _scrambled_generators(2, n, [1] * r, seed=100 * n + r)
+            codes.append(CodeSpec.from_stabilizers(2, n, gens))
+    for code in codes:
+        report = analyze(sys2, code)
+        shadow = _shadow(report.primary_distribution.exact, report.K)
+        assert min(shadow) >= 0, (code.n, report.primary_distribution.exact, shadow)
 
 
 def test_inconsistent_phases_raise(sys2):

@@ -289,8 +289,9 @@ def _reference_ordering(m):
         order = tuple([GroupElement(0, 0)] + reps + tail)
     index = {g: i for i, g in enumerate(order)}
     q = m * m
-    add_table = np.empty((q, q), dtype=np.intp)
-    neg_table = np.empty(q, dtype=np.intp)
+    dtype = np.min_scalar_type(q - 1)  # the smallest unsigned dtype holding every index
+    add_table = np.empty((q, q), dtype=dtype)
+    neg_table = np.empty(q, dtype=dtype)
     for i, g in enumerate(order):
         neg_table[i] = index[group_neg(g, m)]
         for j, h in enumerate(order):
@@ -326,13 +327,16 @@ def _reference_pauli(m, order):
 
 
 def _same_bits(got, want):
+    """Same dtype, shape and bits; the kernel omega * conj(omega.T) comes out
+    F-ordered at m >= 12, so both sides are viewed through C-ordered copies."""
     assert got.dtype == want.dtype and got.shape == want.shape
     if np.iscomplexobj(want):
-        got, want = got.view(np.uint64), want.view(np.uint64)
+        got, want = (np.ascontiguousarray(x).view(np.uint64) for x in (got, want))
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+# m = 16 has the last uint8 tables and m = 17 the first uint16 ones
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16, 17])
 def test_tables_match_the_element_loops(m):
     ordering = canonical_ordering(m)
     order, index, add_table, neg_table = _reference_ordering(m)
