@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .code_analysis import CodeSpec
-from .fileio import read_bytes, read_code
+from .fileio import read_code
 
 CATALOG = {
     "513": "five_qubit_513.code",
@@ -21,15 +21,12 @@ def names() -> list[str]:
     return sorted(CATALOG)
 
 
-def resolve(name: str) -> tuple[str, CodeSpec, bytes]:
-    """(display name, code, raw bytes for digesting) of a catalog code,
-    from one read of its resource."""
+def read(name: str) -> bytes:
+    """The bytes of a catalog code's file."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog code {name!r}; available: {names()}")
-    with resources.as_file(resources.files("qecalg").joinpath("codes", CATALOG[name])) as path:
-        raw = read_bytes(path)
-        return f"catalog:{name}", read_code(path, raw), raw
+    return resources.files("qecalg").joinpath("codes", CATALOG[name]).read_bytes()
 
 
 def load(name: str) -> CodeSpec:
-    return resolve(name)[1]
+    return read_code(f"catalog:{name}", read(name))

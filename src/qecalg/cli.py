@@ -50,17 +50,18 @@ def _sha256(data: bytes) -> str:
 
 
 def _resolve_input(source: str):
-    """A code (catalog name or code file) or an element file.
+    """A code (catalog name or code file) or an element file, each parsed
+    from its bytes by `fileio.read_input`.
 
     Returns (display, kind, payload, digest) with kind in {code, element}.
     """
     if source in catalog.CATALOG:
-        name, code, raw = catalog.resolve(source)
-        return name, "code", code, _sha256(raw)
-    raw = read_bytes(source)
-    payload = read_input(source, raw)
+        display, raw = f"catalog:{source}", catalog.read(source)
+    else:
+        display, raw = source, read_bytes(source)
+    payload = read_input(display, raw)
     kind = "element" if isinstance(payload, AlgebraElement) else "code"
-    return source, kind, payload, _sha256(raw)
+    return display, kind, payload, _sha256(raw)
 
 
 def _system_for(m: int, args):

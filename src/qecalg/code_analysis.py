@@ -47,8 +47,8 @@ comparison is exact, on the dense route's floats it uses COEFF_TOL.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -93,11 +93,13 @@ def pauli_label(s: str) -> Label:
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGenerators:
-    """Generator labels, and optionally one phase exponent p per generator
-    (the operator is exp(i*pi*p/m) E_g).  phases=None is phase-free: only
-    the index group is analysed and no phase is checked."""
+    """Generator rows (a_1, b_1, ..., a_n, b_n), which a `CodeSpec` holds as
+    one read-only (r, 2n) int64 array reduced mod m, and optionally one phase
+    exponent p per generator (the operator is exp(i*pi*p/m) E_g).
+    phases=None is phase-free: only the index group is analysed and no
+    phase is checked."""
 
-    labels: tuple[Label, ...]
+    rows: np.ndarray
     phases: tuple[int, ...] | None
 
 
@@ -108,67 +110,64 @@ class BasisVectors:
 
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
+    """A code, checked as it is built, with a read-only copy of the caller's
+    body: n integer (a, b) pairs per generator, commuting pairwise, and one
+    phase each if phased; or a nonempty (K, m^n) basis of orthonormal rows."""
+
     m: int
     n: int
     body: StabilizerGenerators | BasisVectors
+
+    def __post_init__(self):
+        m, n, body = self.m, self.n, self.body
+        if m < 2 or n < 1:
+            raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
+        if isinstance(body, BasisVectors):
+            v = np.array(body.vectors, dtype=np.complex128, order="C")
+            if v.ndim != 2 or v.shape[1] != m ** n:
+                raise ValueError(f"expected vectors of shape (K, {m ** n})")
+            if not len(v):
+                raise ValueError("a basis code needs at least one vector")
+            resid = np.abs(v @ v.conj().T - np.eye(len(v))).max()
+            if not resid <= COEFF_TOL:  # NaN fails too
+                raise NonOrthonormalBasis(f"max |<v_i|v_j> - delta_ij| = {resid:.3e}")
+            body = BasisVectors(v)
+        else:
+            bad = next((len(row) for row in body.rows if len(row) != 2 * n), None)
+            if bad is not None:
+                raise ValueError(f"generator has {bad / 2:g} coordinates, expected {n}")
+            phases = None if body.phases is None else tuple(body.phases)
+            if phases is not None and len(phases) != len(body.rows):
+                raise ValueError("one phase exponent per generator required")
+            # operator.index refuses a float exponent, which % m would truncate
+            v = np.array([[operator.index(x) for x in row] for row in body.rows],
+                         dtype=np.int64).reshape(-1, 2 * n) % m
+            x, z = v[:, 0::2], v[:, 1::2]
+            clash = (x @ z.T - z @ x.T) % m  # the symplectic products of all pairs
+            if clash.any():
+                # antisymmetric with a zero diagonal: the first nonzero entry in
+                # row-major order is the first pair i < j
+                i, j = np.argwhere(clash)[0]
+                raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
+            body = StabilizerGenerators(v, phases)
+        v.setflags(write=False)
+        object.__setattr__(self, "body", body)
 
     @classmethod
     def from_stabilizers(
         cls, m: int, n: int, generators: Sequence[Label],
         phases: Sequence[int] | None = None,
     ) -> "CodeSpec":
-        labels = tuple(tuple(GroupElement(a % m, b % m) for (a, b) in gen) for gen in generators)
-        for gen in labels:
-            if len(gen) != n:
-                raise ValueError(f"generator has {len(gen)} coordinates, expected {n}")
-        ph = None if phases is None else tuple(phases)
-        if ph is not None and len(ph) != len(labels):
-            raise ValueError("one phase exponent per generator required")
-        return cls(m, n, StabilizerGenerators(labels, ph))
+        rows = [[x for a, b in gen for x in (a, b)] for gen in generators]
+        return cls(m, n, StabilizerGenerators(rows, phases))
 
     @classmethod
     def from_basis(cls, m: int, n: int, vectors: np.ndarray) -> "CodeSpec":
-        v = np.array(vectors, dtype=np.complex128, order="C")
-        if v.ndim != 2 or v.shape[1] != m ** n:
-            raise ValueError(f"expected vectors of shape (K, {m ** n})")
-        if not len(v):
-            raise ValueError("a basis code needs at least one vector")
-        v.setflags(write=False)
-        return cls(m, n, BasisVectors(v))
+        return cls(m, n, BasisVectors(vectors))
 
     @property
     def kind(self) -> str:
         return "stabilizer" if isinstance(self.body, StabilizerGenerators) else "basis"
-
-
-def _generator_rows(code: CodeSpec) -> np.ndarray:
-    """The (r, 2n) generator rows (a_1, b_1, ..., a_n, b_n), checked to
-    commute pairwise: the symplectic products of all pairs are the one
-    integer product X Z^T - Z X^T mod m."""
-    m, n = code.m, code.n
-    r = len(code.body.labels)
-    flat = chain.from_iterable(chain.from_iterable(code.body.labels))
-    gens = np.fromiter(flat, np.int64, r * 2 * n).reshape(r, n, 2)
-    x, z = gens[:, :, 0], gens[:, :, 1]
-    clash = (x @ z.T - z @ x.T) % m
-    if clash.any():
-        # antisymmetric with a zero diagonal: the first nonzero entry in
-        # row-major order is the first pair i < j
-        i, j = np.argwhere(clash)[0]
-        raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
-    return gens.reshape(r, 2 * n)
-
-
-def validate_code(code: CodeSpec) -> None:
-    """Orthonormality for basis input, pairwise commutation for stabilizers."""
-    if isinstance(code.body, BasisVectors):
-        v = code.body.vectors
-        gram = v @ v.conj().T
-        resid = np.abs(gram - np.eye(v.shape[0])).max()
-        if not resid <= COEFF_TOL:  # NaN fails too
-            raise NonOrthonormalBasis(f"max |<v_i|v_j> - delta_ij| = {resid:.3e}")
-    else:
-        _generator_rows(code)
 
 
 def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
@@ -258,7 +257,7 @@ def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarr
     words that generate every relation sum_k c_k g_k = 0.  Phased codes are
     checked on them: each operator lam_k E_{g_k} must have order dividing m,
     and each relation word must give the identity itself."""
-    gens = _generator_rows(code)
+    gens = code.body.rows
     if sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n = code.m, code.n
@@ -340,7 +339,6 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
                 idx += plus[offset[i]][low[i]]
             coeffs[idx] = 1.0
         return AlgebraElement(m, n, coeffs)
-    validate_code(code)
     return _associated_basis(sys, code)
 
 

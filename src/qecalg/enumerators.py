@@ -99,10 +99,10 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
     A composition is keyed by its counts as mixed-radix digits in base n+1,
     built one axis at a time by broadcasting; symbols are split into as many
     int64 key columns as needed.  Symbol 0 takes the most significant digit,
-    within a column and across columns, so the keys np.unique returns, split
-    back into digits, are the rows of `counts` in lexicographic order, with
-    no re-sort.  Sums that are exactly zero (unoccupied keys of indicator
-    elements) are dropped.
+    within a column and across columns, so the sorted distinct keys (np.unique
+    of one column, a lexsort of several), split back into digits, are the
+    rows of `counts` in lexicographic order, with no re-sort.  Sums that are
+    exactly zero (unoccupied keys of indicator elements) are dropped.
     """
     base = a.n + 1
     per_column, limit = 1, np.iinfo(np.int64).max
@@ -114,11 +114,16 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
         places = np.zeros(count, dtype=np.int64)
         places[j * per_column:j * per_column + width] = _powers(base, width)
         columns.append(label_sums(places[symbol], a.n))
-    if len(columns) == 1:  # the common case; 1-D unique is ~20x faster
+    if len(columns) == 1:  # the common case, where np.unique beats a lexsort
         keys, inverse = np.unique(columns[0], return_inverse=True)
         keys = keys[:, None]
-    else:
-        keys, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    else:  # np.lexsort sorts by its last key first; a run starts where any column changes
+        order = np.lexsort(columns[::-1])
+        keys = np.stack([col[order] for col in columns], axis=1)
+        starts = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+        keys = keys[starts]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
     inverse = inverse.reshape(-1)
     re = np.bincount(inverse, weights=a.coeffs.real, minlength=len(keys))
     im = np.bincount(inverse, weights=a.coeffs.imag, minlength=len(keys))

@@ -46,9 +46,9 @@ about 130 ms in the writers' spelling with \\n or \\r\\n line ends, and in
 custom-basis matrices are read by the same kind of loop.  `write_element`
 formats the nonzero coefficients with one %-format per block of lines.
 
-Code files are phase-free: a stabilizer generator is its label alone, so
-`read_code` gives a code whose index group is analysed with no phase check,
-and `write_code` writes the labels of a phased code without its phases.
+Code files are phase-free: a generator is its exponent pairs alone, so
+`read_code` gives a code (checked as a `CodeSpec` is, when made) whose index
+group is analysed with no phase check, and `write_code` drops phases.
 
 Custom error basis file ("errorbasis v1"):
     errorbasis v1
@@ -69,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .code_analysis import CodeSpec
+from .code_analysis import CodeSpec, StabilizerGenerators
 from .error_basis import PhaseSystem, validate_custom_basis
 from .errors import FormatError
 from .group_algebra import AlgebraElement
@@ -347,17 +347,17 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
     numbers, lines = numbers[4:], lines[4:]
     kind = header["kind"]
     if kind == "stabilizer":
-        generators = []
+        rows = []
         for lineno, line in zip(numbers, lines):
             tokens = line.split()
             if len(tokens) != n:
                 raise FormatError(
                     f"generator has {len(tokens)} coordinates, expected {n}", path, lineno
                 )
-            generators.append(tuple(_parse_int_pair(t, path, lineno) for t in tokens))
-        if not generators:
+            rows.append([x for t in tokens for x in _parse_int_pair(t, path, lineno)])
+        if not rows:
             raise FormatError("stabilizer code needs at least one generator", path)
-        return CodeSpec.from_stabilizers(m, n, generators)
+        return CodeSpec(m, n, StabilizerGenerators(rows, None))
     if kind == "basis":
         rows = _complex_rows(numbers, lines, m ** n, "basis row", path)
         if len(rows) == 0:
@@ -371,8 +371,8 @@ def write_code(path, code: CodeSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"code v1\nm {code.m}\nn {code.n}\nkind {code.kind}\n")
         if code.kind == "stabilizer":
-            for gen in code.body.labels:
-                fh.write(" ".join(f"{g.a},{g.b}" for g in gen) + "\n")
+            for row in code.body.rows.tolist():
+                fh.write(" ".join(f"{a},{b}" for a, b in zip(row[0::2], row[1::2])) + "\n")
         else:
             for row in code.body.vectors:
                 fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .code_analysis import BasisVectors, CodeSpec, StabilizerGenerators, validate_code
+from .code_analysis import BasisVectors, CodeSpec
 from .error_basis import PhaseSystem, canonical_ordering
 from .errors import ShapeMismatch, SizeCap
 from .group_algebra import AlgebraElement, checked_mass
@@ -155,16 +155,15 @@ def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> 
     phase-free code; the phased operator must have order dividing m, and the
     product must have rank >= 1 (e.g. <Z, -Z> stabilizes nothing).
     """
-    validate_code(code)
     _check_cap(code.m, code.n, cap)
     dim = code.m ** code.n
     if isinstance(code.body, BasisVectors):
         v = code.body.vectors
         return v.T @ v.conj()
     p = np.eye(dim, dtype=np.complex128)
-    phases = code.body.phases or (0,) * len(code.body.labels)
-    for gen, phase in zip(code.body.labels, phases):
-        op = np.exp(1j * np.pi * phase / code.m) * build_operator(sys, gen, cap)
+    phases = code.body.phases or (0,) * len(code.body.rows)
+    for row, phase in zip(code.body.rows, phases):
+        op = np.exp(1j * np.pi * phase / code.m) * build_operator(sys, row.reshape(-1, 2), cap)
         power = np.eye(dim, dtype=np.complex128)
         avg = np.zeros_like(power)
         for _ in range(code.m):
@@ -172,7 +171,7 @@ def projector(sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP) -> 
             power = power @ op
         if np.abs(power - np.eye(dim)).max() > _TOL:
             raise ValueError(
-                f"phased generator {gen} does not have order dividing m={code.m}"
+                f"phased generator {row.tolist()} does not have order dividing m={code.m}"
             )
         p = p @ (avg / code.m)
     if np.abs(p @ p - p).max() > _TOL or np.abs(p - p.conj().T).max() > _TOL:
@@ -208,7 +207,6 @@ def oracle_dual_element(
     sys: PhaseSystem, code: CodeSpec, cap: int = DEFAULT_SIZE_CAP
 ) -> AlgebraElement:
     """c'_h = (1/K) sum_{i,j} |<v_i|E_h|v_j>|^2 with explicit matrices."""
-    validate_code(code)
     _check_cap(code.m, code.n, cap)
     if isinstance(code.body, BasisVectors):
         v = code.body.vectors

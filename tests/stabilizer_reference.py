@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qecalg.code_analysis import CodeSpec, validate_code
+from qecalg.code_analysis import CodeSpec
 from qecalg.error_basis import PHASE_TOL, PhaseSystem, canonical_ordering
 from qecalg.errors import InconsistentStabilizers, ShapeMismatch
 
@@ -37,7 +37,7 @@ def _ordering_positions(m: int) -> np.ndarray:
 def symplectic_product(g, h, m: int) -> int:
     """sum_i (a_i d_i - b_i c_i) mod m for g_i = (a_i, b_i), h_i = (c_i, d_i),
     zero iff E_g and E_h commute: the per-pair reference for the one integer
-    product that `code_analysis._generator_rows` takes of all pairs."""
+    product of all pairs that a `CodeSpec` takes when it is built."""
     total = 0
     for (a, b), (c, d) in zip(g, h):
         total += a * d - b * c
@@ -60,7 +60,6 @@ def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:
     t g; otherwise the group holds a nontrivial multiple of the identity and
     InconsistentStabilizers is raised.
     """
-    validate_code(code)
     if sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n = code.m, code.n
@@ -80,8 +79,8 @@ def stabilizer_group(sys: PhaseSystem, code: CodeSpec) -> np.ndarray:
 
         lam = np.ones(1, dtype=np.complex128)
     group = np.zeros((2 * n, 1), dtype=dtype)
-    for k, label in enumerate(code.body.labels):
-        g = np.array([x for pair in label for x in pair], dtype=dtype)
+    for k, row in enumerate(code.body.rows):
+        g = row.astype(dtype)
         shifts = [g]  # t g for t = 1, 2, ...; the last one is in S
         while (hit := _locate(group, shifts[-1])) is None:
             shifts.append(plus[shifts[-1], g])

@@ -566,7 +566,7 @@ def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):
     # code files are phase-free, so a phased code reaches the CLI only
     # through the library; the exception is a QecalgError, exit 2
     empty = CodeSpec.from_stabilizers(2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], phases=[0, 2])
-    monkeypatch.setattr(catalog, "resolve", lambda name: (f"catalog:{name}", empty, b""))
+    monkeypatch.setattr("qecalg.cli.read_input", lambda path, data=None: empty)
     code, out, err = run(capsys, "analyze", "422")
     assert (code, out) == (2, "")
     assert "multiple of the identity" in err

@@ -20,7 +20,7 @@ from qecalg import (
     validate_custom_basis,
 )
 from qecalg import code_analysis
-from qecalg.code_analysis import BasisVectors, _distance_and_purity, validate_code
+from qecalg.code_analysis import BasisVectors, StabilizerGenerators, _distance_and_purity
 from qecalg.errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -37,6 +37,7 @@ from qecalg.oracle import (
     oracle_minimum_distance,
     projector,
 )
+from codeword_reference import apply_local, consistent_phases, random_unitary, stabilizer_codewords
 from stabilizer_reference import group_indices, hamming_counts, stabilizer_group, symplectic_product
 
 
@@ -105,7 +106,8 @@ def test_dual_five_qubit_normalizer(sys2, five_qubit_code):
     for idx in members:
         label = labels[idx].tolist()
         assert all(
-            symplectic_product(label, gen, 2) == 0 for gen in five_qubit_code.body.labels
+            symplectic_product(label, gen, 2) == 0
+            for gen in five_qubit_code.body.rows.reshape(-1, 5, 2)
         )
 
 
@@ -220,18 +222,51 @@ def test_mass_law_and_unit_coefficients(sys2):
         assert cd.coeffs[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_validation_errors(sys2):
+def test_validation_errors():
+    # a code is checked when it is built, so no invalid CodeSpec exists
     bad = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(NonOrthonormalBasis):
-        associated_element(sys2, CodeSpec.from_basis(2, 1, bad))
+        CodeSpec.from_basis(2, 1, bad)
     # a NaN residual must fail the check, not slip past a `>` comparison
     with pytest.raises(NonOrthonormalBasis):
-        associated_element(sys2, CodeSpec.from_basis(2, 1, np.array([[np.nan, 0.0]])))
+        CodeSpec.from_basis(2, 1, np.array([[np.nan, 0.0]]))
     with pytest.raises(NonCommutingGenerators):
-        associated_element(
-            sys2,
-            CodeSpec.from_stabilizers(2, 1, [((1, 0),), ((0, 1),)]),
-        )
+        CodeSpec.from_stabilizers(2, 1, [((1, 0),), ((0, 1),)])
+    # a direct construction runs the same checks
+    with pytest.raises(NonOrthonormalBasis, match="delta_ij"):
+        CodeSpec(2, 1, BasisVectors(bad))
+    with pytest.raises(NonCommutingGenerators, match="^generators 0 and 1 do not commute$"):
+        CodeSpec(2, 1, StabilizerGenerators(np.array([[1, 0], [0, 1]]), None))
+    with pytest.raises(ValueError, match="generator has 1.5 coordinates, expected 1"):
+        CodeSpec(2, 1, StabilizerGenerators([[1, 0, 1]], None))
+    with pytest.raises(ValueError, match="one phase exponent per generator"):
+        CodeSpec.from_stabilizers(2, 1, [((0, 1),)], phases=[0, 1])
+    with pytest.raises(ValueError, match="generator has 2 coordinates, expected 1"):
+        CodeSpec.from_stabilizers(2, 1, [((0, 1), (1, 0))])
+    for m, n in ((0, 1), (1, 1), (2, 0)):
+        with pytest.raises(ValueError, match=f"need m >= 2 and n >= 1, got m={m}, n={n}"):
+            CodeSpec.from_stabilizers(m, n, [[(1, 0)] * n])
+
+
+def test_non_integer_exponent_is_refused():
+    # 1.5 used to be truncated to 1 by the cast to int64, and the code then
+    # analysed as <XX, ZZ>
+    with pytest.raises(TypeError):
+        CodeSpec.from_stabilizers(2, 2, [[(1.5, 0), (1, 0)], [(0, 1), (0, 1)]])
+    with pytest.raises(TypeError):
+        CodeSpec(2, 2, StabilizerGenerators(np.array([[1.0, 0, 1, 0], [0, 1, 0, 1]]), None))
+
+
+def test_stabilizer_rows_are_reduced_and_frozen():
+    gens = [[(3, -1), (1, 0)], [(0, 1), (0, 5)]]
+    code = CodeSpec.from_stabilizers(2, 2, gens)
+    rows = code.body.rows
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.tolist() == [[1, 1, 1, 0], [0, 1, 0, 1]]
+    # the caller's basis array is copied, not frozen
+    v = np.eye(2, dtype=complex)[:1]
+    basis = CodeSpec.from_basis(2, 1, v)
+    assert v.flags.writeable and not basis.body.vectors.flags.writeable
 
 
 def test_from_basis_refuses_empty_and_misshapen_vectors(sys2):
@@ -251,21 +286,19 @@ def test_commutation_check_names_the_first_pair():
             gens = [tuple(map(tuple, rng.integers(0, m, size=(n, 2)))) for _ in range(r)]
             first = next(((i, j) for i in range(r) for j in range(i + 1, r)
                           if symplectic_product(gens[i], gens[j], m)), None)
-            code = CodeSpec.from_stabilizers(m, n, gens)
             if first is None:
-                validate_code(code)
+                CodeSpec.from_stabilizers(m, n, gens)
                 continue
             with pytest.raises(NonCommutingGenerators,
                                match=f"^generators {first[0]} and {first[1]} do not commute$"):
-                validate_code(code)
+                CodeSpec.from_stabilizers(m, n, gens)
 
 
-def test_non_integer_dimension(sys2):
-    # bypass validation with slightly mis-scaled "orthonormal" vectors
+def test_non_integer_dimension():
+    # slightly mis-scaled "orthonormal" vectors cannot bypass the check
     v = np.eye(2, dtype=complex)[:1] * 1.01
-    code = CodeSpec(2, 1, BasisVectors(v))
     with pytest.raises((NonIntegerDimension, NonOrthonormalBasis)):
-        analyze(sys2, code)
+        CodeSpec(2, 1, BasisVectors(v))
     # direct guard: doctored coefficients whose mass is irrational
     c = np.array([1.0, 0.3, 0.0, 0.0])
     k_exact = 2 / c.sum()
@@ -438,23 +471,6 @@ def _scrambled_generators(m, n, exponents, seed, gates=400):
     return [[tuple(int(x) for x in pair) for pair in g] for g in gens]
 
 
-def _consistent_phases(sys_, m, n, gens):
-    """The first phase exponent per generator that keeps the group free of
-    multiples of the identity, chosen generator by generator."""
-    phases = []
-    for i in range(len(gens)):
-        for p in range(2 * m):
-            try:
-                analyze(sys_, CodeSpec.from_stabilizers(m, n, gens[:i + 1], phases + [p]))
-            except InconsistentStabilizers:
-                continue
-            phases.append(p)
-            break
-        else:
-            raise AssertionError(f"no consistent phase for generator {i}")
-    return phases
-
-
 # seeded codes as (m, n, exponents of the Z-type seeds), and catalog codes
 # (Shor is impure); all have m^(2n) <= 4^9, and the dense-matrix oracle runs
 # on every case with m^n <= 256
@@ -469,7 +485,8 @@ EXACT_CASES = [(2, 5, [1, 1, 1, 1]), (2, 9, [1] * 8),
 def test_exact_route_matches_dense(case):
     if isinstance(case, str):
         code = catalog.load(case)
-        m, n, gens = code.m, code.n, code.body.labels
+        m, n = code.m, code.n
+        gens = code.body.rows.reshape(-1, n, 2).tolist()
     else:
         m, n, exponents = case
         gens = _scrambled_generators(m, n, exponents, seed=100 * m + n)
@@ -498,7 +515,7 @@ def test_exact_route_matches_dense(case):
 
     if m ** n > 256:
         return
-    phased = CodeSpec.from_stabilizers(m, n, gens, _consistent_phases(sys_, m, n, gens))
+    phased = CodeSpec.from_stabilizers(m, n, gens, consistent_phases(sys_, m, n, gens))
     assert np.array_equal(analyze(sys_, phased).dual_distribution.a, b)
     c_o = oracle_associated_element(sys_, phased)
     c_dual_o = oracle_dual_element(sys_, phased)
@@ -509,6 +526,41 @@ def test_exact_route_matches_dense(case):
     assert oracle_minimum_distance(c_o, c_dual_o, exact.K) == exact.d
     assert np.abs(oracle_hamming_distribution(c_o) - exact.primary_distribution.a).max() <= 1e-9
     assert np.abs(oracle_hamming_distribution(c_dual_o) - b).max() <= 1e-9
+
+
+# scrambled codes as (m, n, exponents of the Z-type seeds, seed), m^(2n) <= 2^18,
+# with d from 1 to 3 and one impure code; the seeds were picked for that spread
+BASIS_FORM_CASES = [(2, 9, [1] * 7, 80), (2, 8, [1] * 6, 90), (2, 6, [1] * 5, 101),
+                    (3, 5, [1] * 4, 111), (3, 5, [1] * 4, 115), (3, 4, [1] * 3, 120),
+                    (4, 4, [1, 1, 2], 130), (4, 3, [1, 2], 140), (5, 3, [1, 1], 151),
+                    (6, 3, [1, 3], 160), (6, 2, [1], 180)]
+
+
+@pytest.mark.parametrize("case", BASIS_FORM_CASES, ids=str)
+def test_stabilizer_codes_in_basis_form_match_the_exact_route(case):
+    # the codewords of a stabilizer code, built with no m^n x m^n matrix, as
+    # they are, rotated by a K x K unitary and under local unitaries: the
+    # dense basis route must give the exact route's K, d and purity, and A and
+    # A' within COEFF_TOL / 100, so that no decision of the dense route turns
+    # on round-off
+    m, n, exponents, seed = case
+    sys_ = build_pauli_system(m)
+    code = CodeSpec.from_stabilizers(m, n, _scrambled_generators(m, n, exponents, seed=seed))
+    exact = analyze(sys_, code)
+    vectors = stabilizer_codewords(sys_, code, seed=seed)
+    k = vectors.shape[0]
+    assert k == exact.K
+    rng = np.random.default_rng(seed)
+    local = apply_local([random_unitary(rng, m) for _ in range(n)],
+                        vectors.reshape((k,) + (m,) * n)).reshape(k, -1)
+    bound = code_analysis.COEFF_TOL / 100
+    for basis in (vectors, random_unitary(rng, k) @ vectors, local):
+        dense = analyze(sys_, CodeSpec.from_basis(m, n, basis))
+        assert dense.path == "dense"
+        assert (dense.K, dense.d, dense.pure) == (exact.K, exact.d, exact.pure)
+        for dist in ("primary_distribution", "dual_distribution"):
+            gap = getattr(dense, dist).a - getattr(exact, dist).a
+            assert np.abs(gap).max() <= bound, (dist, np.abs(gap).max())
 
 
 def test_exact_route_twenty_qubits_stays_small(sys2):
@@ -648,7 +700,7 @@ def test_phase_check_agrees_with_oracle_on_random_codes():
         sys_ = systems[m, basis]
         gens = next(_random_generator_sets(rng, m, n, 1))
         if trial % 4 < 2:  # a consistent choice, with one phase moved half the time
-            phases = _consistent_phases(sys_, m, n, gens)
+            phases = consistent_phases(sys_, m, n, gens)
             if trial % 4:
                 phases[rng.integers(len(gens))] += int(rng.integers(1, 2 * m))
         else:

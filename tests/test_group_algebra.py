@@ -253,7 +253,7 @@ def test_five_qubit_transform_is_normalizer_indicator(sys2, five_qubit_code):
     assert element.mass == pytest.approx(16.0)
     dual = transform(sys2, element)
 
-    gens = five_qubit_code.body.labels
+    gens = five_qubit_code.body.rows.reshape(-1, 5, 2).tolist()
     labels = np.array(sys2.ordering.order)[label_digits(2, 5)].tolist()  # by flat index
     normalizer = np.array(
         [all(symplectic_product(label, gen, 2) == 0 for gen in gens) for label in labels],

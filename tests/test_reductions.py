@@ -86,9 +86,11 @@ def test_complete_distribution_matches_table(m, n):
         _assert_same_terms(complete_distribution(element).terms, oracle_composition_terms(element))
 
 
-# (6, 3) keys take two int64 columns: (n+1)^(m^2) = 4^36 overflows int64
+# (6, 3) keys take two int64 columns: (n+1)^(m^2) = 4^36 overflows int64;
+# (13, 1) takes three: 2^169 needs 62 + 62 + 45 binary digits
 @pytest.mark.parametrize("m,n,lee", [(4, 3, False), (3, 4, False), (3, 4, True), (2, 7, False),
-                                     (5, 3, False), (5, 3, True), (6, 3, False)])
+                                     (5, 3, False), (5, 3, True), (6, 3, False),
+                                     (13, 1, False)])
 def test_composition_keys_come_out_sorted(m, n, lee):
     # the table reference sums in flat label order, as the library's bincount
     # does, and sorts its keys with np.unique; so the values are bit-identical
