@@ -11,12 +11,10 @@ purity.
 __version__ = "0.1.0"
 
 from .error_basis import (
-    GroupElement,
     GroupOrdering,
     PhaseSystem,
     build_pauli_system,
     canonical_ordering,
-    character,
     validate_custom_basis,
     verify_basis_axioms,
     verify_kernel_row_sums,
@@ -55,8 +53,7 @@ from .reports import CheckReport
 
 __all__ = [
     "__version__",
-    "GroupElement", "GroupOrdering", "PhaseSystem",
-    "build_pauli_system", "canonical_ordering", "character",
+    "GroupOrdering", "PhaseSystem", "build_pauli_system", "canonical_ordering",
     "validate_custom_basis", "verify_basis_axioms", "verify_kernel_row_sums",
     "AlgebraElement", "multiply", "transform", "double_transform_scaling_check",
     "random_element",

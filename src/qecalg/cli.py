@@ -26,6 +26,7 @@ from . import __version__, catalog
 from .code_analysis import analyze, associated_element, check_cs_ordering, random_code
 from .enumerators import (
     HammingDistribution,
+    _lee_class,
     complete_distribution,
     hamming_distribution,
     lee_distribution,
@@ -160,6 +161,8 @@ def _cmd_enumerate(args):
         rec_c, rec_d = ([[[i], _fmt_complex(c)] for i, c in enumerate(d.a)] for d in (dist, dual))
         lines += [f"C : A={_distribution_text(dist)}", f"C': A={_distribution_text(dual)}"]
     else:
+        if args.kind == "lee":
+            _lee_class(payload.m)  # even m is refused before C is built
         primary = associated_element(sys_, payload) if kind == "code" else payload
         dual = transform(sys_, primary)
         rec_c, text_c = _dist_records(args.kind, primary)
@@ -236,6 +239,8 @@ def _verify_subject(args):
             raise QecalgError("--identity cs needs a code, not an element")
         inputs = {"input": display, "sha256": digest}
     sys_ = _system_for(payload.m, args)
+    if identity == "t8":
+        _lee_class(payload.m)  # even m is refused before C is built
     if identity == "cs" or kind == "element":
         return sys_, payload, inputs
     return sys_, associated_element(sys_, payload), inputs

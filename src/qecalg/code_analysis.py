@@ -40,6 +40,9 @@ K comes from S or V, and d and purity from the Hamming pair (A, A'):
            min{w >= 1 : A_w > 0}              (K = 1; c >= 0)
     pure = A_w = 0 for every 0 < w < d.
 
+Generator rows and `pauli_label` spell Z_m x Z_m in (a, b) exponent pairs;
+the exact route turns them into ordering indices (`position`) once.
+
 Both routes end in `_pair_report`; on the exact route's integers every
 comparison is exact, on the dense route's floats it uses COEFF_TOL.
 """
@@ -54,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import PHASE_TOL, GroupElement, PhaseSystem
+from .error_basis import PHASE_TOL, PhaseSystem
 from .errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -65,7 +68,7 @@ from .errors import (
 )
 from .enumerators import (
     HammingDistribution, hamming_distribution, macwilliams_hamming, macwilliams_terms)
-from .group_algebra import AlgebraElement, transform
+from .group_algebra import AlgebraElement, array_length, transform
 from .reports import CheckReport
 
 COEFF_TOL = 1e-9
@@ -74,17 +77,12 @@ COEFF_TOL = 1e-9
 # of the low Howell rows)
 _BLOCK = 1 << 16
 
-Label = tuple[GroupElement, ...]
+Label = tuple[tuple[int, int], ...]  # one (a, b) exponent pair per coordinate
 
 
 def pauli_label(s: str) -> Label:
     """Convenience: 'XZZXI' -> qubit label ((1,0),(0,1),(0,1),(1,0),(0,0))."""
-    lookup = {
-        "I": GroupElement(0, 0),
-        "X": GroupElement(1, 0),
-        "Z": GroupElement(0, 1),
-        "Y": GroupElement(1, 1),
-    }
+    lookup = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
     try:
         return tuple(lookup[ch] for ch in s.upper())
     except KeyError as exc:
@@ -429,7 +427,7 @@ def random_code(m: int, n: int, k: int, seed: int) -> CodeSpec:
     """Seeded random K-dimensional code: orthonormalized complex Gaussians."""
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    dim = m ** n
+    dim = array_length(m, n, "a code vector")
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= K <= {dim}, got {k}")
     for attempt in range(16):

@@ -12,6 +12,9 @@ bases are accepted as explicit matrices: their phase table is extracted by
 traces, a row g at a time from the batched products E_g E_h, and checked,
 with the matrices, against the defining axioms.  No check loops over pairs.
 
+Z_m x Z_m has one owner, `canonical_ordering`, and one representation, the
+ordering index i of alpha_i; (a, b) exponent pairs appear only at the edges.
+
 The axioms have one checker, `verify_basis_axioms`: `validate_custom_basis`
 runs it once on every custom basis and keeps the report, which `qecalg verify
 --identity axioms` prints for a file-given basis; the built-in basis is
@@ -23,7 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,30 +48,25 @@ PHASE_TOL = 1e-9
 _VALIDATED = weakref.WeakKeyDictionary()
 
 
-class GroupElement(NamedTuple):
-    """Element (a, b) of Z_m x Z_m: X-exponent a, Z-exponent b."""
-
-    a: int
-    b: int
-
-
 @dataclass(frozen=True, eq=False)
 class GroupOrdering:
     """A fixed enumeration alpha_0, ..., alpha_{m^2-1} of Z_m x Z_m.
 
     alpha_0 is always the identity.  For odd m the tail is arranged so that
     alpha_{m^2-i} = -alpha_i for 1 <= i <= (m^2-1)/2, which is what the Lee
-    enumerator needs.  `position`, an (m, m) array, is the ordering index of
-    (a, b): the one numbering of Z_m x Z_m, from which every flat label index
-    is built.  `add_table` and `neg_table` translate group arithmetic into
-    ordering indices; they are stored in the smallest unsigned dtype holding
-    m^2 - 1, which the stabilizer streams compare, and are for indexing only.
-    `position` stays intp, because flat indices are built from it by scalar
-    arithmetic, which overflows or wraps in a small unsigned dtype.
+    enumerator needs.  `order`, a read-only (m^2, 2) intp array, holds in row
+    i the exponents (a, b) of alpha_i, and `position`, an (m, m) array, is its
+    inverse, the ordering index of (a, b): the one numbering of Z_m x Z_m,
+    from which every flat label index is built.  `add_table` and `neg_table`
+    translate group arithmetic into ordering indices; they are stored in the
+    smallest unsigned dtype holding m^2 - 1, which the stabilizer streams
+    compare, and are for indexing only.  `position` stays intp, because flat
+    indices are built from it by scalar arithmetic, which overflows or wraps
+    in a small unsigned dtype.
     """
 
     m: int
-    order: tuple[GroupElement, ...]
+    order: np.ndarray
     position: np.ndarray
     add_table: np.ndarray
     neg_table: np.ndarray
@@ -77,9 +75,6 @@ class GroupOrdering:
     def size(self) -> int:
         return self.m * self.m
 
-    def index_of(self, g: GroupElement) -> int:
-        return int(self.position[g[0] % self.m, g[1] % self.m])
-
 
 @lru_cache(maxsize=None)
 def canonical_ordering(m: int) -> GroupOrdering:
@@ -87,7 +82,7 @@ def canonical_ordering(m: int) -> GroupOrdering:
 
     Even m: plain row-major (a, b).  Odd m: identity first, then the
     lexicographically smaller member of each {g, -g} pair in lex order,
-    then their negations in mirrored positions.
+    then their negations in mirrored positions; the one check of m >= 2.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -99,15 +94,15 @@ def canonical_ordering(m: int) -> GroupOrdering:
     else:
         reps = flat[flat < neg]  # the smaller of each {g, -g}; odd m has no g = -g != 0
         codes = np.concatenate([[0], reps, neg[reps[::-1]]])
-    a, b = np.divmod(codes, m)
-    order = tuple(map(GroupElement, a.tolist(), b.tolist()))
+    order = np.stack(np.divmod(codes, m), axis=1)
+    a, b = order.T
     pos = np.empty(q, dtype=np.intp)  # flat code -> ordering index
     pos[codes] = np.arange(q)
     small = pos.astype(np.min_scalar_type(q - 1))
     add_table = small[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
     neg_table = small[neg[codes]]
     position = pos.reshape(m, m)
-    for table in (position, add_table, neg_table):
+    for table in (order, position, add_table, neg_table):
         table.setflags(write=False)
     return GroupOrdering(m=m, order=order, position=position,
                          add_table=add_table, neg_table=neg_table)
@@ -115,7 +110,7 @@ def canonical_ordering(m: int) -> GroupOrdering:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSystem:
-    """A nice error basis reduced to its numerical data.
+    """A nice error basis reduced to its numerical data; m is its ordering's.
 
     omega[i, j]  = w_{alpha_i alpha_j}  (phase in E_i E_j = w * E_{i+j})
     kernel[h, g] = w_{hg} * conj(w_{gh}), the per-coordinate character value
@@ -124,7 +119,6 @@ class PhaseSystem:
                    directly, so every nice error basis takes the same route.
     """
 
-    m: int
     omega: np.ndarray
     kernel: np.ndarray
     ordering: GroupOrdering
@@ -138,11 +132,15 @@ class PhaseSystem:
         kernel = omega * np.conj(omega.T)
         for arr in (omega, kernel, matrices):
             arr.setflags(write=False)
-        return cls(m=ordering.m, omega=omega, kernel=kernel, ordering=ordering, matrices=matrices)
+        return cls(omega=omega, kernel=kernel, ordering=ordering, matrices=matrices)
+
+    @property
+    def m(self) -> int:
+        return self.ordering.m
 
     @property
     def q(self) -> int:
-        return self.m * self.m
+        return self.ordering.size
 
 
 def _roots_of_unity(m: int) -> np.ndarray:
@@ -161,23 +159,15 @@ def build_pauli_system(m: int) -> PhaseSystem:
 
     Raises ValueError for m < 2.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
     ordering = canonical_ordering(m)
     roots = _roots_of_unity(m)
-    # the X and Z exponents by ordering index
-    a, b = np.divmod(np.argsort(ordering.position, axis=None), m)
+    a, b = ordering.order.T  # the X and Z exponents by ordering index
     omega = roots[b[:, None] * a % m]  # omega[i, j] = w^(b_i * a_j)
     # the matrices E_(a,b)|j> = w^(b*j) |j+a mod m>, one per ordering index
     j = np.arange(m)
     mats = np.zeros((m * m, m, m), dtype=np.complex128)
     mats[np.arange(m * m)[:, None], (j + a[:, None]) % m, j] = roots[b[:, None] * j % m]
     return PhaseSystem.from_phases(ordering, omega, mats)
-
-
-def character(sys: PhaseSystem, h: GroupElement, g: GroupElement) -> complex:
-    """The per-coordinate character value w_{hg} * conj(w_{gh})."""
-    return complex(sys.kernel[sys.ordering.index_of(h), sys.ordering.index_of(g)])
 
 
 def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
@@ -243,19 +233,17 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a sequence of square matrices")
     m = mats.shape[1]
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    ordering = canonical_ordering(m)
     q = m * m
     if mats.shape[0] != q:
         raise ValueError(f"expected m^2 = {q} matrices, got {mats.shape[0]}")
-    ordering = canonical_ordering(m)
     add = ordering.add_table
     adjoints = mats.conj().transpose(0, 2, 1)
 
     unitary = np.abs(mats @ adjoints - np.eye(m)).max(axis=(1, 2)) <= PHASE_TOL
     if not unitary.all():
         i = int(np.argmin(unitary))
-        raise NonUnitary(f"matrix {i} (element {ordering.order[i]}) is not unitary")
+        raise NonUnitary(f"matrix {i} (element {tuple(ordering.order[i].tolist())}) is not unitary")
 
     products = mats[:, None] @ mats[None, :]
     omega = np.empty((q, q), dtype=np.complex128)
@@ -272,7 +260,7 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
             expected = m if i == 0 else 0.0
             raise TraceViolation(
                 f"tr E_{i} = {np.trace(mats[i]):.6g}, expected {expected} "
-                f"(element {ordering.order[i]})"
+                f"(element {tuple(ordering.order[i].tolist())})"
             )
         (j,) = rest
         raise ClosureViolation(f"E_{i} E_{j} is not a unit phase times E_{int(add[i, j])}")

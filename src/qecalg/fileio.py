@@ -72,7 +72,7 @@ import numpy as np
 from .code_analysis import CodeSpec, StabilizerGenerators
 from .error_basis import PhaseSystem, validate_custom_basis
 from .errors import FormatError
-from .group_algebra import AlgebraElement
+from .group_algebra import AlgebraElement, array_length
 
 # bytes of the file per block of lines parsed at once, and lines per
 # %-format in write_element: they bound the memory a large file needs beyond
@@ -238,7 +238,7 @@ def read_element(path, data: bytes | None = None) -> AlgebraElement:
     numbers, lines, start, first = _head(text, 3)
     header = _take_header(numbers, lines, path, "element v1", ["m", "n"])
     m, n = _header_dims(header, path, ("m", "n"))
-    size = (m * m) ** n
+    size = array_length(m, n, "an element", 2)
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
     for first, block in _blocks(text, start, first):
@@ -359,7 +359,7 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
             raise FormatError("stabilizer code needs at least one generator", path)
         return CodeSpec(m, n, StabilizerGenerators(rows, None))
     if kind == "basis":
-        rows = _complex_rows(numbers, lines, m ** n, "basis row", path)
+        rows = _complex_rows(numbers, lines, array_length(m, n, "a basis row"), "basis row", path)
         if len(rows) == 0:
             raise FormatError("basis code needs at least one row", path)
         return CodeSpec.from_basis(m, n, rows)

@@ -39,6 +39,17 @@ MASS_TOL = 1e-12
 _RESIDUAL_SLICE = 1 << 16
 
 
+def array_length(m: int, n: int, what: str, power: int = 1) -> int:
+    """m^(power * n) for m >= 2: the length of the array of `what` of an
+    input with n coordinates, refused with a ValueError naming m and n before
+    the power is formed when np.intp cannot index it."""
+    exponent, top = power * n, int(np.iinfo(np.intp).max)
+    if exponent >= top.bit_length() or m ** exponent > top:
+        raise ValueError(f"m={m}, n={n} is too large: {what} would need "
+                         f"m^{'(2n)' if power == 2 else 'n'} entries, more than an array can index")
+    return m ** exponent
+
+
 def weight_reduce(values: np.ndarray, q: int, n: int) -> np.ndarray:
     """(n + 1,) array: the sum of `values` over the labels of each Hamming weight.
 

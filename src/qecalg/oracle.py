@@ -116,8 +116,8 @@ def build_operator(sys: PhaseSystem, label, cap: int = DEFAULT_SIZE_CAP) -> np.n
     n = len(label)
     _check_cap(sys.m, n, cap)
     out = np.ones((1, 1), dtype=np.complex128)
-    for g in label:
-        out = np.kron(out, sys.matrices[sys.ordering.index_of(g)])
+    for a, b in label:
+        out = np.kron(out, sys.matrices[sys.ordering.position[a % sys.m, b % sys.m]])
     return out
 
 

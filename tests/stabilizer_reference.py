@@ -27,7 +27,7 @@ def _locate(group: np.ndarray, target: np.ndarray) -> int | None:
 
 
 def _ordering_positions(m: int) -> np.ndarray:
-    """(m, m) table: the canonical ordering index of (a, b), read off the ordering's list."""
+    """(m, m) table: the canonical ordering index of (a, b), read off the ordering's exponent rows."""
     pos = np.empty((m, m), dtype=np.intp)
     for i, (a, b) in enumerate(canonical_ordering(m).order):
         pos[a, b] = i

@@ -270,6 +270,42 @@ def test_element_too_large_for_memory_is_input_error(capsys, tmp_path):
     assert "PiB" in err
 
 
+@pytest.mark.parametrize("argv, body, what", [
+    (["enumerate", "FILE", "--kind", "hamming"], "element v1\nm 3\nn 100000000\n",
+     "an element would need m^(2n)"),
+    (["enumerate", "FILE", "--kind", "hamming"], "code v1\nm 3\nn 100000000\nkind basis\n",
+     "a basis row would need m^n"),
+    (["verify", "--random-code", "3,100000000,1", "--identity", "t9"], None,
+     "a code vector would need m^n"),
+])
+def test_a_size_no_array_can_index_exits_2_at_once(tmp_path, argv, body, what):
+    # 3^(10^8) alone takes seconds to form as a Python integer: the size is
+    # refused before any power of m is formed
+    import qecalg
+    path = tmp_path / "huge"
+    if body is not None:
+        path.write_text(body)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
+    done = subprocess.run([sys.executable, "-m", "qecalg.cli",
+                           *(str(path) if a == "FILE" else a for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: m=3, n=100000000 is too large: {what} entries, "
+                           f"more than an array can index\n")
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "rm15", "--kind", "lee"],
+                                  ["verify", "rm15", "--identity", "t8"]])
+def test_lee_on_even_m_is_refused_before_c_is_built(capsys, monkeypatch, argv):
+    from qecalg import cli
+
+    def refuse(*args):
+        raise AssertionError("C was built")
+
+    monkeypatch.setattr(cli, "associated_element", refuse)
+    assert run(capsys, *argv) == (2, "", "error: Lee machinery needs odd m, got m=2\n")
+
+
 @pytest.mark.parametrize("value", ["nan,0", "0,inf", "-inf,0"])
 def test_non_finite_element_is_input_error(capsys, tmp_path, value):
     path = tmp_path / "nan.elem"
@@ -409,8 +445,8 @@ def test_verify_matrix_basis_checks(capsys, tmp_path, identity, source):
         # a regauged qutrit basis: valid, but not the built-in one
         phases = np.exp(2j * np.pi * np.random.default_rng(2).random(9))
         phases[0] = 1.0
-        mats = np.array([p * explicit_operator(3, g.a, g.b)
-                         for p, g in zip(phases, canonical_ordering(3).order)])
+        mats = np.array([p * explicit_operator(3, a, b)
+                         for p, (a, b) in zip(phases, canonical_ordering(3).order.tolist())])
         path = tmp_path / "regauged3.errorbasis"
         write_custom_basis(path, 3, mats)
         argv, sys_ = ["--basis-file", str(path)], read_custom_basis(path)

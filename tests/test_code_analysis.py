@@ -7,7 +7,6 @@ import pytest
 from qecalg import (
     AlgebraElement,
     CodeSpec,
-    GroupElement,
     analyze,
     catalog,
     associated_element,
@@ -46,10 +45,7 @@ def full_space_code(m, n):
 
 
 def test_pauli_label_helper():
-    assert pauli_label("XZZXI") == (
-        GroupElement(1, 0), GroupElement(0, 1), GroupElement(0, 1),
-        GroupElement(1, 0), GroupElement(0, 0),
-    )
+    assert pauli_label("XZZXI") == ((1, 0), (0, 1), (0, 1), (1, 0), (0, 0))
     with pytest.raises(ValueError):
         pauli_label("XQ")
 
@@ -102,7 +98,7 @@ def test_dual_five_qubit_normalizer(sys2, five_qubit_code):
     assert dual.mass == pytest.approx(64.0)
     members = np.nonzero(dual.coeffs.real > 0.5)[0]
     assert len(members) == 64
-    labels = np.array(sys2.ordering.order)[label_digits(2, 5)]  # (4^5, 5, 2)
+    labels = sys2.ordering.order[label_digits(2, 5)]  # (4^5, 5, 2)
     for idx in members:
         label = labels[idx].tolist()
         assert all(
@@ -542,9 +538,12 @@ def test_stabilizer_codes_in_basis_form_match_the_exact_route(case):
     # they are, rotated by a K x K unitary and under local unitaries: the
     # dense basis route must give the exact route's K, d and purity, and A and
     # A' within COEFF_TOL / 100, so that no decision of the dense route turns
-    # on round-off
+    # on round-off; under the Pauli basis and a regauged one, E_k times
+    # exp(2 pi i k / 7) (E_0 = I kept), 7th roots of unity and not m-th ones here
     m, n, exponents, seed = case
     sys_ = build_pauli_system(m)
+    phases = np.exp(2j * np.pi * np.arange(m * m) / 7)
+    regauged = validate_custom_basis(np.asarray(sys_.matrices) * phases[:, None, None])
     code = CodeSpec.from_stabilizers(m, n, _scrambled_generators(m, n, exponents, seed=seed))
     exact = analyze(sys_, code)
     vectors = stabilizer_codewords(sys_, code, seed=seed)
@@ -555,12 +554,13 @@ def test_stabilizer_codes_in_basis_form_match_the_exact_route(case):
                         vectors.reshape((k,) + (m,) * n)).reshape(k, -1)
     bound = code_analysis.COEFF_TOL / 100
     for basis in (vectors, random_unitary(rng, k) @ vectors, local):
-        dense = analyze(sys_, CodeSpec.from_basis(m, n, basis))
-        assert dense.path == "dense"
-        assert (dense.K, dense.d, dense.pure) == (exact.K, exact.d, exact.pure)
-        for dist in ("primary_distribution", "dual_distribution"):
-            gap = getattr(dense, dist).a - getattr(exact, dist).a
-            assert np.abs(gap).max() <= bound, (dist, np.abs(gap).max())
+        for system in (sys_, regauged):
+            dense = analyze(system, CodeSpec.from_basis(m, n, basis))
+            assert dense.path == "dense"
+            assert (dense.K, dense.d, dense.pure) == (exact.K, exact.d, exact.pure)
+            for dist in ("primary_distribution", "dual_distribution"):
+                gap = getattr(dense, dist).a - getattr(exact, dist).a
+                assert np.abs(gap).max() <= bound, (dist, np.abs(gap).max())
 
 
 def test_exact_route_twenty_qubits_stays_small(sys2):

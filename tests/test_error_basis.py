@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qecalg import (
-    GroupElement,
     build_pauli_system,
     canonical_ordering,
-    character,
     validate_custom_basis,
     verify_basis_axioms,
     verify_kernel_row_sums,
@@ -25,23 +23,31 @@ from qecalg.errors import (
 from conftest import character_by_trace, explicit_operator, omega_by_matrices
 
 
-def group_add(g: GroupElement, h: GroupElement, m: int) -> GroupElement:
-    return GroupElement((g.a + h.a) % m, (g.b + h.b) % m)
+def group_add(g: tuple, h: tuple, m: int) -> tuple:
+    return (g[0] + h[0]) % m, (g[1] + h[1]) % m
 
 
-def group_neg(g: GroupElement, m: int) -> GroupElement:
-    return GroupElement((-g.a) % m, (-g.b) % m)
+def group_neg(g: tuple, m: int) -> tuple:
+    return (-g[0]) % m, (-g[1]) % m
+
+
+def elements(ordering) -> list:
+    """The (a, b) pairs of the ordering, in ordering order."""
+    return list(map(tuple, ordering.order.tolist()))
 
 
 def test_rejects_m_below_two():
-    with pytest.raises(ValueError):
+    # canonical_ordering is the one check, so both constructors give its message
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
         build_pauli_system(1)
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
+        validate_custom_basis([np.eye(1)])
 
 
 def test_omega_m2_xz_pair(sys2):
     # g = X = (1,0), h = Z = (0,1): read the phases off explicit 2x2 matrices
-    g, h = GroupElement(1, 0), GroupElement(0, 1)
-    gi, hi = sys2.ordering.index_of(g), sys2.ordering.index_of(h)
+    g, h = (1, 0), (0, 1)
+    gi, hi = sys2.ordering.position[g], sys2.ordering.position[h]
     w_gh = omega_by_matrices(2, g, h, None)
     w_hg = omega_by_matrices(2, h, g, None)
     assert w_gh == pytest.approx(1.0)
@@ -62,21 +68,22 @@ def test_omega_identity_rows(m):
 
 
 def test_omega_m3_example(sys3):
-    g, h = GroupElement(0, 1), GroupElement(1, 0)
-    gi, hi = sys3.ordering.index_of(g), sys3.ordering.index_of(h)
+    g, h = (0, 1), (1, 0)
+    gi, hi = sys3.ordering.position[g], sys3.ordering.position[h]
     expected = omega_by_matrices(3, g, h, None)
     assert expected == pytest.approx(np.exp(2j * np.pi / 3))
     assert sys3.omega[gi, hi] == pytest.approx(expected)
 
 
 def test_character_examples(sys2, sys3):
-    for h in sys2.ordering.order:
-        assert character(sys2, h, GroupElement(0, 0)) == pytest.approx(1.0)
-    assert character(sys2, GroupElement(0, 1), GroupElement(1, 0)) == pytest.approx(
+    pos2, pos3 = sys2.ordering.position, sys3.ordering.position
+    for h in elements(sys2.ordering):
+        assert sys2.kernel[pos2[h], pos2[0, 0]] == pytest.approx(1.0)
+    assert sys2.kernel[pos2[0, 1], pos2[1, 0]] == pytest.approx(
         character_by_trace(2, (0, 1), (1, 0))
     )
-    assert character(sys2, GroupElement(0, 1), GroupElement(1, 0)) == pytest.approx(-1.0)
-    assert character(sys3, GroupElement(1, 0), GroupElement(0, 1)) == pytest.approx(
+    assert sys2.kernel[pos2[0, 1], pos2[1, 0]] == pytest.approx(-1.0)
+    assert sys3.kernel[pos3[1, 0], pos3[0, 1]] == pytest.approx(
         np.exp(-2j * np.pi / 3)
     )
 
@@ -84,9 +91,10 @@ def test_character_examples(sys2, sys3):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_character_matches_trace_oracle(m):
     sys_ = build_pauli_system(m)
-    for h in sys_.ordering.order:
-        for g in sys_.ordering.order:
-            assert abs(character(sys_, h, g) - character_by_trace(m, h, g)) < 1e-12
+    pos = sys_.ordering.position
+    for h in elements(sys_.ordering):
+        for g in elements(sys_.ordering):
+            assert abs(sys_.kernel[pos[h], pos[g]] - character_by_trace(m, h, g)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,10 +104,10 @@ def test_character_matches_trace_oracle(m):
 )
 def test_bicharacter_law(m, data):
     sys_ = build_pauli_system(m)
-    order = sys_.ordering.order
+    order, pos = elements(sys_.ordering), sys_.ordering.position
     h, g1, g2 = (order[i % len(order)] for i in data)
-    lhs = character(sys_, h, group_add(g1, g2, m))
-    rhs = character(sys_, h, g1) * character(sys_, h, g2)
+    lhs = sys_.kernel[pos[h], pos[group_add(g1, g2, m)]]
+    rhs = sys_.kernel[pos[h], pos[g1]] * sys_.kernel[pos[h], pos[g2]]
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -125,7 +133,7 @@ def test_kernel_row_sums_and_orthogonality(m):
 
 def test_lemma1_enumerated_m2(sys2):
     # h = Z: the four kernel entries along that row are 1, 1, -1, -1
-    hi = sys2.ordering.index_of(GroupElement(0, 1))
+    hi = sys2.ordering.position[0, 1]
     row = [sys2.omega[g, hi] * np.conj(sys2.omega[hi, g]) for g in range(4)]
     assert sorted(np.real(row)) == [-1.0, -1.0, 1.0, 1.0]
     assert abs(sum(row)) < 1e-12
@@ -140,31 +148,56 @@ def test_verify_kernel_row_sums_passes(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_ordering_invariants(m):
-    ordering = canonical_ordering(m)
+    order = elements(canonical_ordering(m))
     q = m * m
-    assert ordering.order[0] == GroupElement(0, 0)
-    assert sorted(ordering.order) == sorted(
-        GroupElement(a, b) for a in range(m) for b in range(m)
+    assert order[0] == (0, 0)
+    assert sorted(order) == sorted(
+        (a, b) for a in range(m) for b in range(m)
     )
     if m % 2 == 1:
         delta = (q - 1) // 2
         for i in range(1, delta + 1):
-            assert ordering.order[q - i] == group_neg(ordering.order[i], m)
+            assert order[q - i] == group_neg(order[i], m)
 
 
 def test_ordering_tables(sys3):
     ordering = sys3.ordering
-    for i, g in enumerate(ordering.order):
-        assert ordering.order[ordering.neg_table[i]] == group_neg(g, 3)
-        for j, h in enumerate(ordering.order):
-            assert ordering.order[ordering.add_table[i, j]] == group_add(g, h, 3)
+    order = elements(ordering)
+    for i, g in enumerate(order):
+        assert order[ordering.neg_table[i]] == group_neg(g, 3)
+        for j, h in enumerate(order):
+            assert order[ordering.add_table[i, j]] == group_add(g, h, 3)
+
+
+@pytest.mark.parametrize("m", range(2, 18))
+def test_order_and_position_are_read_only_inverses(m):
+    ordering = canonical_ordering(m)
+    q = m * m
+    assert ordering.order.dtype == np.intp and ordering.order.shape == (q, 2)
+    assert np.array_equal(ordering.position[ordering.order[:, 0], ordering.order[:, 1]],
+                          np.arange(q))
+    assert np.array_equal(ordering.order[ordering.position.ravel()],
+                          np.stack(np.divmod(np.arange(q), m), axis=1))
+    for arr in (ordering.order, ordering.position):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
+
+def test_a_system_reads_m_off_its_ordering():
+    # m is no field, so a system cannot disagree with its ordering
+    assert [f.name for f in dataclasses.fields(PhaseSystem)] == [
+        "omega", "kernel", "ordering", "matrices"]
+    sys_ = build_pauli_system(5)
+    assert (sys_.m, sys_.q) == (5, 25)
+    assert sys_.ordering is canonical_ordering(5)
 
 
 # --- custom basis validation ---
 
 def _pauli_matrix_list(m):
     ordering = canonical_ordering(m)
-    return [explicit_operator(m, g.a, g.b) for g in ordering.order]
+    return [explicit_operator(m, a, b) for a, b in ordering.order.tolist()]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -185,14 +218,14 @@ def test_custom_basis_identity_violation():
 def test_custom_basis_nonunitary():
     mats = _pauli_matrix_list(2)
     mats[1] = 2.0 * mats[1]
-    with pytest.raises(NonUnitary):
+    with pytest.raises(NonUnitary, match=r"^matrix 1 \(element \(0, 1\)\) is not unitary$"):
         validate_custom_basis(mats)
 
 
 def test_custom_basis_trace_violation():
     mats = _pauli_matrix_list(2)
     mats[1] = np.eye(2)  # unitary but trace 2 at a nonzero index
-    with pytest.raises(TraceViolation):
+    with pytest.raises(TraceViolation, match=r"\(element \(0, 1\)\)$"):
         validate_custom_basis(mats)
 
 
@@ -227,7 +260,7 @@ def test_custom_basis_with_nan_is_rejected():
 def test_basis_axioms_fail_nan_phase(sys2):
     omega = sys2.omega.copy()
     omega[1, 2] = np.nan
-    broken = PhaseSystem(m=2, omega=omega, kernel=sys2.kernel, ordering=sys2.ordering,
+    broken = PhaseSystem(omega=omega, kernel=sys2.kernel, ordering=sys2.ordering,
                          matrices=sys2.matrices)
     report = verify_basis_axioms(broken)
     assert not report.passed
@@ -280,13 +313,13 @@ def test_a_validated_system_keeps_its_axiom_report():
 
 def _reference_ordering(m):
     """(order, index, add_table, neg_table) built one element at a time."""
-    elems = [GroupElement(a, b) for a in range(m) for b in range(m)]
+    elems = [(a, b) for a in range(m) for b in range(m)]
     if m % 2 == 0:
         order = tuple(elems)
     else:
         reps = sorted({min(g, group_neg(g, m)) for g in elems[1:]})
         tail = [group_neg(g, m) for g in reversed(reps)]
-        order = tuple([GroupElement(0, 0)] + reps + tail)
+        order = tuple([(0, 0)] + reps + tail)
     index = {g: i for i, g in enumerate(order)}
     q = m * m
     dtype = np.min_scalar_type(q - 1)  # the smallest unsigned dtype holding every index
@@ -340,9 +373,7 @@ def _same_bits(got, want):
 def test_tables_match_the_element_loops(m):
     ordering = canonical_ordering(m)
     order, index, add_table, neg_table = _reference_ordering(m)
-    assert ordering.order == order
-    assert all(type(g) is GroupElement and type(g.a) is type(g.b) is int
-               for g in ordering.order)
+    _same_bits(ordering.order, np.array(order, dtype=np.intp))
     assert all(ordering.position[a, b] == i for (a, b), i in index.items())
     assert ordering.position.shape == (m, m)
     _same_bits(ordering.add_table, add_table)
@@ -351,7 +382,7 @@ def test_tables_match_the_element_loops(m):
     assert sys_.ordering is ordering
     for got, want in zip((sys_.omega, sys_.kernel, sys_.matrices), _reference_pauli(m, order)):
         _same_bits(got, want)
-    for arr in (ordering.position, ordering.add_table, ordering.neg_table,
+    for arr in (ordering.order, ordering.position, ordering.add_table, ordering.neg_table,
                 sys_.omega, sys_.kernel, sys_.matrices):
         assert not arr.flags.writeable
 
@@ -439,7 +470,7 @@ def test_custom_basis_matches_the_pair_loops(m):
 
 def _corrupted(m, omega=None, matrices=None):
     sys_ = build_pauli_system(m)
-    return PhaseSystem(m=m, omega=sys_.omega if omega is None else omega, kernel=sys_.kernel,
+    return PhaseSystem(omega=sys_.omega if omega is None else omega, kernel=sys_.kernel,
                        ordering=sys_.ordering, matrices=sys_.matrices if matrices is None
                        else matrices)
 

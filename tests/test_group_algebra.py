@@ -17,7 +17,7 @@ from qecalg import (
     transform,
 )
 from qecalg.errors import ShapeMismatch, ZeroMass
-from qecalg.group_algebra import contract_axes
+from qecalg.group_algebra import array_length, contract_axes
 from qecalg.kernel import apply_axiswise
 from qecalg.oracle import label_digits, transform_naive
 from stabilizer_reference import symplectic_product
@@ -40,7 +40,17 @@ def test_indicator_takes_flat_indices_in_range():
             AlgebraElement.indicator(2, 1, [0, bad])
     # a label is not an index: a one-coordinate label on n = 2 used to set index 1
     with pytest.raises(TypeError):
-        AlgebraElement.indicator(2, 2, [(canonical_ordering(2).order[1],)])
+        AlgebraElement.indicator(2, 2, [((0, 1),)])
+
+
+def test_array_length_refuses_what_intp_cannot_index():
+    # the bound is exact, and no power of m is formed for a huge n
+    top = np.iinfo(np.intp).max
+    assert array_length(2, 62, "a row") == 2 ** 62 <= top
+    assert array_length(2, 31, "an element", 2) == 4 ** 31
+    for m, n, power in ((2, 63, 1), (2, 32, 2), (3, 40, 1), (3, 10 ** 8, 1), (3, 10 ** 8, 2)):
+        with pytest.raises(ValueError, match=f"^m={m}, n={n} is too large: a row"):
+            array_length(m, n, "a row", power)
 
 
 def test_multiply_shape_mismatch():
@@ -58,8 +68,8 @@ def test_multiply_single_terms(m, n, data):
     hi = data.draw(st.integers(0, size - 1))
     ordering = canonical_ordering(m)
     digits = label_digits(m, n)
-    g = [ordering.order[d] for d in digits[gi]]
-    h = [ordering.order[d] for d in digits[hi]]
+    g = ordering.order[digits[gi]].tolist()
+    h = ordering.order[digits[hi]].tolist()
     out = multiply(
         AlgebraElement.indicator(m, n, [gi]), AlgebraElement.indicator(m, n, [hi])
     )
@@ -254,7 +264,7 @@ def test_five_qubit_transform_is_normalizer_indicator(sys2, five_qubit_code):
     dual = transform(sys2, element)
 
     gens = five_qubit_code.body.rows.reshape(-1, 5, 2).tolist()
-    labels = np.array(sys2.ordering.order)[label_digits(2, 5)].tolist()  # by flat index
+    labels = sys2.ordering.order[label_digits(2, 5)].tolist()  # by flat index
     normalizer = np.array(
         [all(symplectic_product(label, gen, 2) == 0 for gen in gens) for label in labels],
         dtype=float,

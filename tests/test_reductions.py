@@ -226,10 +226,11 @@ def test_public_names_resolve_and_labels_have_one_numbering():
     missing = [name for name in qecalg.__all__ if not hasattr(qecalg, name)]
     assert not missing, missing
     for name in ("encode_label", "decode_index", "add", "scale",
-                 "exact_enumerator_value", "symplectic_product"):
+                 "exact_enumerator_value", "symplectic_product", "GroupElement", "character"):
         assert not hasattr(qecalg, name), name
     ordering = qecalg.canonical_ordering(3)
-    assert not hasattr(ordering, "index") and not hasattr(ordering, "lee_delta")
+    for name in ("index", "lee_delta", "index_of"):
+        assert not hasattr(ordering, name), name
 
 
 def test_every_cache_is_keyed_by_m_alone():
