@@ -263,6 +263,8 @@ def _cmd_verify(args):
 def _cmd_transform(args):
     raw = read_bytes(args.element)
     element = read_element(args.element, raw)
+    inputs = {"element": args.element, "sha256": _sha256(raw)}
+    del raw  # the file's bytes, about 3x the element, need not outlive the parse
     sys_ = _system_for(element.m, args)
     dual = transform(sys_, element)
     out_path = args.output or (args.element + ".transformed")
@@ -274,7 +276,7 @@ def _cmd_transform(args):
         f"c'_0={c0.real:.12g}",
         f"wrote {out_path}",
     ]
-    return EXIT_OK, {"element": args.element, "sha256": _sha256(raw)}, results, text
+    return EXIT_OK, inputs, results, text
 
 
 def _non_negative_int(value: str) -> int:

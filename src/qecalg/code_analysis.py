@@ -14,20 +14,9 @@ of the n (r_i, c_i) axes; no error operator E_g is ever built.
 A code given by stabilizer generators maps to the indicator of the generated
 index subgroup S.  `analyze` takes one of two routes:
 
-  exact (stabilizer input)  the generators are reduced to Howell form over
-      Z_m (Howell 1986; Storjohann-Mulders 1998), rows h_k of orders t_k
-      with every element of S equal to sum_k c_k h_k, 0 <= c_k < t_k, in
-      exactly one way.  S is then streamed, never stored: a table of the
-      combinations of the last rows (at most _BLOCK elements) plus one
-      offset per combination of the others.  A_w counts the elements of
-      weight w block by block, and A' = B comes from the Hamming identity
-      (t9) in integer arithmetic,
-          B(x, y) = (1/|S|) A(x + (m^2 - 1) y, x - y);
-      no array of m^(2n) coefficients is built, and memory is O(n _BLOCK).
-      t9 holds for every nice error basis (the kernel rows sum to zero,
-      lemma 1), so these numbers do not depend on the basis.  Phased
-      generators are checked on their powers and on the relation words
-      that one Howell form of [G | I] yields (see `_index_group`).
+  exact (stabilizer input)  `qecalg.stabilizer` streams S from its Howell
+      form over Z_m and counts the Hamming pair (A, A') in exact integers;
+      no array of m^(2n) coefficients is built.
   dense (basis input)  C is built once, A is its Hamming distribution and
       A' comes from t9 in floating point; the transform C' is never built.
 
@@ -40,16 +29,12 @@ K comes from S or V, and d and purity from the Hamming pair (A, A'):
            min{w >= 1 : A_w > 0}              (K = 1; c >= 0)
     pure = A_w = 0 for every 0 < w < d.
 
-Generator rows and `pauli_label` spell Z_m x Z_m in (a, b) exponent pairs;
-the exact route turns them into ordering indices (`position`) once.
-
 Both routes end in `_pair_report`; on the exact route's integers every
 comparison is exact, on the dense route's floats it uses COEFF_TOL.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,25 +42,14 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import PHASE_TOL, PhaseSystem
-from .errors import (
-    InconsistentStabilizers,
-    NoDistance,
-    NonCommutingGenerators,
-    NonIntegerDimension,
-    NonOrthonormalBasis,
-    ShapeMismatch,
-)
-from .enumerators import (
-    HammingDistribution, hamming_distribution, macwilliams_hamming, macwilliams_terms)
+from .error_basis import PhaseSystem
+from .errors import NoDistance, NonCommutingGenerators, NonOrthonormalBasis
+from .enumerators import HammingDistribution, hamming_distribution, macwilliams_hamming
 from .group_algebra import AlgebraElement, array_length, transform
 from .reports import CheckReport
+from .stabilizer import _exact_pair, _index_group
 
 COEFF_TOL = 1e-9
-
-# S is streamed in blocks of at most this many elements (the stored combinations
-# of the low Howell rows)
-_BLOCK = 1 << 16
 
 Label = tuple[tuple[int, int], ...]  # one (a, b) exponent pair per coordinate
 
@@ -121,9 +95,10 @@ class CodeSpec:
         if m < 2 or n < 1:
             raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
         if isinstance(body, BasisVectors):
+            dim = array_length(m, n, "a basis row")  # before m^n is formed
             v = np.array(body.vectors, dtype=np.complex128, order="C")
-            if v.ndim != 2 or v.shape[1] != m ** n:
-                raise ValueError(f"expected vectors of shape (K, {m ** n})")
+            if v.ndim != 2 or v.shape[1] != dim:
+                raise ValueError(f"expected vectors of shape (K, {dim})")
             if not len(v):
                 raise ValueError("a basis code needs at least one vector")
             resid = np.abs(v @ v.conj().T - np.eye(len(v))).max()
@@ -168,128 +143,6 @@ class CodeSpec:
         return "stabilizer" if isinstance(self.body, StabilizerGenerators) else "basis"
 
 
-def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
-    """(u, g): a unit u of Z_m with u a = g = gcd(a, m) mod m, for 0 < a < m."""
-    g = math.gcd(a, m)
-    u = pow(a // g, -1, m // g)
-    while math.gcd(u, m) != 1:  # lift the inverse mod m/g to a unit mod m
-        u += m // g
-    return u, g
-
-
-def _require_identity(lam: complex, what: str) -> None:
-    """Raise InconsistentStabilizers unless the operator lam I is I."""
-    if not abs(lam - 1.0) <= PHASE_TOL:
-        turn = np.angle(lam) / (2 * np.pi) % 1.0
-        raise InconsistentStabilizers(
-            f"{what} is exp(2*pi*i*{turn:.6g}) times the identity: "
-            "the group holds a multiple of the identity")
-
-
-def _howell_form(gens: np.ndarray, m: int):
-    """Howell form over Z_m of the rows of `gens`: rows h_k whose pivot (the
-    first nonzero entry) p_k divides m, in strictly increasing columns, with
-    the entries above each pivot reduced below it, and t_k h_k in the span
-    of the later rows for t_k = m / p_k.  Every element of the row span is
-    sum_k c_k h_k with 0 <= c_k < t_k in exactly one way, so its order is
-    prod_k t_k.  Returns the rows and the orders t_k.
-
-    Each column is cleared by unimodular row steps (Storjohann's): the row
-    whose entry generates the largest ideal is the pivot row, rows are added
-    to it until its entry generates the ideal of the whole column (needed
-    only when m has two prime factors), it is scaled by a unit to the
-    divisor g, and a multiple of it is subtracted from every other row.  For
-    g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
-    """
-    mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
-    k, cols = 0, []
-    while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
-        col = int(todo[0])  # every row below k is zero before this column
-        vals = mat[k:, col]
-        p = k + int(np.argmin(np.gcd(vals, m)))  # a zero entry has gcd m, the largest
-        g = math.gcd(int(mat[p, col]), m)
-        # only when m has two prime factors can an entry lie outside the ideal
-        # of the pivot's: then c times its row joins the pivot row, for a c
-        # with gcd(a + c b, m) = gcd(a, b, m), which always exists
-        for i in k + np.flatnonzero(vals % g):
-            a, b = int(mat[p, col]), int(mat[i, col])
-            c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
-            mat[p] = (mat[p] + c * mat[i]) % m
-        u, g = _unit_to_divisor(int(mat[p, col]), m)
-        if u != 1:
-            mat[p] = u * mat[p] % m
-        if p != k:
-            mat[[k, p]] = mat[[p, k]]
-        q = mat[:, col] // g  # clears the rows below k, reduces those above below g
-        q[k] = 0
-        mat -= q[:, None] * mat[k]
-        mat %= m
-        cols.append(col)
-        k += 1
-        if g != 1:
-            mat = np.vstack([mat, m // g * mat[k - 1] % m])
-    rows = mat[:k]
-    return rows, m // rows[np.arange(k), cols]
-
-
-def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
-    """The scalar s of prod_k (lam_k E_{g_k})^{c_k} = s I for a word c with
-    sum_k c_k g_k = 0, where mats[k] holds the (n, m, m) qudit matrices of
-    E_{g_k}: the product of the lam_k^{c_k} and, qudit by qudit, of the
-    matrix powers, each product a multiple of I."""
-    word = np.eye(mats.shape[-1])
-    for k in np.flatnonzero(c):
-        word = word @ np.linalg.matrix_power(mats[k], int(c[k]))
-    return np.prod(lam ** c) * np.prod(word[..., 0, 0])
-
-
-def _index_group(sys: PhaseSystem, code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The index group S as two tables of per-qudit ordering indices:
-    `low`, (n, L) with L <= _BLOCK, the combinations of the last Howell rows,
-    and `high`, (n, |S| / L), those of the others.  Every element of S is
-    low[:, j] + high[:, k] (added qudit by qudit in Z_m x Z_m) for exactly
-    one (j, k), so S is streamed in |S| / L blocks and never stored.
-
-    S's Howell rows are read off one Howell form of [G | I]: they are its
-    rows [h | c] with a pivot in G's columns, and the others, [0 | c], are
-    words that generate every relation sum_k c_k g_k = 0.  Phased codes are
-    checked on them: each operator lam_k E_{g_k} must have order dividing m,
-    and each relation word must give the identity itself."""
-    gens = code.body.rows
-    if sys.m != code.m:
-        raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
-    m, n = code.m, code.n
-    rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
-    span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
-    if code.body.phases is not None:
-        lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
-        mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
-        powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
-        for k, x in enumerate(powers):
-            _require_identity(x, f"generator {k} to the power {m}")
-        for c in rows[span:, 2 * n:]:
-            _require_identity(_word_phase(mats, lam, c), "a product of the generators")
-    rows, orders = rows[:span, :2 * n], orders[:span]
-    plus = sys.ordering.add_table
-    # the ordering indices of every multiple: codes[k, :, t] is t h_k, and each
-    # index array below is C-ordered, so that every table comes out C-ordered
-    t = np.arange(m)
-    codes = sys.ordering.position[rows[:, 0::2, None] * t % m,
-                                  rows[:, 1::2, None] * t % m].astype(plus.dtype)
-
-    def combinations(ks) -> np.ndarray:
-        out = np.zeros((n, 1), dtype=plus.dtype)
-        for k in ks:
-            out = plus[out[:, None, :], codes[k, :, :orders[k], None]].reshape(n, -1)
-        return out
-
-    split, size = len(orders), 1
-    while split and size * orders[split - 1] <= _BLOCK:
-        split -= 1
-        size *= int(orders[split])
-    return combinations(range(split, len(orders))), combinations(range(split))
-
-
 def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """c_g = |tr(E_g P)|^2 / K^2 for the projector P onto the rows of V.
 
@@ -300,7 +153,6 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """
     m, n = code.m, code.n
     v = code.body.vectors
-    k = v.shape[0]
     q = v.conj().T @ v
     interleave = [ax for i in range(n) for ax in (i, n + i)]
     q = np.ascontiguousarray(q.reshape((m,) * (2 * n)).transpose(interleave)).reshape(-1)
@@ -312,7 +164,7 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     np.square(re, out=re)
     np.square(im, out=im)
     re += im
-    re /= k * k
+    re /= len(v) ** 2
     im[...] = 0.0
     return AlgebraElement(m, n, t)
 
@@ -360,10 +212,8 @@ def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
     for d in range(1, len(a)):
         if (b[d] - a[d] if k > 1 else a[d]).real > COEFF_TOL:
             return d, all(abs(x) <= COEFF_TOL for x in a[1:d])
-    raise NoDistance(
-        "no coefficient distinguishes the element from its transform"
-        if k > 1 else "element has no support off the identity"
-    )
+    raise NoDistance("no coefficient distinguishes the element from its transform"
+                     if k > 1 else "element has no support off the identity")
 
 
 def _pair_report(k: int, mass: float, a: HammingDistribution, b: HammingDistribution,
@@ -375,33 +225,12 @@ def _pair_report(k: int, mass: float, a: HammingDistribution, b: HammingDistribu
                           primary_distribution=a, dual_distribution=b, path=path)
 
 
-def _analyze_exact(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
-    """K, d, purity, A and A' of a stabilizer code, with S streamed in blocks."""
-    m, n = code.m, code.n
-    low, high = _index_group(sys, code)
-    size = low.shape[1] * high.shape[1]
-    if m ** n % size:
-        raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
-    # a qudit of low + offset is nonzero iff its low index differs from that of -offset
-    neg = sys.ordering.neg_table
-    counts = np.zeros(n + 1, dtype=np.int64)
-    weight = np.min_scalar_type(n)
-    for minus in neg[high].T:
-        differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
-        counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
-    a = [int(x) for x in counts]
-    b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
-    if any(x % size for x in b):
-        raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
-    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, [x // size for x in b]))
-    return _pair_report(m ** n // size, float(size), a, b, "exact")
-
-
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
     """Extract K, d, and purity: exactly from the stabilizer group for
     stabilizer input, from the associated element and t9 otherwise."""
     if isinstance(code.body, StabilizerGenerators):
-        return _analyze_exact(sys, code)
+        a, b, size = _exact_pair(sys, code)
+        return _pair_report(code.m ** code.n // size, float(size), a, b, "exact")
     c = associated_element(sys, code)
     dist = hamming_distribution(c)
     dual = HammingDistribution(code.m, code.n, macwilliams_hamming(dist, c.mass))
@@ -411,16 +240,10 @@ def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:
     """Cauchy-Schwarz consequence: c_g <= c'_g (up to tolerance) everywhere."""
     c = associated_element(sys, code)
-    c_dual = transform(sys, c)
-    gap = c.coeffs.real - c_dual.coeffs.real
-    worst = float(gap.max())
+    gap = c.coeffs.real - transform(sys, c).coeffs.real
     bad = tuple(int(i) for i in np.nonzero(gap > COEFF_TOL)[0])
-    return CheckReport(
-        name="cauchy-schwarz-ordering",
-        passed=not bad,
-        max_residual=max(worst, 0.0),
-        failures=bad,
-    )
+    return CheckReport(name="cauchy-schwarz-ordering", passed=not bad,
+                       max_residual=max(float(gap.max()), 0.0), failures=bad)
 
 
 def random_code(m: int, n: int, k: int, seed: int) -> CodeSpec:

@@ -38,13 +38,15 @@ MASS_TOL = 1e-12
 # coefficients per slice when a residual is formed piecewise
 _RESIDUAL_SLICE = 1 << 16
 
+_INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length
+
 
 def array_length(m: int, n: int, what: str, power: int = 1) -> int:
     """m^(power * n) for m >= 2: the length of the array of `what` of an
     input with n coordinates, refused with a ValueError naming m and n before
     the power is formed when np.intp cannot index it."""
-    exponent, top = power * n, int(np.iinfo(np.intp).max)
-    if exponent >= top.bit_length() or m ** exponent > top:
+    exponent = power * n
+    if exponent >= _INTP_MAX.bit_length() or m ** exponent > _INTP_MAX:
         raise ValueError(f"m={m}, n={n} is too large: {what} would need "
                          f"m^{'(2n)' if power == 2 else 'n'} entries, more than an array can index")
     return m ** exponent
@@ -120,7 +122,7 @@ class AlgebraElement:
         if self.m < 2 or self.n < 1:
             raise ValueError(f"need m >= 2 and n >= 1, got m={self.m}, n={self.n}")
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        size = (self.m * self.m) ** self.n
+        size = array_length(self.m, self.n, "an element", 2)
         if c.shape != (size,):
             raise ValueError(f"expected {size} coefficients, got shape {c.shape}")
         c.setflags(write=False)
@@ -134,13 +136,13 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, m: int, n: int) -> "AlgebraElement":
-        return cls(m, n, np.zeros((m * m) ** n, dtype=np.complex128))
+        return cls(m, n, np.zeros(array_length(m, n, "an element", 2), dtype=np.complex128))
 
     @classmethod
     def indicator(cls, m: int, n: int, indices: Iterable[int]) -> "AlgebraElement":
         """Element with coefficient 1 at each given flat index; an index
         outside [0, m^(2n)) is a ValueError, anything but an integer a TypeError."""
-        size = (m * m) ** n
+        size = array_length(m, n, "an element", 2)
         idx = [operator.index(i) for i in indices]
         bad = [i for i in idx if not 0 <= i < size]
         if bad:
@@ -263,8 +265,8 @@ def random_element(
     nonneg=True draws uniform [0, 1) reals (code-like coefficients); the
     default draws complex Gaussians, redrawing until |mass| > 0.5.
     """
+    size = array_length(m, n, "an element", 2)
     rng = np.random.default_rng(seed)
-    size = (m * m) ** n
     if nonneg:
         return AlgebraElement(m, n, rng.random(size).astype(np.complex128))
     for _ in range(64):

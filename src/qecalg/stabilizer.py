@@ -1,0 +1,177 @@
+"""The exact route: the index group S of a stabilizer code, streamed from its
+Howell form over Z_m (Howell 1986; Storjohann-Mulders 1998).
+
+The Howell rows h_k, of orders t_k, give every element of S as sum_k c_k h_k,
+0 <= c_k < t_k, in exactly one way.  `_stream` then yields S, never stored:
+a table of the combinations of the last rows (at most _BLOCK elements) plus
+one offset per combination of the others; it takes the rows of any
+subgroup, commuting or not.  A_w counts the elements of weight w block by
+block, and A' = B comes from the Hamming identity (t9) in integers,
+    B(x, y) = (1/|S|) A(x + (m^2 - 1) y, x - y);
+no array of m^(2n) coefficients is built, and memory is O(n _BLOCK).  t9
+holds for every nice error basis (the kernel rows sum to zero, lemma 1), so
+these numbers do not depend on the basis.  Phased generators are checked on
+their powers and on the relation words of one Howell form of [G | I].
+
+A code is read through its m, n and body alone: `code_analysis` builds
+codes and frames the exact pair into a report, and imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .enumerators import HammingDistribution, macwilliams_terms
+from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem
+from .errors import InconsistentStabilizers, NonIntegerDimension, ShapeMismatch
+
+_BLOCK = 1 << 16  # the most elements of S in one block: the stored low-row combinations
+
+
+def _unit_to_divisor(a: int, m: int) -> tuple[int, int]:
+    """(u, g): a unit u of Z_m with u a = g = gcd(a, m) mod m, for 0 < a < m."""
+    g = math.gcd(a, m)
+    u = pow(a // g, -1, m // g)
+    while math.gcd(u, m) != 1:  # lift the inverse mod m/g to a unit mod m
+        u += m // g
+    return u, g
+
+
+def _require_identity(lam: complex, what: str) -> None:
+    """Raise InconsistentStabilizers unless the operator lam I is I."""
+    if not abs(lam - 1.0) <= PHASE_TOL:
+        turn = np.angle(lam) / (2 * np.pi) % 1.0
+        raise InconsistentStabilizers(f"{what} is exp(2*pi*i*{turn:.6g}) times the identity: "
+                                      "the group holds a multiple of the identity")
+
+
+def _howell_form(gens: np.ndarray, m: int):
+    """Howell form over Z_m of the rows of `gens`: rows h_k whose pivot (the
+    first nonzero entry) p_k divides m, in strictly increasing columns, with
+    the entries above each pivot reduced below it, and t_k h_k in the span
+    of the later rows for t_k = m / p_k.  Every element of the row span is
+    sum_k c_k h_k with 0 <= c_k < t_k in exactly one way, so its order is
+    prod_k t_k.  Returns the rows and the orders t_k.
+
+    Each column is cleared by unimodular row steps (Storjohann's): the row
+    whose entry generates the largest ideal is the pivot row, rows are added
+    to it until its entry generates the ideal of the whole column (needed
+    only when m has two prime factors), it is scaled by a unit to the
+    divisor g, and a multiple of it is subtracted from every other row.  For
+    g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
+    """
+    mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
+    k, cols = 0, []
+    while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
+        col = int(todo[0])  # every row below k is zero before this column
+        vals = mat[k:, col]
+        p = k + int(np.argmin(np.gcd(vals, m)))  # a zero entry has gcd m, the largest
+        g = math.gcd(int(mat[p, col]), m)
+        # only when m has two prime factors can an entry lie outside the ideal
+        # of the pivot's: then c times its row joins the pivot row, for a c
+        # with gcd(a + c b, m) = gcd(a, b, m), which always exists
+        for i in k + np.flatnonzero(vals % g):
+            a, b = int(mat[p, col]), int(mat[i, col])
+            c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
+            mat[p] = (mat[p] + c * mat[i]) % m
+        u, g = _unit_to_divisor(int(mat[p, col]), m)
+        if u != 1:
+            mat[p] = u * mat[p] % m
+        if p != k:
+            mat[[k, p]] = mat[[p, k]]
+        q = mat[:, col] // g  # clears the rows below k, reduces those above below g
+        q[k] = 0
+        mat -= q[:, None] * mat[k]
+        mat %= m
+        cols.append(col)
+        k += 1
+        if g != 1:
+            mat = np.vstack([mat, m // g * mat[k - 1] % m])
+    return mat[:k], m // mat[np.arange(k), cols]
+
+
+def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
+    """The scalar s of prod_k (lam_k E_{g_k})^{c_k} = s I for a word c with
+    sum_k c_k g_k = 0, where mats[k] holds the (n, m, m) qudit matrices of
+    E_{g_k}: the product of the lam_k^{c_k} and, qudit by qudit, of the
+    matrix powers, each product a multiple of I."""
+    word = np.eye(mats.shape[-1])
+    for k in np.flatnonzero(c):
+        word = word @ np.linalg.matrix_power(mats[k], int(c[k]))
+    return np.prod(lam ** c) * np.prod(word[..., 0, 0])
+
+
+def _stream(rows: np.ndarray, orders: np.ndarray,
+            ordering: GroupOrdering) -> tuple[np.ndarray, np.ndarray]:
+    """The row span of Howell rows (r, 2n) of orders t_k as two tables of
+    per-qudit ordering indices: `low`, (n, L) with L <= _BLOCK, the
+    combinations of the last rows, and `high`, (n, prod_k t_k / L), those of
+    the others.  Every element of the span is low[:, j] + high[:, k] (added
+    qudit by qudit in Z_m x Z_m) for exactly one (j, k), so the span is
+    streamed in prod_k t_k / L blocks and never stored."""
+    m, n, plus = ordering.m, rows.shape[1] // 2, ordering.add_table
+    # codes[k, :, t] indexes t h_k; C-ordered index arrays give C-ordered tables
+    t = np.arange(m)
+    codes = ordering.position[rows[:, 0::2, None] * t % m,
+                              rows[:, 1::2, None] * t % m].astype(plus.dtype)
+
+    def combinations(ks) -> np.ndarray:
+        out = np.zeros((n, 1), dtype=plus.dtype)
+        for k in ks:
+            out = plus[out[:, None, :], codes[k, :, :orders[k], None]].reshape(n, -1)
+        return out
+
+    split, size = len(orders), 1
+    while split and size * orders[split - 1] <= _BLOCK:
+        split -= 1
+        size *= int(orders[split])
+    return combinations(range(split, len(orders))), combinations(range(split))
+
+
+def _index_group(sys: PhaseSystem, code) -> tuple[np.ndarray, np.ndarray]:
+    """The index group S of a stabilizer `CodeSpec` as `_stream`'s two tables.
+
+    S's Howell rows are read off one Howell form of [G | I]: they are its
+    rows [h | c] with a pivot in G's columns, and the others, [0 | c], are
+    words that generate every relation sum_k c_k g_k = 0.  Phased codes are
+    checked on them: each operator lam_k E_{g_k} must have order dividing m,
+    and each relation word must give the identity itself."""
+    if sys.m != code.m:
+        raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
+    m, n, gens = code.m, code.n, code.body.rows
+    rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
+    span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
+    if code.body.phases is not None:
+        lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
+        mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
+        powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
+        for k, x in enumerate(powers):
+            _require_identity(x, f"generator {k} to the power {m}")
+        for c in rows[span:, 2 * n:]:
+            _require_identity(_word_phase(mats, lam, c), "a product of the generators")
+    return _stream(rows[:span, :2 * n], orders[:span], sys.ordering)
+
+
+def _exact_pair(sys: PhaseSystem, code) -> tuple[HammingDistribution, HammingDistribution, int]:
+    """The Hamming pair (A, A') of a stabilizer `CodeSpec` in exact integers,
+    and |S|, with S streamed in blocks."""
+    m, n = code.m, code.n
+    low, high = _index_group(sys, code)
+    size = low.shape[1] * high.shape[1]
+    if m ** n % size:
+        raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
+    # a qudit of low + offset is nonzero iff its low index differs from that of -offset
+    neg = sys.ordering.neg_table
+    counts = np.zeros(n + 1, dtype=np.int64)
+    weight = np.min_scalar_type(n)
+    for minus in neg[high].T:
+        differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
+        counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
+    a = [int(x) for x in counts]
+    b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
+    if any(x % size for x in b):
+        raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
+    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, [x // size for x in b]))
+    return a, b, size

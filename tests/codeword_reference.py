@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from qecalg import CodeSpec, analyze
-from qecalg.code_analysis import _howell_form
+from qecalg.stabilizer import _howell_form
 from qecalg.errors import InconsistentStabilizers
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -180,6 +181,21 @@ def test_transform_zero_mass(capsys, tmp_path):
     assert "mass" in err.lower()
     # enumerate takes A' from t9, not from the transform, and says the same
     assert run(capsys, "enumerate", str(src), "--kind", "hamming") == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [["transform", "ELEM", "-o", "OUT"],
+                                  ["enumerate", "ELEM", "--kind", "hamming"],
+                                  ["analyze", "CODE"]])
+def test_report_hashes_the_input_file_bytes(capsys, tmp_path, argv):
+    # transform hashes the bytes before it drops them; the digest is that of the file
+    paths = {"ELEM": tmp_path / "e.elem", "CODE": tmp_path / "c.code", "OUT": tmp_path / "e.out"}
+    write_element(paths["ELEM"], random_element(3, 2, seed=4))
+    write_code(paths["CODE"], catalog.load("513"))
+    argv = [str(paths.get(a, a)) for a in argv]
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 0
+    with open(argv[1], "rb") as fh:
+        assert json.loads(out)["inputs"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_transform_machine_roundtrip_identical_coeffs(capsys, tmp_path):
@@ -609,12 +625,20 @@ def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):
 
 
 def test_cli_does_not_import_the_oracle():
+    # nor does any other module of the package: the oracle only certifies
     import qecalg
-    probe = "import sys, qecalg.cli; print('qecalg.oracle' in sys.modules)"
+    probe = ("import importlib, json, pkgutil, sys, qecalg\n"
+             "names = [info.name for info in pkgutil.iter_modules(qecalg.__path__)\n"
+             "         if info.name != 'oracle']\n"
+             "for name in names:\n"
+             "    importlib.import_module('qecalg.' + name)\n"
+             "print(json.dumps([names, 'qecalg.oracle' in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=env)
-    assert done.stdout.strip() == "False"
+    names, imported = json.loads(done.stdout)
+    assert {"cli", "code_analysis", "stabilizer", "fileio", "catalog"} <= set(names)
+    assert imported is False
 
 
 def test_a_reader_leaving_early_is_no_error(tmp_path):

@@ -18,7 +18,7 @@ from qecalg import (
     transform,
     validate_custom_basis,
 )
-from qecalg import code_analysis
+from qecalg import code_analysis, stabilizer
 from qecalg.code_analysis import BasisVectors, StabilizerGenerators, _distance_and_purity
 from qecalg.errors import (
     InconsistentStabilizers,
@@ -627,7 +627,7 @@ def test_stream_matches_coset_doubling(monkeypatch, m, block):
     # Hamming counts and (where m^(2n) is small) the scattered indicator;
     # block 1 and 7 put every or nearly every Howell row on the offset side
     if block is not None:
-        monkeypatch.setattr(code_analysis, "_BLOCK", block)
+        monkeypatch.setattr(stabilizer, "_BLOCK", block)
     sys_ = build_pauli_system(m)
     rng = np.random.default_rng(m)
     for n in range(1, 6):
@@ -655,10 +655,10 @@ def test_howell_form_of_g_and_identity_reads_the_relations(m):
     for n in range(1, 5):
         for gens in _random_generator_sets(rng, m, n, 6):
             g = np.array(gens, dtype=np.int64).reshape(len(gens), 2 * n)
-            rows, orders = code_analysis._howell_form(
+            rows, orders = stabilizer._howell_form(
                 np.hstack([g, np.eye(len(g), dtype=np.int64)]), m)
             span = np.count_nonzero(rows[:, :2 * n].any(axis=1))
-            howell, howell_orders = code_analysis._howell_form(g, m)
+            howell, howell_orders = stabilizer._howell_form(g, m)
             assert np.array_equal(rows[:span, :2 * n], howell)
             assert np.array_equal(orders[:span], howell_orders)
             assert not (rows[span:, 2 * n:] @ g % m).any()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,6 +54,42 @@ def test_array_length_refuses_what_intp_cannot_index():
     for m, n, power in ((2, 63, 1), (2, 32, 2), (3, 40, 1), (3, 10 ** 8, 1), (3, 10 ** 8, 2)):
         with pytest.raises(ValueError, match=f"^m={m}, n={n} is too large: a row"):
             array_length(m, n, "a row", power)
+
+
+_HUGE_N_PROBE = """
+import time
+import numpy as np
+from qecalg import AlgebraElement, CodeSpec, random_element
+for call in (lambda: CodeSpec.from_basis(3, 10 ** 8, np.zeros((1, 3))),
+             lambda: AlgebraElement(3, 10 ** 7, np.zeros(9)),
+             lambda: AlgebraElement.zero(3, 10 ** 7),
+             lambda: AlgebraElement.indicator(3, 10 ** 7, [0]),
+             lambda: random_element(3, 10 ** 7, seed=1)):
+    start = time.perf_counter()
+    try:
+        call()
+        print("0 accepted")
+    except ValueError as exc:
+        print(f"{time.perf_counter() - start:.6f} {exc}")
+"""
+
+
+def test_constructors_refuse_a_huge_n_before_forming_a_power():
+    # m^n or m^(2n) at such an n takes far longer than the timeout, so a
+    # constructor that forms the power before array_length's check fails
+    # the test instead of hanging it; the child allocates no large array
+    import qecalg
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qecalg.__file__)))
+    done = subprocess.run([sys.executable, "-c", _HUGE_N_PROBE], capture_output=True,
+                          text=True, check=True, env=env, timeout=10)
+    lines = done.stdout.splitlines()
+    expected = (["m=3, n=100000000 is too large: a basis row would need m^n entries"]
+                + ["m=3, n=10000000 is too large: an element would need m^(2n) entries"] * 4)
+    assert len(lines) == len(expected), done.stdout
+    for line, message in zip(lines, expected):
+        seconds, text = line.split(" ", 1)
+        assert text.startswith(message), line
+        assert float(seconds) < 1.0, line
 
 
 def test_multiply_shape_mismatch():

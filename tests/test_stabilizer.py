@@ -1,0 +1,55 @@
+"""The exact route's module on its own: the stream of any row span, and its imports."""
+
+import ast
+import itertools
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qecalg import canonical_ordering, stabilizer
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
+def test_stream_yields_any_row_span_once(monkeypatch, m, block):
+    # random integer rows, which need not commute (the normalizer N(S) is no
+    # code's S): the streamed multiset is the brute-force row span, each
+    # element once; block 1 and 7 put every or nearly every row on the offset side
+    if block is not None:
+        monkeypatch.setattr(stabilizer, "_BLOCK", block)
+    ordering = canonical_ordering(m)
+    rng = np.random.default_rng(300 + m)
+    for trial in range(24):
+        n, r = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        gens = rng.integers(-2 * m, 2 * m, size=(r, 2 * n))
+        if trial == 0:
+            gens[:] = 0
+        rows, orders = stabilizer._howell_form(gens, m)
+        low, high = stabilizer._stream(rows, orders, ordering)
+        assert low.shape[0] == high.shape[0] == n and low.shape[1] <= stabilizer._BLOCK
+        streamed = ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1).T
+        words = np.array(list(itertools.product(range(m), repeat=r)), dtype=np.int64)
+        span = words.reshape(m ** r, r) @ gens % m
+        brute = ordering.position[span[:, 0::2], span[:, 1::2]]
+        expected = Counter(set(map(tuple, brute.tolist())))
+        assert Counter(map(tuple, streamed.tolist())) == expected, (m, gens.tolist())
+        assert np.prod([int(t) for t in orders]) == len(expected)
+
+
+def test_stabilizer_imports_nothing_from_the_layers_above_it():
+    # read from the source: a sys.modules probe cannot tell, because importing
+    # qecalg.stabilizer runs qecalg/__init__, which imports code_analysis
+    above = {"code_analysis", "cli", "fileio", "catalog", "oracle"}
+    tree = ast.parse(Path(stabilizer.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "qecalg"
+                                                   or node.module.startswith("qecalg.")):
+            named |= set((node.module or "").split("."))
+            named |= {alias.name for alias in node.names}
+    assert {"enumerators", "error_basis"} <= named
+    assert not named & above, sorted(named & above)
