@@ -80,6 +80,13 @@ def _fmt_complex(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
+def _machine_entries(dist: HammingDistribution) -> list[list]:
+    """[re, im] per coefficient; exact ints stay ints, whatever their size."""
+    if dist.exact is not None:
+        return [[a, 0.0] for a in dist.exact]
+    return [_fmt_complex(c) for c in dist.a]
+
+
 def _distribution_text(dist: HammingDistribution) -> str:
     ints = dist.rounded()
     if ints is not None:
@@ -122,8 +129,8 @@ def _cmd_analyze(args):
         "d": result.d,
         "pure": result.pure,
         "mass": result.mass,
-        "A": [_fmt_complex(c) for c in result.primary_distribution.a],
-        "A_dual": [_fmt_complex(c) for c in result.dual_distribution.a],
+        "A": _machine_entries(result.primary_distribution),
+        "A_dual": _machine_entries(result.dual_distribution),
         "path": result.path,
     }
     text = [f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
@@ -158,7 +165,7 @@ def _cmd_enumerate(args):
         else:  # t9 of A: C' is never built
             dist = hamming_distribution(payload)
             dual = HammingDistribution(payload.m, payload.n, macwilliams_hamming(dist, payload.mass))
-        rec_c, rec_d = ([[[i], _fmt_complex(c)] for i, c in enumerate(d.a)] for d in (dist, dual))
+        rec_c, rec_d = ([[[i], v] for i, v in enumerate(_machine_entries(d))] for d in (dist, dual))
         lines += [f"C : A={_distribution_text(dist)}", f"C': A={_distribution_text(dual)}"]
     else:
         if args.kind == "lee":

@@ -248,8 +248,6 @@ def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:
 
 def random_code(m: int, n: int, k: int, seed: int) -> CodeSpec:
     """Seeded random K-dimensional code: orthonormalized complex Gaussians."""
-    if m < 2 or n < 1:
-        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     dim = array_length(m, n, "a code vector")
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= K <= {dim}, got {k}")

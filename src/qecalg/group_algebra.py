@@ -42,9 +42,11 @@ _INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length
 
 
 def array_length(m: int, n: int, what: str, power: int = 1) -> int:
-    """m^(power * n) for m >= 2: the length of the array of `what` of an
-    input with n coordinates, refused with a ValueError naming m and n before
-    the power is formed when np.intp cannot index it."""
+    """m^(power * n): the length of the array of `what` of an input with n
+    coordinates, refused with a ValueError naming m and n when m < 2 or
+    n < 1, or, before the power is formed, when np.intp cannot index it."""
+    if m < 2 or n < 1:
+        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     exponent = power * n
     if exponent >= _INTP_MAX.bit_length() or m ** exponent > _INTP_MAX:
         raise ValueError(f"m={m}, n={n} is too large: {what} would need "
@@ -119,10 +121,8 @@ class AlgebraElement:
     mass: complex = field(init=False)
 
     def __post_init__(self):
-        if self.m < 2 or self.n < 1:
-            raise ValueError(f"need m >= 2 and n >= 1, got m={self.m}, n={self.n}")
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         size = array_length(self.m, self.n, "an element", 2)
+        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if c.shape != (size,):
             raise ValueError(f"expected {size} coefficients, got shape {c.shape}")
         c.setflags(write=False)

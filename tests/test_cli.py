@@ -380,9 +380,11 @@ def test_overflowing_transform_is_input_error(capsys, tmp_path, argv):
         ("code", "code v1\nm 2\nn 0\nkind basis\n1,0\n", "need m >= 2 and n >= 1, got m=2, n=0"),
         ("code", "code v1\nm 1\nn 2\nkind stabilizer\n0,0 0,0\n", "got m=1, n=2"),
         ("code", "code v1\nm 2\nn 1\nkind basis\nnan,0 0,0\n", "non-finite"),
+        ("code", "code v1\nm 2\nn 1\nkind stabilizer\n1,0\n0,1\n",
+         "generators 0 and 1 do not commute"),
         ("errorbasis", "errorbasis v1\nm 1\nordering lee-paired\n1,0\n", "need m >= 2, got m=1"),
     ],
-    ids=["code-n0", "code-m1", "code-nan", "basis-m1"],
+    ids=["code-n0", "code-m1", "code-nan", "code-clash", "basis-m1"],
 )
 def test_bad_code_or_basis_file_is_input_error(capsys, tmp_path, suffix, body, fragment):
     path = tmp_path / f"bad.{suffix}"
@@ -739,8 +741,11 @@ def test_exact_integers_above_2_to_the_53(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming")
     assert code == 0
     assert f"C': A=({','.join(map(str, want))})" in out
+    # machine reports carry the same ints, not their nearest floats
     code, out, _ = run(capsys, "analyze", str(path), "--format", "machine")
-    assert json.loads(out)["results"]["A_dual"] == [[float(x), 0.0] for x in want]
+    assert json.loads(out)["results"]["A_dual"] == [[x, 0.0] for x in want]
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming", "--format", "machine")
+    assert json.loads(out)["results"]["C_dual"] == [[[w], [x, 0.0]] for w, x in enumerate(want)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1001,12 +1006,15 @@ def test_parsers_built_by_a_plain_and_an_argparse_call(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
     # a plain call constructs no parser at all
-    assert _outcome(main, ["analyze", "513"])[0] == 0
+    plain = _outcome(main, ["analyze", "513", "--format", "machine"])
+    assert plain[0] == 0
     assert (parsers, subparsers) == ([], [])
     # an abbreviated option is left to argparse, which builds the full tree
-    assert _outcome(main, ["analyze", "513", "--form", "machine"])[0] == 0
+    # and reads the same report
+    assert _outcome(main, ["analyze", "513", "--form", "machine"]) == plain
     assert subparsers == list(cli._COMMANDS)
     assert parsers == ["qecalg"] + [f"qecalg {name}" for name in cli._COMMANDS]
+    assert _outcome(main, ["analyze", "513", "--format=machine"]) == plain
 
 
 def test_a_plain_call_imports_no_argparse():
@@ -1035,3 +1043,83 @@ def test_negative_seed_is_a_usage_error(tmp_path, argv):
     assert err.endswith("qecalg verify: error: argument --seed: "
                         "invalid non-negative int value: '-1'\n")
     assert _outcome(main, [*argv[:-1], "0"])[0] == 0
+
+
+# --- calls as a shell makes them: each row writes its files into an empty
+# working directory, runs its commands through main, each of which must exit
+# with the row's code, and finds the fragment in the last one's stdout, or
+# in its stderr when the code is not 0 ---
+
+def _regauged3(path, doubled=False):
+    """The Pauli basis at m=3 regauged by exp(2 pi i k / 7), E_0 = I kept;
+    `doubled` doubles matrix 4, which is then not unitary."""
+    mats = np.exp(2j * np.pi * np.arange(9) / 7)[:, None, None] * build_pauli_system(3).matrices
+    mats[4] *= 1 + doubled
+    write_custom_basis(path, 3, mats)
+
+
+_M17 = {"m17.code": "code v1\nm 17\nn 2\nkind stabilizer\n0,1 0,1\n1,0 16,0\n"}
+_DUPLICATE = "element v1\nm 2\nn 1\n0 1,0\n1 0.5,-0.25\n0 2,0\n"
+
+_CALLS = [
+    # A' of a 4^15-coefficient element, by the exact route and t9 alone
+    ({}, ["enumerate rm15 --kind hamming"], 0,
+     "C': A=(1,0,0,35,105,168,280,675,675,8680,5208,25305,8435,11760,1680,2529)"),
+    ({}, ["enumerate 422 --kind complete"], 0, "(0, 0, 2, 2) -> 6"),
+    ({}, ["enumerate 311qutrit --kind lee"], 0, "(1, 2, 0, 0, 0) -> 6"),
+    ({}, ["enumerate 311qutrit --kind lee --format machine"], 0, "(1, 2, 0, 0, 0) -> 6"),
+    # m = 13, n = 1: complete compositions keyed by three int64 columns
+    ({"m13.elem": "element v1\nm 13\nn 1\n0 1,0\n5 0.5,-0.25\n168 0.125,0\n"},
+     ["enumerate m13.elem --kind complete --format machine"], 0, '"kind": "complete"'),
+    # the dense route (A' from t9), on a basis file holding a Bell state
+    ({"bell.code": "code v1\nm 2\nn 2\nkind basis\n"
+                   "0.70710678118654752,0 0,0 0,0 0.70710678118654752,0\n"},
+     ["analyze bell.code"], 0, "K=1 d=2 pure=yes; A=(1,0,3); A'=(1,0,3)"),
+    # the Howell-form stream at m=4: a redundant generator and one of order 2
+    ({"howell.code": "code v1\nm 4\nn 2\nkind stabilizer\n0,1 0,3\n0,2 0,2\n2,0 2,0\n"},
+     ["analyze howell.code"], 0, "K=2 d=1 pure=yes; A=(1,0,7); A'=(1,2,29)"),
+    # m = 17, the first m whose ordering tables are uint16
+    (_M17, ["analyze m17.code"], 0, "K=1 d=2 pure=yes; A=(1,0,288); A'=(1,0,288)"),
+    (_M17, ["enumerate m17.code --kind lee --format machine"], 0, '"kind": "lee"'),
+    # a regauged basis gives the Pauli basis's results; with matrix 4
+    # doubled it is turned down by index
+    ({"regauged3.errorbasis": _regauged3},
+     ["analyze 311qutrit --basis-file regauged3.errorbasis"], 0,
+     "K=3 d=1 pure=yes; A=(1,0,6,2); A'=(1,6,12,62)"),
+    ({"regauged3.errorbasis": _regauged3},
+     ["verify 311qutrit --identity t8 --basis-file regauged3.errorbasis"], 0,
+     "lee-identity: pass"),
+    ({"doubled3.errorbasis": lambda path: _regauged3(path, doubled=True)},
+     ["analyze 311qutrit --basis-file doubled3.errorbasis"], 2,
+     "matrix 4 (element (1, 2)) is not unitary"),
+    # CRLF line ends and comments, at m=2 n=3: the real-route transform, a
+    # transform of its output, and the double-transform identity
+    ({"crlf.elem": "# an element with CRLF line ends\r\nelement v1\r\nm 2\r\nn 3\r\n"
+                   "# coefficients\r\n0 1,0\r\n21 0.5,-0.25\r\n63 0.125,0\r\n"},
+     ["transform crlf.elem -o crlf.out", "transform crlf.out -o crlf.twice",
+      "verify crlf.elem --identity double"], 0, "double-transform: pass"),
+    # a body spelled as write_element spells it, read in bulk with LF or CRLF
+    # line ends: a duplicate index still exits 2 at its own line
+    ({"dup.elem": _DUPLICATE}, ["transform dup.elem -o dup.out"], 2, "line 6"),
+    ({"dupcrlf.elem": _DUPLICATE.replace("\n", "\r\n")}, ["transform dupcrlf.elem -o dup.out"],
+     2, "line 6"),
+    ({}, ["--help"], 0, "usage: qecalg"),
+    ({}, ["analyze --help"], 0, "usage: qecalg analyze"),
+    ({}, ["--version"], 0, f"qecalg {__version__}"),
+    ({}, ["analyze 513 --bogus"], 2, "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("files, commands, code, fragment", _CALLS,
+                         ids=["; ".join(row[1]) for row in _CALLS])
+def test_cli_calls(monkeypatch, tmp_path, files, commands, code, fragment):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        if callable(content):
+            content(name)
+        else:
+            (tmp_path / name).write_bytes(content.encode())
+    for command in commands:
+        got, out, err = _outcome(main, command.split())
+        assert got == code, (command, err)
+    assert fragment in (out if code == 0 else err)

@@ -764,6 +764,9 @@ def test_qubit_shadows_are_non_negative(sys2):
         assert min(shadow) >= 0, (code.n, report.primary_distribution.exact, shadow)
 
 
+_ZX_XZ = [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 1), (1, 1)]]
+
+
 def test_inconsistent_phases_raise(sys2):
     # <Z x I, -Z x I> stabilizes no state
     empty = CodeSpec.from_stabilizers(2, 2, [[(0, 1), (0, 0)], [(0, 1), (0, 0)]], phases=[0, 2])
@@ -775,11 +778,16 @@ def test_inconsistent_phases_raise(sys2):
         analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]], phases=[0]))
     # phase-free codes check no phase: the same label is a fine index group
     assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]])).K == 1
+    # (Z x X)(X x Z) = -(XZ x XZ), so <Z x X, X x Z, XZ x XZ> holds -I
+    with pytest.raises(InconsistentStabilizers):
+        analyze(sys2, CodeSpec.from_stabilizers(2, 2, _ZX_XZ, phases=[0, 0, 0]))
 
 
 def test_consistent_phases_pass(sys2):
     assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(0, 1)]], phases=[2])).K == 1  # <-Z>
     assert analyze(sys2, CodeSpec.from_stabilizers(2, 1, [[(1, 1)]], phases=[1])).K == 1  # <iXZ>
+    # <Z x X, X x Z, -(XZ x XZ)>
+    assert analyze(sys2, CodeSpec.from_stabilizers(2, 2, _ZX_XZ, phases=[0, 0, 2])).K == 1
 
 
 @pytest.mark.parametrize("basis", ["pauli", "regauged"])

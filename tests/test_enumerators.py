@@ -382,13 +382,14 @@ def _check_against_reference(monkeypatch, check, sys, a, trials, seed):
 
 _DIFFERENTIAL_CASES = [
     (check, m, n)
-    for m, n in ((2, 3), (3, 3), (4, 2), (5, 2))
+    for m, n in ((2, 1), (2, 3), (3, 3), (4, 2), (5, 2))
     for check in (verify_exact_identity, verify_complete_identity, verify_lee_identity)
     if check is not verify_lee_identity or m % 2
 ]
 
 
-# 17 and 82 trials cross a chunk of m^4 trials at m = 2 and m = 3
+# 17 and 82 trials cross a chunk of m^4 trials at m = 2 and m = 3; n = 1
+# contracts a single axis
 @pytest.mark.parametrize("trials", [1, 7, 17, 20, 82])
 @pytest.mark.parametrize("check,m,n", _DIFFERENTIAL_CASES)
 def test_batched_trials_match_per_trial_loop(monkeypatch, check, m, n, trials):

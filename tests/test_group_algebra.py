@@ -54,6 +54,12 @@ def test_array_length_refuses_what_intp_cannot_index():
     for m, n, power in ((2, 63, 1), (2, 32, 2), (3, 40, 1), (3, 10 ** 8, 1), (3, 10 ** 8, 2)):
         with pytest.raises(ValueError, match=f"^m={m}, n={n} is too large: a row"):
             array_length(m, n, "a row", power)
+    # and it owns the range check of every sized array
+    for m, n in ((1, 3), (0, 1), (-2, 3), (2, 0), (2, -1)):
+        for call in (lambda: array_length(m, n, "a row"), lambda: AlgebraElement.zero(m, n),
+                     lambda: random_element(m, n, seed=1)):
+            with pytest.raises(ValueError, match=f"^need m >= 2 and n >= 1, got m={m}, n={n}$"):
+                call()
 
 
 _HUGE_N_PROBE = """
