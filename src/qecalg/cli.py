@@ -5,7 +5,9 @@ success / check passed, 1 when a verification check ran and failed, 2 on
 input or usage errors.  `--format machine` emits one stable JSON object
 (everything except elapsed_s is reproducible for fixed inputs and seeds).
 
-A file input is read by `fileio.read_input`, which tells a code from an
+Every file argument is read by `_read`: a catalog name, else a path, read
+once, parsed by a `fileio` reader and hashed, so each report names every
+file it read with its sha256.  `fileio.read_input` tells a code from an
 element by the first significant line, as the readers read it.  Each
 subcommand returns its exit code, inputs, results and text lines, and
 `_dispatch` frames them in the one report format.
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, catalog
-from .code_analysis import analyze, associated_element, check_cs_ordering, random_code
+from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, random_code
 from .enumerators import (
     HammingDistribution,
     _lee_class,
@@ -46,34 +48,29 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _resolve_input(source: str):
-    """A code (catalog name or code file) or an element file, each parsed
-    from its bytes by `fileio.read_input`.
-
-    Returns (display, kind, payload, digest) with kind in {code, element}.
-    """
+def _read(source: str, reader):
+    """(display, payload, sha256) of a file argument: a catalog name, else a
+    path, read once, parsed from its bytes by the `fileio` `reader`, hashed."""
     if source in catalog.CATALOG:
         display, raw = f"catalog:{source}", catalog.read(source)
     else:
         display, raw = source, read_bytes(source)
-    payload = read_input(display, raw)
-    kind = "element" if isinstance(payload, AlgebraElement) else "code"
-    return display, kind, payload, _sha256(raw)
+    return display, reader(display, raw), hashlib.sha256(raw).hexdigest()
 
 
-def _system_for(m: int, args):
-    if args.basis_file:
-        sys_ = read_custom_basis(args.basis_file)
-        if sys_.m != m:
-            raise QecalgError(
-                f"basis file has m={sys_.m} but the input needs m={m}"
-            )
-        return sys_
-    return build_pauli_system(m)
+def _basis_file(args, inputs: dict):
+    """The error basis of --basis-file; its name and digest go into `inputs`."""
+    inputs["basis_file"], sys_, inputs["basis_sha256"] = _read(args.basis_file, read_custom_basis)
+    return sys_
+
+
+def _system_for(m: int, args, inputs: dict):
+    if not args.basis_file:
+        return build_pauli_system(m)
+    sys_ = _basis_file(args, inputs)
+    if sys_.m != m:
+        raise QecalgError(f"basis file has m={sys_.m} but the input needs m={m}")
+    return sys_
 
 
 def _fmt_complex(c: complex) -> list[float]:
@@ -115,10 +112,11 @@ def _emit(report: dict, args) -> None:
 # --- subcommands: each returns (exit code, inputs, results, text lines) ---
 
 def _cmd_analyze(args):
-    display, kind, payload, digest = _resolve_input(args.code)
-    if kind != "code":
+    display, payload, digest = _read(args.code, read_input)
+    if not isinstance(payload, CodeSpec):
         raise QecalgError("analyze needs a code file, not an element file")
-    sys_ = _system_for(payload.m, args)
+    inputs = {"code": display, "sha256": digest}
+    sys_ = _system_for(payload.m, args, inputs)
     result = analyze(sys_, payload)
     a_txt = _distribution_text(result.primary_distribution)
     b_txt = _distribution_text(result.dual_distribution)
@@ -138,7 +136,7 @@ def _cmd_analyze(args):
     note = _rounding_note(result.primary_distribution, result.dual_distribution)
     if note:
         text.append(note)
-    return EXIT_OK, {"code": display, "sha256": digest}, results, text
+    return EXIT_OK, inputs, results, text
 
 
 def _dist_records(kind: str, element: AlgebraElement):
@@ -155,11 +153,12 @@ def _dist_records(kind: str, element: AlgebraElement):
 
 
 def _cmd_enumerate(args):
-    display, kind, payload, digest = _resolve_input(args.input)
-    sys_ = _system_for(payload.m, args)
+    display, payload, digest = _read(args.input, read_input)
+    inputs = {"input": display, "sha256": digest}
+    sys_ = _system_for(payload.m, args, inputs)
     lines = [f"{args.kind} distribution"]
     if args.kind == "hamming":
-        if kind == "code":  # analyze's pair, so the exact route for stabilizer input
+        if isinstance(payload, CodeSpec):  # analyze's pair: the exact route for stabilizers
             result = analyze(sys_, payload)
             dist, dual = result.primary_distribution, result.dual_distribution
         else:  # t9 of A: C' is never built
@@ -170,13 +169,13 @@ def _cmd_enumerate(args):
     else:
         if args.kind == "lee":
             _lee_class(payload.m)  # even m is refused before C is built
-        primary = associated_element(sys_, payload) if kind == "code" else payload
+        primary = associated_element(sys_, payload) if isinstance(payload, CodeSpec) else payload
         dual = transform(sys_, primary)
         rec_c, text_c = _dist_records(args.kind, primary)
         rec_d, text_d = _dist_records(args.kind, dual)
         lines += ["C :", *text_c, "C':", *text_d]
     results = {"kind": args.kind, "C": rec_c, "C_dual": rec_d}
-    return EXIT_OK, {"input": display, "sha256": digest}, results, lines
+    return EXIT_OK, inputs, results, lines
 
 
 # identity -> check of (system, subject, args); each lambda looks its check up
@@ -228,27 +227,28 @@ def _verify_subject(args):
         if not basis:
             raise QecalgError(f"--identity {identity} needs --m (or --basis-file)")
         if args.basis_file:
-            return read_custom_basis(args.basis_file), None, {"basis_file": args.basis_file}
+            inputs = {}
+            return _basis_file(args, inputs), None, inputs
         return build_pauli_system(args.m), None, {"pauli_m": args.m}
     if args.m is not None:
         raise QecalgError(f"--m is only for --identity lemma1/axioms; --identity {identity} "
                           f"takes m from its input, not from --m {args.m}")
     if args.random_code:
         m, n, k = _random_code_dims(args.random_code)
-        kind, payload = "code", random_code(m, n, k, args.seed)
+        payload = random_code(m, n, k, args.seed)
         inputs = {"random_code": args.random_code, "seed": args.seed}
     elif args.input is None:
         raise QecalgError("--identity cs needs a code or --random-code" if identity == "cs"
                           else "this identity needs an input (file/catalog) or --random-code")
     else:
-        display, kind, payload, digest = _resolve_input(args.input)
-        if identity == "cs" and kind != "code":
+        display, payload, digest = _read(args.input, read_input)
+        if identity == "cs" and not isinstance(payload, CodeSpec):
             raise QecalgError("--identity cs needs a code, not an element")
         inputs = {"input": display, "sha256": digest}
-    sys_ = _system_for(payload.m, args)
+    sys_ = _system_for(payload.m, args, inputs)
     if identity == "t8":
         _lee_class(payload.m)  # even m is refused before C is built
-    if identity == "cs" or kind == "element":
+    if identity == "cs" or isinstance(payload, AlgebraElement):
         return sys_, payload, inputs
     return sys_, associated_element(sys_, payload), inputs
 
@@ -268,11 +268,9 @@ def _cmd_verify(args):
 
 
 def _cmd_transform(args):
-    raw = read_bytes(args.element)
-    element = read_element(args.element, raw)
-    inputs = {"element": args.element, "sha256": _sha256(raw)}
-    del raw  # the file's bytes, about 3x the element, need not outlive the parse
-    sys_ = _system_for(element.m, args)
+    display, element, digest = _read(args.element, read_element)
+    inputs = {"element": display, "sha256": digest}
+    sys_ = _system_for(element.m, args, inputs)
     dual = transform(sys_, element)
     out_path = args.output or (args.element + ".transformed")
     write_element(out_path, dual)

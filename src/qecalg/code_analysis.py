@@ -43,7 +43,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .error_basis import PhaseSystem
-from .errors import NoDistance, NonCommutingGenerators, NonOrthonormalBasis
+from .errors import NoDistance, NonCommutingGenerators, NonOrthonormalBasis, ShapeMismatch
 from .enumerators import HammingDistribution, hamming_distribution, macwilliams_hamming
 from .group_algebra import AlgebraElement, array_length, transform
 from .reports import CheckReport
@@ -152,6 +152,8 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     contraction of the (m^2, m^2) matrix E_g[r, c] along each pair axis.
     """
     m, n = code.m, code.n
+    if sys.m != m:
+        raise ShapeMismatch(f"system has m={sys.m}, code has m={m}")
     v = code.body.vectors
     q = v.conj().T @ v
     interleave = [ax for i in range(n) for ax in (i, n + i)]
@@ -179,9 +181,10 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
+        size = array_length(m, n, "an element", 2)  # before S is streamed
         low, high = _index_group(sys, code)
         q, plus = m * m, sys.ordering.add_table
-        coeffs = np.zeros(q ** n, dtype=np.complex128)
+        coeffs = np.zeros(size, dtype=np.complex128)
         for offset in high.T:
             idx = np.zeros(low.shape[1], dtype=np.int64)
             for i in range(n):

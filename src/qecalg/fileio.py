@@ -19,8 +19,9 @@ Code file ("code v1"):
     ...                         #   n "a,b" exponent pairs
                                 # basis: K rows of m^n "re,im" entries
 
-`read_element` and `read_code` take the file's bytes when the caller has
-already read them (`read_bytes`); the path is then only named in messages.
+`read_element`, `read_code` and `read_custom_basis` take the file's bytes
+when the caller has already read them (`read_bytes`); the path is then only
+named in messages.
 `read_input` reads either kind: the first significant line, as the readers
 read it, picks the reader.
 
@@ -380,9 +381,9 @@ def write_code(path, code: CodeSpec) -> None:
 
 # --- custom error bases ---
 
-def read_custom_basis(path) -> PhaseSystem:
+def read_custom_basis(path, data: bytes | None = None) -> PhaseSystem:
     path = Path(path)
-    numbers, lines = _significant(1, _utf8(path))
+    numbers, lines = _significant(1, _utf8(path, data))
     header = _take_header(numbers, lines, path, "errorbasis v1", ["m", "ordering"])
     (m,) = _header_dims(header, path, ("m",))
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"

@@ -185,17 +185,37 @@ def test_transform_zero_mass(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["transform", "ELEM", "-o", "OUT"],
                                   ["enumerate", "ELEM", "--kind", "hamming"],
-                                  ["analyze", "CODE"]])
+                                  ["analyze", "CODE"],
+                                  ["transform", "ELEM", "-o", "OUT", "--basis-file", "BASIS3"],
+                                  ["enumerate", "ELEM", "--kind", "complete",
+                                   "--basis-file", "BASIS3"],
+                                  ["analyze", "CODE", "--basis-file", "BASIS2"],
+                                  ["verify", "ELEM", "--identity", "t9", "--basis-file", "BASIS3"],
+                                  ["verify", "--identity", "axioms", "--basis-file", "BASIS3"]])
 def test_report_hashes_the_input_file_bytes(capsys, tmp_path, argv):
-    # transform hashes the bytes before it drops them; the digest is that of the file
-    paths = {"ELEM": tmp_path / "e.elem", "CODE": tmp_path / "c.code", "OUT": tmp_path / "e.out"}
+    # the digest of every file read is that of its bytes, a basis file's included
+    paths = {"ELEM": tmp_path / "e.elem", "CODE": tmp_path / "c.code", "OUT": tmp_path / "e.out",
+             "BASIS2": tmp_path / "b2.errorbasis", "BASIS3": tmp_path / "b3.errorbasis"}
     write_element(paths["ELEM"], random_element(3, 2, seed=4))
     write_code(paths["CODE"], catalog.load("513"))
+    for m in (2, 3):
+        write_custom_basis(paths[f"BASIS{m}"], m, build_pauli_system(m).matrices)
     argv = [str(paths.get(a, a)) for a in argv]
     code, out, _ = run(capsys, *argv, "--format", "machine")
     assert code == 0
-    with open(argv[1], "rb") as fh:
-        assert json.loads(out)["inputs"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    inputs = json.loads(out)["inputs"]
+
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    if not argv[1].startswith("--"):
+        assert inputs["sha256"] == digest(argv[1])
+    if "--basis-file" in argv:
+        basis = argv[argv.index("--basis-file") + 1]
+        assert (inputs["basis_file"], inputs["basis_sha256"]) == (basis, digest(basis))
+    else:
+        assert "basis_file" not in inputs and "basis_sha256" not in inputs
 
 
 def test_transform_machine_roundtrip_identical_coeffs(capsys, tmp_path):
@@ -286,6 +306,9 @@ def test_element_too_large_for_memory_is_input_error(capsys, tmp_path):
     assert "PiB" in err
 
 
+_STABILIZER_N70 = "code v1\nm 2\nn 70\nkind stabilizer\n" + "0,1 " * 70 + "\n"
+
+
 @pytest.mark.parametrize("argv, body, what", [
     (["enumerate", "FILE", "--kind", "hamming"], "element v1\nm 3\nn 100000000\n",
      "an element would need m^(2n)"),
@@ -293,10 +316,16 @@ def test_element_too_large_for_memory_is_input_error(capsys, tmp_path):
      "a basis row would need m^n"),
     (["verify", "--random-code", "3,100000000,1", "--identity", "t9"], None,
      "a code vector would need m^n"),
+    # one generator at n = 70: the exact route gives K = 2^69, but the dense
+    # element C is refused before its subgroup is streamed
+    (["enumerate", "FILE", "--kind", "complete"], _STABILIZER_N70, "an element would need m^(2n)"),
+    (["verify", "FILE", "--identity", "t9"], _STABILIZER_N70, "an element would need m^(2n)"),
 ])
 def test_a_size_no_array_can_index_exits_2_at_once(tmp_path, argv, body, what):
     # 3^(10^8) alone takes seconds to form as a Python integer: the size is
     # refused before any power of m is formed
+    m, n = (re.search(r"m (\d+)\nn (\d+)", body).groups() if body
+            else argv[argv.index("--random-code") + 1].split(",")[:2])
     import qecalg
     path = tmp_path / "huge"
     if body is not None:
@@ -306,7 +335,7 @@ def test_a_size_no_array_can_index_exits_2_at_once(tmp_path, argv, body, what):
                            *(str(path) if a == "FILE" else a for a in argv)],
                           capture_output=True, text=True, env=env, timeout=5)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == (f"error: m=3, n=100000000 is too large: {what} entries, "
+    assert done.stderr == (f"error: m={m}, n={n} is too large: {what} entries, "
                            f"more than an array can index\n")
 
 
@@ -383,8 +412,9 @@ def test_overflowing_transform_is_input_error(capsys, tmp_path, argv):
         ("code", "code v1\nm 2\nn 1\nkind stabilizer\n1,0\n0,1\n",
          "generators 0 and 1 do not commute"),
         ("errorbasis", "errorbasis v1\nm 1\nordering lee-paired\n1,0\n", "need m >= 2, got m=1"),
+        ("code", "code v1\nm 2\nn 1\nkind stabilizer\n1,x\n", "line 5: bad integer in '1,x'"),
     ],
-    ids=["code-n0", "code-m1", "code-nan", "code-clash", "basis-m1"],
+    ids=["code-n0", "code-m1", "code-nan", "code-clash", "basis-m1", "code-bad-integer"],
 )
 def test_bad_code_or_basis_file_is_input_error(capsys, tmp_path, suffix, body, fragment):
     path = tmp_path / f"bad.{suffix}"
@@ -1103,6 +1133,8 @@ _CALLS = [
     ({"dup.elem": _DUPLICATE}, ["transform dup.elem -o dup.out"], 2, "line 6"),
     ({"dupcrlf.elem": _DUPLICATE.replace("\n", "\r\n")}, ["transform dupcrlf.elem -o dup.out"],
      2, "line 6"),
+    ({"e.elem": "element v1\nm 2\nn 1\n0 1,0\n"}, ["analyze e.elem"], 2,
+     "analyze needs a code file, not an element file"),
     ({}, ["--help"], 0, "usage: qecalg"),
     ({}, ["analyze --help"], 0, "usage: qecalg analyze"),
     ({}, ["--version"], 0, f"qecalg {__version__}"),

@@ -26,6 +26,7 @@ from qecalg.errors import (
     NonCommutingGenerators,
     NonIntegerDimension,
     NonOrthonormalBasis,
+    ShapeMismatch,
 )
 from qecalg.oracle import (
     codewords_from_stabilizers,
@@ -288,6 +289,17 @@ def test_commutation_check_names_the_first_pair():
             with pytest.raises(NonCommutingGenerators,
                                match=f"^generators {first[0]} and {first[1]} do not commute$"):
                 CodeSpec.from_stabilizers(m, n, gens)
+
+
+@pytest.mark.parametrize("route", ["stabilizer", "basis"])
+@pytest.mark.parametrize("call", [analyze, associated_element, check_cs_ordering],
+                         ids=lambda call: call.__name__)
+@pytest.mark.parametrize("system_m, code_m", [(3, 2), (2, 3)])
+def test_a_system_of_another_m_is_refused_on_both_routes(route, call, system_m, code_m):
+    code = (CodeSpec.from_stabilizers(code_m, 2, [((1, 0), (1, 0))]) if route == "stabilizer"
+            else random_code(code_m, 2, 1, 0))
+    with pytest.raises(ShapeMismatch, match=f"^system has m={system_m}, code has m={code_m}$"):
+        call(build_pauli_system(system_m), code)
 
 
 def test_non_integer_dimension():
