@@ -84,19 +84,19 @@ def _machine_entries(dist: HammingDistribution) -> list[list]:
     return [_fmt_complex(c) for c in dist.a]
 
 
-def _distribution_text(dist: HammingDistribution) -> str:
-    ints = dist.rounded()
-    if ints is not None:
-        return "(" + ",".join(map(str, ints)) + ")"
-    return "(" + ",".join(f"{v.real:.6g}" for v in dist.a) + ")"
-
-
-def _rounding_note(*dists: HammingDistribution) -> str | None:
-    """The note on integer-rounded floats; exact ints were never rounded."""
-    if all(d.exact is not None for d in dists) or any(d.rounded() is None for d in dists):
-        return None
-    resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in dists)
-    return f"# coefficients integer-rounded, max residual {resid:.2e}"
+def _hamming_text(dist: HammingDistribution,
+                  dual: HammingDistribution) -> tuple[str, str, str | None]:
+    """The text of a Hamming pair (A, A'): its two distributions and the note
+    on integer-rounded floats, None when nothing was rounded (exact ints never are)."""
+    pair = (dist, dual)
+    ints = [d.rounded() for d in pair]
+    a_txt, b_txt = ("(" + ",".join(map(str, i) if i is not None else (f"{v.real:.6g}" for v in d.a))
+                    + ")" for d, i in zip(pair, ints))
+    note = None
+    if any(d.exact is None for d in pair) and all(i is not None for i in ints):
+        resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in pair)
+        note = f"# coefficients integer-rounded, max residual {resid:.2e}"
+    return a_txt, b_txt, note
 
 
 def _emit(report: dict, args) -> None:
@@ -118,8 +118,7 @@ def _cmd_analyze(args):
     inputs = {"code": display, "sha256": digest}
     sys_ = _system_for(payload.m, args, inputs)
     result = analyze(sys_, payload)
-    a_txt = _distribution_text(result.primary_distribution)
-    b_txt = _distribution_text(result.dual_distribution)
+    a_txt, b_txt, note = _hamming_text(result.primary_distribution, result.dual_distribution)
     results = {
         "m": payload.m,
         "n": payload.n,
@@ -133,7 +132,6 @@ def _cmd_analyze(args):
     }
     text = [f"K={result.K} d={result.d} pure={'yes' if result.pure else 'no'}; "
             f"A={a_txt}; A'={b_txt}"]
-    note = _rounding_note(result.primary_distribution, result.dual_distribution)
     if note:
         text.append(note)
     return EXIT_OK, inputs, results, text
@@ -165,7 +163,8 @@ def _cmd_enumerate(args):
             dist = hamming_distribution(payload)
             dual = HammingDistribution(payload.m, payload.n, macwilliams_hamming(dist, payload.mass))
         rec_c, rec_d = ([[[i], v] for i, v in enumerate(_machine_entries(d))] for d in (dist, dual))
-        lines += [f"C : A={_distribution_text(dist)}", f"C': A={_distribution_text(dual)}"]
+        a_txt, b_txt, note = _hamming_text(dist, dual)
+        lines += [f"C : A={a_txt}", f"C': A={b_txt}", *([note] if note else [])]
     else:
         if args.kind == "lee":
             _lee_class(payload.m)  # even m is refused before C is built

@@ -34,10 +34,10 @@ import numpy as np
 from .error_basis import PhaseSystem, canonical_ordering
 from .errors import EvenM, QecalgError
 from .group_algebra import (
-    AlgebraElement, checked_mass, contract_axes, label_sums, transform, weight_reduce)
+    IDENTITY_TOL, AlgebraElement, checked_mass, contract_axes, label_sums, transform,
+    weight_reduce)
 from .reports import CheckReport
 
-IDENTITY_TOL = 1e-9
 # Largest distance from an integer at which a Hamming coefficient is rounded.
 ROUNDING_TOL = 1e-6
 

@@ -15,16 +15,16 @@ with the matrices, against the defining axioms.  No check loops over pairs.
 Z_m x Z_m has one owner, `canonical_ordering`, and one representation, the
 ordering index i of alpha_i; (a, b) exponent pairs appear only at the edges.
 
-The axioms have one checker, `verify_basis_axioms`: `validate_custom_basis`
-runs it once on every custom basis and keeps the report, which `qecalg verify
+The axioms, unitarity among them, have one checker, `verify_basis_axioms`:
+`validate_custom_basis` runs it once on every custom basis, raises from its
+report and keeps that report on the system it returns, which `qecalg verify
 --identity axioms` prints for a file-given basis; the built-in basis is
 checked when asked.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,11 +41,6 @@ from .reports import CheckReport
 
 # Absolute tolerance for unit-phase and identity checks on O(1) values.
 PHASE_TOL = 1e-9
-
-# The axiom report of each system `validate_custom_basis` returned.  Its
-# arrays are read-only, so the report holds for as long as the system lives;
-# a system copied with dataclasses.replace is a new key and is checked anew.
-_VALIDATED = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +112,16 @@ class PhaseSystem:
     matrices     = the m^2 single-system unitaries realizing the basis,
                    indexed in ordering order; code analysis contracts them
                    directly, so every nice error basis takes the same route.
+    axioms       = the axiom report `validate_custom_basis` formed, else None;
+                   the arrays are read-only, so it holds for the system's
+                   life, and a dataclasses.replace copy starts without it.
     """
 
     omega: np.ndarray
     kernel: np.ndarray
     ordering: GroupOrdering
     matrices: np.ndarray
+    axioms: CheckReport | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_phases(cls, ordering: GroupOrdering, omega: np.ndarray,
@@ -185,30 +184,31 @@ def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
 
 
 def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) -> CheckReport:
-    """Check E_0 = I, tr E_g = m * delta(g,0) and E_g E_h = w_{gh} E_{g+h}
-    with |w_{gh}| = 1 on the stored matrices and omega table.  Failures are
-    ("identity", 0), ("trace", i), ("closure", i, j) in that order; a NaN fails.
-    `products[i, j]` = E_i E_j may be passed in when the caller has formed them;
-    without them a system from `validate_custom_basis` gets the report that
-    validation formed.  The residuals are one array in that order, the closure
-    ones formed a row i at a time from products[i]; np.hypot takes the moduli
-    of single values."""
+    """Check E_g E_g^dag = I, E_0 = I, tr E_g = m * delta(g,0) and
+    E_g E_h = w_{gh} E_{g+h} with |w_{gh}| = 1 on the stored matrices and
+    omega table.  Failures are ("unitary", i), ("identity", 0), ("trace", i),
+    ("closure", i, j) in that order; a NaN fails.  `products[i, j]` = E_i E_j
+    may be passed in when the caller has formed them; without them a system
+    from `validate_custom_basis` gets the report that validation formed.  The
+    residuals are one array in that order, the closure ones formed a row i at
+    a time from products[i]; np.hypot takes the moduli of single values."""
     m, q = sys.m, sys.q
     mats, omega, add = sys.matrices, sys.omega, sys.ordering.add_table
     if products is None:
-        if (report := _VALIDATED.get(sys)) is not None:
-            return report
+        if sys.axioms is not None:
+            return sys.axioms
         products = mats[:, None] @ mats[None, :]
+    unitary = np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2))
     traces = np.trace(mats, axis1=1, axis2=2)
     traces[0] -= m
     closure = np.empty((q, q))
     for i in range(q):
         closure[i] = np.abs(products[i] - omega[i, :, None, None] * mats[add[i]]).max(axis=(1, 2))
     np.maximum(closure, np.abs(np.hypot(omega.real, omega.imag) - 1.0), out=closure)
-    residuals = np.concatenate([[np.abs(mats[0] - np.eye(m)).max()],
+    residuals = np.concatenate([unitary, [np.abs(mats[0] - np.eye(m)).max()],
                                 np.hypot(traces.real, traces.imag), closure.ravel()])
-    bad = tuple(("identity", 0) if k == 0 else ("trace", k - 1) if k <= q
-                else ("closure", *divmod(k - 1 - q, q))
+    bad = tuple(("unitary", k) if k < q else ("identity", 0) if k == q
+                else ("trace", k - q - 1) if k <= 2 * q else ("closure", *divmod(k - 2 * q - 1, q))
                 for k in np.flatnonzero(~(residuals <= PHASE_TOL)).tolist())
     return CheckReport(
         name="basis-axioms",
@@ -222,12 +222,13 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     """Accept a user-supplied nice error basis given as explicit matrices.
 
     `matrices` must contain exactly m^2 unitary m x m matrices, indexed by
-    group elements in canonical ordering order.  Checks, in order: unitarity,
-    then `verify_basis_axioms` on the phase table w_{gh} = tr(E_{g+h}^dag E_g E_h)/m
-    (E_0 = I, traces, closure), then the vanishing row sums of the phase
-    kernel.  The first failure raises the matching exception naming the
+    group elements in canonical ordering order.  Checks, in order:
+    `verify_basis_axioms` on the phase table w_{gh} = tr(E_{g+h}^dag E_g E_h)/m
+    (unitarity, E_0 = I, traces, closure), then the vanishing row sums of the
+    phase kernel.  The first failure raises the matching exception naming the
     offending indices; a NaN anywhere fails.  All E_g E_h are formed in one
-    batched matmul, which the axiom check reuses, and omega row by row.
+    batched matmul, which the axiom check reuses, and omega row by row; the
+    returned system keeps the axiom report.
     """
     mats = np.array(matrices, dtype=np.complex128)  # a copy: the system owns it
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -240,32 +241,28 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     add = ordering.add_table
     adjoints = mats.conj().transpose(0, 2, 1)
 
-    unitary = np.abs(mats @ adjoints - np.eye(m)).max(axis=(1, 2)) <= PHASE_TOL
-    if not unitary.all():
-        i = int(np.argmin(unitary))
-        raise NonUnitary(f"matrix {i} (element {tuple(ordering.order[i].tolist())}) is not unitary")
-
-    products = mats[:, None] @ mats[None, :]
     omega = np.empty((q, q), dtype=np.complex128)
-    for g in range(q):
-        omega[g] = np.trace(adjoints[add[g]] @ products[g], axis1=1, axis2=2) / m
-    sys = PhaseSystem.from_phases(ordering, omega, mats)
-
-    axioms = verify_basis_axioms(sys, products)
+    with np.errstate(invalid="ignore", over="ignore"):  # the checker fails a non-finite value
+        products = mats[:, None] @ mats[None, :]
+        for g in range(q):
+            omega[g] = np.trace(adjoints[add[g]] @ products[g], axis1=1, axis2=2) / m
+        sys = PhaseSystem.from_phases(ordering, omega, mats)
+        axioms = verify_basis_axioms(sys, products)
     if not axioms.passed:
         kind, i, *rest = axioms.failures[0]
+        element = f"(element {tuple(ordering.order[i].tolist())})"
+        if kind == "unitary":
+            raise NonUnitary(f"matrix {i} {element} is not unitary")
         if kind == "identity":
             raise IdentityViolation("matrix 0 is not the identity")
         if kind == "trace":
             expected = m if i == 0 else 0.0
             raise TraceViolation(
-                f"tr E_{i} = {np.trace(mats[i]):.6g}, expected {expected} "
-                f"(element {tuple(ordering.order[i].tolist())})"
-            )
+                f"tr E_{i} = {np.trace(mats[i]):.6g}, expected {expected} {element}")
         (j,) = rest
         raise ClosureViolation(f"E_{i} E_{j} is not a unit phase times E_{int(add[i, j])}")
     report = verify_kernel_row_sums(sys)
     if not report.passed:
         raise RowSumViolation(report.detail)
-    _VALIDATED[sys] = axioms
+    object.__setattr__(sys, "axioms", axioms)  # frozen: set once, before anyone sees sys
     return sys

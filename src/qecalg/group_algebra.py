@@ -35,6 +35,9 @@ from .reports import CheckReport
 # for O(1) coefficients).
 MASS_TOL = 1e-12
 
+# The largest residual at which an identity check passes.
+IDENTITY_TOL = 1e-9
+
 # coefficients per slice when a residual is formed piecewise
 _RESIDUAL_SLICE = 1 << 16
 
@@ -252,7 +255,7 @@ def double_transform_scaling_check(sys: PhaseSystem, a: AlgebraElement) -> Check
     resid = float(np.max(parts))
     return CheckReport(
         name="double-transform",
-        passed=resid <= 1e-9,
+        passed=resid <= IDENTITY_TOL,
         max_residual=resid,
     )
 

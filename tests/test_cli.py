@@ -633,17 +633,24 @@ def test_analyze_reports_its_path(capsys, tmp_path):
 
 
 def test_rounding_note_only_on_the_dense_route(capsys, tmp_path):
-    # exact-route coefficients are Python ints that nothing rounded
-    code, out, _ = run(capsys, "analyze", "513")
-    assert code == 0
-    notes = [line for line in out.splitlines() if line.startswith("#")]
-    assert notes == [f"# qecalg {__version__}"]
+    # exact-route coefficients are Python ints that nothing rounded; analyze
+    # and enumerate --kind hamming print a Hamming pair by one helper
+    note = "# coefficients integer-rounded, max residual"
+    for call in (("analyze", "513"), ("enumerate", "513", "--kind", "hamming")):
+        code, out, _ = run(capsys, *call)
+        assert code == 0
+        notes = [line for line in out.splitlines() if line.startswith("#")]
+        assert notes == [f"# qecalg {__version__}"]
     path = tmp_path / "bell.code"
     path.write_text("code v1\nm 2\nn 2\nkind basis\n"
                     "0.70710678118654752,0 0,0 0,0 0.70710678118654752,0\n")
-    code, out, _ = run(capsys, "analyze", str(path))
-    assert code == 0
-    assert "# coefficients integer-rounded, max residual" in out
+    elem = tmp_path / "bell.elem"
+    write_element(elem, associated_element(build_pauli_system(2), read_code(path)))
+    for call in (("analyze", str(path)), ("enumerate", str(path), "--kind", "hamming"),
+                 ("enumerate", str(elem), "--kind", "hamming")):
+        code, out, _ = run(capsys, *call)
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith(note)], call
 
 
 def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):

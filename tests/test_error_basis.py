@@ -185,9 +185,11 @@ def test_order_and_position_are_read_only_inverses(m):
 
 
 def test_a_system_reads_m_off_its_ordering():
-    # m is no field, so a system cannot disagree with its ordering
+    # m is no field, so a system cannot disagree with its ordering; the
+    # axiom report is no constructor argument, so no caller can hand one in
     assert [f.name for f in dataclasses.fields(PhaseSystem)] == [
-        "omega", "kernel", "ordering", "matrices"]
+        "omega", "kernel", "ordering", "matrices", "axioms"]
+    assert [f.name for f in dataclasses.fields(PhaseSystem) if not f.init] == ["axioms"]
     sys_ = build_pauli_system(5)
     assert (sys_.m, sys_.q) == (5, 25)
     assert sys_.ordering is canonical_ordering(5)
@@ -222,6 +224,30 @@ def test_custom_basis_nonunitary():
         validate_custom_basis(mats)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_non_unitary_similar_basis_fails_the_axioms(m):
+    # S E_g S^-1 keeps E_0 = I, the traces and every phase of the Pauli
+    # basis, so unitarity alone tells it from a nice error basis
+    pauli = build_pauli_system(m)
+    s = np.eye(m)
+    s[0, 1] = 0.5
+    mats = s @ np.asarray(pauli.matrices) @ np.linalg.inv(s)
+    report = verify_basis_axioms(PhaseSystem.from_phases(pauli.ordering, pauli.omega, mats))
+    assert not report.passed and report.failures[0] == ("unitary", 1)
+    assert {kind for kind, *_ in report.failures} == {"unitary"}
+    with pytest.raises(NonUnitary, match=r"^matrix 1 \(element \(0, 1\)\) is not unitary$"):
+        validate_custom_basis(mats)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((4, 2, 3), r"^expected a sequence of square matrices$"),
+    ((3, 2, 2), r"^expected m\^2 = 4 matrices, got 3$"),
+])
+def test_custom_basis_of_the_wrong_shape_is_refused(shape, message):
+    with pytest.raises(ValueError, match=message):
+        validate_custom_basis(np.zeros(shape))
+
+
 def test_custom_basis_trace_violation():
     mats = _pauli_matrix_list(2)
     mats[1] = np.eye(2)  # unitary but trace 2 at a nonzero index
@@ -254,6 +280,17 @@ def test_custom_basis_with_nan_is_rejected():
     mats[2] = mats[2].astype(complex)
     mats[2][0, 1] = np.nan  # E_(1,0) = X with one NaN entry
     with pytest.raises(NonUnitary, match="matrix 2"):
+        validate_custom_basis(mats)
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+def test_custom_basis_with_an_infinite_product_is_rejected(value):
+    # the checker fails an inf as it fails a NaN, with no floating-point
+    # warning on the way (tier-1 makes warnings errors)
+    mats = _pauli_matrix_list(2)
+    mats[2] = mats[2].astype(complex)
+    mats[2][0, 1] = value
+    with pytest.raises(NonUnitary, match=r"^matrix 2 \(element \(1, 0\)\) is not unitary$"):
         validate_custom_basis(mats)
 
 
@@ -406,7 +443,9 @@ def _reference_axioms(sys_):
     m, q = sys_.m, sys_.q
     mats, add = sys_.matrices, sys_.ordering.add_table
     products = mats[:, None] @ mats[None, :]
-    checks = [(("identity", 0), np.abs(mats[0] - np.eye(m)).max())]
+    checks = [(("unitary", i), np.abs(mats[i] @ mats[i].conj().T - np.eye(m)).max())
+              for i in range(q)]
+    checks.append((("identity", 0), np.abs(mats[0] - np.eye(m)).max()))
     for i in range(q):
         checks.append((("trace", i), abs(np.trace(mats[i]) - (m if i == 0 else 0.0))))
     for i in range(q):
