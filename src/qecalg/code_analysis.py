@@ -112,9 +112,14 @@ class CodeSpec:
             phases = None if body.phases is None else tuple(body.phases)
             if phases is not None and len(phases) != len(body.rows):
                 raise ValueError("one phase exponent per generator required")
-            # operator.index refuses a float exponent, which % m would truncate
-            v = np.array([[operator.index(x) for x in row] for row in body.rows],
-                         dtype=np.int64).reshape(-1, 2 * n) % m
+            # the rows are int64, as are their symplectic products: sums of n products below m^2
+            if n * m * m > np.iinfo(np.int64).max:
+                raise ValueError(f"m={m} is too large: the symplectic products of "
+                                 f"generators on n={n} qudits would overflow int64")
+            # operator.index refuses a float exponent, which % m would truncate; the
+            # exponents are reduced as Python ints, so any size reads as its residue
+            v = np.array([[operator.index(x) % m for x in row] for row in body.rows],
+                         dtype=np.int64).reshape(-1, 2 * n)
             x, z = v[:, 0::2], v[:, 1::2]
             clash = (x @ z.T - z @ x.T) % m  # the symplectic products of all pairs
             if clash.any():

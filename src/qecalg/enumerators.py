@@ -19,14 +19,14 @@ evaluation at points on the complex unit disk; the Hamming identity
 
     W_C'(x, y) = (1/M) * W_C(x + (m^2 - 1) y, x - y)
 
-is bivariate; `macwilliams_hamming` expands it binomially, the one route to
-A' from A, and `verify_hamming_identity` builds C' to certify that route.
+is bivariate; `macwilliams_hamming` sums A_j times the Krawtchouk columns K_j,
+the one route to A' from A, and `verify_hamming_identity` builds C' to certify it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +68,9 @@ class CompositionDistribution:
 @dataclass(frozen=True, eq=False)
 class HammingDistribution:
     """Coefficients A_0..A_n, A_i = sum of c_g over labels of weight i, and,
-    where they are known, the same as exact Python ints (complex128 `a` holds
-    integers exactly only below 2^53)."""
+    where they are known, the same as exact Python ints.  complex128 `a` is
+    then their float mirror: exact only below 2^53, and +-inf beyond the
+    float range, where the ints alone hold the values."""
 
     m: int
     n: int
@@ -78,7 +79,7 @@ class HammingDistribution:
 
     @classmethod
     def of_ints(cls, m: int, n: int, counts: Sequence[int]) -> "HammingDistribution":
-        return cls(m, n, np.array(counts, dtype=np.complex128), tuple(counts))
+        return cls(m, n, np.array([_saturated(x) for x in counts], np.complex128), tuple(counts))
 
     def rounded(self):
         """The exact ints, else the integer-rounded vector, or None if some
@@ -89,6 +90,14 @@ class HammingDistribution:
         if np.abs(self.a - r).max() <= ROUNDING_TOL:
             return tuple(int(v) for v in r)
         return None
+
+
+def _saturated(x: int) -> float:
+    """float(x), or +-inf for an int beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
 
 
 def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
@@ -264,34 +273,35 @@ def _shared(points: np.ndarray, n: int) -> np.ndarray:
 
 
 def macwilliams_terms(a, q: int, n: int) -> list:
-    """Coefficients of W(x + (q-1)y, x - y) for W = sum_j a_j x^(n-j) y^j, by
-    binomial expansion; exact integers when the a_j are Python ints."""
+    """Coefficients of W(x + (q-1)y, x - y) for W = sum_j a_j x^(n-j) y^j: sum_j a_j K_j,
+    K_j the Krawtchouk column of (x + (q-1)y)^(n-j) (x - y)^j, built in O(n) from K_(j-1)
+    times (x - y) divided exactly by (x + (q-1)y); exact when the a_j are Python ints."""
+    col = [comb(n, k) * (q - 1) ** k for k in range(n + 1)]
     out = [0] * (n + 1)
-    for j, aj in enumerate(a):
-        if aj == 0:
-            continue
-        # (x + (q-1)y)^(n-j) * (x - y)^j, coefficient of x^(n-k) y^k
-        for p in range(n - j + 1):
-            base = aj * comb(n - j, p) * (q - 1) ** p
-            for s in range(j + 1):
-                out[p + s] += base * comb(j, s) * (-1) ** s
+    for aj in a:
+        if aj:
+            out = [o + aj * c for o, c in zip(out, col)]
+        last = quot = 0  # entry k-1 of this column and of the next
+        for k, c in enumerate(col):
+            col[k] = quot = c - last - (q - 1) * quot
+            last = c
     return out
 
 
 def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
-    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by binomial expansion;
+    """Coefficients of (1/M) * W(x + (m^2-1)y, x - y), by `macwilliams_terms`;
     a mass unfit to divide by raises, as in `transform`, and so does an
     overflowing A' of a finite mass."""
     mass = checked_mass(mass, dist.a)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array(macwilliams_terms(dist.a, dist.m * dist.m, dist.n), np.complex128) / mass
+        out = np.array(macwilliams_terms(dist.a.tolist(), dist.m ** 2, dist.n), complex) / mass
     if np.isfinite(mass) and not np.isfinite(out).all():
         raise QecalgError("the t9 image of A overflows: a coefficient of A' is not finite")
     return out
 
 
 def verify_hamming_identity(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:
-    """Hamming-enumerator identity, closed form via binomial expansion."""
+    """Hamming-enumerator identity, A' of C' against `macwilliams_hamming`."""
     dual = transform(sys, a)
     lhs = hamming_distribution(dual).a
     rhs = macwilliams_hamming(hamming_distribution(a), a.mass)

@@ -170,8 +170,6 @@ def _exact_pair(sys: PhaseSystem, code) -> tuple[HammingDistribution, HammingDis
         differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
         counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
     a = [int(x) for x in counts]
-    b = macwilliams_terms(a, m * m, n)  # t9 times |S|; dividing by |S| is exact for a group
-    if any(x % size for x in b):
-        raise ArithmeticError(f"t9 image of a group of order {size} is not integral: {b}")
-    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, [x // size for x in b]))
+    b = [x // size for x in macwilliams_terms(a, m * m, n)]  # |S| times N(S)'s weight counts
+    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, b))
     return a, b, size

@@ -413,8 +413,11 @@ def test_overflowing_transform_is_input_error(capsys, tmp_path, argv):
          "generators 0 and 1 do not commute"),
         ("errorbasis", "errorbasis v1\nm 1\nordering lee-paired\n1,0\n", "need m >= 2, got m=1"),
         ("code", "code v1\nm 2\nn 1\nkind stabilizer\n1,x\n", "line 5: bad integer in '1,x'"),
+        ("code", "code v1\nm 99999999999999999999\nn 2\nkind stabilizer\n1,0 0,1\n",
+         "m=99999999999999999999 is too large"),
     ],
-    ids=["code-n0", "code-m1", "code-nan", "code-clash", "basis-m1", "code-bad-integer"],
+    ids=["code-n0", "code-m1", "code-nan", "code-clash", "basis-m1", "code-bad-integer",
+         "code-huge-m"],
 )
 def test_bad_code_or_basis_file_is_input_error(capsys, tmp_path, suffix, body, fragment):
     path = tmp_path / f"bad.{suffix}"
@@ -785,6 +788,29 @@ def test_exact_integers_above_2_to_the_53(capsys, tmp_path):
     assert json.loads(out)["results"]["C_dual"] == [[[w], [x, 0.0]] for w, x in enumerate(want)]
 
 
+def test_exact_integers_beyond_the_float_range(capsys, tmp_path):
+    # Z on qudit 0 of 600 qubits: |S| = 2, and A' sums to 4^600 / 2, with terms
+    # beyond 2^1024, which the float mirror of the exact ints holds as inf
+    path = tmp_path / "n600.code"
+    path.write_text("code v1\nm 2\nn 600\nkind stabilizer\n0,1 " + " ".join(["0,0"] * 599) + "\n")
+    want = [x // 2 for x in macwilliams_terms([1, 1] + [0] * 599, 4, 600)]
+    assert max(want) > 2 ** 1024
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert out.startswith(f"K={2 ** 599} d=1 pure=yes;")
+    assert f"A'=({','.join(map(str, want))})" in out
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert code == 0
+    assert f"C': A=({','.join(map(str, want))})" in out
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["K"] == 2 ** 599 and results["A_dual"] == [[x, 0.0] for x in want]
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["results"]["C_dual"] == [[[w], [x, 0.0]] for w, x in enumerate(want)]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "513"],
     ["enumerate", "422", "--kind", "hamming"],
@@ -1096,6 +1122,7 @@ def _regauged3(path, doubled=False):
 
 
 _M17 = {"m17.code": "code v1\nm 17\nn 2\nkind stabilizer\n0,1 0,1\n1,0 16,0\n"}
+_HUGE = {"huge.code": "code v1\nm 2\nn 2\nkind stabilizer\n99999999999999999999999,0 0,1\n"}
 _DUPLICATE = "element v1\nm 2\nn 1\n0 1,0\n1 0.5,-0.25\n0 2,0\n"
 
 _CALLS = [
@@ -1115,6 +1142,9 @@ _CALLS = [
     # the Howell-form stream at m=4: a redundant generator and one of order 2
     ({"howell.code": "code v1\nm 4\nn 2\nkind stabilizer\n0,1 0,3\n0,2 0,2\n2,0 2,0\n"},
      ["analyze howell.code"], 0, "K=2 d=1 pure=yes; A=(1,0,7); A'=(1,2,29)"),
+    # exponents beyond int64 read as their residues: the code is <X (x) Z>
+    (_HUGE, ["analyze huge.code"], 0, "K=2 d=1 pure=yes; A=(1,0,1); A'=(1,2,5)"),
+    (_HUGE, ["verify huge.code --identity t9"], 0, "hamming-identity: pass"),
     # m = 17, the first m whose ordering tables are uint16
     (_M17, ["analyze m17.code"], 0, "K=1 d=2 pure=yes; A=(1,0,288); A'=(1,0,288)"),
     (_M17, ["enumerate m17.code --kind lee --format machine"], 0, '"kind": "lee"'),

@@ -243,6 +243,9 @@ def test_validation_errors():
     for m, n in ((0, 1), (1, 1), (2, 0)):
         with pytest.raises(ValueError, match=f"need m >= 2 and n >= 1, got m={m}, n={n}"):
             CodeSpec.from_stabilizers(m, n, [[(1, 0)] * n])
+    # products of exponents below m would overflow int64
+    with pytest.raises(ValueError, match="^m=99999999999999999999 is too large"):
+        CodeSpec.from_stabilizers(99999999999999999999, 2, [[(1, 0), (0, 1)]])
 
 
 def test_non_integer_exponent_is_refused():
@@ -260,6 +263,10 @@ def test_stabilizer_rows_are_reduced_and_frozen():
     rows = code.body.rows
     assert rows.dtype == np.int64 and not rows.flags.writeable
     assert rows.tolist() == [[1, 1, 1, 0], [0, 1, 0, 1]]
+    # exponents beyond int64 are reduced as Python ints, not refused by the int64 cast
+    huge = [[(3 + 2 ** 70, -1 - 2 ** 80), (1, 0)], [(0, 1), (0, 5 + 2 * 3 ** 50)]]
+    assert CodeSpec.from_stabilizers(2, 2, huge).body.rows.tolist() == rows.tolist()
+    assert CodeSpec.from_stabilizers(2, 1, [[(2 ** 70, 1)]]).body.rows.tolist() == [[0, 1]]
     # the caller's basis array is copied, not frozen
     v = np.eye(2, dtype=complex)[:1]
     basis = CodeSpec.from_basis(2, 1, v)

@@ -22,8 +22,9 @@ from qecalg import (
     verify_hamming_identity,
 )
 from qecalg import build_pauli_system, enumerators
-from qecalg.enumerators import _lee_class
+from qecalg.enumerators import _lee_class, macwilliams_terms
 from qecalg.errors import EvenM
+from macwilliams_reference import binomial_terms
 
 
 # --- independent oracles ---
@@ -249,6 +250,25 @@ def test_hamming_identity_random(sys2, sys3):
         for seed in range(8):
             report = verify_hamming_identity(sys_, random_element(m, n, seed))
             assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 36, 144])
+def test_krawtchouk_columns_match_the_binomial_expansion_exactly(q):
+    # signed A, about 30 % of it zero, with values beyond int64 in A'
+    rng = np.random.default_rng(q)
+    for n in range(1, 45):
+        a = (rng.integers(-2 ** 40, 2 ** 40, n + 1) * (rng.random(n + 1) < 0.7)).tolist()
+        assert macwilliams_terms(a, q, n) == binomial_terms(a, q, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 5), (2, 8), (3, 4), (4, 3), (6, 2)])
+def test_dense_t9_matches_the_binomial_expansion(m, n):
+    for seed in range(5):
+        e = random_element(m, n, seed)
+        dist = hamming_distribution(e)
+        want = np.array(binomial_terms(dist.a, m * m, n), complex) / e.mass
+        got = macwilliams_hamming(dist, e.mass)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_evaluation_and_closed_form_agree(sys2):

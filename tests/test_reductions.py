@@ -80,9 +80,19 @@ def test_hamming_distribution_integer_exact(sys2, shor_code):
         assert np.array_equal(hamming_distribution(e).a, oracle_hamming_distribution(e))
 
 
-@pytest.mark.parametrize("m,n", SIZES)
+def _imaginary_term(m, n):
+    """c_0 = 1 and 1j on the label whose every coordinate is ordering index 1
+    (c_5 = 1j at (m, n) = (2, 2)): its composition (0, n, 0, ...) sums to 1j,
+    whose real part is zero."""
+    coeffs = np.zeros((m * m) ** n, dtype=np.complex128)
+    coeffs[0] = 1.0
+    coeffs[sum((m * m) ** i for i in range(n))] = 1j
+    return AlgebraElement(m, n, coeffs)
+
+
+@pytest.mark.parametrize("m,n", SIZES + [(2, 2)])
 def test_complete_distribution_matches_table(m, n):
-    for element in _elements(m, n, seed=20 * m + n):
+    for element in (*_elements(m, n, seed=20 * m + n), _imaginary_term(m, n)):
         _assert_same_terms(complete_distribution(element).terms, oracle_composition_terms(element))
 
 

@@ -1,0 +1,128 @@
+"""Fault probe: how many single-edit faults of src/qecalg the test suite catches.
+
+    python tools/fault_probe.py            # the unmutated copy, then every row
+    python tools/fault_probe.py --list     # print the table and run nothing
+    python tools/fault_probe.py 3 7        # the unmutated copy, then rows 3 and 7
+
+Each row of MUTANTS names a file under src/qecalg, a text that must occur in
+it exactly once, the text that replaces it, and the outcome expected: the
+suite kills the mutant, or the mutant is equivalent to the program, with the
+reason.  For every run the script copies src/, tests/ and pyproject.toml of
+this checkout into a new temporary directory, applies the row's edit there
+and runs `python -m pytest -x -q -p no:cacheprovider` in it; a failing run
+kills the mutant.  The unmutated copy runs first and must pass.
+
+One line per row is printed.  The exit code is 1 when a row's outcome is
+not the one expected (a mutant expected to be killed survives, an
+equivalent one is killed, or an edit no longer applies), 2 when the
+unmutated copy fails, and 0 otherwise.  Nothing outside the temporary
+directories is written.  The probe is not part of the test suite: one row
+takes from a few seconds to a whole run of the suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KILLED = "killed"
+EQUIVALENT = "equivalent"
+
+# (file under src/qecalg, old text, new text, expected outcome, what the edit breaks or why
+# it changes nothing)
+MUTANTS = [
+    ("stabilizer.py", "        if g != 1:\n            mat = np.vstack",
+     "        if False:\n            mat = np.vstack", KILLED,
+     "the Howell form without its annihilator rows"),
+    ("code_analysis.py", "for x in a[1:d])", "for x in a[1:d + 1])", KILLED,
+     "purity judged over A_1..A_d, one weight too many"),
+    ("enumerators.py", "np.minimum(np.arange(m * m)", "np.maximum(np.arange(m * m)", KILLED,
+     "Lee classes by the larger index of g and -g"),
+    ("group_algebra.py", "out[1:] += acc[:, 1:].sum(axis=1)", "out[1:] += acc[:, 2:].sum(axis=1)",
+     KILLED, "weight_reduce dropping digit 1"),
+    ("stabilizer.py", "powers = lam ** m *", "powers = lam ** (2 * m) *", KILLED,
+     "the phase check on lambda^(2m) instead of lambda^m"),
+    ("enumerators.py", "keep = (re != 0) | (im != 0)", "keep = re != 0", KILLED,
+     "compositions kept only where the real part of their sum is nonzero"),
+    ("kernel.py", "np.ascontiguousarray(mat, dtype=np.complex128).T",
+     "np.ascontiguousarray(mat, dtype=np.complex128)", KILLED,
+     "the complex GEMM against the untransposed matrix"),
+    ("error_basis.py", "kernel = omega * np.conj(omega.T)", "kernel = np.conj(omega) * omega.T",
+     KILLED, "the conjugated kernel"),
+    ("group_algebra.py", "out *= 1 / mass", "out *= 1 / mass.conjugate()", KILLED,
+     "C' scaled by 1/conj(M)"),
+    ("stabilizer.py", "for minus in neg[high].T:", "for minus in high.T:", EQUIVALENT,
+     "the weights of low + offset counted as those of low - offset: the low rows span a "
+     "subgroup L of S and the offsets a transversal H of its cosets, -H is one too, so "
+     "both run over S once"),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(dest: Path, row) -> bool:
+    """Apply the row's edit in the copy; False unless its old text occurs exactly once."""
+    name, old, new = row[:3]
+    path = dest / "src" / "qecalg" / name
+    text = path.read_text()
+    if text.count(old) != 1:
+        return False
+    path.write_text(text.replace(old, new))
+    return True
+
+
+def _suite_passes(row=None) -> tuple[bool | None, float]:
+    """Run the suite on a fresh copy, mutated by `row` if given: (passed, seconds),
+    passed None when the row's edit does not apply."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="qecalg-fault-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if row is not None and not _apply(dest, row):
+            return None, 0.0
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                             cwd=dest, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+        return run.returncode == 0, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for i, (name, _, _, expected, why) in enumerate(MUTANTS, 1):
+            print(f"{i:2d} {expected:10s} {name}: {why}")
+        return 0
+    rows = [int(a) for a in argv] if argv else range(1, len(MUTANTS) + 1)
+    passed, seconds = _suite_passes()
+    print(f" 0 unmutated  {'passed' if passed else 'FAILED'} in {seconds:.1f} s", flush=True)
+    if not passed:
+        return 2
+    bad = 0
+    for i in rows:
+        row = MUTANTS[i - 1]
+        name, _, _, expected, why = row
+        passed, seconds = _suite_passes(row)
+        # a stale row's edit no longer applies: the table is out of date
+        outcome = "stale" if passed is None else "survived" if passed else "killed"
+        wrong = outcome != ("killed" if expected == KILLED else "survived")
+        print(f"{i:2d} {outcome:10s} in {seconds:5.1f} s  [{expected}] {name}: {why}"
+              f"{'  UNEXPECTED' if wrong else ''}", flush=True)
+        bad += wrong
+    print(f"# {len(rows)} rows, {bad} unexpected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
