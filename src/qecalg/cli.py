@@ -77,6 +77,14 @@ def _fmt_complex(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
+def _coeff_text(v: int | complex) -> str:
+    """A coefficient as text: an int as is, otherwise 12 significant digits
+    with `+...i` unless the imaginary part is at most 1e-9 in size."""
+    if isinstance(v, int):
+        return str(v)
+    return f"{v.real:.12g}" + ("" if abs(v.imag) <= 1e-9 else f"{v.imag:+.12g}i")
+
+
 def _machine_entries(dist: HammingDistribution) -> list[list]:
     """[re, im] per coefficient; exact ints stay ints, whatever their size."""
     if dist.exact is not None:
@@ -90,8 +98,8 @@ def _hamming_text(dist: HammingDistribution,
     on integer-rounded floats, None when nothing was rounded (exact ints never are)."""
     pair = (dist, dual)
     ints = [d.rounded() for d in pair]
-    a_txt, b_txt = ("(" + ",".join(map(str, i) if i is not None else (f"{v.real:.6g}" for v in d.a))
-                    + ")" for d, i in zip(pair, ints))
+    a_txt, b_txt = ("(" + ",".join(map(_coeff_text, d.a if i is None else i)) + ")"
+                    for d, i in zip(pair, ints))
     note = None
     if any(d.exact is None for d in pair) and all(i is not None for i in ints):
         resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in pair)
@@ -143,10 +151,7 @@ def _dist_records(kind: str, element: AlgebraElement):
     dist = (complete_distribution if kind == "complete" else lee_distribution)(element)
     records = [list(pair) for pair in zip(
         dist.counts.tolist(), dist.values.view(np.float64).reshape(-1, 2).tolist())]
-    text = []
-    for key, (re, im) in records:
-        val = f"{re:.12g}" if abs(im) <= 1e-9 else f"{re:.12g}{im:+.12g}i"
-        text.append(f"  {tuple(key)} -> {val}")
+    text = [f"  {tuple(key)} -> {_coeff_text(complex(re, im))}" for key, (re, im) in records]
     return records, text
 
 
@@ -276,7 +281,7 @@ def _cmd_transform(args):
     c0, mass = dual.coeffs[0], element.mass
     results = {"mass": _fmt_complex(mass), "c0_dual": _fmt_complex(c0), "output": str(out_path)}
     text = [
-        f"M={mass.real:.12g}" + (f"{mass.imag:+.12g}i" if abs(mass.imag) > 1e-9 else ""),
+        f"M={_coeff_text(mass)}",
         f"c'_0={c0.real:.12g}",
         f"wrote {out_path}",
     ]

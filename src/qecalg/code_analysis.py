@@ -67,7 +67,7 @@ def pauli_label(s: str) -> Label:
 class StabilizerGenerators:
     """Generator rows (a_1, b_1, ..., a_n, b_n), which a `CodeSpec` holds as
     one read-only (r, 2n) int64 array reduced mod m, and optionally one phase
-    exponent p per generator (the operator is exp(i*pi*p/m) E_g).
+    exponent p per generator, reduced mod 2m (the operator is exp(i*pi*p/m) E_g).
     phases=None is phase-free: only the index group is analysed and no
     phase is checked."""
 
@@ -109,7 +109,10 @@ class CodeSpec:
             bad = next((len(row) for row in body.rows if len(row) != 2 * n), None)
             if bad is not None:
                 raise ValueError(f"generator has {bad / 2:g} coordinates, expected {n}")
-            phases = None if body.phases is None else tuple(body.phases)
+            # a phase exponent p stands for exp(i*pi*p/m), so it is read mod 2m,
+            # as a Python int like the exponents below
+            phases = (None if body.phases is None
+                      else tuple(operator.index(p) % (2 * m) for p in body.phases))
             if phases is not None and len(phases) != len(body.rows):
                 raise ValueError("one phase exponent per generator required")
             # the rows are int64, as are their symplectic products: sums of n products below m^2

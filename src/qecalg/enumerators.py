@@ -10,8 +10,9 @@ Four enumerators, coarsest last:
 
 The complete and Lee distributions are one `CompositionDistribution`: the
 sorted composition rows and their sums as two arrays, from one bincount
-over mixed-radix keys (`_composition_terms`); its `terms` dict is derived
-from the arrays on demand.  The Hamming distribution is A_0..A_n.
+over composition numbers built one axis at a time (`_composition_terms`);
+its `terms` dict is derived from the arrays on demand.  The Hamming
+distribution is A_0..A_n.
 
 Each has a MacWilliams-type identity linking the enumerator of C to that of
 its transform C'.  The exact/complete/Lee identities are verified by random
@@ -34,7 +35,7 @@ import numpy as np
 from .error_basis import PhaseSystem, canonical_ordering
 from .errors import EvenM, QecalgError
 from .group_algebra import (
-    IDENTITY_TOL, AlgebraElement, checked_mass, contract_axes, label_sums, transform,
+    IDENTITY_TOL, AlgebraElement, checked_mass, contract_axes, transform,
     weight_reduce)
 from .reports import CheckReport
 
@@ -105,51 +106,33 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
     """Sum coefficients by composition: how many coordinates carry each of
     `count` symbols, symbol[v] being the symbol of ordering index v.
 
-    A composition is keyed by its counts as mixed-radix digits in base n+1,
-    built one axis at a time by broadcasting; symbols are split into as many
-    int64 key columns as needed.  Symbol 0 takes the most significant digit,
-    within a column and across columns, so the sorted distinct keys (np.unique
-    of one column, a lexsort of several), split back into digits, are the
-    rows of `counts` in lexicographic order, with no re-sort.  Sums that are
-    exactly zero (unoccupied keys of indicator elements) are dropped.
+    Compositions are numbered one axis at a time.  The compositions of the
+    first i coordinates are a lexicographically sorted uint8 table (a count
+    is at most n <= 31, so a row's bytes sort as the row does); each row is
+    extended by one coordinate of every symbol and the results renumbered by
+    one np.unique over the rows viewed as bytes, and each label takes the
+    number of its prefix's composition extended by its last coordinate.  The
+    table after n axes is `counts`, in lexicographic order with no re-sort.
+    Sums that are exactly zero (unoccupied compositions of indicator
+    elements) are dropped.
     """
-    base = a.n + 1
-    per_column, limit = 1, np.iinfo(np.int64).max
-    while base ** (per_column + 1) <= limit:
-        per_column += 1
-    widths = [min(per_column, count - start) for start in range(0, count, per_column)]
-    columns = []
-    for j, width in enumerate(widths):
-        places = np.zeros(count, dtype=np.int64)
-        places[j * per_column:j * per_column + width] = _powers(base, width)
-        columns.append(label_sums(places[symbol], a.n))
-    if len(columns) == 1:  # the common case, where np.unique beats a lexsort
-        keys, inverse = np.unique(columns[0], return_inverse=True)
-        keys = keys[:, None]
-    else:  # np.lexsort sorts by its last key first; a run starts where any column changes
-        order = np.lexsort(columns[::-1])
-        keys = np.stack([col[order] for col in columns], axis=1)
-        starts = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
-        keys = keys[starts]
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(starts) - 1
-    inverse = inverse.reshape(-1)
-    re = np.bincount(inverse, weights=a.coeffs.real, minlength=len(keys))
-    im = np.bincount(inverse, weights=a.coeffs.imag, minlength=len(keys))
+    unit = np.eye(count, dtype=np.uint8)
+    comps = np.zeros((1, count), dtype=np.uint8)
+    number = np.zeros(1, dtype=np.intp)
+    for _ in range(a.n):
+        rows = (comps[:, None] + unit).reshape(-1, count)
+        distinct, renumber = np.unique(rows.view(f"V{count}").reshape(-1), return_inverse=True)
+        comps = distinct.view(np.uint8).reshape(-1, count)
+        number = renumber.reshape(-1, count)[:, symbol][number].reshape(-1)
+    re = np.bincount(number, weights=a.coeffs.real, minlength=len(comps))
+    im = np.bincount(number, weights=a.coeffs.imag, minlength=len(comps))
     keep = (re != 0) | (im != 0)
-    counts = np.concatenate(
-        [keys[keep, j, None] // _powers(base, width) % base for j, width in enumerate(widths)],
-        axis=1)
+    counts = comps[keep].astype(np.int64)
     # written pairwise: re + 1j*im would turn an infinite im into a NaN real part
     values = np.stack([re[keep], im[keep]], axis=1).view(np.complex128).reshape(-1)
     for arr in (counts, values):
         arr.setflags(write=False)
     return CompositionDistribution(a.m, a.n, counts, values)
-
-
-def _powers(base: int, width: int) -> np.ndarray:
-    """base^(width-1), ..., base^0: the places of `width` digits, first most significant."""
-    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
 def _lee_class(m: int) -> np.ndarray:

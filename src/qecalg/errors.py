@@ -58,10 +58,6 @@ class InconsistentStabilizers(QecalgError):
     identity, so they stabilize no state."""
 
 
-class NonIntegerDimension(QecalgError):
-    """m^n / mass is not an integer within tolerance."""
-
-
 class NoDistance(QecalgError):
     """No coefficient distinguishes the element from its transform."""
 

@@ -12,9 +12,10 @@ is the kernel matrix applied along each of the n axes, cost
 O(n * m^2 * m^(2n)); the direct double summation that certifies it lives in
 `oracle.transform_naive`.
 
-Sums over labels (by Hamming weight, by composition, or weighted by a
-product of per-coordinate values) are reduced one axis at a time on the
-coefficients viewed as an (m^2,) * n tensor; no per-label table is built.
+Sums over labels by Hamming weight, or weighted by a product of
+per-coordinate values, are reduced one axis at a time on the coefficients
+viewed as an (m^2,) * n tensor, with no per-label table.  Sums by
+composition keep one intp composition number per label, built axis by axis.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ def weight_reduce(values: np.ndarray, q: int, n: int) -> np.ndarray:
             out[1:] += acc[:, 1:].sum(axis=1)
             acc = out
     return acc.reshape(n + 1)
-
-
-def label_sums(table: np.ndarray, n: int) -> np.ndarray:
-    """Flat array over all labels g of sum_i table[g_i], one axis at a time."""
-    out = table
-    for _ in range(n - 1):
-        out = np.add.outer(out, table).reshape(-1)
-    return out
 
 
 def contract_axes(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .enumerators import HammingDistribution, macwilliams_terms
 from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem
-from .errors import InconsistentStabilizers, NonIntegerDimension, ShapeMismatch
+from .errors import InconsistentStabilizers, ShapeMismatch
 
 _BLOCK = 1 << 16  # the most elements of S in one block: the stored low-row combinations
 
@@ -160,8 +160,6 @@ def _exact_pair(sys: PhaseSystem, code) -> tuple[HammingDistribution, HammingDis
     m, n = code.m, code.n
     low, high = _index_group(sys, code)
     size = low.shape[1] * high.shape[1]
-    if m ** n % size:
-        raise NonIntegerDimension(f"m^n / M = {m ** n / size!r} is not an integer")
     # a qudit of low + offset is nonzero iff its low index differs from that of -offset
     neg = sys.ordering.neg_table
     counts = np.zeros(n + 1, dtype=np.int64)

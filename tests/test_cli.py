@@ -1129,10 +1129,13 @@ _CALLS = [
     # A' of a 4^15-coefficient element, by the exact route and t9 alone
     ({}, ["enumerate rm15 --kind hamming"], 0,
      "C': A=(1,0,0,35,105,168,280,675,675,8680,5208,25305,8435,11760,1680,2529)"),
+    # a Hamming pair that is not real: A = (1, i) and A' = (1, 1 - 2i)
+    ({"imag.elem": "element v1\nm 2\nn 1\n0 1,0\n1 0,1\n"},
+     ["enumerate imag.elem --kind hamming"], 0, "C : A=(1,0+1i)\nC': A=(1,1-2i)"),
     ({}, ["enumerate 422 --kind complete"], 0, "(0, 0, 2, 2) -> 6"),
     ({}, ["enumerate 311qutrit --kind lee"], 0, "(1, 2, 0, 0, 0) -> 6"),
     ({}, ["enumerate 311qutrit --kind lee --format machine"], 0, "(1, 2, 0, 0, 0) -> 6"),
-    # m = 13, n = 1: complete compositions keyed by three int64 columns
+    # m = 13, n = 1: complete compositions of 169 symbols, wider than one int64 key
     ({"m13.elem": "element v1\nm 13\nn 1\n0 1,0\n5 0.5,-0.25\n168 0.125,0\n"},
      ["enumerate m13.elem --kind complete --format machine"], 0, '"kind": "complete"'),
     # the dense route (A' from t9), on a basis file holding a Bell state

@@ -4,6 +4,7 @@ import importlib
 import json
 import inspect
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ def test_complete_distribution_matches_table(m, n):
         _assert_same_terms(complete_distribution(element).terms, oracle_composition_terms(element))
 
 
-# (6, 3) keys take two int64 columns: (n+1)^(m^2) = 4^36 overflows int64;
-# (13, 1) takes three: 2^169 needs 62 + 62 + 45 binary digits
+# wide compositions: (6, 3) has 36 symbols and (13, 1) has 169, so neither
+# fits one int64 as a base-(n+1) number ((n+1)^(m^2) = 4^36 and 2^169)
 @pytest.mark.parametrize("m,n,lee", [(4, 3, False), (3, 4, False), (3, 4, True), (2, 7, False),
                                      (5, 3, False), (5, 3, True), (6, 3, False),
                                      (13, 1, False)])
@@ -112,7 +113,7 @@ def test_composition_keys_come_out_sorted(m, n, lee):
         assert got_bits == np.array(list(want.values())).view(np.uint64).tolist()
 
 
-# (9, 2) Lee keys take two int64 columns too: 3^41 overflows int64
+# (9, 2) Lee compositions are wide too: 41 classes, and 3^41 overflows int64
 DIST_CASES = [(4, 3, False), (3, 4, False), (3, 4, True), (5, 3, True), (6, 3, False),
               (9, 2, True)]
 
@@ -159,9 +160,22 @@ def test_complete_distribution_drops_cancelled_keys():
 
 
 def test_complete_distribution_several_key_columns():
-    # (n+1)^(m^2) = 4^36 overflows int64, so the keys take two columns
+    # 36 symbols: a composition read as a base-(n+1) number, 4^36, overflows int64
     element = random_element(6, 3, seed=3)
     _assert_same_terms(complete_distribution(element).terms, oracle_composition_terms(element))
+
+
+@pytest.mark.parametrize("m,n,lee", [(2, 8, False), (3, 5, True)])
+def test_composition_sums_peak_below_one_and_a_half_elements(m, n, lee):
+    # the one per-label array is the intp composition number, half an element
+    element = random_element(m, n, seed=9)
+    tracemalloc.start()
+    try:
+        (lee_distribution if lee else complete_distribution)(element)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * element.coeffs.nbytes
 
 
 @pytest.mark.parametrize("m,n", LEE_SIZES)
