@@ -178,8 +178,8 @@ def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: in
     draw(rng, trials) gives stacked (trials, n, m^2) points at which to
     evaluate the enumerator of C', and the substituted points at which to
     evaluate that of C; per trial the two values must agree up to the factor
-    1/M.  A check of no trials would pass vacuously, so trials < 1 is a
-    ValueError.
+    1/M, and `failures` are the trials at which they do not.  A check of no
+    trials would pass vacuously, so trials < 1 is a ValueError.
     """
     if trials < 1:
         raise ValueError(f"{name} needs trials >= 1, got {trials}")
@@ -189,15 +189,8 @@ def _evaluation_check(name: str, sys: PhaseSystem, a: AlgebraElement, trials: in
     lhs = contract_axes(dual.coeffs, z)
     rhs = contract_axes(a.coeffs, w) / a.mass
     denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    residuals = np.abs(lhs - rhs) / denom
-    bad = tuple(int(t) for t in np.flatnonzero(~(residuals <= IDENTITY_TOL)))  # NaN fails
-    return CheckReport(
-        name=name,
-        passed=not bad,
-        max_residual=float(np.max(residuals, initial=0.0)),
-        failures=bad,
-        detail=f"{trials} evaluation points",
-    )
+    return CheckReport.from_residuals(name, np.abs(lhs - rhs) / denom, IDENTITY_TOL,
+                                      detail=f"{trials} evaluation points")
 
 
 def verify_exact_identity(
@@ -284,9 +277,8 @@ def macwilliams_hamming(dist: HammingDistribution, mass: complex) -> np.ndarray:
 
 
 def verify_hamming_identity(sys: PhaseSystem, a: AlgebraElement) -> CheckReport:
-    """Hamming-enumerator identity, A' of C' against `macwilliams_hamming`."""
-    dual = transform(sys, a)
-    lhs = hamming_distribution(dual).a
+    """Hamming-enumerator identity, A' of C' against `macwilliams_hamming`;
+    `failures` are the weights w at which A'_w differs."""
+    lhs = hamming_distribution(transform(sys, a)).a
     rhs = macwilliams_hamming(hamming_distribution(a), a.mass)
-    resid = float(np.abs(lhs - rhs).max())
-    return CheckReport(name="hamming-identity", passed=resid <= IDENTITY_TOL, max_residual=resid)
+    return CheckReport.from_residuals("hamming-identity", np.abs(lhs - rhs), IDENTITY_TOL)

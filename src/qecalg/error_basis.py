@@ -24,7 +24,7 @@ checked when asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -170,17 +170,13 @@ def build_pauli_system(m: int) -> PhaseSystem:
 
 
 def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
-    """Check that sum_g w_{gh} * conj(w_{hg}) = 0 for every nonzero h; a NaN fails."""
+    """Check that sum_g w_{gh} * conj(w_{hg}) = 0 for every nonzero h; a NaN
+    fails, and `failures` are the h indices whose sums do not vanish."""
     sums = (sys.omega * np.conj(sys.omega.T)).sum(axis=1)  # entry h: sum over g
-    resid = np.abs(sums[1:])
-    bad = tuple((np.flatnonzero(~(resid <= PHASE_TOL)) + 1).tolist())
-    return CheckReport(
-        name="kernel-row-sums",
-        passed=not bad,
-        max_residual=float(resid.max()),
-        failures=bad,
-        detail="" if not bad else f"nonzero row sums at h indices {bad}",
-    )
+    report = CheckReport.from_residuals("kernel-row-sums", np.abs(sums[1:]), PHASE_TOL,
+                                        label=lambda h: h + 1)
+    return report if report.passed else replace(
+        report, detail=f"nonzero row sums at h indices {report.failures}")
 
 
 def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) -> CheckReport:
@@ -207,15 +203,11 @@ def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) ->
     np.maximum(closure, np.abs(np.hypot(omega.real, omega.imag) - 1.0), out=closure)
     residuals = np.concatenate([unitary, [np.abs(mats[0] - np.eye(m)).max()],
                                 np.hypot(traces.real, traces.imag), closure.ravel()])
-    bad = tuple(("unitary", k) if k < q else ("identity", 0) if k == q
-                else ("trace", k - q - 1) if k <= 2 * q else ("closure", *divmod(k - 2 * q - 1, q))
-                for k in np.flatnonzero(~(residuals <= PHASE_TOL)).tolist())
-    return CheckReport(
-        name="basis-axioms",
-        passed=not bad,
-        max_residual=float(residuals.max()),
-        failures=bad,
-    )
+    return CheckReport.from_residuals(
+        "basis-axioms", residuals, PHASE_TOL,
+        label=lambda k: (("unitary", k) if k < q else ("identity", 0) if k == q
+                         else ("trace", k - q - 1) if k <= 2 * q
+                         else ("closure", *divmod(k - 2 * q - 1, q))))
 
 
 def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:

@@ -174,43 +174,35 @@ def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
         raise FormatError(f"bad integer in {token!r}", path, lineno) from None
 
 
-def _take_header(numbers, lines, path: Path, magic: str, keys: list[str]) -> dict:
-    """The header fields `keys` that follow the line `magic`; the body is
-    lines[1 + len(keys):]."""
+def _header(path: Path, text: bytes, magic: str, keys: list[str]):
+    """The header of `text`: the line `magic`, then one line "<key> <value>"
+    per key.  Returns the fields by key, m and n (where they are keys) as
+    ints checked against m >= 2 and n >= 1 before anything is sized from
+    them, and the offset and the number of the body's first line."""
+    numbers, lines, start, first = _head(text, 1 + len(keys))
     if not lines:
         raise FormatError("empty file", path)
     if lines[0] != magic:
         raise FormatError(f"expected header {magic!r}, got {lines[0]!r}", path, numbers[0])
-    out = {}
+    header = {}
     for i, key in enumerate(keys, start=1):
         if i >= len(lines):
             raise FormatError(f"missing header field {key!r}", path)
         parts = lines[i].split(maxsplit=1)
         if len(parts) != 2 or parts[0] != key:
             raise FormatError(f"expected '{key} <value>', got {lines[i]!r}", path, numbers[i])
-        out[key] = parts[1]
-    return out
-
-
-def _header_int(header: dict, key: str, path: Path) -> int:
-    try:
-        return int(header[key])
-    except ValueError:
-        raise FormatError(f"{key} must be an integer, got {header[key]!r}", path) from None
-
-
-_LEAST = {"m": 2, "n": 1}
-
-
-def _header_dims(header: dict, path: Path, keys: tuple[str, ...]) -> list[int]:
-    """The header fields `keys` ("m", and "n" where present), checked against
-    m >= 2 and n >= 1 before anything is sized from them."""
-    values = [_header_int(header, key, path) for key in keys]
-    if any(v < _LEAST[key] for key, v in zip(keys, values)):
-        need = " and ".join(f"{key} >= {_LEAST[key]}" for key in keys)
-        got = ", ".join(f"{key}={v}" for key, v in zip(keys, values))
+        header[key] = parts[1]
+    dims = [key for key in ("m", "n") if key in header]
+    for key in dims:
+        try:
+            header[key] = int(header[key])
+        except ValueError:
+            raise FormatError(f"{key} must be an integer, got {header[key]!r}", path) from None
+    if header["m"] < 2 or header.get("n", 1) < 1:
+        need = " and ".join(("m >= 2", "n >= 1")[:len(dims)])
+        got = ", ".join(f"{key}={header[key]}" for key in dims)
         raise FormatError(f"need {need}, got {got}", path)
-    return values
+    return header, start, first
 
 
 def _repeats(index: np.ndarray) -> np.ndarray:
@@ -236,9 +228,8 @@ def read_input(path, data: bytes | None = None) -> AlgebraElement | CodeSpec:
 def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
     text = _utf8(path, data)
-    numbers, lines, start, first = _head(text, 3)
-    header = _take_header(numbers, lines, path, "element v1", ["m", "n"])
-    m, n = _header_dims(header, path, ("m", "n"))
+    header, start, first = _header(path, text, "element v1", ["m", "n"])
+    m, n = header["m"], header["n"]
     size = array_length(m, n, "an element", 2)
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
@@ -342,11 +333,10 @@ def write_element(path, element: AlgebraElement) -> None:
 
 def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
-    numbers, lines = _significant(1, _utf8(path, data))
-    header = _take_header(numbers, lines, path, "code v1", ["m", "n", "kind"])
-    m, n = _header_dims(header, path, ("m", "n"))
-    numbers, lines = numbers[4:], lines[4:]
-    kind = header["kind"]
+    text = _utf8(path, data)
+    header, start, first = _header(path, text, "code v1", ["m", "n", "kind"])
+    m, n, kind = header["m"], header["n"], header["kind"]
+    numbers, lines = _significant(first, text[start:])
     if kind == "stabilizer":
         rows = []
         for lineno, line in zip(numbers, lines):
@@ -383,9 +373,9 @@ def write_code(path, code: CodeSpec) -> None:
 
 def read_custom_basis(path, data: bytes | None = None) -> PhaseSystem:
     path = Path(path)
-    numbers, lines = _significant(1, _utf8(path, data))
-    header = _take_header(numbers, lines, path, "errorbasis v1", ["m", "ordering"])
-    (m,) = _header_dims(header, path, ("m",))
+    text = _utf8(path, data)
+    header, start, first = _header(path, text, "errorbasis v1", ["m", "ordering"])
+    m = header["m"]
     expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"
     if header["ordering"] != expected_ordering:
         raise FormatError(
@@ -393,7 +383,7 @@ def read_custom_basis(path, data: bytes | None = None) -> PhaseSystem:
             f"{expected_ordering!r} for m={m}",
             path,
         )
-    rows = _complex_rows(numbers[3:], lines[3:], m, "matrix row", path)
+    rows = _complex_rows(*_significant(first, text[start:]), m, "matrix row", path)
     if len(rows) != m ** 3:
         raise FormatError(
             f"expected m^2 = {m * m} matrices ({m ** 3} rows), got {len(rows)} rows", path

@@ -8,20 +8,26 @@ import pytest
 
 from qecalg import (
     AlgebraElement,
+    PhaseSystem,
     associated_element,
     canonical_ordering,
+    check_cs_ordering,
     complete_distribution,
+    double_transform_scaling_check,
     hamming_distribution,
     lee_distribution,
     macwilliams_hamming,
+    random_code,
     random_element,
     transform,
+    verify_basis_axioms,
     verify_exact_identity,
     verify_complete_identity,
     verify_lee_identity,
     verify_hamming_identity,
+    verify_kernel_row_sums,
 )
-from qecalg import build_pauli_system, enumerators
+from qecalg import build_pauli_system, code_analysis, enumerators
 from qecalg.enumerators import _lee_class, macwilliams_terms
 from qecalg.errors import EvenM
 from macwilliams_reference import binomial_terms
@@ -298,15 +304,43 @@ def test_evaluation_and_closed_form_agree(sys2):
     assert abs(rhs_subst - rhs_closed) < 1e-9 * max(1.0, abs(rhs_closed))
 
 
+def _with_nan(coeffs):
+    """A copy of `coeffs` with a NaN at flat label 5, of weight 1 when (m, n) = (3, 2)."""
+    out = coeffs.copy()
+    out[5] = np.nan
+    return out
+
+
 @pytest.mark.parametrize("check", [verify_exact_identity, verify_complete_identity,
-                                   verify_lee_identity])
-def test_evaluation_identities_fail_on_nan(sys3, check):
-    coeffs = random_element(3, 2, 4).coeffs.copy()
-    coeffs[5] = np.nan
-    with np.errstate(invalid="ignore"):
-        report = check(sys3, AlgebraElement(3, 2, coeffs), 3, seed=1)
+                                   verify_lee_identity, verify_hamming_identity,
+                                   double_transform_scaling_check, check_cs_ordering,
+                                   verify_kernel_row_sums, verify_basis_axioms])
+def test_evaluation_identities_fail_on_nan(sys3, monkeypatch, check):
+    # every check fails on one NaN, with a NaN max_residual and failures naming
+    # the NaN's entry: every trial, every weight and every label once the NaN
+    # has spread through the mass M, else its own label, h indices or axiom tag
+    if check in (verify_kernel_row_sums, verify_basis_axioms):
+        omega = sys3.omega.copy()
+        omega[1, 2] = np.nan
+        broken = PhaseSystem(omega=omega, kernel=sys3.kernel, ordering=sys3.ordering,
+                             matrices=sys3.matrices)
+        report = check(broken)
+        expected = (1, 2) if check is verify_kernel_row_sums else (("closure", 1, 2),)
+    elif check is check_cs_ordering:
+        # a code's C has no NaN, so the NaN comes in through C'
+        monkeypatch.setattr(code_analysis, "transform", lambda sys_, c: AlgebraElement(
+            c.m, c.n, _with_nan(transform(sys_, c).coeffs)))
+        report, expected = check(sys3, random_code(3, 2, 2, seed=1)), (5,)
+    else:
+        element = AlgebraElement(3, 2, _with_nan(random_element(3, 2, 4).coeffs))
+        with np.errstate(invalid="ignore"):
+            if check in (verify_hamming_identity, double_transform_scaling_check):
+                report = check(sys3, element)
+            else:
+                report = check(sys3, element, 3, seed=1)
+        expected = tuple(range(81 if check is double_transform_scaling_check else 3))
     assert not report.passed
-    assert report.failures == (0, 1, 2)
+    assert report.failures == expected
     assert np.isnan(report.max_residual)
 
 

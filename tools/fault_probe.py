@@ -65,6 +65,8 @@ MUTANTS = [
      "the weights of low + offset counted as those of low - offset: the low rows span a "
      "subgroup L of S and the offsets a transversal H of its cosets, -H is one too, so "
      "both run over S once"),
+    ("reports.py", "~(residuals <= tol)", "residuals > tol", KILLED,
+     "every check's verdict rule letting a NaN residual pass"),
 ]
 
 
