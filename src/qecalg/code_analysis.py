@@ -184,22 +184,18 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     """The algebra element encoding the code (c_0 is always 1).
 
     Stabilizer input: indicator of the generated index subgroup (with the
-    phase check of `_index_group`), scattered block by block.  Basis input:
-    |tr(E_g P)|^2 / K^2 for every label in one axis contraction, under any
-    nice error basis.
+    phase check of `_index_group`), scattered from all of S at once.  Basis
+    input: |tr(E_g P)|^2 / K^2 for every label in one axis contraction,
+    under any nice error basis.
     """
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
-        size = array_length(m, n, "an element", 2)  # before S is streamed
+        size = array_length(m, n, "an element", 2)  # before S is formed
         low, high = _index_group(sys, code)
-        q, plus = m * m, sys.ordering.add_table
+        # the (n, |S|) ordering-index digits of S, every low row plus every offset
+        digits = sys.ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1)
         coeffs = np.zeros(size, dtype=np.complex128)
-        for offset in high.T:
-            idx = np.zeros(low.shape[1], dtype=np.int64)
-            for i in range(n):
-                idx *= q
-                idx += plus[offset[i]][low[i]]
-            coeffs[idx] = 1.0
+        coeffs[np.ravel_multi_index(digits, (m * m,) * n)] = 1.0
         return AlgebraElement(m, n, coeffs)
     return _associated_basis(sys, code)
 

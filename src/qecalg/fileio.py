@@ -205,14 +205,6 @@ def _header(path: Path, text: bytes, magic: str, keys: list[str]):
     return header, start, first
 
 
-def _repeats(index: np.ndarray) -> np.ndarray:
-    """Flags of the entries of `index` equal to an earlier entry."""
-    order = np.argsort(index, kind="stable")
-    flags = np.zeros(len(index), dtype=bool)
-    flags[order[1:][index[order[1:]] == index[order[:-1]]]] = True
-    return flags
-
-
 def read_input(path, data: bytes | None = None) -> AlgebraElement | CodeSpec:
     """The element or the code in a file: an element when its first
     significant line starts with "element", else a code, whose reader then
@@ -287,7 +279,10 @@ def _written_lines(block: bytes, seen: np.ndarray):
         return None
     index = values[:, 0].astype(np.int64)
     pairs = values[:, 1:]
-    if (_repeats(index) | seen[index]).any() or not np.isfinite(pairs).all():
+    # an index on two lines of the block; a stable sort is one pass over the
+    # ascending indices the writers write
+    repeat = (np.diff(np.sort(index, kind="stable")) == 0).any()
+    if repeat or seen[index].any() or not np.isfinite(pairs).all():
         return None
     return index, pairs
 

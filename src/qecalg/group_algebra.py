@@ -3,8 +3,9 @@
 An element C = sum_g c_g z^g is stored as a dense complex array of length
 m^(2n).  The library names a label g = (g_1, ..., g_n) only by its flat
 index: the ordering indices `GroupOrdering.position[a_i, b_i]` of its
-coordinates as base-m^2 digits, first coordinate most significant
-(np.ravel_multi_index over shape (m^2,) * n).  The transform
+coordinates as base-m^2 digits, first coordinate most significant.
+np.ravel_multi_index and np.unravel_index over shape (m^2,) * n are the one
+spelling of that numbering, from digits to flat index and back.  The transform
 
     c'_h = (1/M) * sum_g c_g * prod_i kernel[h_i, g_i],    M = sum_g c_g
 

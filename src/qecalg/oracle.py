@@ -23,13 +23,7 @@ _TOL = 1e-9
 
 def label_digits(m: int, n: int) -> np.ndarray:
     """(m^(2n), n) table: the ordering-index digits of every flat index."""
-    q = m * m
-    idx = np.arange(q ** n)
-    digits = np.empty((q ** n, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        digits[:, i] = idx % q
-        idx //= q
-    return digits
+    return np.stack(np.unravel_index(np.arange(m ** (2 * n)), (m * m,) * n), axis=1)
 
 
 def _grouped_terms(keys: np.ndarray, coeffs: np.ndarray) -> dict:
@@ -98,10 +92,10 @@ def oracle_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Group convolution by scattering b once per support element of a."""
     ordering = canonical_ordering(a.m)
     digits = label_digits(a.m, a.n)
-    places = ordering.size ** np.arange(a.n - 1, -1, -1, dtype=np.int64)
     out = np.zeros(a.size, dtype=np.complex128)
     for gi in np.nonzero(a.coeffs)[0]:
-        target = ordering.add_table[digits[gi][None, :], digits] @ places
+        target = np.ravel_multi_index(ordering.add_table[digits[gi], digits].T,
+                                      (ordering.size,) * a.n)
         out[target] += a.coeffs[gi] * b.coeffs
     return AlgebraElement(a.m, a.n, out)
 

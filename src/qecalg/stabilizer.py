@@ -13,6 +13,10 @@ holds for every nice error basis (the kernel rows sum to zero, lemma 1), so
 these numbers do not depend on the basis.  Phased generators are checked on
 their powers and on the relation words of one Howell form of [G | I].
 
+Only the exact route, `_exact_pair`, streams S.  The dense C of
+`code_analysis.associated_element` takes S whole, both tables at once: S is
+isotropic, so |S| <= m^n, the square root of the m^(2n) coefficients of C.
+
 A code is read through its m, n and body alone: `code_analysis` builds
 codes and frames the exact pair into a report, and imports this module.
 """
@@ -109,8 +113,8 @@ def _stream(rows: np.ndarray, orders: np.ndarray,
     per-qudit ordering indices: `low`, (n, L) with L <= _BLOCK, the
     combinations of the last rows, and `high`, (n, prod_k t_k / L), those of
     the others.  Every element of the span is low[:, j] + high[:, k] (added
-    qudit by qudit in Z_m x Z_m) for exactly one (j, k), so the span is
-    streamed in prod_k t_k / L blocks and never stored."""
+    qudit by qudit in Z_m x Z_m) for exactly one (j, k), so `_exact_pair`
+    streams the span in prod_k t_k / L blocks and never stores it."""
     m, n, plus = ordering.m, rows.shape[1] // 2, ordering.add_table
     # codes[k, :, t] indexes t h_k; C-ordered index arrays give C-ordered tables
     t = np.arange(m)

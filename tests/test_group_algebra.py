@@ -283,7 +283,7 @@ def test_double_transform_random(sys2, sys3):
 
 
 def test_double_transform_memory_and_residual(sys2, sys3):
-    # m=2 n=9: 4^9 coefficients, four residual slices
+    # m=2 n=9: 4^9 coefficients, m=3 n=5: 9^5; the residual is one array of the element's size
     for sys_, m, n in ((sys2, 2, 9), (sys3, 3, 5)):
         a = random_element(m, n, seed=3, nonneg=True)
         tracemalloc.start()

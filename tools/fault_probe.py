@@ -67,6 +67,10 @@ MUTANTS = [
      "both run over S once"),
     ("reports.py", "~(residuals <= tol)", "residuals > tol", KILLED,
      "every check's verdict rule letting a NaN residual pass"),
+    ("code_analysis.py", "high[:, None, :]].reshape(n, -1)", "high[:, None, :]].reshape(n, -1)[::-1]",
+     KILLED, "a stabilizer code's C scattered with its coordinates reversed"),
+    ("fileio.py", 'np.diff(np.sort(index, kind="stable"))', "np.diff(index)", KILLED,
+     "the duplicate-index check of a written block comparing only neighbouring lines"),
 ]
 
 
