@@ -1,5 +1,6 @@
 """The exact route: the index group S of a stabilizer code, streamed from its
-Howell form over Z_m (Howell 1986; Storjohann-Mulders 1998).
+Howell form over Z_m (Howell 1986; Storjohann-Mulders 1998), which is built
+in Python ints: its few dozen residues cost less than numpy's first calls.
 
 The Howell rows h_k, of orders t_k, give every element of S as sum_k c_k h_k,
 0 <= c_k < t_k, in exactly one way.  `_stream` then yields S, never stored:
@@ -57,7 +58,7 @@ def _howell_form(gens: np.ndarray, m: int):
     the entries above each pivot reduced below it, and t_k h_k in the span
     of the later rows for t_k = m / p_k.  Every element of the row span is
     sum_k c_k h_k with 0 <= c_k < t_k in exactly one way, so its order is
-    prod_k t_k.  Returns the rows and the orders t_k.
+    prod_k t_k.  Returns the rows and the orders t_k, both int64 arrays.
 
     Each column is cleared by unimodular row steps (Storjohann's): the row
     whose entry generates the largest ideal is the pivot row, rows are added
@@ -65,35 +66,34 @@ def _howell_form(gens: np.ndarray, m: int):
     only when m has two prime factors), it is scaled by a unit to the
     divisor g, and a multiple of it is subtracted from every other row.  For
     g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
+    The rows are lists of Python ints: a code's matrix holds a few dozen
+    residues, on which numpy's first calls in a fresh process (10-45 us
+    each, 1-9 us warm, some 15 per pivot) cost more than the arithmetic.
     """
-    mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
-    k, cols = 0, []
-    while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
-        col = int(todo[0])  # every row below k is zero before this column
-        vals = mat[k:, col]
-        p = k + int(np.argmin(np.gcd(vals, m)))  # a zero entry has gcd m, the largest
-        g = math.gcd(int(mat[p, col]), m)
+    mat = [[x % m for x in row] for row in gens.tolist()]  # rows [0, k) are the Howell rows
+    k, orders = 0, []
+    for col in range(gens.shape[1]):  # every row below k is zero before this column
+        if not any(vals := [row[col] for row in mat[k:]]):
+            continue
+        g, p = min((math.gcd(v, m), k + i) for i, v in enumerate(vals))  # gcd(0, m) = m
         # only when m has two prime factors can an entry lie outside the ideal
         # of the pivot's: then c times its row joins the pivot row, for a c
         # with gcd(a + c b, m) = gcd(a, b, m), which always exists
-        for i in k + np.flatnonzero(vals % g):
-            a, b = int(mat[p, col]), int(mat[i, col])
+        for i in [k + j for j, v in enumerate(vals) if v % g]:
+            a, b = mat[p][col], mat[i][col]
             c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
-            mat[p] = (mat[p] + c * mat[i]) % m
-        u, g = _unit_to_divisor(int(mat[p, col]), m)
-        if u != 1:
-            mat[p] = u * mat[p] % m
-        if p != k:
-            mat[[k, p]] = mat[[p, k]]
-        q = mat[:, col] // g  # clears the rows below k, reduces those above below g
-        q[k] = 0
-        mat -= q[:, None] * mat[k]
-        mat %= m
-        cols.append(col)
+            mat[p] = [(x + c * y) % m for x, y in zip(mat[p], mat[i])]
+        u, g = _unit_to_divisor(mat[p][col], m)
+        pivot = [u * x % m for x in mat[p]]
+        mat[p], mat[k] = mat[k], pivot
+        for i, row in enumerate(mat):  # clears the rows below k, reduces those above below g
+            if i != k and (q := row[col] // g):
+                mat[i] = [(x - q * y) % m for x, y in zip(row, pivot)]
+        orders.append(m // g)
         k += 1
         if g != 1:
-            mat = np.vstack([mat, m // g * mat[k - 1] % m])
-    return mat[:k], m // mat[np.arange(k), cols]
+            mat.append([m // g * x % m for x in pivot])
+    return np.array(mat[:k], np.int64).reshape(k, gens.shape[1]), np.array(orders, np.int64)
 
 
 def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:

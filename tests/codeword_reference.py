@@ -17,8 +17,9 @@ import math
 import numpy as np
 
 from qecalg import CodeSpec, analyze
-from qecalg.stabilizer import _howell_form
 from qecalg.errors import InconsistentStabilizers
+
+from stabilizer_reference import howell_form
 
 
 def consistent_phases(sys_, m, n, gens):
@@ -64,7 +65,7 @@ def stabilizer_codewords(sys_, code: CodeSpec, seed: int, gap: float = 1e-9) -> 
     singular value must be below `gap` times the K-th.
     """
     m, n = code.m, code.n
-    rows, orders = _howell_form(code.body.rows, m)
+    rows, orders = howell_form(code.body.rows, m)
     k = m ** n // math.prod(int(t) for t in orders)
     phases = consistent_phases(sys_, m, n, rows.reshape(len(rows), n, 2).tolist())
     rng = np.random.default_rng(seed)

@@ -1,20 +1,76 @@
 """The coset-doubling enumeration of S that `qecalg.code_analysis` replaced,
-and the per-pair symplectic product its pairwise commutation check replaced.
+the per-pair symplectic product its pairwise commutation check replaced, and
+the numpy Howell form that `qecalg.stabilizer._howell_form` replaced.
 
 Kept only as the reference the Howell-form stream is tested against, the
 way `element_io_reference.py` certifies the bulk element parser: S is built
 generator by generator and stored whole, each generator's order is found by
 searching the stored group, and the phases of phased codes are carried on
 every stored element.
+
+The library builds its Howell form in Python ints, because a code's matrix
+of a few dozen residues costs less that way than numpy's first calls in a
+fresh process.  The numpy form below takes the same steps in the same order
+on whole arrays; the library's rows and orders must equal its own, and
+`codeword_reference.py` reads S's rows from it, so that the codewords that
+certify the phase check do not rest on the routine under test.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from qecalg.code_analysis import CodeSpec
 from qecalg.error_basis import PHASE_TOL, PhaseSystem, canonical_ordering
 from qecalg.errors import InconsistentStabilizers, ShapeMismatch
+from qecalg.stabilizer import _unit_to_divisor
+
+
+def howell_form(gens: np.ndarray, m: int):
+    """Howell form over Z_m of the rows of `gens`: rows h_k whose pivot (the
+    first nonzero entry) p_k divides m, in strictly increasing columns, with
+    the entries above each pivot reduced below it, and t_k h_k in the span
+    of the later rows for t_k = m / p_k.  Every element of the row span is
+    sum_k c_k h_k with 0 <= c_k < t_k in exactly one way, so its order is
+    prod_k t_k.  Returns the rows and the orders t_k.
+
+    Each column is cleared by unimodular row steps (Storjohann's): the row
+    whose entry generates the largest ideal is the pivot row, rows are added
+    to it until its entry generates the ideal of the whole column (needed
+    only when m has two prime factors), it is scaled by a unit to the
+    divisor g, and a multiple of it is subtracted from every other row.  For
+    g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
+    """
+    mat = gens % m  # rows [0, k) are the Howell rows found so far, the rest still to reduce
+    k, cols = 0, []
+    while (todo := np.flatnonzero(mat[k:].any(axis=0))).size:
+        col = int(todo[0])  # every row below k is zero before this column
+        vals = mat[k:, col]
+        p = k + int(np.argmin(np.gcd(vals, m)))  # a zero entry has gcd m, the largest
+        g = math.gcd(int(mat[p, col]), m)
+        # only when m has two prime factors can an entry lie outside the ideal
+        # of the pivot's: then c times its row joins the pivot row, for a c
+        # with gcd(a + c b, m) = gcd(a, b, m), which always exists
+        for i in k + np.flatnonzero(vals % g):
+            a, b = int(mat[p, col]), int(mat[i, col])
+            c = next(c for c in range(m) if math.gcd(a + c * b, m) == math.gcd(a, b, m))
+            mat[p] = (mat[p] + c * mat[i]) % m
+        u, g = _unit_to_divisor(int(mat[p, col]), m)
+        if u != 1:
+            mat[p] = u * mat[p] % m
+        if p != k:
+            mat[[k, p]] = mat[[p, k]]
+        q = mat[:, col] // g  # clears the rows below k, reduces those above below g
+        q[k] = 0
+        mat -= q[:, None] * mat[k]
+        mat %= m
+        cols.append(col)
+        k += 1
+        if g != 1:
+            mat = np.vstack([mat, m // g * mat[k - 1] % m])
+    return mat[:k], m // mat[np.arange(k), cols]
 
 
 def _locate(group: np.ndarray, target: np.ndarray) -> int | None:

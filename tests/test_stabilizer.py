@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qecalg import canonical_ordering, stabilizer
+from stabilizer_reference import howell_form
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -36,6 +37,29 @@ def test_stream_yields_any_row_span_once(monkeypatch, m, block):
         expected = Counter(set(map(tuple, brute.tolist())))
         assert Counter(map(tuple, streamed.tolist())) == expected, (m, gens.tolist())
         assert np.prod([int(t) for t in orders]) == len(expected)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])
+def test_howell_form_equals_the_numpy_reference(m):
+    # the Python-int form takes the numpy reference's steps in its order, so
+    # it returns the same int64 arrays: seeded rows with entries in [-2m, 2m),
+    # among them all-zero and repeated rows, each matrix alone and as [G | I]
+    rng = np.random.default_rng(400 + m)
+    for trial in range(60):
+        r = int(rng.integers(0, 7))
+        gens = rng.integers(-2 * m, 2 * m, size=(r, int(rng.integers(1, 15 - r))))
+        if r and trial % 3 == 1:
+            gens[rng.integers(r)] = 0
+        if r > 1 and trial % 3 == 2:
+            gens[1:] = gens[rng.integers(r, size=r - 1)]
+        if trial == 0:
+            gens[:] = 0
+        for mat in (gens, np.hstack([gens, np.eye(r, dtype=np.int64)])):
+            rows, orders = stabilizer._howell_form(mat, m)
+            ref_rows, ref_orders = howell_form(mat, m)
+            assert rows.dtype == orders.dtype == ref_rows.dtype == ref_orders.dtype == np.int64
+            assert np.array_equal(rows, ref_rows), (m, mat.tolist())
+            assert np.array_equal(orders, ref_orders), (m, mat.tolist())
 
 
 def test_stabilizer_imports_nothing_from_the_layers_above_it():

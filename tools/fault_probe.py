@@ -39,8 +39,8 @@ EQUIVALENT = "equivalent"
 # (file under src/qecalg, old text, new text, expected outcome, what the edit breaks or why
 # it changes nothing)
 MUTANTS = [
-    ("stabilizer.py", "        if g != 1:\n            mat = np.vstack",
-     "        if False:\n            mat = np.vstack", KILLED,
+    ("stabilizer.py", "        if g != 1:\n            mat.append",
+     "        if False:\n            mat.append", KILLED,
      "the Howell form without its annihilator rows"),
     ("code_analysis.py", "for x in a[1:d])", "for x in a[1:d + 1])", KILLED,
      "purity judged over A_1..A_d, one weight too many"),
@@ -71,6 +71,8 @@ MUTANTS = [
      KILLED, "a stabilizer code's C scattered with its coordinates reversed"),
     ("fileio.py", 'np.diff(np.sort(index, kind="stable"))', "np.diff(index)", KILLED,
      "the duplicate-index check of a written block comparing only neighbouring lines"),
+    ("stabilizer.py", "if v % g]", "if False]", KILLED,
+     "the Howell form without its composite-m fix-up, so a pivot may not generate its column"),
 ]
 
 
