@@ -47,12 +47,13 @@ ROUNDING_TOL = 1e-6
 class CompositionDistribution:
     """Coefficients summed by composition, as two read-only arrays.
 
-    Row t of the int64 (T, width) array `counts` is a composition: how many
+    Row t of the uint8 (T, width) array `counts` is a composition: how many
     coordinates carry each of the `width` symbols, the m^2 group elements
-    (complete) or the delta+1 Lee classes (Lee).  Rows are in strictly
-    increasing lexicographic order.  values[t] (complex128) is the sum of
-    the coefficients of the labels of that composition; no value is exactly
-    zero.
+    (complete) or the delta+1 Lee classes (Lee); a count is at most n <= 31,
+    so widen before arithmetic that may leave [0, 255].  Rows are in
+    strictly increasing lexicographic order.  values[t] (complex128) is the
+    sum of the coefficients of the labels of that composition; no value is
+    exactly zero.
     """
 
     m: int
@@ -127,7 +128,7 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
     re = np.bincount(number, weights=a.coeffs.real, minlength=len(comps))
     im = np.bincount(number, weights=a.coeffs.imag, minlength=len(comps))
     keep = (re != 0) | (im != 0)
-    counts = comps[keep].astype(np.int64)
+    counts = comps[keep]
     # written pairwise: re + 1j*im would turn an infinite im into a NaN real part
     values = np.stack([re[keep], im[keep]], axis=1).view(np.complex128).reshape(-1)
     for arr in (counts, values):

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import PhaseSystem, build_pauli_system, canonical_ordering
+from .error_basis import PhaseSystem, build_pauli_system
 from .errors import QecalgError, ShapeMismatch, ZeroMass
 from .reports import CheckReport
 
@@ -151,13 +151,6 @@ class AlgebraElement:
         return cls.indicator(m, n, [0])
 
 
-def _check_shapes(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.m != b.m or a.n != b.n:
-        raise ShapeMismatch(
-            f"(m={a.m}, n={a.n}) vs (m={b.m}, n={b.n})"
-        )
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Group convolution: out[k] = sum over g+h = k of a_g * b_h.
 
@@ -165,37 +158,16 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     product is the pointwise product of the unnormalised transforms under the
     generalized Pauli kernel (a nondegenerate character table), taken back
     by one more kernel pass and scaled by 1/m^(2n) (the double-transform
-    identity).  When one operand has at most m^2 terms it is cheaper to shift
-    the other term by term, and exact: z^g z^h = z^(g+h) holds bit for bit.
+    identity).  This is the one route, for sparse and dense operands alike.
     """
-    _check_shapes(a, b)
-    if np.count_nonzero(b.coeffs) < np.count_nonzero(a.coeffs):
-        a, b = b, a
-    if np.count_nonzero(a.coeffs) <= a.m * a.m:
-        return AlgebraElement(a.m, a.n, _shifted_sum(a, b))
+    if a.m != b.m or a.n != b.n:
+        raise ShapeMismatch(f"(m={a.m}, n={a.n}) vs (m={b.m}, n={b.n})")
     kernel = build_pauli_system(a.m).kernel
     product = _kernel.apply_axiswise(kernel, a.coeffs, a.n)
     product *= _kernel.apply_axiswise(kernel, b.coeffs, b.n)
     out = _kernel.apply_axiswise(kernel, product, a.n)
     out *= 1 / a.size
     return AlgebraElement(a.m, a.n, out)
-
-
-def _shifted_sum(a: AlgebraElement, b: AlgebraElement) -> np.ndarray:
-    """sum over the support of a of a_g * (b shifted by g), where the shift
-    permutes each axis by k -> index of (alpha_k - alpha_{g_i})."""
-    ordering = canonical_ordering(a.m)
-    shape = (ordering.size,) * a.n
-    minus = ordering.add_table[:, ordering.neg_table].T  # minus[d, k]: alpha_k - alpha_d
-    tensor = b.coeffs.reshape(shape)
-    out = np.zeros(a.size, dtype=np.complex128)
-    for idx in np.nonzero(a.coeffs)[0]:
-        shifted = tensor
-        for axis, d in enumerate(np.unravel_index(idx, shape)):
-            if d:
-                shifted = np.take(shifted, minus[d], axis=axis)
-        out += a.coeffs[idx] * shifted.reshape(-1)
-    return out
 
 
 def checked_mass(mass: complex, values: np.ndarray) -> complex:

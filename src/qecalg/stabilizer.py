@@ -160,15 +160,15 @@ def _index_group(sys: PhaseSystem, code) -> tuple[np.ndarray, np.ndarray]:
 
 def _exact_pair(sys: PhaseSystem, code) -> tuple[HammingDistribution, HammingDistribution, int]:
     """The Hamming pair (A, A') of a stabilizer `CodeSpec` in exact integers,
-    and |S|, with S streamed in blocks."""
+    and |S|, with S streamed in blocks.  A block counts the weights of
+    low - offset, nonzero at a qudit where the two indices differ: -H is a
+    transversal of the cosets of L as H is, so each element of S counts once."""
     m, n = code.m, code.n
     low, high = _index_group(sys, code)
     size = low.shape[1] * high.shape[1]
-    # a qudit of low + offset is nonzero iff its low index differs from that of -offset
-    neg = sys.ordering.neg_table
     counts = np.zeros(n + 1, dtype=np.int64)
     weight = np.min_scalar_type(n)
-    for minus in neg[high].T:
+    for minus in high.T:
         differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
         counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
     a = [int(x) for x in counts]

@@ -119,7 +119,9 @@ def test_multiply_single_terms(m, n, data):
         AlgebraElement.indicator(m, n, [gi]), AlgebraElement.indicator(m, n, [hi])
     )
     expected = [ordering.position[(a + c) % m, (b + d) % m] for (a, b), (c, d) in zip(g, h)]
-    assert out.coeffs[np.ravel_multi_index(expected, (m * m,) * n)] == 1.0
+    # the kernel route rounds at odd m (0.9999999999999998 - 4.9e-16j at m = 3)
+    want = AlgebraElement.indicator(m, n, [np.ravel_multi_index(expected, (m * m,) * n)])
+    assert np.abs(out.coeffs - want.coeffs).max() <= 1e-12
     assert out.mass == pytest.approx(1.0)
 
 

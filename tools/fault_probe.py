@@ -61,8 +61,9 @@ MUTANTS = [
      "C' scaled by 1/conj(M)"),
     ("enumerators.py", "(comps[:, None] + unit)", "(comps[:, None] | unit)", KILLED,
      "compositions extended by a bitwise or, so no count grows past 1"),
-    ("stabilizer.py", "for minus in neg[high].T:", "for minus in high.T:", EQUIVALENT,
-     "the weights of low + offset counted as those of low - offset: the low rows span a "
+    ("stabilizer.py", "for minus in high.T:", "for minus in sys.ordering.neg_table[high].T:",
+     EQUIVALENT,
+     "the weights of low - offset counted as those of low + offset: the low rows span a "
      "subgroup L of S and the offsets a transversal H of its cosets, -H is one too, so "
      "both run over S once"),
     ("reports.py", "~(residuals <= tol)", "residuals > tol", KILLED,
@@ -73,6 +74,8 @@ MUTANTS = [
      "the duplicate-index check of a written block comparing only neighbouring lines"),
     ("stabilizer.py", "if v % g]", "if False]", KILLED,
      "the Howell form without its composite-m fix-up, so a pivot may not generate its column"),
+    ("group_algebra.py", "out *= 1 / a.size", "out *= 1 / a.m ** a.n", KILLED,
+     "the group-algebra product scaled by 1/m^n instead of 1/m^(2n)"),
 ]
 
 
