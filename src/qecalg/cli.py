@@ -8,9 +8,10 @@ input or usage errors.  `--format machine` emits one stable JSON object
 Every file argument is read by `_read`: a catalog name, else a path, read
 once, parsed by a `fileio` reader and hashed, so each report names every
 file it read with its sha256.  `fileio.read_input` tells a code from an
-element by the first significant line, as the readers read it.  Each
-subcommand returns its exit code, inputs, results and text lines, and
-`_dispatch` frames them in the one report format.
+element by the first significant line, as the readers read it, and
+`code_analysis` picks the route for either.  Each subcommand returns its
+exit code, inputs, results and text lines, and `_dispatch` frames them in
+the one report format.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, catalog
-from .code_analysis import CodeSpec, analyze, associated_element, check_cs_ordering, random_code
+from .code_analysis import (
+    CodeSpec, analyze, associated_element, check_cs_ordering, hamming_pair, random_code)
 from .enumerators import (
     HammingDistribution,
     _lee_class,
     complete_distribution,
-    hamming_distribution,
     lee_distribution,
-    macwilliams_hamming,
     verify_exact_identity,
     verify_complete_identity,
     verify_lee_identity,
@@ -161,19 +161,14 @@ def _cmd_enumerate(args):
     sys_ = _system_for(payload.m, args, inputs)
     lines = [f"{args.kind} distribution"]
     if args.kind == "hamming":
-        if isinstance(payload, CodeSpec):  # analyze's pair: the exact route for stabilizers
-            result = analyze(sys_, payload)
-            dist, dual = result.primary_distribution, result.dual_distribution
-        else:  # t9 of A: C' is never built
-            dist = hamming_distribution(payload)
-            dual = HammingDistribution(payload.m, payload.n, macwilliams_hamming(dist, payload.mass))
+        dist, dual, _ = hamming_pair(sys_, payload)
         rec_c, rec_d = ([[[i], v] for i, v in enumerate(_machine_entries(d))] for d in (dist, dual))
         a_txt, b_txt, note = _hamming_text(dist, dual)
         lines += [f"C : A={a_txt}", f"C': A={b_txt}", *([note] if note else [])]
     else:
         if args.kind == "lee":
             _lee_class(payload.m)  # even m is refused before C is built
-        primary = associated_element(sys_, payload) if isinstance(payload, CodeSpec) else payload
+        primary = associated_element(sys_, payload)
         dual = transform(sys_, primary)
         rec_c, text_c = _dist_records(args.kind, primary)
         rec_d, text_d = _dist_records(args.kind, dual)
@@ -252,9 +247,7 @@ def _verify_subject(args):
     sys_ = _system_for(payload.m, args, inputs)
     if identity == "t8":
         _lee_class(payload.m)  # even m is refused before C is built
-    if identity == "cs" or isinstance(payload, AlgebraElement):
-        return sys_, payload, inputs
-    return sys_, associated_element(sys_, payload), inputs
+    return sys_, payload if identity == "cs" else associated_element(sys_, payload), inputs
 
 
 def _cmd_verify(args):

@@ -12,13 +12,13 @@ comes out of one contraction of the (m^2, m^2) matrix E_g[r, c] along each
 of the n (r_i, c_i) axes; no error operator E_g is ever built.
 
 A code given by stabilizer generators maps to the indicator of the generated
-index subgroup S.  `analyze` takes one of two routes:
+index subgroup S.  `hamming_pair` alone picks the route to the Hamming pair:
 
-  exact (stabilizer input)  `qecalg.stabilizer` streams S from its Howell
-      form over Z_m and counts the Hamming pair (A, A') in exact integers;
-      no array of m^(2n) coefficients is built.
-  dense (basis input)  C is built once, A is its Hamming distribution and
-      A' comes from t9 in floating point; the transform C' is never built.
+  exact (stabilizer code)  `qecalg.stabilizer` streams S from its Howell
+      form over Z_m and counts (A, A') in exact integers; no array of
+      m^(2n) coefficients is built.
+  dense (other codes, elements)  C is built once, A is its Hamming
+      distribution and A' comes from t9 in floating point; C' is never built.
 
 K comes from S or V, and d and purity from the Hamming pair (A, A'):
 
@@ -180,14 +180,17 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     return AlgebraElement(m, n, t)
 
 
-def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
-    """The algebra element encoding the code (c_0 is always 1).
+def associated_element(sys: PhaseSystem, code: CodeSpec | AlgebraElement) -> AlgebraElement:
+    """The algebra element encoding the code (c_0 is always 1); an element
+    is its own.
 
     Stabilizer input: indicator of the generated index subgroup (with the
     phase check of `_index_group`), scattered from all of S at once.  Basis
     input: |tr(E_g P)|^2 / K^2 for every label in one axis contraction,
     under any nice error basis.
     """
+    if isinstance(code, AlgebraElement):
+        return code
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
         size = array_length(m, n, "an element", 2)  # before S is formed
@@ -198,6 +201,18 @@ def associated_element(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
         coeffs[np.ravel_multi_index(digits, (m * m,) * n)] = 1.0
         return AlgebraElement(m, n, coeffs)
     return _associated_basis(sys, code)
+
+
+def hamming_pair(sys: PhaseSystem, subject: CodeSpec | AlgebraElement
+                 ) -> tuple[HammingDistribution, HammingDistribution, int | complex]:
+    """(A, A', M): the Hamming pair of a code or an element and the mass M
+    of its C, by the route for the input: exact, with M = |S| and no C, for
+    a stabilizer code; from C and t9, with no C', for any other input."""
+    if isinstance(subject, CodeSpec) and subject.kind == "stabilizer":
+        return _exact_pair(sys, subject)
+    c = associated_element(sys, subject)
+    a = hamming_distribution(c)
+    return a, HammingDistribution(c.m, c.n, macwilliams_hamming(a, c.mass)), c.mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,21 +240,15 @@ def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
 
 
 def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
-    """Extract K, d, and purity: exactly from the stabilizer group for
-    stabilizer input, from the associated element and t9 otherwise.  d and
-    purity are decided on the Hamming pair's exact integers where it carries
-    them (the exact route)."""
-    if isinstance(code.body, StabilizerGenerators):
-        a, b, size = _exact_pair(sys, code)
-        k, mass, path = code.m ** code.n // size, float(size), "exact"
-    else:
-        c = associated_element(sys, code)
-        a = hamming_distribution(c)
-        b = HammingDistribution(code.m, code.n, macwilliams_hamming(a, c.mass))
-        k, mass, path = code.body.vectors.shape[0], c.mass.real, "dense"
+    """Extract K, d, and purity from the code's `hamming_pair`.  d and
+    purity are decided on the pair's exact integers where it carries them
+    (the exact route)."""
+    a, b, mass = hamming_pair(sys, code)
+    exact = a.exact is not None
+    k = code.m ** code.n // mass if exact else code.body.vectors.shape[0]
     d, pure = _distance_and_purity(a.exact or a.a, b.exact or b.a, k)
-    return AnalysisReport(K=k, d=d, pure=pure, mass=mass,
-                          primary_distribution=a, dual_distribution=b, path=path)
+    return AnalysisReport(K=k, d=d, pure=pure, mass=float(mass.real), primary_distribution=a,
+                          dual_distribution=b, path="exact" if exact else "dense")
 
 
 def check_cs_ordering(sys: PhaseSystem, code: CodeSpec) -> CheckReport:

@@ -43,9 +43,10 @@ range, duplicate, then the "re,im" value.  That loop alone raises, so the
 first bad line and its message are those of a line-by-line parse.  A
 65,536-line m=2 n=8 file (median of 7 fresh processes, 2 vCPUs) reads in
 about 130 ms in the writers' spelling with \\n or \\r\\n line ends, and in
-254 ms with a tab on every line, which the loop reads.  Basis-code rows and
-custom-basis matrices are read by the same kind of loop.  `write_element`
-formats the nonzero coefficients with one %-format per block of lines.
+254 ms with a tab on every line, which the loop reads.  Generator rows,
+basis-code rows and custom-basis matrices are read by one loop, `_rows`.
+`write_element` formats the nonzero coefficients with one %-format per
+block of lines.
 
 Code files are phase-free: a generator is its exponent pairs alone, so
 `read_code` gives a code (checked as a `CodeSpec` is, when made) whose index
@@ -70,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .code_analysis import CodeSpec, StabilizerGenerators
+from .code_analysis import CodeSpec
 from .error_basis import PhaseSystem, validate_custom_basis
 from .errors import FormatError
 from .group_algebra import AlgebraElement, array_length
@@ -152,16 +153,16 @@ def _parse_complex(token: str, path: Path, lineno: int) -> complex:
     return value
 
 
-def _complex_rows(numbers, lines, width: int, what: str, path: Path) -> np.ndarray:
-    """The (len(lines), width) complex matrix of lines of `width` "re,im"
-    tokens each; `what` names a line in the token-count message."""
+def _rows(numbers, lines, width: int, parse, count: str, path: Path) -> list[list]:
+    """The rows of lines of `width` tokens each, every token read by
+    `parse`; `count` spells the token-count message, {} the count found."""
     rows = []
     for lineno, line in zip(numbers, lines):
         tokens = line.split()
         if len(tokens) != width:
-            raise FormatError(f"{what} has {len(tokens)} entries, expected {width}", path, lineno)
-        rows.append([_parse_complex(token, path, lineno) for token in tokens])
-    return np.array(rows, dtype=np.complex128).reshape(len(rows), width)
+            raise FormatError(f"{count.format(len(tokens))}, expected {width}", path, lineno)
+        rows.append([parse(token, path, lineno) for token in tokens])
+    return rows
 
 
 def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
@@ -333,20 +334,14 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
     m, n, kind = header["m"], header["n"], header["kind"]
     numbers, lines = _significant(first, text[start:])
     if kind == "stabilizer":
-        rows = []
-        for lineno, line in zip(numbers, lines):
-            tokens = line.split()
-            if len(tokens) != n:
-                raise FormatError(
-                    f"generator has {len(tokens)} coordinates, expected {n}", path, lineno
-                )
-            rows.append([x for t in tokens for x in _parse_int_pair(t, path, lineno)])
+        rows = _rows(numbers, lines, n, _parse_int_pair, "generator has {} coordinates", path)
         if not rows:
             raise FormatError("stabilizer code needs at least one generator", path)
-        return CodeSpec(m, n, StabilizerGenerators(rows, None))
+        return CodeSpec.from_stabilizers(m, n, rows)
     if kind == "basis":
-        rows = _complex_rows(numbers, lines, array_length(m, n, "a basis row"), "basis row", path)
-        if len(rows) == 0:
+        width = array_length(m, n, "a basis row")
+        rows = _rows(numbers, lines, width, _parse_complex, "basis row has {} entries", path)
+        if not rows:
             raise FormatError("basis code needs at least one row", path)
         return CodeSpec.from_basis(m, n, rows)
     raise FormatError(f"unknown kind {kind!r} (want stabilizer|basis)", path)
@@ -378,12 +373,13 @@ def read_custom_basis(path, data: bytes | None = None) -> PhaseSystem:
             f"{expected_ordering!r} for m={m}",
             path,
         )
-    rows = _complex_rows(*_significant(first, text[start:]), m, "matrix row", path)
+    numbers, lines = _significant(first, text[start:])
+    rows = _rows(numbers, lines, m, _parse_complex, "matrix row has {} entries", path)
     if len(rows) != m ** 3:
         raise FormatError(
             f"expected m^2 = {m * m} matrices ({m ** 3} rows), got {len(rows)} rows", path
         )
-    return validate_custom_basis(rows.reshape(m * m, m, m))
+    return validate_custom_basis(np.array(rows).reshape(m * m, m, m))
 
 
 def write_custom_basis(path, m: int, matrices: np.ndarray) -> None:

@@ -710,15 +710,16 @@ _ENUMERATE_513 = {
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_enumerate_hamming_computes_each_distribution_once(capsys, monkeypatch, tmp_path, fmt):
     # A' is t9 of A on every input: no route of enumerate --kind hamming
-    # builds the transform C'
+    # builds the transform C' or decides K, d and purity
     import qecalg.cli as cli
     import qecalg.code_analysis as code_analysis
 
     def refuse(*args):
-        raise AssertionError("transform called")
+        raise AssertionError("transform or analyze called")
 
     monkeypatch.setattr(cli, "transform", refuse)
     monkeypatch.setattr(code_analysis, "transform", refuse)
+    monkeypatch.setattr(cli, "analyze", refuse)
     code_path, elem_path = tmp_path / "c.code", tmp_path / "e.elem"
     write_code(code_path, random_code(3, 2, 2, 4))
     write_element(elem_path, random_element(2, 2, 3))

@@ -38,6 +38,7 @@ from qecalg.oracle import (
 )
 from codeword_reference import apply_local, consistent_phases, random_unitary, stabilizer_codewords
 from stabilizer_reference import group_indices, hamming_counts, stabilizer_group, symplectic_product
+from code_families import families
 
 
 def full_space_code(m, n):
@@ -142,6 +143,33 @@ def test_analyze_shor_impure(sys2, shor_code):
 def test_analyze_full_space(sys2):
     report = analyze(sys2, full_space_code(2, 2))
     assert (report.K, report.d) == (4, 1)
+
+
+def test_hamming_pair_takes_the_route_of_its_input(sys2, five_qubit_code, monkeypatch):
+    # a stabilizer code's pair is exact, with M = |S| and no C built; a basis
+    # code's or an element's is A of C and its t9 image, M the mass of C, and
+    # no C' built; an element is its own C
+    element = associated_element(sys2, five_qubit_code)
+    assert associated_element(sys2, element) is element
+    basis = random_code(2, 3, 2, seed=5)
+    dense = [(subject, c, transform(sys2, c))
+             for subject, c in ((element, element), (basis, associated_element(sys2, basis)))]
+
+    def refuse(*args):
+        raise AssertionError("built C or C'")
+
+    monkeypatch.setattr(code_analysis, "transform", refuse)
+    monkeypatch.setattr(code_analysis, "_associated_basis", refuse)
+    monkeypatch.setattr(code_analysis, "_index_group", refuse)
+    a, b, mass = code_analysis.hamming_pair(sys2, five_qubit_code)
+    assert (a.exact, b.exact, mass) == ((1, 0, 0, 0, 15, 0), (1, 0, 0, 30, 15, 18), 16)
+    monkeypatch.undo()
+    monkeypatch.setattr(code_analysis, "transform", refuse)
+    for subject, c, dual in dense:
+        a, b, mass = code_analysis.hamming_pair(sys2, subject)
+        assert a.exact is None and b.exact is None
+        assert np.array_equal(a.a, hamming_distribution(c).a) and mass == c.mass
+        assert np.abs(b.a - hamming_distribution(dual).a).max() < 1e-9
 
 
 def test_shor_basis_path_agrees(sys2, shor_code):
@@ -753,33 +781,114 @@ def test_catalog_exact_only_codes(sys2, name, order, a):
         assert report.primary_distribution.rounded() == a
 
 
-def _shadow(a, k):
-    """The coefficients S_j of x^(n-j) y^j in S(x, y) = K A((x+3y)/2, (y-x)/2),
-    with A(x, y) = sum_w A_w x^(n-w) y^w, as Fractions."""
-    n = len(a) - 1
-    s = [0] * (n + 1)
-    for w, a_w in enumerate(a):
-        poly = [1]  # (x + 3y)^(n-w) (y - x)^w, by the power of y
+@pytest.mark.parametrize("code,k,d,exact", [pytest.param(*rest, id=name)
+                                             for name, *rest in families()])
+def test_code_families_have_their_k_and_d(code, k, d, exact):
+    # K and d known by construction, an answer independent of the stream and
+    # the oracle; `families` builds each code through CodeSpec, which checks
+    # that its checks commute
+    report = analyze(build_pauli_system(code.m), code)
+    assert report.path == "exact"
+    assert report.K == k
+    assert report.d == d if exact else report.d >= d
+
+
+def _shadow_columns(n):
+    """P[w][j], the coefficient of x^(n-j) y^j in (x + 3y)^(n-w) (y - x)^w."""
+    columns = []
+    for w in range(n + 1):
+        poly = [1]  # by the power of y
         for c0, c1 in [(1, 3)] * (n - w) + [(-1, 1)] * w:
             poly = [c0 * p + c1 * q for p, q in zip(poly + [0], [0] + poly)]
-        s = [x + a_w * c for x, c in zip(s, poly)]
-    return [Fraction(k * x, 2 ** n) for x in s]
+        columns.append(poly)
+    return columns
+
+
+def _shadow(a, k):
+    """The coefficients S_j of x^(n-j) y^j in S(x, y) = K A((x+3y)/2, (y-x)/2),
+    with A(x, y) = sum_w A_w x^(n-w) y^w, as Fractions: exact for int or
+    Fraction A_w."""
+    n = len(a) - 1
+    columns = _shadow_columns(n)
+    return [Fraction(k * sum(a_w * col[j] for a_w, col in zip(a, columns)), 2 ** n)
+            for j in range(n + 1)]
 
 
 def test_qubit_shadows_are_non_negative(sys2):
     # Rains (IEEE Trans. IT 45, 2361, 1999): the shadow enumerator of every
     # qubit code has non-negative coefficients; here on the exact integers A
-    # of the catalog's m = 2 codes and of two seeded codes for each n = 2..24
+    # of the catalog's m = 2 codes, of two seeded codes for each n = 2..24
+    # and of the m = 2 members of the known-answer families
     codes = [catalog.load(name) for name in ("513", "422", "913shor", "steane713", "rm15")]
     rng = np.random.default_rng(2)
     for n in range(2, 25):
         for r in rng.choice(np.arange(1, min(n, 12) + 1), 2, replace=False).tolist():
             gens = _scrambled_generators(2, n, [1] * r, seed=100 * n + r)
             codes.append(CodeSpec.from_stabilizers(2, n, gens))
+    codes += [code for _, code, *_ in families() if code.m == 2]
     for code in codes:
         report = analyze(sys2, code)
         shadow = _shadow(report.primary_distribution.exact, report.K)
         assert min(shadow) >= 0, (code.n, report.primary_distribution.exact, shadow)
+
+
+def test_dense_route_shadows_are_non_negative_up_to_its_error_bound(sys2):
+    """Rains' shadow of seeded random qubit codes, n <= 9, on the dense route.
+
+    The exact A of the float rows V is that of Q = V^H V, which is positive
+    semidefinite, so its shadow is non-negative; S_j is evaluated exactly on
+    the float A (Fractions), so its only error is that of A:
+
+        |S_j - S~_j| <= (K / 2^n) max_w |P[w][j]| ||A - A~||_1 =: eps_j.
+
+    The bound on ||A - A~||_1, with u = 2^-53 and gamma_k = k u / (1 - k u)
+    (a dot product of k terms is off by at most gamma_k times the dot
+    product of the moduli, in any order of summation):
+
+    1. c_g = |t_g|^2 / K^2 with t = (E x ... x E) q, q the interleaved Q and
+       E the (4, 4) matrix of the basis matrices.  The E_g are orthogonal of
+       Frobenius norm sqrt(2), so E is sqrt(2) times a unitary and
+       ||t||_2 = 2^(n/2) ||Q||_F <= 2^(n/2) (sqrt(K) + K COEFF_TOL) =: sqrt(T),
+       CodeSpec having admitted |V V^H - I| <= COEFF_TOL entrywise.
+    2. Forming Q is off by e0 = gamma_K ||V||_F^2 <= gamma_K K (1 + COEFF_TOL)
+       in Frobenius norm.
+    3. The kernel takes at most n GEMM steps of inner dimension at most 32,
+       each against E x E (or E, or either Kronecker'd with I_2), a multiple
+       of a unitary; a step thus adds a relative error of at most
+       r = rho^2 gamma_32, rho = || |E| ||_2 / ||E||_2.  So
+       ||t~ - t||_2 <= D = 2^(n/2) (e0 + ((1 + r)^n - 1) (||Q||_F + e0)).
+    4. sum_g ||t~_g|^2 - |t_g|^2| <= 2 D sqrt(T) + D^2 and
+       sum_g |t~_g|^2 <= (sqrt(T) + D)^2.  Squaring and dividing by K^2
+       moves each c_g >= 0 by at most gamma_4 relatively, and
+       `weight_reduce` adds each into A in at most 3n additions of
+       non-negative terms, so
+       ||A - A~||_1 <= (2 D sqrt(T) + D^2
+                        + (gamma_4 + gamma_3n (1 + gamma_4)) (sqrt(T) + D)^2) / K^2.
+    """
+    u = np.finfo(np.float64).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    e = sys2.matrices.reshape(4, 4)
+    rho = np.linalg.norm(np.abs(e), 2) / np.linalg.norm(e, 2)
+    for n in range(1, 10):
+        columns = _shadow_columns(n)
+        for k in sorted({1, 2, 2 ** (n - 1)}):
+            report = analyze(sys2, random_code(2, n, k, seed=10 * n + k))
+            assert report.path == "dense"
+            q_norm = np.sqrt(k) + k * code_analysis.COEFF_TOL
+            e0 = gamma(k) * k * (1 + code_analysis.COEFF_TOL)
+            root_t = 2 ** (n / 2) * q_norm
+            dev = 2 ** (n / 2) * (e0 + ((1 + rho ** 2 * gamma(32)) ** n - 1) * (q_norm + e0))
+            a_error = (2 * dev * root_t + dev ** 2
+                       + (gamma(4) + gamma(3 * n) * (1 + gamma(4))) * (root_t + dev) ** 2) / k ** 2
+            a = report.primary_distribution.a
+            assert not a.imag.any()
+            shadow = _shadow([Fraction(x) for x in a.real.tolist()], k)
+            for j, s_j in enumerate(shadow):
+                eps = k / 2 ** n * max(abs(col[j]) for col in columns) * a_error
+                assert s_j >= -eps, (n, k, j, float(s_j), eps)
 
 
 _ZX_XZ = [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 1), (1, 1)]]

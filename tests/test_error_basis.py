@@ -17,6 +17,7 @@ from qecalg.errors import (
     ClosureViolation,
     IdentityViolation,
     NonUnitary,
+    RowSumViolation,
     TraceViolation,
 )
 
@@ -261,6 +262,19 @@ def test_custom_basis_closure_violation():
     mats[3] = (x - z) / np.sqrt(2)  # unitary, traceless, but X @ Z is not prop. to it
     with pytest.raises(ClosureViolation):
         validate_custom_basis(mats)
+
+
+def test_custom_basis_row_sum_violation(monkeypatch):
+    # a basis that passes the axioms has vanishing row sums (lemma 1), so
+    # only a failing check, patched in, reaches the raise: it carries the
+    # check's detail, and no system is returned
+    from qecalg import error_basis
+    from qecalg.reports import CheckReport
+
+    failing = CheckReport("kernel-row-sums", False, 1.0, (1,), "nonzero row sums at h indices (1,)")
+    monkeypatch.setattr(error_basis, "verify_kernel_row_sums", lambda sys: failing)
+    with pytest.raises(RowSumViolation, match=r"^nonzero row sums at h indices \(1,\)$"):
+        validate_custom_basis(_pauli_matrix_list(2))
 
 
 def test_regauged_basis_has_same_kernel(sys2):

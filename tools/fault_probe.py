@@ -76,6 +76,13 @@ MUTANTS = [
      "the Howell form without its composite-m fix-up, so a pivot may not generate its column"),
     ("group_algebra.py", "out *= 1 / a.size", "out *= 1 / a.m ** a.n", KILLED,
      "the group-algebra product scaled by 1/m^n instead of 1/m^(2n)"),
+    ("code_analysis.py", 'if isinstance(subject, CodeSpec) and subject.kind == "stabilizer":',
+     "if False:", KILLED, "hamming_pair sending stabilizer codes down the dense branch"),
+    ("code_analysis.py", "AlgebraElement):\n        return code\n",
+     "AlgebraElement):\n        return transform(sys, code)\n", KILLED,
+     "associated_element taking an element's transform for the element"),
+    ("error_basis.py", "        raise RowSumViolation(report.detail)\n", "        pass\n", KILLED,
+     "validate_custom_basis accepting a basis whose kernel rows do not sum to zero"),
 ]
 
 
