@@ -15,8 +15,9 @@ A code given by stabilizer generators maps to the indicator of the generated
 index subgroup S.  `hamming_pair` alone picks the route to the Hamming pair:
 
   exact (stabilizer code)  `qecalg.stabilizer` streams S from its Howell
-      form over Z_m and counts (A, A') in exact integers; no array of
-      m^(2n) coefficients is built.
+      form over Z_m and counts A and |S| in exact integers; A' is t9 of A
+      in integers, which holds for every nice error basis (lemma 1).  No
+      array of m^(2n) coefficients is built.
   dense (other codes, elements)  C is built once, A is its Hamming
       distribution and A' comes from t9 in floating point; C' is never built.
 
@@ -45,10 +46,11 @@ import numpy as np
 from . import kernel as _kernel
 from .error_basis import PhaseSystem
 from .errors import NoDistance, NonCommutingGenerators, NonOrthonormalBasis, ShapeMismatch
-from .enumerators import HammingDistribution, hamming_distribution, macwilliams_hamming
+from .enumerators import (
+    HammingDistribution, hamming_distribution, macwilliams_hamming, macwilliams_terms)
 from .group_algebra import AlgebraElement, array_length, transform
 from .reports import CheckReport
-from .stabilizer import _exact_pair, _index_group
+from .stabilizer import _group_labels, _weight_counts
 
 COEFF_TOL = 1e-9
 
@@ -184,21 +186,18 @@ def associated_element(sys: PhaseSystem, code: CodeSpec | AlgebraElement) -> Alg
     """The algebra element encoding the code (c_0 is always 1); an element
     is its own.
 
-    Stabilizer input: indicator of the generated index subgroup (with the
-    phase check of `_index_group`), scattered from all of S at once.  Basis
-    input: |tr(E_g P)|^2 / K^2 for every label in one axis contraction,
-    under any nice error basis.
+    Stabilizer input: the indicator of S, scattered from `_group_labels`.
+    Basis input: |tr(E_g P)|^2 / K^2 for every label in one axis
+    contraction, under any nice error basis.
     """
     if isinstance(code, AlgebraElement):
         return code
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
         size = array_length(m, n, "an element", 2)  # before S is formed
-        low, high = _index_group(sys, code)
-        # the (n, |S|) ordering-index digits of S, every low row plus every offset
-        digits = sys.ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1)
+        labels = _group_labels(sys, code)
         coeffs = np.zeros(size, dtype=np.complex128)
-        coeffs[np.ravel_multi_index(digits, (m * m,) * n)] = 1.0
+        coeffs[labels] = 1.0
         return AlgebraElement(m, n, coeffs)
     return _associated_basis(sys, code)
 
@@ -209,7 +208,10 @@ def hamming_pair(sys: PhaseSystem, subject: CodeSpec | AlgebraElement
     of its C, by the route for the input: exact, with M = |S| and no C, for
     a stabilizer code; from C and t9, with no C', for any other input."""
     if isinstance(subject, CodeSpec) and subject.kind == "stabilizer":
-        return _exact_pair(sys, subject)
+        m, n = subject.m, subject.n
+        a, size = _weight_counts(sys, subject)
+        b = [x // size for x in macwilliams_terms(a, m * m, n)]  # |S| times N(S)'s weight counts
+        return (HammingDistribution.of_ints(m, n, a), HammingDistribution.of_ints(m, n, b), size)
     c = associated_element(sys, subject)
     a = hamming_distribution(c)
     return a, HammingDistribution(c.m, c.n, macwilliams_hamming(a, c.mass)), c.mass

@@ -10,9 +10,9 @@ Four enumerators, coarsest last:
 
 The complete and Lee distributions are one `CompositionDistribution`: the
 sorted composition rows and their sums as two arrays, from one bincount
-over composition numbers built one axis at a time (`_composition_terms`);
-its `terms` dict is derived from the arrays on demand.  The Hamming
-distribution is A_0..A_n.
+over composition numbers, one intp per label, built one axis at a time
+(`_composition_terms`); its `terms` dict is derived from the arrays on
+demand.  The Hamming distribution is A_0..A_n.
 
 Each has a MacWilliams-type identity linking the enumerator of C to that of
 its transform C'.  The exact/complete/Lee identities are verified by random

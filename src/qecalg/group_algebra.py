@@ -15,8 +15,7 @@ O(n * m^2 * m^(2n)); the direct double summation that certifies it lives in
 
 Sums over labels by Hamming weight, or weighted by a product of
 per-coordinate values, are reduced one axis at a time on the coefficients
-viewed as an (m^2,) * n tensor, with no per-label table.  Sums by
-composition keep one intp composition number per label, built axis by axis.
+viewed as an (m^2,) * n tensor, with no per-label table.
 """
 
 from __future__ import annotations

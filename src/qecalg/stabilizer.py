@@ -6,20 +6,14 @@ The Howell rows h_k, of orders t_k, give every element of S as sum_k c_k h_k,
 0 <= c_k < t_k, in exactly one way.  `_stream` then yields S, never stored:
 a table of the combinations of the last rows (at most _BLOCK elements) plus
 one offset per combination of the others; it takes the rows of any
-subgroup, commuting or not.  A_w counts the elements of weight w block by
-block, and A' = B comes from the Hamming identity (t9) in integers,
-    B(x, y) = (1/|S|) A(x + (m^2 - 1) y, x - y);
-no array of m^(2n) coefficients is built, and memory is O(n _BLOCK).  t9
-holds for every nice error basis (the kernel rows sum to zero, lemma 1), so
-these numbers do not depend on the basis.  Phased generators are checked on
-their powers and on the relation words of one Howell form of [G | I].
+subgroup, commuting or not.  Phased generators are checked on their powers
+and on the relation words of one Howell form of [G | I].
 
-Only the exact route, `_exact_pair`, streams S.  The dense C of
-`code_analysis.associated_element` takes S whole, both tables at once: S is
-isotropic, so |S| <= m^n, the square root of the m^(2n) coefficients of C.
-
-A code is read through its m, n and body alone: `code_analysis` builds
-codes and frames the exact pair into a report, and imports this module.
+S leaves the module in two forms, neither framed: `_weight_counts`, A_0..A_n
+and |S| as exact ints in O(n _BLOCK) memory, and `_group_labels`, the flat
+labels of all of S at once (S is isotropic, so |S| <= m^n, the square root
+of the m^(2n) coefficients of C).  `code_analysis` builds codes, takes t9
+of the counts and scatters the labels; a code is read by m, n and body alone.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ import math
 
 import numpy as np
 
-from .enumerators import HammingDistribution, macwilliams_terms
 from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem
 from .errors import InconsistentStabilizers, ShapeMismatch
 
@@ -113,7 +106,7 @@ def _stream(rows: np.ndarray, orders: np.ndarray,
     per-qudit ordering indices: `low`, (n, L) with L <= _BLOCK, the
     combinations of the last rows, and `high`, (n, prod_k t_k / L), those of
     the others.  Every element of the span is low[:, j] + high[:, k] (added
-    qudit by qudit in Z_m x Z_m) for exactly one (j, k), so `_exact_pair`
+    qudit by qudit in Z_m x Z_m) for exactly one (j, k), so `_weight_counts`
     streams the span in prod_k t_k / L blocks and never stores it."""
     m, n, plus = ordering.m, rows.shape[1] // 2, ordering.add_table
     # codes[k, :, t] indexes t h_k; C-ordered index arrays give C-ordered tables
@@ -158,20 +151,25 @@ def _index_group(sys: PhaseSystem, code) -> tuple[np.ndarray, np.ndarray]:
     return _stream(rows[:span, :2 * n], orders[:span], sys.ordering)
 
 
-def _exact_pair(sys: PhaseSystem, code) -> tuple[HammingDistribution, HammingDistribution, int]:
-    """The Hamming pair (A, A') of a stabilizer `CodeSpec` in exact integers,
-    and |S|, with S streamed in blocks.  A block counts the weights of
-    low - offset, nonzero at a qudit where the two indices differ: -H is a
+def _weight_counts(sys: PhaseSystem, code) -> tuple[list[int], int]:
+    """The weight counts A_0..A_n of S for a stabilizer `CodeSpec`, as ints,
+    and |S|, with S streamed in blocks.  A block counts the weights of low -
+    offset, nonzero at a qudit where the two indices differ: -H is a
     transversal of the cosets of L as H is, so each element of S counts once."""
-    m, n = code.m, code.n
+    n = code.n
     low, high = _index_group(sys, code)
-    size = low.shape[1] * high.shape[1]
     counts = np.zeros(n + 1, dtype=np.int64)
     weight = np.min_scalar_type(n)
     for minus in high.T:
         differs = (low != minus[:, None]).view(np.uint8)  # summing bytes skips a cast per entry
         counts += np.bincount(differs.sum(axis=0, dtype=weight), minlength=n + 1)
-    a = [int(x) for x in counts]
-    b = [x // size for x in macwilliams_terms(a, m * m, n)]  # |S| times N(S)'s weight counts
-    a, b = (HammingDistribution.of_ints(m, n, x) for x in (a, b))
-    return a, b, size
+    return [int(x) for x in counts], low.shape[1] * high.shape[1]
+
+
+def _group_labels(sys: PhaseSystem, code) -> np.ndarray:
+    """The flat labels of all of S for a stabilizer `CodeSpec`, taken whole:
+    every low row plus every offset, ordering indices as base-m^2 digits."""
+    m, n = code.m, code.n
+    low, high = _index_group(sys, code)
+    digits = sys.ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1)
+    return np.ravel_multi_index(digits, (m * m,) * n)

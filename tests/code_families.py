@@ -5,7 +5,9 @@ known distance; for a concatenated code d is only the lower bound d_1 d_2
 (Gottesman, PhD thesis, Caltech 1997).  The families are the rotated
 surface code and the toric code (Kitaev, Ann. Phys. 303, 2 (2003);
 Bombin and Martin-Delgado, PRA 76, 012305 (2007)), the surface code's qudit
-version for prime m, and the five-qubit code concatenated with itself.
+version for prime m, the triangular 2D color codes on the 6.6.6 and 4.8.8
+lattices (Bombin and Martin-Delgado, PRL 97, 180501 (2006)), and the
+five-qubit code concatenated with itself.
 """
 
 from qecalg import CodeSpec, pauli_label
@@ -60,6 +62,41 @@ def toric(size: int):
     return _code(2, 2 * size * size, stars + faces), 4, size
 
 
+def _color_code(n: int, faces) -> CodeSpec:
+    """The qubit color code with an X and a Z check on every face, each a list of qubits."""
+    return _code(2, n, [{q: p for q in face} for p in ((1, 0), (0, 1)) for face in faces])
+
+
+def color_666(d: int):
+    """[[(3 d^2 + 1)/4, 1, d]] triangular color code on the 6.6.6 (honeycomb)
+    lattice, d odd.  The points (i, j), i, j >= 0, i + j <= 3 (d - 1)/2, of
+    the triangular lattice, whose neighbours are the offsets (+-1, 0),
+    (0, +-1) and +-(1, -1), are face centres where i - j = 2 mod 3 and
+    qubits elsewhere; a face is its centre's qubit neighbours, six inside
+    the triangle and four on its sides.  The corners are qubits; d = 3 is
+    the Steane code."""
+    size = 3 * (d - 1) // 2
+    points = [(i, j) for i in range(size + 1) for j in range(size + 1 - i)]
+    centres = [(i, j) for i, j in points if (i - j) % 3 == 2]
+    number = {p: k for k, p in enumerate(p for p in points if p not in centres)}
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
+    faces = [[number[i + a, j + b] for a, b in steps if (i + a, j + b) in number]
+             for i, j in centres]
+    return _color_code(len(number), faces), 2, d
+
+
+def color_488():
+    """[[17, 1, 5]] triangular color code on the 4.8.8 (square-octagon)
+    lattice: one octagon, three squares, and four octagons cut to four
+    qubits by the boundary, the qubits numbered row by row.  Its weights are
+    8 and seven 4s; the three corners (qubits 1, 14 and 16) lie on one face
+    each, nine more qubits on the sides on two, and the other five on three."""
+    faces = [[3, 4, 5, 6, 7, 8, 10, 11],  # the octagon
+             [0, 2, 3, 5], [7, 9, 10, 14], [8, 11, 12, 15],  # the squares
+             [0, 1, 3, 4], [2, 5, 7, 9], [6, 8, 12, 13], [12, 13, 15, 16]]  # the cut octagons
+    return _color_code(17, faces), 2, 5
+
+
 def concatenated_513():
     """[[25, 1, >= 9]]: each qubit of the five-qubit code replaced by a
     block of the five-qubit code, whose logical X and Z are XXXXX and ZZZZZ.
@@ -78,4 +115,5 @@ def families():
     members = [(f"surface-d{d}", *rotated_surface(d), True) for d in (3, 5)]
     members += [(f"surface-d3-m{m}", *rotated_surface(3, m), True) for m in (3, 5)]
     members += [(f"toric-L{size}", *toric(size), True) for size in (2, 3)]
+    members += [("color-666-d5", *color_666(5), True), ("color-488-d5", *color_488(), True)]
     return members + [("513-in-513", *concatenated_513(), False)]

@@ -160,7 +160,7 @@ def test_hamming_pair_takes_the_route_of_its_input(sys2, five_qubit_code, monkey
 
     monkeypatch.setattr(code_analysis, "transform", refuse)
     monkeypatch.setattr(code_analysis, "_associated_basis", refuse)
-    monkeypatch.setattr(code_analysis, "_index_group", refuse)
+    monkeypatch.setattr(code_analysis, "_group_labels", refuse)
     a, b, mass = code_analysis.hamming_pair(sys2, five_qubit_code)
     assert (a.exact, b.exact, mass) == ((1, 0, 0, 0, 15, 0), (1, 0, 0, 30, 15, 18), 16)
     monkeypatch.undo()

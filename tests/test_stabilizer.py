@@ -1,4 +1,5 @@
-"""The exact route's module on its own: the stream of any row span, and its imports."""
+"""The exact route's module on its own: the stream of any row span, the two
+forms in which it hands out S, and its imports."""
 
 import ast
 import itertools
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qecalg import canonical_ordering, stabilizer
+from qecalg import CodeSpec, build_pauli_system, canonical_ordering, stabilizer
 from stabilizer_reference import howell_form
 
 
@@ -62,10 +63,48 @@ def test_howell_form_equals_the_numpy_reference(m):
             assert np.array_equal(orders, ref_orders), (m, mat.tolist())
 
 
+def _seeded_code(m, n, rng):
+    """Commuting generators: Z^e seeds on the first r qudits, e drawn from
+    1..m-1, then 3n random symplectic transvections x -> x + <x, v> v,
+    which keep every symplectic product; so |S| = prod_i m / gcd(e_i, m)."""
+    r = int(rng.integers(1, n + 1))
+    exponents = rng.integers(1, m, size=r)
+    gens = np.zeros((r, 2 * n), dtype=np.int64)
+    gens[np.arange(r), 2 * np.arange(r) + 1] = exponents
+    for _ in range(3 * n):
+        v = rng.integers(0, m, size=2 * n)
+        product = gens[:, 0::2] @ v[1::2] - gens[:, 1::2] @ v[0::2]
+        gens = (gens + np.outer(product, v)) % m
+    code = CodeSpec.from_stabilizers(m, n, [list(zip(g[0::2], g[1::2])) for g in gens.tolist()])
+    return code, int(np.prod([m // np.gcd(int(e), m) for e in exponents]))
+
+
+@pytest.mark.parametrize("block", [7, None])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_group_labels_are_s_and_weigh_as_the_counts(monkeypatch, m, block):
+    # the two forms of S agree: |S| distinct labels whose weights (nonzero
+    # ordering digits) have the histogram _weight_counts streams, block 7
+    # putting nearly every row on the offset side
+    if block is not None:
+        monkeypatch.setattr(stabilizer, "_BLOCK", block)
+    sys_ = build_pauli_system(m)
+    rng = np.random.default_rng(500 + m)
+    for _ in range(6):
+        n = int(rng.integers(1, 6))
+        code, order = _seeded_code(m, n, rng)
+        labels = stabilizer._group_labels(sys_, code)
+        counts, size = stabilizer._weight_counts(sys_, code)
+        assert size == order == len(labels) == len(np.unique(labels))
+        digits = np.stack(np.unravel_index(labels, (m * m,) * n))
+        weights = np.count_nonzero(digits, axis=0)
+        assert np.bincount(weights, minlength=n + 1).tolist() == counts
+        assert all(type(x) is int for x in counts)
+
+
 def test_stabilizer_imports_nothing_from_the_layers_above_it():
     # read from the source: a sys.modules probe cannot tell, because importing
     # qecalg.stabilizer runs qecalg/__init__, which imports code_analysis
-    above = {"code_analysis", "cli", "fileio", "catalog", "oracle"}
+    above = {"code_analysis", "enumerators", "group_algebra", "cli", "fileio", "catalog", "oracle"}
     tree = ast.parse(Path(stabilizer.__file__).read_text(encoding="utf-8"))
     named = set()
     for node in ast.walk(tree):
@@ -75,5 +114,5 @@ def test_stabilizer_imports_nothing_from_the_layers_above_it():
                                                    or node.module.startswith("qecalg.")):
             named |= set((node.module or "").split("."))
             named |= {alias.name for alias in node.names}
-    assert {"enumerators", "error_basis"} <= named
+    assert {"error_basis", "errors"} <= named
     assert not named & above, sorted(named & above)

@@ -68,8 +68,8 @@ MUTANTS = [
      "both run over S once"),
     ("reports.py", "~(residuals <= tol)", "residuals > tol", KILLED,
      "every check's verdict rule letting a NaN residual pass"),
-    ("code_analysis.py", "high[:, None, :]].reshape(n, -1)", "high[:, None, :]].reshape(n, -1)[::-1]",
-     KILLED, "a stabilizer code's C scattered with its coordinates reversed"),
+    ("stabilizer.py", "high[:, None, :]].reshape(n, -1)", "high[:, None, :]].reshape(n, -1)[::-1]",
+     KILLED, "the labels of S, and so a stabilizer code's C, with their coordinates reversed"),
     ("fileio.py", 'np.diff(np.sort(index, kind="stable"))', "np.diff(index)", KILLED,
      "the duplicate-index check of a written block comparing only neighbouring lines"),
     ("stabilizer.py", "if v % g]", "if False]", KILLED,
@@ -83,6 +83,10 @@ MUTANTS = [
      "associated_element taking an element's transform for the element"),
     ("error_basis.py", "        raise RowSumViolation(report.detail)\n", "        pass\n", KILLED,
      "validate_custom_basis accepting a basis whose kernel rows do not sum to zero"),
+    ("code_analysis.py", "[x // size for x in", "[x // (m ** n // size) for x in", KILLED,
+     "the exact t9 image divided by K = m^n/|S| instead of |S|"),
+    ("reports.py", "    def __bool__(self) -> bool:\n        return self.passed\n", "", KILLED,
+     "a CheckReport truthy whatever its verdict"),
 ]
 
 
