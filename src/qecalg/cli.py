@@ -95,15 +95,14 @@ def _machine_entries(dist: HammingDistribution) -> list[list]:
 def _hamming_text(dist: HammingDistribution,
                   dual: HammingDistribution) -> tuple[str, str, str | None]:
     """The text of a Hamming pair (A, A'): its two distributions and the note
-    on integer-rounded floats, None when nothing was rounded (exact ints never are)."""
+    on integer-rounded floats, with the largest residual of the float sides
+    printed rounded, None when nothing was rounded (exact ints never are)."""
     pair = (dist, dual)
     ints = [d.rounded() for d in pair]
     a_txt, b_txt = ("(" + ",".join(map(_coeff_text, d.a if i is None else i)) + ")"
                     for d, i in zip(pair, ints))
-    note = None
-    if any(d.exact is None for d in pair) and all(i is not None for i in ints):
-        resid = max(float(np.abs(d.a - np.round(d.a.real)).max()) for d in pair)
-        note = f"# coefficients integer-rounded, max residual {resid:.2e}"
+    resids = [d.residual() for d, i in zip(pair, ints) if d.exact is None and i is not None]
+    note = f"# coefficients integer-rounded, max residual {max(resids):.2e}" if resids else None
     return a_txt, b_txt, note
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .error_basis import PhaseSystem, canonical_ordering
+from .error_basis import PhaseSystem
 from .errors import EvenM, QecalgError
 from .group_algebra import (
     IDENTITY_TOL, AlgebraElement, checked_mass, contract_axes, transform,
@@ -83,14 +83,17 @@ class HammingDistribution:
     def of_ints(cls, m: int, n: int, counts: Sequence[int]) -> "HammingDistribution":
         return cls(m, n, np.array([_saturated(x) for x in counts], np.complex128), tuple(counts))
 
+    def residual(self) -> float:
+        """max |a_w - round(Re a_w)|, which `rounded` allows up to ROUNDING_TOL."""
+        return float(np.abs(self.a - np.round(self.a.real)).max())
+
     def rounded(self):
         """The exact ints, else the integer-rounded vector, or None if some
         entry is not near-integer."""
         if self.exact is not None:
             return self.exact
-        r = np.round(self.a.real)
-        if np.abs(self.a - r).max() <= ROUNDING_TOL:
-            return tuple(int(v) for v in r)
+        if self.residual() <= ROUNDING_TOL:
+            return tuple(int(v) for v in np.round(self.a.real))
         return None
 
 
@@ -137,12 +140,13 @@ def _composition_terms(a: AlgebraElement, symbol: np.ndarray,
 
 
 def _lee_class(m: int) -> np.ndarray:
-    """Ordering index -> Lee class, the smaller of the indices of g and -g
-    read off `neg_table` (0 -> 0, j -> j for j <= delta, else m^2 - j), as
+    """Ordering index j -> Lee class min(j, (m^2 - j) mod m^2), the smaller
+    index of g and -g by the odd-m mirror alpha_{m^2-j} = -alpha_j, as
     int64; odd m only (EvenM otherwise)."""
     if m % 2 == 0:
         raise EvenM(f"Lee machinery needs odd m, got m={m}")
-    return np.minimum(np.arange(m * m), canonical_ordering(m).neg_table)
+    j = np.arange(m * m)
+    return np.minimum(j, -j % (m * m))
 
 
 def complete_distribution(a: AlgebraElement) -> CompositionDistribution:

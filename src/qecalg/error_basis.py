@@ -52,10 +52,10 @@ class GroupOrdering:
     enumerator needs.  `order`, a read-only (m^2, 2) intp array, holds in row
     i the exponents (a, b) of alpha_i, and `position`, an (m, m) array, is its
     inverse, the ordering index of (a, b): the one numbering of Z_m x Z_m,
-    from which every flat label index is built.  `add_table` and `neg_table`
-    translate group arithmetic into ordering indices; they are stored in the
-    smallest unsigned dtype holding m^2 - 1, which the stabilizer streams
-    compare, and are for indexing only.  `position` stays intp, because flat
+    from which every flat label index is built.  `add_table[i, j]`, the index
+    of alpha_i + alpha_j, is stored in the smallest unsigned dtype holding
+    m^2 - 1 and is for indexing only (-alpha_i needs no table: for odd m it
+    is alpha_{(m^2 - i) mod m^2}).  `position` stays intp, because flat
     indices are built from it by scalar arithmetic, which overflows or wraps
     in a small unsigned dtype.
     """
@@ -64,7 +64,6 @@ class GroupOrdering:
     order: np.ndarray
     position: np.ndarray
     add_table: np.ndarray
-    neg_table: np.ndarray
 
     @property
     def size(self) -> int:
@@ -83,10 +82,10 @@ def canonical_ordering(m: int) -> GroupOrdering:
         raise ValueError(f"m must be >= 2, got {m}")
     q = m * m
     flat = np.arange(q)  # a * m + b, so flat order is lexicographic (a, b) order
-    neg = (-(flat // m) % m) * m + (-flat % m)
     if m % 2 == 0:
         codes = flat
     else:
+        neg = (-(flat // m) % m) * m + (-flat % m)
         reps = flat[flat < neg]  # the smaller of each {g, -g}; odd m has no g = -g != 0
         codes = np.concatenate([[0], reps, neg[reps[::-1]]])
     order = np.stack(np.divmod(codes, m), axis=1)
@@ -95,12 +94,10 @@ def canonical_ordering(m: int) -> GroupOrdering:
     pos[codes] = np.arange(q)
     small = pos.astype(np.min_scalar_type(q - 1))
     add_table = small[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
-    neg_table = small[neg[codes]]
     position = pos.reshape(m, m)
-    for table in (order, position, add_table, neg_table):
+    for table in (order, position, add_table):
         table.setflags(write=False)
-    return GroupOrdering(m=m, order=order, position=position,
-                         add_table=add_table, neg_table=neg_table)
+    return GroupOrdering(m=m, order=order, position=position, add_table=add_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,30 +105,29 @@ class PhaseSystem:
     """A nice error basis reduced to its numerical data; m is its ordering's.
 
     omega[i, j]  = w_{alpha_i alpha_j}  (phase in E_i E_j = w * E_{i+j})
-    kernel[h, g] = w_{hg} * conj(w_{gh}), the per-coordinate character value
+    kernel[h, g] = w_{hg} * conj(w_{gh}), the per-coordinate character value,
+                   computed from omega when the system is made (no argument,
+                   so a dataclasses.replace copy with a new omega has its own)
     matrices     = the m^2 single-system unitaries realizing the basis,
                    indexed in ordering order; code analysis contracts them
                    directly, so every nice error basis takes the same route.
     axioms       = the axiom report `validate_custom_basis` formed, else None;
                    the arrays are read-only, so it holds for the system's
                    life, and a dataclasses.replace copy starts without it.
+    The constructor, the only one, makes the three arrays read-only in place.
     """
 
     omega: np.ndarray
-    kernel: np.ndarray
+    kernel: np.ndarray = field(init=False)
     ordering: GroupOrdering
     matrices: np.ndarray
     axioms: CheckReport | None = field(default=None, init=False, repr=False)
 
-    @classmethod
-    def from_phases(cls, ordering: GroupOrdering, omega: np.ndarray,
-                    matrices: np.ndarray) -> "PhaseSystem":
-        """The system of a phase table and its matrices, with the kernel
-        derived from omega; the three arrays are made read-only in place."""
-        kernel = omega * np.conj(omega.T)
-        for arr in (omega, kernel, matrices):
+    def __post_init__(self) -> None:
+        kernel = self.omega * np.conj(self.omega.T)
+        for arr in (self.omega, kernel, self.matrices):
             arr.setflags(write=False)
-        return cls(omega=omega, kernel=kernel, ordering=ordering, matrices=matrices)
+        object.__setattr__(self, "kernel", kernel)  # frozen: set once, while being made
 
     @property
     def m(self) -> int:
@@ -166,13 +162,13 @@ def build_pauli_system(m: int) -> PhaseSystem:
     j = np.arange(m)
     mats = np.zeros((m * m, m, m), dtype=np.complex128)
     mats[np.arange(m * m)[:, None], (j + a[:, None]) % m, j] = roots[b[:, None] * j % m]
-    return PhaseSystem.from_phases(ordering, omega, mats)
+    return PhaseSystem(omega=omega, ordering=ordering, matrices=mats)
 
 
 def verify_kernel_row_sums(sys: PhaseSystem) -> CheckReport:
     """Check that sum_g w_{gh} * conj(w_{hg}) = 0 for every nonzero h; a NaN
     fails, and `failures` are the h indices whose sums do not vanish."""
-    sums = (sys.omega * np.conj(sys.omega.T)).sum(axis=1)  # entry h: sum over g
+    sums = sys.kernel.sum(axis=1)  # entry h: sum over g
     report = CheckReport.from_residuals("kernel-row-sums", np.abs(sums[1:]), PHASE_TOL,
                                         label=lambda h: h + 1)
     return report if report.passed else replace(
@@ -238,7 +234,7 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
         products = mats[:, None] @ mats[None, :]
         for g in range(q):
             omega[g] = np.trace(adjoints[add[g]] @ products[g], axis1=1, axis2=2) / m
-        sys = PhaseSystem.from_phases(ordering, omega, mats)
+        sys = PhaseSystem(omega=omega, ordering=ordering, matrices=mats)
         axioms = verify_basis_axioms(sys, products)
     if not axioms.passed:
         kind, i, *rest = axioms.failures[0]

@@ -40,10 +40,10 @@ finiteness).  This holds in any UTF-8 file with any line ends.  Every other
 block (a comment, a blank line, a tab, a token such as "1-2") and every
 block that fails a check goes to one loop, line by line: token count, index,
 range, duplicate, then the "re,im" value.  That loop alone raises, so the
-first bad line and its message are those of a line-by-line parse.  A
-65,536-line m=2 n=8 file (median of 7 fresh processes, 2 vCPUs) reads in
-about 130 ms in the writers' spelling with \\n or \\r\\n line ends, and in
-254 ms with a tab on every line, which the loop reads.  Generator rows,
+first bad line and its message are those of a line-by-line parse.  The
+bulk route is the fast one: a file in the writers' spelling, with \\n or
+\\r\\n line ends, never reaches the loop, to which a tab on every line
+sends every block.  Generator rows,
 basis-code rows and custom-basis matrices are read by one loop, `_rows`.
 `write_element` formats the nonzero coefficients with one %-format per
 block of lines.

@@ -60,8 +60,8 @@ def _howell_form(gens: np.ndarray, m: int):
     divisor g, and a multiple of it is subtracted from every other row.  For
     g != 1 the annihilator row (m/g) h joins the rows still to be reduced.
     The rows are lists of Python ints: a code's matrix holds a few dozen
-    residues, on which numpy's first calls in a fresh process (10-45 us
-    each, 1-9 us warm, some 15 per pivot) cost more than the arithmetic.
+    residues, on which numpy's first calls in a fresh process, several per
+    pivot, cost more than the arithmetic.
     """
     mat = [[x % m for x in row] for row in gens.tolist()]  # rows [0, k) are the Howell rows
     k, orders = 0, []

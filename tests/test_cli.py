@@ -656,6 +656,19 @@ def test_rounding_note_only_on_the_dense_route(capsys, tmp_path):
         assert [line for line in out.splitlines() if line.startswith(note)], call
 
 
+def test_rounding_note_when_one_side_is_rounded(capsys, tmp_path):
+    # A = (1, 2.000000001) is printed rounded and A' = (1, 0.33...) is not:
+    # the rounded side's residual is still noted
+    path = tmp_path / "one.elem"
+    path.write_text("element v1\nm 2\nn 1\n0 1,0\n1 2.000000001,0\n")
+    lines = ["hamming distribution", "C : A=(1,2)", "C': A=(1,0.333333332889)",
+             "# coefficients integer-rounded, max residual 1.00e-09"]
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert code == 0 and out.splitlines() == [*lines, f"# qecalg {__version__}"]
+    code, out, _ = run(capsys, "enumerate", str(path), "--kind", "hamming", "--format", "machine")
+    assert code == 0 and json.loads(out)["text"] == lines
+
+
 def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):
     # code files are phase-free, so a phased code reaches the CLI only
     # through the library; the exception is a QecalgError, exit 2

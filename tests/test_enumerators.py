@@ -81,6 +81,16 @@ def test_lee_class_pairing():
     assert cls[0] == 0
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 15])
+def test_lee_class_is_the_smaller_index_of_g_and_minus_g(m):
+    # -g formed coordinate by coordinate, its index looked up in the ordering
+    order = canonical_ordering(m).order.tolist()
+    index = {tuple(g): i for i, g in enumerate(order)}
+    want = [min(i, index[(-a % m, -b % m)]) for i, (a, b) in enumerate(order)]
+    cls = _lee_class(m)
+    assert cls.dtype == np.int64 and cls.tolist() == want
+
+
 # --- distributions ---
 
 def test_complete_distribution_unit():
@@ -322,8 +332,7 @@ def test_evaluation_identities_fail_on_nan(sys3, monkeypatch, check):
     if check in (verify_kernel_row_sums, verify_basis_axioms):
         omega = sys3.omega.copy()
         omega[1, 2] = np.nan
-        broken = PhaseSystem(omega=omega, kernel=sys3.kernel, ordering=sys3.ordering,
-                             matrices=sys3.matrices)
+        broken = PhaseSystem(omega=omega, ordering=sys3.ordering, matrices=sys3.matrices)
         report = check(broken)
         expected = (1, 2) if check is verify_kernel_row_sums else (("closure", 1, 2),)
     elif check is check_cs_ordering:
@@ -454,10 +463,11 @@ def test_batched_trials_match_per_trial_loop(monkeypatch, check, m, n, trials):
 
 
 def test_batched_trials_match_per_trial_loop_failing_lee(monkeypatch, sys3):
-    # a kernel entry off by 1e-8 breaks the Lee identity in most, not all, trials
-    kernel = sys3.kernel.copy()
-    kernel[1, 2] *= 1 + 1e-8
-    sys_ = dataclasses.replace(sys3, kernel=kernel)
+    # a phase off by 1e-8, and so the two kernel entries made from it, breaks
+    # the Lee identity in most, not all, trials
+    omega = sys3.omega.copy()
+    omega[1, 2] *= 1 + 1e-8
+    sys_ = dataclasses.replace(sys3, omega=omega)
     report = _check_against_reference(monkeypatch, verify_lee_identity, sys_,
                                       random_element(3, 3, 1), 20, seed=4)
     assert 0 < len(report.failures) < 20

@@ -165,7 +165,7 @@ def test_ordering_tables(sys3):
     ordering = sys3.ordering
     order = elements(ordering)
     for i, g in enumerate(order):
-        assert order[ordering.neg_table[i]] == group_neg(g, 3)
+        assert order[-i % 9] == group_neg(g, 3)  # the odd-m mirror
         for j, h in enumerate(order):
             assert order[ordering.add_table[i, j]] == group_add(g, h, 3)
 
@@ -190,10 +190,24 @@ def test_a_system_reads_m_off_its_ordering():
     # axiom report is no constructor argument, so no caller can hand one in
     assert [f.name for f in dataclasses.fields(PhaseSystem)] == [
         "omega", "kernel", "ordering", "matrices", "axioms"]
-    assert [f.name for f in dataclasses.fields(PhaseSystem) if not f.init] == ["axioms"]
+    assert [f.name for f in dataclasses.fields(PhaseSystem) if not f.init] == [
+        "kernel", "axioms"]
     sys_ = build_pauli_system(5)
     assert (sys_.m, sys_.q) == (5, 25)
     assert sys_.ordering is canonical_ordering(5)
+
+
+def test_a_system_computes_its_kernel_from_omega(sys3):
+    # the kernel is no constructor argument, so it cannot disagree with
+    # omega, and a dataclasses.replace copy with a new omega computes its own
+    with pytest.raises(TypeError, match="kernel"):
+        PhaseSystem(omega=sys3.omega, kernel=sys3.kernel, ordering=sys3.ordering,
+                    matrices=sys3.matrices)
+    w = sys3.omega.copy()
+    w[1, 2] *= -1.0
+    copy = dataclasses.replace(sys3, omega=w)
+    _same_bits(copy.kernel, w * np.conj(w.T))
+    assert not copy.kernel.flags.writeable and not w.flags.writeable
 
 
 # --- custom basis validation ---
@@ -233,7 +247,8 @@ def test_a_non_unitary_similar_basis_fails_the_axioms(m):
     s = np.eye(m)
     s[0, 1] = 0.5
     mats = s @ np.asarray(pauli.matrices) @ np.linalg.inv(s)
-    report = verify_basis_axioms(PhaseSystem.from_phases(pauli.ordering, pauli.omega, mats))
+    report = verify_basis_axioms(PhaseSystem(omega=pauli.omega, ordering=pauli.ordering,
+                                               matrices=mats))
     assert not report.passed and report.failures[0] == ("unitary", 1)
     assert {kind for kind, *_ in report.failures} == {"unitary"}
     with pytest.raises(NonUnitary, match=r"^matrix 1 \(element \(0, 1\)\) is not unitary$"):
@@ -311,8 +326,7 @@ def test_custom_basis_with_an_infinite_product_is_rejected(value):
 def test_basis_axioms_fail_nan_phase(sys2):
     omega = sys2.omega.copy()
     omega[1, 2] = np.nan
-    broken = PhaseSystem(omega=omega, kernel=sys2.kernel, ordering=sys2.ordering,
-                         matrices=sys2.matrices)
+    broken = PhaseSystem(omega=omega, ordering=sys2.ordering, matrices=sys2.matrices)
     report = verify_basis_axioms(broken)
     assert not report.passed
     assert report.failures == (("closure", 1, 2),)
@@ -363,7 +377,7 @@ def test_a_validated_system_keeps_its_axiom_report():
 # --- the tables against the per-element loops they replaced ---
 
 def _reference_ordering(m):
-    """(order, index, add_table, neg_table) built one element at a time."""
+    """(order, index, add_table) built one element at a time."""
     elems = [(a, b) for a in range(m) for b in range(m)]
     if m % 2 == 0:
         order = tuple(elems)
@@ -375,12 +389,10 @@ def _reference_ordering(m):
     q = m * m
     dtype = np.min_scalar_type(q - 1)  # the smallest unsigned dtype holding every index
     add_table = np.empty((q, q), dtype=dtype)
-    neg_table = np.empty(q, dtype=dtype)
     for i, g in enumerate(order):
-        neg_table[i] = index[group_neg(g, m)]
         for j, h in enumerate(order):
             add_table[i, j] = index[group_add(g, h, m)]
-    return order, index, add_table, neg_table
+    return order, index, add_table
 
 
 def _reference_roots(m):
@@ -423,17 +435,16 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16, 17])
 def test_tables_match_the_element_loops(m):
     ordering = canonical_ordering(m)
-    order, index, add_table, neg_table = _reference_ordering(m)
+    order, index, add_table = _reference_ordering(m)
     _same_bits(ordering.order, np.array(order, dtype=np.intp))
     assert all(ordering.position[a, b] == i for (a, b), i in index.items())
     assert ordering.position.shape == (m, m)
     _same_bits(ordering.add_table, add_table)
-    _same_bits(ordering.neg_table, neg_table)
     sys_ = build_pauli_system(m)
     assert sys_.ordering is ordering
     for got, want in zip((sys_.omega, sys_.kernel, sys_.matrices), _reference_pauli(m, order)):
         _same_bits(got, want)
-    for arr in (ordering.order, ordering.position, ordering.add_table, ordering.neg_table,
+    for arr in (ordering.order, ordering.position, ordering.add_table,
                 sys_.omega, sys_.kernel, sys_.matrices):
         assert not arr.flags.writeable
 
@@ -523,7 +534,7 @@ def test_custom_basis_matches_the_pair_loops(m):
 
 def _corrupted(m, omega=None, matrices=None):
     sys_ = build_pauli_system(m)
-    return PhaseSystem(omega=sys_.omega if omega is None else omega, kernel=sys_.kernel,
+    return PhaseSystem(omega=sys_.omega if omega is None else omega,
                        ordering=sys_.ordering, matrices=sys_.matrices if matrices is None
                        else matrices)
 

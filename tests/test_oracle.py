@@ -150,10 +150,7 @@ def test_verify_basis_axioms_flags_corrupted_phase(sys2):
     from qecalg.error_basis import PhaseSystem
     omega = sys2.omega.copy()
     omega[1, 2] *= -1.0  # deliberately wrong closure phase
-    corrupted = PhaseSystem(
-        omega=omega, kernel=sys2.kernel, ordering=sys2.ordering,
-        matrices=sys2.matrices,
-    )
+    corrupted = PhaseSystem(omega=omega, ordering=sys2.ordering, matrices=sys2.matrices)
     report = verify_basis_axioms(corrupted)
     assert not report.passed
     assert any(f[0] == "closure" for f in report.failures)

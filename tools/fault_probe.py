@@ -7,10 +7,10 @@
 Each row of MUTANTS names a file under src/qecalg, a text that must occur in
 it exactly once, the text that replaces it, and the outcome expected: the
 suite kills the mutant, or the mutant is equivalent to the program, with the
-reason.  For every run the script copies src/, tests/ and pyproject.toml of
-this checkout into a new temporary directory, applies the row's edit there
-and runs `python -m pytest -x -q -p no:cacheprovider` in it; a failing run
-kills the mutant.  The unmutated copy runs first and must pass.  The suite
+reason.  For every run the script copies src/, tests/, pyproject.toml and
+README.md (which a test reads) of this checkout into a new temporary
+directory, applies the row's edit there and runs `python -m pytest -x -q -p
+no:cacheprovider` in it; a failing run kills the mutant.  The unmutated copy runs first and must pass.  The suite
 runs without tests/test_fault_probe.py, which checks this table against the
 unmutated source and so would fail on every mutated copy.
 
@@ -44,7 +44,7 @@ MUTANTS = [
      "the Howell form without its annihilator rows"),
     ("code_analysis.py", "for x in a[1:d])", "for x in a[1:d + 1])", KILLED,
      "purity judged over A_1..A_d, one weight too many"),
-    ("enumerators.py", "np.minimum(np.arange(m * m)", "np.maximum(np.arange(m * m)", KILLED,
+    ("enumerators.py", "np.minimum(j, -j", "np.maximum(j, -j", KILLED,
      "Lee classes by the larger index of g and -g"),
     ("group_algebra.py", "out[1:] += acc[:, 1:].sum(axis=1)", "out[1:] += acc[:, 2:].sum(axis=1)",
      KILLED, "weight_reduce dropping digit 1"),
@@ -55,14 +55,14 @@ MUTANTS = [
     ("kernel.py", "np.ascontiguousarray(mat, dtype=np.complex128).T",
      "np.ascontiguousarray(mat, dtype=np.complex128)", KILLED,
      "the complex GEMM against the untransposed matrix"),
-    ("error_basis.py", "kernel = omega * np.conj(omega.T)", "kernel = np.conj(omega) * omega.T",
-     KILLED, "the conjugated kernel"),
+    ("error_basis.py", "kernel = self.omega * np.conj(self.omega.T)",
+     "kernel = np.conj(self.omega) * self.omega.T", KILLED, "the conjugated kernel"),
     ("group_algebra.py", "out *= 1 / mass", "out *= 1 / mass.conjugate()", KILLED,
      "C' scaled by 1/conj(M)"),
     ("enumerators.py", "(comps[:, None] + unit)", "(comps[:, None] | unit)", KILLED,
      "compositions extended by a bitwise or, so no count grows past 1"),
-    ("stabilizer.py", "for minus in high.T:", "for minus in sys.ordering.neg_table[high].T:",
-     EQUIVALENT,
+    ("stabilizer.py", "for minus in high.T:",
+     "for minus in np.argmin(sys.ordering.add_table, axis=1)[high].T:", EQUIVALENT,
      "the weights of low - offset counted as those of low + offset: the low rows span a "
      "subgroup L of S and the offsets a transversal H of its cosets, -H is one too, so "
      "both run over S once"),
@@ -87,6 +87,11 @@ MUTANTS = [
      "the exact t9 image divided by K = m^n/|S| instead of |S|"),
     ("reports.py", "    def __bool__(self) -> bool:\n        return self.passed\n", "", KILLED,
      "a CheckReport truthy whatever its verdict"),
+    ("cli.py", "if resids else None", "if resids and None not in ints else None", KILLED,
+     "the rounding note dropped when only one side of the pair was printed rounded"),
+    ("error_basis.py", "for arr in (self.omega, kernel, self.matrices):",
+     "for arr in (self.omega, self.matrices):", KILLED,
+     "a system's computed kernel left writeable"),
 ]
 
 
@@ -94,7 +99,8 @@ def _copy_tree(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _apply(dest: Path, row) -> bool:
