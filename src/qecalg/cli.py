@@ -66,7 +66,7 @@ def _basis_file(args, inputs: dict):
 
 def _system_for(m: int, args, inputs: dict):
     if not args.basis_file:
-        return build_pauli_system(m)
+        return None  # the generalized Pauli basis, built only where a route reads it
     sys_ = _basis_file(args, inputs)
     if sys_.m != m:
         raise QecalgError(f"basis file has m={sys_.m} but the input needs m={m}")
@@ -167,6 +167,7 @@ def _cmd_enumerate(args):
     else:
         if args.kind == "lee":
             _lee_class(payload.m)  # even m is refused before C is built
+        sys_ = sys_ or build_pauli_system(payload.m)
         primary = associated_element(sys_, payload)
         dual = transform(sys_, primary)
         rec_c, text_c = _dist_records(args.kind, primary)
@@ -243,7 +244,7 @@ def _verify_subject(args):
         if identity == "cs" and not isinstance(payload, CodeSpec):
             raise QecalgError("--identity cs needs a code, not an element")
         inputs = {"input": display, "sha256": digest}
-    sys_ = _system_for(payload.m, args, inputs)
+    sys_ = _system_for(payload.m, args, inputs) or build_pauli_system(payload.m)
     if identity == "t8":
         _lee_class(payload.m)  # even m is refused before C is built
     return sys_, payload if identity == "cs" else associated_element(sys_, payload), inputs
@@ -266,7 +267,7 @@ def _cmd_verify(args):
 def _cmd_transform(args):
     display, element, digest = _read(args.element, read_element)
     inputs = {"element": display, "sha256": digest}
-    sys_ = _system_for(element.m, args, inputs)
+    sys_ = _system_for(element.m, args, inputs) or build_pauli_system(element.m)
     dual = transform(sys_, element)
     out_path = args.output or (args.element + ".transformed")
     write_element(out_path, dual)

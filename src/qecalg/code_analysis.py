@@ -44,13 +44,13 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel as _kernel
-from .error_basis import PhaseSystem
+from .error_basis import PhaseSystem, build_pauli_system, canonical_ordering
 from .errors import NoDistance, NonCommutingGenerators, NonOrthonormalBasis, ShapeMismatch
 from .enumerators import (
     HammingDistribution, hamming_distribution, macwilliams_hamming, macwilliams_terms)
 from .group_algebra import AlgebraElement, array_length, transform
 from .reports import CheckReport
-from .stabilizer import _group_labels, _weight_counts
+from .stabilizer import _group_labels, _subgroup, _weight_counts
 
 COEFF_TOL = 1e-9
 
@@ -182,34 +182,35 @@ def _associated_basis(sys: PhaseSystem, code: CodeSpec) -> AlgebraElement:
     return AlgebraElement(m, n, t)
 
 
-def associated_element(sys: PhaseSystem, code: CodeSpec | AlgebraElement) -> AlgebraElement:
+def associated_element(sys: PhaseSystem | None, code: CodeSpec | AlgebraElement) -> AlgebraElement:
     """The algebra element encoding the code (c_0 is always 1); an element
     is its own.
 
     Stabilizer input: the indicator of S, scattered from `_group_labels`.
     Basis input: |tr(E_g P)|^2 / K^2 for every label in one axis
-    contraction, under any nice error basis.
+    contraction, under any nice error basis, the Pauli one if `sys` is None.
     """
     if isinstance(code, AlgebraElement):
         return code
     m, n = code.m, code.n
     if isinstance(code.body, StabilizerGenerators):
         size = array_length(m, n, "an element", 2)  # before S is formed
-        labels = _group_labels(sys, code)
+        labels = _group_labels(canonical_ordering(m), *_subgroup(code, sys))
         coeffs = np.zeros(size, dtype=np.complex128)
         coeffs[labels] = 1.0
         return AlgebraElement(m, n, coeffs)
-    return _associated_basis(sys, code)
+    return _associated_basis(sys or build_pauli_system(m), code)
 
 
-def hamming_pair(sys: PhaseSystem, subject: CodeSpec | AlgebraElement
+def hamming_pair(sys: PhaseSystem | None, subject: CodeSpec | AlgebraElement
                  ) -> tuple[HammingDistribution, HammingDistribution, int | complex]:
     """(A, A', M): the Hamming pair of a code or an element and the mass M
     of its C, by the route for the input: exact, with M = |S| and no C, for
-    a stabilizer code; from C and t9, with no C', for any other input."""
+    a stabilizer code; from C and t9, with no C', for any other input.  `sys`
+    None is the Pauli basis, built only for a basis code or a phased code."""
     if isinstance(subject, CodeSpec) and subject.kind == "stabilizer":
         m, n = subject.m, subject.n
-        a, size = _weight_counts(sys, subject)
+        a, size = _weight_counts(canonical_ordering(m), *_subgroup(subject, sys))
         b = [x // size for x in macwilliams_terms(a, m * m, n)]  # |S| times N(S)'s weight counts
         return (HammingDistribution.of_ints(m, n, a), HammingDistribution.of_ints(m, n, b), size)
     c = associated_element(sys, subject)
@@ -241,10 +242,10 @@ def _distance_and_purity(a: Sequence, b: Sequence, k: int) -> tuple[int, bool]:
                      if k > 1 else "element has no support off the identity")
 
 
-def analyze(sys: PhaseSystem, code: CodeSpec) -> AnalysisReport:
-    """Extract K, d, and purity from the code's `hamming_pair`.  d and
-    purity are decided on the pair's exact integers where it carries them
-    (the exact route)."""
+def analyze(sys: PhaseSystem | None, code: CodeSpec) -> AnalysisReport:
+    """Extract K, d, and purity from the code's `hamming_pair` (under `sys`
+    as there).  d and purity are decided on the pair's exact integers where
+    it carries them (the exact route)."""
     a, b, mass = hamming_pair(sys, code)
     exact = a.exact is not None
     k = code.m ** code.n // mass if exact else code.body.vectors.shape[0]

@@ -52,27 +52,29 @@ class GroupOrdering:
     enumerator needs.  `order`, a read-only (m^2, 2) intp array, holds in row
     i the exponents (a, b) of alpha_i, and `position`, an (m, m) array, is its
     inverse, the ordering index of (a, b): the one numbering of Z_m x Z_m,
-    from which every flat label index is built.  `add_table[i, j]`, the index
-    of alpha_i + alpha_j, is stored in the smallest unsigned dtype holding
-    m^2 - 1 and is for indexing only (-alpha_i needs no table: for odd m it
-    is alpha_{(m^2 - i) mod m^2}).  `position` stays intp, because flat
-    indices are built from it by scalar arithmetic, which overflows or wraps
-    in a small unsigned dtype.
+    from which every flat label index is built, by scalar arithmetic that
+    would wrap in a small dtype, so it stays intp.  No table of pairs is
+    kept: `add` forms alpha_i + alpha_j from the two O(m^2) arrays, and for
+    odd m -alpha_i is alpha_{(m^2 - i) mod m^2}.
     """
 
     m: int
     order: np.ndarray
     position: np.ndarray
-    add_table: np.ndarray
 
     @property
     def size(self) -> int:
         return self.m * self.m
 
+    def add(self, i, j) -> np.ndarray:
+        """The ordering index of alpha_i + alpha_j, broadcast over index arrays i and j."""
+        total = (self.order[i] + self.order[j]) % self.m
+        return self.position[total[..., 0], total[..., 1]]
+
 
 @lru_cache(maxsize=None)
 def canonical_ordering(m: int) -> GroupOrdering:
-    """The package-wide ordering convention for Z_m x Z_m.
+    """The package-wide ordering convention for Z_m x Z_m, in O(m^2) tables.
 
     Even m: plain row-major (a, b).  Odd m: identity first, then the
     lexicographically smaller member of each {g, -g} pair in lex order,
@@ -89,15 +91,10 @@ def canonical_ordering(m: int) -> GroupOrdering:
         reps = flat[flat < neg]  # the smaller of each {g, -g}; odd m has no g = -g != 0
         codes = np.concatenate([[0], reps, neg[reps[::-1]]])
     order = np.stack(np.divmod(codes, m), axis=1)
-    a, b = order.T
-    pos = np.empty(q, dtype=np.intp)  # flat code -> ordering index
-    pos[codes] = np.arange(q)
-    small = pos.astype(np.min_scalar_type(q - 1))
-    add_table = small[(a[:, None] + a) % m * m + (b[:, None] + b) % m]
-    position = pos.reshape(m, m)
-    for table in (order, position, add_table):
+    position = np.argsort(codes).reshape(m, m)  # the inverse permutation: (a, b) -> index
+    for table in (order, position):
         table.setflags(write=False)
-    return GroupOrdering(m=m, order=order, position=position, add_table=add_table)
+    return GroupOrdering(m=m, order=order, position=position)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +182,7 @@ def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) ->
     residuals are one array in that order, the closure ones formed a row i at
     a time from products[i]; np.hypot takes the moduli of single values."""
     m, q = sys.m, sys.q
-    mats, omega, add = sys.matrices, sys.omega, sys.ordering.add_table
+    mats, omega, every = sys.matrices, sys.omega, np.arange(q)
     if products is None:
         if sys.axioms is not None:
             return sys.axioms
@@ -195,7 +192,8 @@ def verify_basis_axioms(sys: PhaseSystem, products: np.ndarray | None = None) ->
     traces[0] -= m
     closure = np.empty((q, q))
     for i in range(q):
-        closure[i] = np.abs(products[i] - omega[i, :, None, None] * mats[add[i]]).max(axis=(1, 2))
+        closure[i] = np.abs(products[i] - omega[i, :, None, None]
+                            * mats[sys.ordering.add(i, every)]).max(axis=(1, 2))
     np.maximum(closure, np.abs(np.hypot(omega.real, omega.imag) - 1.0), out=closure)
     residuals = np.concatenate([unitary, [np.abs(mats[0] - np.eye(m)).max()],
                                 np.hypot(traces.real, traces.imag), closure.ravel()])
@@ -226,14 +224,14 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
     q = m * m
     if mats.shape[0] != q:
         raise ValueError(f"expected m^2 = {q} matrices, got {mats.shape[0]}")
-    add = ordering.add_table
+    add, every = ordering.add, np.arange(q)
     adjoints = mats.conj().transpose(0, 2, 1)
 
     omega = np.empty((q, q), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):  # the checker fails a non-finite value
         products = mats[:, None] @ mats[None, :]
         for g in range(q):
-            omega[g] = np.trace(adjoints[add[g]] @ products[g], axis1=1, axis2=2) / m
+            omega[g] = np.trace(adjoints[add(g, every)] @ products[g], axis1=1, axis2=2) / m
         sys = PhaseSystem(omega=omega, ordering=ordering, matrices=mats)
         axioms = verify_basis_axioms(sys, products)
     if not axioms.passed:
@@ -248,7 +246,7 @@ def validate_custom_basis(matrices: Sequence[np.ndarray]) -> PhaseSystem:
             raise TraceViolation(
                 f"tr E_{i} = {np.trace(mats[i]):.6g}, expected {expected} {element}")
         (j,) = rest
-        raise ClosureViolation(f"E_{i} E_{j} is not a unit phase times E_{int(add[i, j])}")
+        raise ClosureViolation(f"E_{i} E_{j} is not a unit phase times E_{int(add(i, j))}")
     report = verify_kernel_row_sums(sys)
     if not report.passed:
         raise RowSumViolation(report.detail)

@@ -94,7 +94,7 @@ def oracle_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     digits = label_digits(a.m, a.n)
     out = np.zeros(a.size, dtype=np.complex128)
     for gi in np.nonzero(a.coeffs)[0]:
-        target = np.ravel_multi_index(ordering.add_table[digits[gi], digits].T,
+        target = np.ravel_multi_index(ordering.add(digits[gi], digits).T,
                                       (ordering.size,) * a.n)
         out[target] += a.coeffs[gi] * b.coeffs
     return AlgebraElement(a.m, a.n, out)

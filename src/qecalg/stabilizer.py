@@ -2,18 +2,18 @@
 Howell form over Z_m (Howell 1986; Storjohann-Mulders 1998), which is built
 in Python ints: its few dozen residues cost less than numpy's first calls.
 
-The Howell rows h_k, of orders t_k, give every element of S as sum_k c_k h_k,
-0 <= c_k < t_k, in exactly one way.  `_stream` then yields S, never stored:
-a table of the combinations of the last rows (at most _BLOCK elements) plus
-one offset per combination of the others; it takes the rows of any
-subgroup, commuting or not.  Phased generators are checked on their powers
-and on the relation words of one Howell form of [G | I].
+`_subgroup` gives S's Howell rows h_k, of orders t_k, and checks phased
+generators on their powers and on the relation words of one Howell form of
+[G | I].  Every element of S is sum_k c_k h_k, 0 <= c_k < t_k, in exactly
+one way, so `_stream` yields the span of any rows, never stored: a table of
+the combinations of the last rows (at most _BLOCK elements) plus one offset
+per combination of the others, in Z_m arithmetic on O(m^2) tables.
 
-S leaves the module in two forms, neither framed: `_weight_counts`, A_0..A_n
-and |S| as exact ints in O(n _BLOCK) memory, and `_group_labels`, the flat
-labels of all of S at once (S is isotropic, so |S| <= m^n, the square root
-of the m^(2n) coefficients of C).  `code_analysis` builds codes, takes t9
-of the counts and scatters the labels; a code is read by m, n and body alone.
+A span leaves the module in two forms, neither framed: `_weight_counts`,
+A_0..A_n and its order as exact ints in O(n _BLOCK) memory, and
+`_group_labels`, its flat labels all at once (S is isotropic, so |S| <= m^n,
+the square root of the m^(2n) coefficients of C).  `code_analysis` builds
+codes, takes t9 of the counts and scatters the labels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem
+from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem, build_pauli_system
 from .errors import InconsistentStabilizers, ShapeMismatch
 
 _BLOCK = 1 << 16  # the most elements of S in one block: the stored low-row combinations
@@ -107,18 +107,17 @@ def _stream(rows: np.ndarray, orders: np.ndarray,
     combinations of the last rows, and `high`, (n, prod_k t_k / L), those of
     the others.  Every element of the span is low[:, j] + high[:, k] (added
     qudit by qudit in Z_m x Z_m) for exactly one (j, k), so `_weight_counts`
-    streams the span in prod_k t_k / L blocks and never stores it."""
-    m, n, plus = ordering.m, rows.shape[1] // 2, ordering.add_table
-    # codes[k, :, t] indexes t h_k; C-ordered index arrays give C-ordered tables
-    t = np.arange(m)
-    codes = ordering.position[rows[:, 0::2, None] * t % m,
-                              rows[:, 1::2, None] * t % m].astype(plus.dtype)
+    streams the span in prod_k t_k / L blocks and never stores it.  Tables
+    sum code rows multiples[k, :, t] = t h_k, in the smallest dtype for 2m - 2."""
+    m, n = ordering.m, rows.shape[1] // 2
+    multiples = (rows[:, :, None] * np.arange(m) % m).astype(np.min_scalar_type(2 * m - 2))
 
     def combinations(ks) -> np.ndarray:
-        out = np.zeros((n, 1), dtype=plus.dtype)
+        out = np.zeros((2 * n, 1), dtype=multiples.dtype)
         for k in ks:
-            out = plus[out[:, None, :], codes[k, :, :orders[k], None]].reshape(n, -1)
-        return out
+            out = (out[:, None, :] + multiples[k, :, :orders[k], None]).reshape(2 * n, -1)
+            out %= m
+        return ordering.position.astype(np.min_scalar_type(m * m - 1))[out[0::2], out[1::2]]
 
     split, size = len(orders), 1
     while split and size * orders[split - 1] <= _BLOCK:
@@ -127,20 +126,21 @@ def _stream(rows: np.ndarray, orders: np.ndarray,
     return combinations(range(split, len(orders))), combinations(range(split))
 
 
-def _index_group(sys: PhaseSystem, code) -> tuple[np.ndarray, np.ndarray]:
-    """The index group S of a stabilizer `CodeSpec` as `_stream`'s two tables.
-
-    S's Howell rows are read off one Howell form of [G | I]: they are its
-    rows [h | c] with a pivot in G's columns, and the others, [0 | c], are
-    words that generate every relation sum_k c_k g_k = 0.  Phased codes are
-    checked on them: each operator lam_k E_{g_k} must have order dividing m,
-    and each relation word must give the identity itself."""
-    if sys.m != code.m:
+def _subgroup(code, sys: PhaseSystem | None) -> tuple[np.ndarray, np.ndarray]:
+    """The Howell rows (r, 2n) of the index group S of a stabilizer `CodeSpec`
+    and their orders, read off one Howell form of [G | I]: its rows [h | c]
+    with a pivot in G's columns, while the others, [0 | c], are words that
+    generate every relation sum_k c_k g_k = 0.  Phased codes are checked on
+    them with the matrices of `sys` (the Pauli basis if None), its one use:
+    each lam_k E_{g_k} must have order dividing m, and each relation word
+    must give the identity itself."""
+    if sys is not None and sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n, gens = code.m, code.n, code.body.rows
     rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
     span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
     if code.body.phases is not None:
+        sys = sys or build_pauli_system(m)
         lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
         mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
         powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
@@ -148,16 +148,17 @@ def _index_group(sys: PhaseSystem, code) -> tuple[np.ndarray, np.ndarray]:
             _require_identity(x, f"generator {k} to the power {m}")
         for c in rows[span:, 2 * n:]:
             _require_identity(_word_phase(mats, lam, c), "a product of the generators")
-    return _stream(rows[:span, :2 * n], orders[:span], sys.ordering)
+    return rows[:span, :2 * n], orders[:span]
 
 
-def _weight_counts(sys: PhaseSystem, code) -> tuple[list[int], int]:
-    """The weight counts A_0..A_n of S for a stabilizer `CodeSpec`, as ints,
-    and |S|, with S streamed in blocks.  A block counts the weights of low -
-    offset, nonzero at a qudit where the two indices differ: -H is a
-    transversal of the cosets of L as H is, so each element of S counts once."""
-    n = code.n
-    low, high = _index_group(sys, code)
+def _weight_counts(ordering: GroupOrdering, rows, orders) -> tuple[list[int], int]:
+    """The weight counts A_0..A_n of the row span of Howell rows (r, 2n) of
+    orders t_k, as ints, and its order prod_k t_k, with the span streamed in
+    blocks.  A block counts the weights of low - offset, nonzero at a qudit
+    where the two indices differ: -H is a transversal of the cosets of L as
+    H is, so each element of the span counts once."""
+    n = rows.shape[1] // 2
+    low, high = _stream(rows, orders, ordering)
     counts = np.zeros(n + 1, dtype=np.int64)
     weight = np.min_scalar_type(n)
     for minus in high.T:
@@ -166,10 +167,9 @@ def _weight_counts(sys: PhaseSystem, code) -> tuple[list[int], int]:
     return [int(x) for x in counts], low.shape[1] * high.shape[1]
 
 
-def _group_labels(sys: PhaseSystem, code) -> np.ndarray:
-    """The flat labels of all of S for a stabilizer `CodeSpec`, taken whole:
-    every low row plus every offset, ordering indices as base-m^2 digits."""
-    m, n = code.m, code.n
-    low, high = _index_group(sys, code)
-    digits = sys.ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1)
-    return np.ravel_multi_index(digits, (m * m,) * n)
+def _group_labels(ordering: GroupOrdering, rows, orders) -> np.ndarray:
+    """The flat labels of the whole span of Howell rows of orders t_k: every
+    low row plus every offset, ordering indices as base-m^2 digits."""
+    low, high = _stream(rows, orders, ordering)
+    digits = ordering.add(low[:, :, None], high[:, None, :]).reshape(len(low), -1)
+    return np.ravel_multi_index(digits, (ordering.size,) * len(low))

@@ -1,6 +1,7 @@
 """The coset-doubling enumeration of S that `qecalg.code_analysis` replaced,
-the per-pair symplectic product its pairwise commutation check replaced, and
-the numpy Howell form that `qecalg.stabilizer._howell_form` replaced.
+the per-pair symplectic product its pairwise commutation check replaced, the
+numpy Howell form that `qecalg.stabilizer._howell_form` replaced, and the
+weight counts of the normalizer N(S) read off that form.
 
 Kept only as the reference the Howell-form stream is tested against, the
 way `element_io_reference.py` certifies the bulk element parser: S is built
@@ -25,7 +26,7 @@ import numpy as np
 from qecalg.code_analysis import CodeSpec
 from qecalg.error_basis import PHASE_TOL, PhaseSystem, canonical_ordering
 from qecalg.errors import InconsistentStabilizers, ShapeMismatch
-from qecalg.stabilizer import _unit_to_divisor
+from qecalg.stabilizer import _unit_to_divisor, _weight_counts
 
 
 def howell_form(gens: np.ndarray, m: int):
@@ -71,6 +72,20 @@ def howell_form(gens: np.ndarray, m: int):
         if g != 1:
             mat = np.vstack([mat, m // g * mat[k - 1] % m])
     return mat[:k], m // mat[np.arange(k), cols]
+
+
+def normalizer_counts(code: CodeSpec) -> tuple[list[int], int]:
+    """The weight counts of the normalizer N(S) of a stabilizer code and
+    |N(S)|, counted directly: N(S) holds the x with <x, g_k> = 0 for every
+    generator, the rows of [Lambda G^T | I_2n] span the [<x, g_k> | x], so
+    the rows [0 | x] of its Howell form (by `howell_form` above, not the
+    library's) are Howell rows of N(S), whose span `_weight_counts` streams."""
+    m, n, gens = code.m, code.n, code.body.rows
+    products = np.empty((2 * n, len(gens)), dtype=np.int64)  # of the unit labels with each g_k
+    products[0::2], products[1::2] = gens[:, 1::2].T, -gens[:, 0::2].T
+    rows, orders = howell_form(np.hstack([products, np.eye(2 * n, dtype=np.int64)]), m)
+    inside = ~rows[:, :len(gens)].any(axis=1)
+    return _weight_counts(canonical_ordering(m), rows[inside, len(gens):], orders[inside])
 
 
 def _locate(group: np.ndarray, target: np.ndarray) -> int | None:

@@ -679,6 +679,41 @@ def test_analyze_inconsistent_phases_is_input_error(capsys, monkeypatch):
     assert "multiple of the identity" in err
 
 
+def test_a_phased_code_is_checked_against_the_basis_file(capsys, monkeypatch, tmp_path):
+    # <Z> at m = 3 is consistent in the Pauli basis, but with E_1 = Z regauged
+    # by exp(2 pi i / 7) the generator cubed is no longer I: the phase check
+    # reads the file's matrices, not the Pauli ones
+    phased = CodeSpec.from_stabilizers(3, 1, [[(0, 1)]], phases=[0])
+    monkeypatch.setattr("qecalg.cli.read_input", lambda path, data=None: phased)
+    assert run(capsys, "analyze", "311qutrit")[0] == 0
+    _regauged3(tmp_path / "regauged3.errorbasis")
+    code, out, err = run(capsys, "analyze", "311qutrit",
+                         "--basis-file", str(tmp_path / "regauged3.errorbasis"))
+    assert (code, out) == (2, "")
+    assert "generator 0 to the power 3 is exp(2*pi*i*0.428571) times the identity" in err
+
+
+@pytest.mark.parametrize("m", [64, 251])
+def test_exact_commands_at_large_m_build_no_pauli_system(capsys, monkeypatch, tmp_path, m):
+    # without --basis-file, analyze and enumerate --kind hamming of a
+    # stabilizer code read no error basis: the two-qudit code {X (x) X^-1,
+    # Z (x) Z}, whose Pauli system would take m^4 entries per array
+    def refuse(m):
+        raise AssertionError("built the Pauli system")
+
+    for module in ("cli", "code_analysis", "stabilizer", "error_basis"):
+        monkeypatch.setattr(f"qecalg.{module}.build_pauli_system", refuse)
+    path = tmp_path / "two_qudit.code"
+    path.write_text(f"code v1\nm {m}\nn 2\nkind stabilizer\n1,0 {m - 1},0\n0,1 0,1\n")
+    pair = f"(1,0,{m * m - 1})"
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"K=1 d=2 pure=yes; A={pair}; A'={pair}"
+    code, out, err = run(capsys, "enumerate", str(path), "--kind", "hamming")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["hamming distribution", f"C : A={pair}", f"C': A={pair}"]
+
+
 def test_cli_does_not_import_the_oracle():
     # nor does any other module of the package: the oracle only certifies
     import qecalg

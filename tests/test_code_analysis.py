@@ -11,6 +11,7 @@ from qecalg import (
     catalog,
     associated_element,
     build_pauli_system,
+    canonical_ordering,
     check_cs_ordering,
     hamming_distribution,
     pauli_label,
@@ -20,6 +21,7 @@ from qecalg import (
 )
 from qecalg import code_analysis, stabilizer
 from qecalg.code_analysis import BasisVectors, StabilizerGenerators, _distance_and_purity
+from qecalg.enumerators import macwilliams_terms
 from qecalg.errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -37,7 +39,8 @@ from qecalg.oracle import (
     projector,
 )
 from codeword_reference import apply_local, consistent_phases, random_unitary, stabilizer_codewords
-from stabilizer_reference import group_indices, hamming_counts, stabilizer_group, symplectic_product
+from stabilizer_reference import (
+    group_indices, hamming_counts, normalizer_counts, stabilizer_group, symplectic_product)
 from code_families import families
 
 
@@ -629,6 +632,31 @@ def test_exact_route_twenty_qubits_stays_small(sys2):
     assert np.all(b[1:report.d] == a[1:report.d]) and b[report.d] > a[report.d]
 
 
+@pytest.mark.parametrize("m", [64, 251])
+def test_exact_route_at_large_m_builds_no_pauli_system(monkeypatch, m):
+    # the two-qudit code {X (x) X^-1, Z (x) Z}, |S| = m^2: with sys None the
+    # exact route takes Z_m arithmetic and O(m^2) tables, never the Pauli
+    # system, whose omega alone has m^4 entries (63 GB at m = 251)
+    def refuse(m):
+        raise AssertionError("built the Pauli system")
+
+    for module in ("code_analysis", "stabilizer", "error_basis"):
+        monkeypatch.setattr(f"qecalg.{module}.build_pauli_system", refuse)
+    code = CodeSpec.from_stabilizers(m, 2, [[(1, 0), (m - 1, 0)], [(0, 1), (0, 1)]])
+    pair = (1, 0, m * m - 1)
+    tracemalloc.start()
+    try:
+        report = analyze(None, code)
+        a, b, mass = code_analysis.hamming_pair(None, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    assert (report.K, report.d, report.pure, report.path) == (1, 2, True, "exact")
+    assert report.primary_distribution.exact == report.dual_distribution.exact == pair
+    assert (a.exact, b.exact, mass) == (pair, pair, m * m)
+
+
 def test_exact_route_twenty_four_qubits_streams(sys2):
     # [[24,1]]: |S| = 2^23 elements, streamed in blocks; storing S would take 384 MiB
     code = CodeSpec.from_stabilizers(2, 24, _scrambled_generators(2, 24, [1] * 23, seed=24))
@@ -791,6 +819,32 @@ def test_code_families_have_their_k_and_d(code, k, d, exact):
     assert report.path == "exact"
     assert report.K == k
     assert report.d == d if exact else report.d >= d
+
+
+def test_macwilliams_image_is_s_times_the_normalizer_counts():
+    # t9 of S's exact counts against N(S) counted directly from its own
+    # Howell rows: sum_j A_j K_j = |S| B and |S| |N(S)| = m^(2n), as ints, on
+    # the catalog, the families with |N(S)| <= 2^22 and seeded codes
+    codes = [catalog.load(name) for name in catalog.names()]
+    codes += [code for _, code, k, *_ in families() if code.m ** code.n * k <= 1 << 22]
+    rng = np.random.default_rng(41)
+    for m in (2, 3, 4, 5, 6, 8, 9, 12):
+        for n in range(2, 12):
+            if m ** (2 * n) > 1 << 22:
+                break
+            for _ in range(2):
+                exponents = rng.integers(1, m, size=int(rng.integers(1, n + 1))).tolist()
+                gens = _scrambled_generators(m, n, exponents, seed=int(rng.integers(1 << 30)),
+                                             gates=40)
+                codes.append(CodeSpec.from_stabilizers(m, n, gens))
+    for code in codes:
+        m, n = code.m, code.n
+        a, size = stabilizer._weight_counts(canonical_ordering(m),
+                                            *stabilizer._subgroup(code, None))
+        b, normalizer = normalizer_counts(code)
+        assert macwilliams_terms(a, m * m, n) == [size * x for x in b], (m, n, a, b)
+        assert size * normalizer == m ** (2 * n)
+        assert all(type(x) is int for x in a + b)
 
 
 def _shadow_columns(n):

@@ -167,7 +167,7 @@ def test_ordering_tables(sys3):
     for i, g in enumerate(order):
         assert order[-i % 9] == group_neg(g, 3)  # the odd-m mirror
         for j, h in enumerate(order):
-            assert order[ordering.add_table[i, j]] == group_add(g, h, 3)
+            assert order[ordering.add(i, j)] == group_add(g, h, 3)
 
 
 @pytest.mark.parametrize("m", range(2, 18))
@@ -377,7 +377,8 @@ def test_a_validated_system_keeps_its_axiom_report():
 # --- the tables against the per-element loops they replaced ---
 
 def _reference_ordering(m):
-    """(order, index, add_table) built one element at a time."""
+    """(order, index, sums) built one element at a time, sums[i, j] the
+    index of alpha_i + alpha_j."""
     elems = [(a, b) for a in range(m) for b in range(m)]
     if m % 2 == 0:
         order = tuple(elems)
@@ -387,12 +388,11 @@ def _reference_ordering(m):
         order = tuple([(0, 0)] + reps + tail)
     index = {g: i for i, g in enumerate(order)}
     q = m * m
-    dtype = np.min_scalar_type(q - 1)  # the smallest unsigned dtype holding every index
-    add_table = np.empty((q, q), dtype=dtype)
+    sums = np.empty((q, q), dtype=np.intp)
     for i, g in enumerate(order):
         for j, h in enumerate(order):
-            add_table[i, j] = index[group_add(g, h, m)]
-    return order, index, add_table
+            sums[i, j] = index[group_add(g, h, m)]
+    return order, index, sums
 
 
 def _reference_roots(m):
@@ -431,20 +431,21 @@ def _same_bits(got, want):
     assert np.array_equal(got, want)
 
 
-# m = 16 has the last uint8 tables and m = 17 the first uint16 ones
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16, 17])
 def test_tables_match_the_element_loops(m):
+    # ordering.add broadcast over every pair, against the element loop's sums
     ordering = canonical_ordering(m)
-    order, index, add_table = _reference_ordering(m)
+    order, index, sums = _reference_ordering(m)
     _same_bits(ordering.order, np.array(order, dtype=np.intp))
     assert all(ordering.position[a, b] == i for (a, b), i in index.items())
     assert ordering.position.shape == (m, m)
-    _same_bits(ordering.add_table, add_table)
+    every = np.arange(m * m)
+    _same_bits(ordering.add(every[:, None], every), sums)
     sys_ = build_pauli_system(m)
     assert sys_.ordering is ordering
     for got, want in zip((sys_.omega, sys_.kernel, sys_.matrices), _reference_pauli(m, order)):
         _same_bits(got, want)
-    for arr in (ordering.order, ordering.position, ordering.add_table,
+    for arr in (ordering.order, ordering.position,
                 sys_.omega, sys_.kernel, sys_.matrices):
         assert not arr.flags.writeable
 
@@ -458,7 +459,7 @@ def _reference_omega(mats, ordering):
     omega = np.empty((q, q), dtype=np.complex128)
     for i in range(q):
         for j in range(q):
-            k = int(ordering.add_table[i, j])
+            k = int(ordering.add(i, j))
             omega[i, j] = np.trace(mats[k].conj().T @ products[i, j]) / m
     return omega
 
@@ -466,7 +467,7 @@ def _reference_omega(mats, ordering):
 def _reference_axioms(sys_):
     """(passed, failures, max_residual) of the axiom check, one pair at a time."""
     m, q = sys_.m, sys_.q
-    mats, add = sys_.matrices, sys_.ordering.add_table
+    mats, ordering = sys_.matrices, sys_.ordering
     products = mats[:, None] @ mats[None, :]
     checks = [(("unitary", i), np.abs(mats[i] @ mats[i].conj().T - np.eye(m)).max())
               for i in range(q)]
@@ -476,7 +477,7 @@ def _reference_axioms(sys_):
     for i in range(q):
         for j in range(q):
             w = sys_.omega[i, j]
-            r = np.maximum(np.abs(products[i, j] - w * mats[int(add[i, j])]).max(),
+            r = np.maximum(np.abs(products[i, j] - w * mats[int(ordering.add(i, j))]).max(),
                            abs(abs(w) - 1.0))
             checks.append((("closure", i, j), r))
     residuals = np.array([r for _, r in checks], dtype=float)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qecalg import CodeSpec, build_pauli_system, canonical_ordering, stabilizer
+from qecalg import CodeSpec, canonical_ordering, stabilizer
 from stabilizer_reference import howell_form
 
 
@@ -17,11 +17,17 @@ from stabilizer_reference import howell_form
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
 def test_stream_yields_any_row_span_once(monkeypatch, m, block):
     # random integer rows, which need not commute (the normalizer N(S) is no
-    # code's S): the streamed multiset is the brute-force row span, each
-    # element once; block 1 and 7 put every or nearly every row on the offset side
+    # code's S): the streamed multiset, each low column added to each offset
+    # in Python ints, is the brute-force row span, each element once; block 1
+    # and 7 put every or nearly every row on the offset side
     if block is not None:
         monkeypatch.setattr(stabilizer, "_BLOCK", block)
     ordering = canonical_ordering(m)
+    order = [tuple(g) for g in ordering.order.tolist()]
+    index = {g: i for i, g in enumerate(order)}
+
+    def plus(i, j):
+        return index[(order[i][0] + order[j][0]) % m, (order[i][1] + order[j][1]) % m]
     rng = np.random.default_rng(300 + m)
     for trial in range(24):
         n, r = int(rng.integers(1, 4)), int(rng.integers(0, 5))
@@ -31,12 +37,13 @@ def test_stream_yields_any_row_span_once(monkeypatch, m, block):
         rows, orders = stabilizer._howell_form(gens, m)
         low, high = stabilizer._stream(rows, orders, ordering)
         assert low.shape[0] == high.shape[0] == n and low.shape[1] <= stabilizer._BLOCK
-        streamed = ordering.add_table[low[:, :, None], high[:, None, :]].reshape(n, -1).T
+        assert low.dtype == high.dtype == np.min_scalar_type(m * m - 1)
+        streamed = [tuple(map(plus, lo, hi)) for hi in high.T.tolist() for lo in low.T.tolist()]
         words = np.array(list(itertools.product(range(m), repeat=r)), dtype=np.int64)
         span = words.reshape(m ** r, r) @ gens % m
         brute = ordering.position[span[:, 0::2], span[:, 1::2]]
         expected = Counter(set(map(tuple, brute.tolist())))
-        assert Counter(map(tuple, streamed.tolist())) == expected, (m, gens.tolist())
+        assert Counter(streamed) == expected, (m, gens.tolist())
         assert np.prod([int(t) for t in orders]) == len(expected)
 
 
@@ -87,13 +94,14 @@ def test_group_labels_are_s_and_weigh_as_the_counts(monkeypatch, m, block):
     # putting nearly every row on the offset side
     if block is not None:
         monkeypatch.setattr(stabilizer, "_BLOCK", block)
-    sys_ = build_pauli_system(m)
+    ordering = canonical_ordering(m)
     rng = np.random.default_rng(500 + m)
     for _ in range(6):
         n = int(rng.integers(1, 6))
         code, order = _seeded_code(m, n, rng)
-        labels = stabilizer._group_labels(sys_, code)
-        counts, size = stabilizer._weight_counts(sys_, code)
+        rows, orders = stabilizer._subgroup(code, None)
+        labels = stabilizer._group_labels(ordering, rows, orders)
+        counts, size = stabilizer._weight_counts(ordering, rows, orders)
         assert size == order == len(labels) == len(np.unique(labels))
         digits = np.stack(np.unravel_index(labels, (m * m,) * n))
         weights = np.count_nonzero(digits, axis=0)

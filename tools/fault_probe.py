@@ -62,13 +62,15 @@ MUTANTS = [
     ("enumerators.py", "(comps[:, None] + unit)", "(comps[:, None] | unit)", KILLED,
      "compositions extended by a bitwise or, so no count grows past 1"),
     ("stabilizer.py", "for minus in high.T:",
-     "for minus in np.argmin(sys.ordering.add_table, axis=1)[high].T:", EQUIVALENT,
+     "for minus in ordering.position[-ordering.order[high, 0] % ordering.m,"
+     " -ordering.order[high, 1] % ordering.m].T:", EQUIVALENT,
      "the weights of low - offset counted as those of low + offset: the low rows span a "
      "subgroup L of S and the offsets a transversal H of its cosets, -H is one too, so "
      "both run over S once"),
     ("reports.py", "~(residuals <= tol)", "residuals > tol", KILLED,
      "every check's verdict rule letting a NaN residual pass"),
-    ("stabilizer.py", "high[:, None, :]].reshape(n, -1)", "high[:, None, :]].reshape(n, -1)[::-1]",
+    ("stabilizer.py", "high[:, None, :]).reshape(len(low), -1)",
+     "high[:, None, :]).reshape(len(low), -1)[::-1]",
      KILLED, "the labels of S, and so a stabilizer code's C, with their coordinates reversed"),
     ("fileio.py", 'np.diff(np.sort(index, kind="stable"))', "np.diff(index)", KILLED,
      "the duplicate-index check of a written block comparing only neighbouring lines"),
@@ -92,6 +94,11 @@ MUTANTS = [
     ("error_basis.py", "for arr in (self.omega, kernel, self.matrices):",
      "for arr in (self.omega, self.matrices):", KILLED,
      "a system's computed kernel left writeable"),
+    ("error_basis.py", "(self.order[i] + self.order[j]) % self.m",
+     "(self.order[i] - self.order[j]) % self.m", KILLED,
+     "the index of alpha_i + alpha_j taken as that of alpha_i - alpha_j"),
+    ("stabilizer.py", "differs.sum(axis=0, dtype=weight)", "differs[1:].sum(axis=0, dtype=weight)",
+     KILLED, "weight counts that ignore the first qudit"),
 ]
 
 
