@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .code_analysis import CodeSpec
-from .fileio import read_code
+from .fileio import read_bytes, read_code
 
 CATALOG = {
     "513": "five_qubit_513.code",
@@ -25,7 +25,7 @@ def read(name: str) -> bytes:
     """The bytes of a catalog code's file."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog code {name!r}; available: {names()}")
-    return resources.files("qecalg").joinpath("codes", CATALOG[name]).read_bytes()
+    return read_bytes(Path(__file__).parent / "codes" / CATALOG[name])
 
 
 def load(name: str) -> CodeSpec:

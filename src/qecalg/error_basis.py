@@ -144,6 +144,11 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return parts.view(np.complex128)
 
 
+def pauli_phase(ordering: GroupOrdering, i, j) -> np.ndarray:
+    """omega[i, j] = w^(b_i * a_j) of the generalized Pauli basis, over index arrays i and j."""
+    return _roots_of_unity(ordering.m)[ordering.order[i, 1] * ordering.order[j, 0] % ordering.m]
+
+
 @lru_cache(maxsize=None)
 def build_pauli_system(m: int) -> PhaseSystem:
     """Construct the generalized Pauli nice error basis for m levels, once
@@ -154,7 +159,7 @@ def build_pauli_system(m: int) -> PhaseSystem:
     ordering = canonical_ordering(m)
     roots = _roots_of_unity(m)
     a, b = ordering.order.T  # the X and Z exponents by ordering index
-    omega = roots[b[:, None] * a % m]  # omega[i, j] = w^(b_i * a_j)
+    omega = pauli_phase(ordering, np.arange(m * m)[:, None], np.arange(m * m))
     # the matrices E_(a,b)|j> = w^(b*j) |j+a mod m>, one per ordering index
     j = np.arange(m)
     mats = np.zeros((m * m, m, m), dtype=np.complex128)

@@ -313,8 +313,8 @@ def _element_lines(numbers, lines, seen: np.ndarray, path: Path):
 def write_element(path, element: AlgebraElement) -> None:
     path = Path(path)
     index = np.flatnonzero(element.coeffs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"element v1\nm {element.m}\nn {element.n}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"element v1\nm %d\nn %d\n" % (element.m, element.n))
         for start in range(0, index.size, _WRITE_BLOCK):
             block = index[start : start + _WRITE_BLOCK]
             pairs = element.coeffs[block].view(np.float64)
@@ -322,7 +322,7 @@ def write_element(path, element: AlgebraElement) -> None:
             fields[0::3] = block.tolist()
             fields[1::3] = pairs[0::2].tolist()
             fields[2::3] = pairs[1::2].tolist()
-            fh.write("%d %.17g,%.17g\n" * block.size % tuple(fields))
+            fh.write(b"%d %.17g,%.17g\n" * block.size % tuple(fields))
 
 
 # --- codes ---

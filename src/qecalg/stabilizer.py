@@ -4,10 +4,11 @@ in Python ints: its few dozen residues cost less than numpy's first calls.
 
 `_subgroup` gives S's Howell rows h_k, of orders t_k, and checks phased
 generators on their powers and on the relation words of one Howell form of
-[G | I].  Every element of S is sum_k c_k h_k, 0 <= c_k < t_k, in exactly
-one way, so `_stream` yields the span of any rows, never stored: a table of
-the combinations of the last rows (at most _BLOCK elements) plus one offset
-per combination of the others, in Z_m arithmetic on O(m^2) tables.
+[G | I], each word walked over the phase table omega alone (no matrix).
+Every element of S is sum_k c_k h_k, 0 <= c_k < t_k, in exactly one way, so
+`_stream` yields the span of any rows, never stored: a table of the
+combinations of the last rows (at most _BLOCK elements) plus one offset per
+combination of the others, in Z_m arithmetic on O(m^2) tables.
 
 A span leaves the module in two forms, neither framed: `_weight_counts`,
 A_0..A_n and its order as exact ints in O(n _BLOCK) memory, and
@@ -19,10 +20,11 @@ codes, takes t9 of the counts and scatters the labels.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem, build_pauli_system
+from .error_basis import PHASE_TOL, GroupOrdering, PhaseSystem, canonical_ordering, pauli_phase
 from .errors import InconsistentStabilizers, ShapeMismatch
 
 _BLOCK = 1 << 16  # the most elements of S in one block: the stored low-row combinations
@@ -89,15 +91,15 @@ def _howell_form(gens: np.ndarray, m: int):
     return np.array(mat[:k], np.int64).reshape(k, gens.shape[1]), np.array(orders, np.int64)
 
 
-def _word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
+def _word_phase(sys: PhaseSystem | None, ordering: GroupOrdering, gens, lam, c) -> complex:
     """The scalar s of prod_k (lam_k E_{g_k})^{c_k} = s I for a word c with
-    sum_k c_k g_k = 0, where mats[k] holds the (n, m, m) qudit matrices of
-    E_{g_k}: the product of the lam_k^{c_k} and, qudit by qudit, of the
-    matrix powers, each product a multiple of I."""
-    word = np.eye(mats.shape[-1])
-    for k in np.flatnonzero(c):
-        word = word @ np.linalg.matrix_power(mats[k], int(c[k]))
-    return np.prod(lam ** c) * np.prod(word[..., 0, 0])
+    sum_k c_k g_k = 0, from omega (of `sys`, else the Pauli basis's) alone:
+    the lam_k^{c_k} times, qudit by qudit, omega(r, g) of each factor E_g,
+    the rows g_k repeated c_k times, on the running label r, from 0 to 0."""
+    factors = np.repeat(gens, c, axis=0)
+    before = (np.cumsum(factors, axis=0) - factors) % ordering.m
+    i, j = (ordering.position[x[:, 0::2], x[:, 1::2]] for x in (before, factors))
+    return np.prod(lam ** c) * np.prod(sys.omega[i, j] if sys else pauli_phase(ordering, i, j))
 
 
 def _stream(rows: np.ndarray, orders: np.ndarray,
@@ -131,23 +133,21 @@ def _subgroup(code, sys: PhaseSystem | None) -> tuple[np.ndarray, np.ndarray]:
     and their orders, read off one Howell form of [G | I]: its rows [h | c]
     with a pivot in G's columns, while the others, [0 | c], are words that
     generate every relation sum_k c_k g_k = 0.  Phased codes are checked on
-    them with the matrices of `sys` (the Pauli basis if None), its one use:
-    each lam_k E_{g_k} must have order dividing m, and each relation word
-    must give the identity itself."""
+    them with the omega of `sys`, its one use (the Pauli basis's, entry by
+    entry, if None): each lam_k E_{g_k} must have order dividing m, as the
+    word m e_k, and each relation word must give the identity itself."""
     if sys is not None and sys.m != code.m:
         raise ShapeMismatch(f"system has m={sys.m}, code has m={code.m}")
     m, n, gens = code.m, code.n, code.body.rows
     rows, orders = _howell_form(np.hstack([gens, np.eye(len(gens), dtype=gens.dtype)]), m)
     span = np.count_nonzero(rows[:, :2 * n].any(axis=1))  # rows pivoting in G come first
     if code.body.phases is not None:
-        sys = sys or build_pauli_system(m)
-        lam = np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases])
-        mats = sys.matrices[sys.ordering.position[gens[:, 0::2], gens[:, 1::2]]]
-        powers = lam ** m * np.linalg.matrix_power(mats, m)[..., 0, 0].prod(axis=1)
-        for k, x in enumerate(powers):
-            _require_identity(x, f"generator {k} to the power {m}")
+        word = partial(_word_phase, sys, canonical_ordering(m), gens,
+                       np.array([np.exp(1j * np.pi * p / m) for p in code.body.phases]))
+        for k, c in enumerate(m * np.eye(len(gens), dtype=np.int64)):
+            _require_identity(word(c), f"generator {k} to the power {m}")
         for c in rows[span:, 2 * n:]:
-            _require_identity(_word_phase(mats, lam, c), "a product of the generators")
+            _require_identity(word(c), "a product of the generators")
     return rows[:span, :2 * n], orders[:span]
 
 

@@ -1,7 +1,9 @@
 """The coset-doubling enumeration of S that `qecalg.code_analysis` replaced,
 the per-pair symplectic product its pairwise commutation check replaced, the
-numpy Howell form that `qecalg.stabilizer._howell_form` replaced, and the
-weight counts of the normalizer N(S) read off that form.
+numpy Howell form that `qecalg.stabilizer._howell_form` replaced, the
+weight counts of the normalizer N(S) read off that form, and the matrix
+products that gave the scalar of a word of phased generators before
+`qecalg.stabilizer._word_phase` walked the phase table instead.
 
 Kept only as the reference the Howell-form stream is tested against, the
 way `element_io_reference.py` certifies the bulk element parser: S is built
@@ -194,3 +196,14 @@ def hamming_counts(group: np.ndarray, n: int) -> list[int]:
     for i in range(n):
         weights += (group[2 * i] | group[2 * i + 1]) != 0
     return [int(x) for x in np.bincount(weights, minlength=n + 1)]
+
+
+def word_phase(mats: np.ndarray, lam: np.ndarray, c: np.ndarray) -> complex:
+    """The scalar s of prod_k (lam_k E_{g_k})^{c_k} = s I for a word c with
+    sum_k c_k g_k = 0, where mats[k] holds the (n, m, m) qudit matrices of
+    E_{g_k}: the product of the lam_k^{c_k} and, qudit by qudit, of the
+    matrix powers, each product a multiple of I."""
+    word = np.eye(mats.shape[-1])
+    for k in np.flatnonzero(c):
+        word = word @ np.linalg.matrix_power(mats[k], int(c[k]))
+    return np.prod(lam ** c) * np.prod(word[..., 0, 0])

@@ -701,7 +701,7 @@ def test_exact_commands_at_large_m_build_no_pauli_system(capsys, monkeypatch, tm
     def refuse(m):
         raise AssertionError("built the Pauli system")
 
-    for module in ("cli", "code_analysis", "stabilizer", "error_basis"):
+    for module in ("cli", "code_analysis", "error_basis"):
         monkeypatch.setattr(f"qecalg.{module}.build_pauli_system", refuse)
     path = tmp_path / "two_qudit.code"
     path.write_text(f"code v1\nm {m}\nn 2\nkind stabilizer\n1,0 {m - 1},0\n0,1 0,1\n")

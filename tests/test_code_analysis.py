@@ -22,6 +22,7 @@ from qecalg import (
 from qecalg import code_analysis, stabilizer
 from qecalg.code_analysis import BasisVectors, StabilizerGenerators, _distance_and_purity
 from qecalg.enumerators import macwilliams_terms
+from qecalg.error_basis import PHASE_TOL
 from qecalg.errors import (
     InconsistentStabilizers,
     NoDistance,
@@ -40,7 +41,8 @@ from qecalg.oracle import (
 )
 from codeword_reference import apply_local, consistent_phases, random_unitary, stabilizer_codewords
 from stabilizer_reference import (
-    group_indices, hamming_counts, normalizer_counts, stabilizer_group, symplectic_product)
+    group_indices, hamming_counts, normalizer_counts, stabilizer_group, symplectic_product,
+    word_phase)
 from code_families import families
 
 
@@ -636,25 +638,33 @@ def test_exact_route_twenty_qubits_stays_small(sys2):
 def test_exact_route_at_large_m_builds_no_pauli_system(monkeypatch, m):
     # the two-qudit code {X (x) X^-1, Z (x) Z}, |S| = m^2: with sys None the
     # exact route takes Z_m arithmetic and O(m^2) tables, never the Pauli
-    # system, whose omega alone has m^4 entries (63 GB at m = 251)
+    # system, whose omega alone has m^4 entries (63 GB at m = 251); nor does
+    # the phase check of the code phased, consistently with phases 0 and
+    # inconsistently with exp(i pi / m) X (x) X^-1, whose m-th power is -I
     def refuse(m):
         raise AssertionError("built the Pauli system")
 
-    for module in ("code_analysis", "stabilizer", "error_basis"):
+    for module in ("code_analysis", "error_basis"):
         monkeypatch.setattr(f"qecalg.{module}.build_pauli_system", refuse)
-    code = CodeSpec.from_stabilizers(m, 2, [[(1, 0), (m - 1, 0)], [(0, 1), (0, 1)]])
+    gens = [[(1, 0), (m - 1, 0)], [(0, 1), (0, 1)]]
     pair = (1, 0, m * m - 1)
     tracemalloc.start()
     try:
-        report = analyze(None, code)
-        a, b, mass = code_analysis.hamming_pair(None, code)
+        for phases in (None, [0, 0]):
+            code = CodeSpec.from_stabilizers(m, 2, gens, phases)
+            report = analyze(None, code)
+            a, b, mass = code_analysis.hamming_pair(None, code)
+            assert (report.K, report.d, report.pure, report.path) == (1, 2, True, "exact")
+            assert report.primary_distribution.exact == report.dual_distribution.exact == pair
+            assert (a.exact, b.exact, mass) == (pair, pair, m * m)
+        with pytest.raises(InconsistentStabilizers) as raised:
+            analyze(None, CodeSpec.from_stabilizers(m, 2, gens, [1, 0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20, peak
-    assert (report.K, report.d, report.pure, report.path) == (1, 2, True, "exact")
-    assert report.primary_distribution.exact == report.dual_distribution.exact == pair
-    assert (a.exact, b.exact, mass) == (pair, pair, m * m)
+    assert str(raised.value) == (f"generator 0 to the power {m} is exp(2*pi*i*0.5) times the "
+                                 "identity: the group holds a multiple of the identity")
 
 
 def test_exact_route_twenty_four_qubits_streams(sys2):
@@ -793,6 +803,57 @@ def test_phase_check_agrees_with_oracle_on_random_codes():
         assert library_raises == oracle_raises, (m, n, basis, gens, code.body.phases)
         counts[oracle_raises] += 1
     assert min(counts.values()) >= 50, counts
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_word_phase_walks_omega_as_the_matrix_products_do(m):
+    # the scalar of each power word m e_k, each relation word of the Howell
+    # form of [G | I] and random combinations of them, walked over omega,
+    # against the matrix products of `stabilizer_reference.word_phase`, within
+    # 1e-12 and to the same verdict, which `_subgroup` must reach too; under
+    # the Pauli basis (sys None: its omega entry by entry) and a regauged one
+    # whose omega has powers of exp(i pi/m), with phases that are consistent,
+    # consistent but for one moved, or random
+    rng = np.random.default_rng(700 + m)
+    ordering = canonical_ordering(m)
+    pauli = build_pauli_system(m)
+    roots = np.exp(1j * np.pi * rng.integers(2 * m, size=m * m) / m)
+    roots[0] = 1.0
+    regauged = validate_custom_basis(np.asarray(pauli.matrices) * roots[:, None, None])
+    verdicts = {False: 0, True: 0}
+    for trial in range(24):
+        sys_ = (pauli, regauged)[trial % 2]
+        n = int(rng.integers(1, 4))
+        gens = next(_random_generator_sets(rng, m, n, 1))
+        if trial % 6 < 4:  # a consistent choice, with one phase moved half the time
+            phases = consistent_phases(sys_, m, n, gens)
+            if trial % 6 >= 2:
+                phases[rng.integers(len(gens))] += int(rng.integers(1, 2 * m))
+        else:
+            phases = rng.integers(0, 2 * m, size=len(gens)).tolist()
+        code = CodeSpec.from_stabilizers(m, n, gens, phases)
+        g = code.body.rows
+        rows, _ = stabilizer._howell_form(np.hstack([g, np.eye(len(g), dtype=g.dtype)]), m)
+        relations = rows[~rows[:, :2 * n].any(axis=1), 2 * n:]
+        words = np.vstack([m * np.eye(len(g), dtype=np.int64), relations,
+                           rng.integers(m, size=(3, len(relations))) @ relations % m])
+        mats = sys_.matrices[ordering.position[g[:, 0::2], g[:, 1::2]]]
+        lam = np.exp(1j * np.pi * np.array(code.body.phases) / m)
+        passed = True
+        for c in words:
+            expected = word_phase(mats, lam, c)
+            got = stabilizer._word_phase(None if sys_ is pauli else sys_, ordering, g, lam, c)
+            assert abs(got - expected) <= 1e-12, (m, gens, phases, c.tolist())
+            assert (abs(got - 1.0) <= PHASE_TOL) == (abs(expected - 1.0) <= PHASE_TOL)
+            passed &= abs(expected - 1.0) <= PHASE_TOL
+        try:
+            stabilizer._subgroup(code, None if sys_ is pauli else sys_)
+            library_passes = True
+        except InconsistentStabilizers:
+            library_passes = False
+        assert library_passes == passed, (m, gens, phases)
+        verdicts[passed] += 1
+    assert min(verdicts.values()) >= 6, verdicts
 
 
 @pytest.mark.parametrize("name,order,a", [

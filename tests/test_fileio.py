@@ -308,8 +308,11 @@ def _write_both(tmp_path, element):
     return (tmp_path / "new.elem").read_bytes(), (tmp_path / "old.elem").read_bytes()
 
 
-@pytest.mark.parametrize("case", ["gaussian", "sparse", "signed-zero", "subnormal", "huge"])
+@pytest.mark.parametrize("case", ["gaussian", "sparse", "signed-zero", "subnormal", "huge",
+                                  "edges"])
 def test_write_element_matches_reference_bytes(tmp_path, case):
+    # the bytes writer against the str writer's UTF-8; "edges" pairs every two
+    # of +-0, subnormals, +-the largest double, 0.1, integral values, inf and nan
     rng = np.random.default_rng(11)
     size = 4 ** 4
     coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -323,10 +326,18 @@ def test_write_element_matches_reference_bytes(tmp_path, case):
         coeffs *= 5e-324 * rng.integers(1, 1000, size)
     elif case == "huge":
         coeffs *= 1e300
+    elif case == "edges":
+        big = np.finfo(np.float64).max
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, big, -big,
+                           0.1, 1.0, -2.0, 2.0 ** 53, 1e22, np.inf, -np.inf, np.nan])
+        coeffs[:] = 0
+        coeffs.real[:values.size ** 2] = np.repeat(values, values.size)
+        coeffs.imag[:values.size ** 2] = np.tile(values, values.size)
     new, old = _write_both(tmp_path, AlgebraElement(2, 4, coeffs))
     assert new == old
-    back = read_element(tmp_path / "new.elem")
-    assert np.array_equal(back.coeffs, coeffs)
+    if case != "edges":  # the reader refuses inf and nan
+        back = read_element(tmp_path / "new.elem")
+        assert np.array_equal(back.coeffs, coeffs)
 
 
 def test_write_element_blocks_join_seamlessly(tmp_path, monkeypatch):

@@ -48,8 +48,8 @@ MUTANTS = [
      "Lee classes by the larger index of g and -g"),
     ("group_algebra.py", "out[1:] += acc[:, 1:].sum(axis=1)", "out[1:] += acc[:, 2:].sum(axis=1)",
      KILLED, "weight_reduce dropping digit 1"),
-    ("stabilizer.py", "powers = lam ** m *", "powers = lam ** (2 * m) *", KILLED,
-     "the phase check on lambda^(2m) instead of lambda^m"),
+    ("stabilizer.py", "m * np.eye", "(2 * m) * np.eye", KILLED,
+     "the phase check on lambda^(2m) E^(2m) instead of lambda^m E^m"),
     ("enumerators.py", "keep = (re != 0) | (im != 0)", "keep = re != 0", KILLED,
      "compositions kept only where the real part of their sum is nonzero"),
     ("kernel.py", "np.ascontiguousarray(mat, dtype=np.complex128).T",
@@ -99,6 +99,8 @@ MUTANTS = [
      "the index of alpha_i + alpha_j taken as that of alpha_i - alpha_j"),
     ("stabilizer.py", "differs.sum(axis=0, dtype=weight)", "differs[1:].sum(axis=0, dtype=weight)",
      KILLED, "weight counts that ignore the first qudit"),
+    ("stabilizer.py", "for x in (before, factors))", "for x in (before[:-1], factors[:-1]))",
+     KILLED, "a word's scalar without the omega factor of its last step"),
 ]
 
 
