@@ -4,63 +4,48 @@ All three formats are line oriented; blank lines and lines starting with
 '#' are ignored.  Complex numbers are written as "re,im" and must be finite;
 headers need m >= 2 and n >= 1.
 
-Element file ("element v1"):
-    element v1
-    m 2
-    n 2
-    <flat-index> <re,im>        # one line per nonzero coefficient
+    element v1          code v1                     errorbasis v1
+    m 2                 m 2                         m 2
+    n 2                 n 5                         ordering row-major
+    <index> <re,im>     kind stabilizer             <m^2 matrices, each m
+                        1,0 0,1 0,1 1,0 0,0          rows of m "re,im" pairs
+                        ...                          and a blank line>
 
-Code file ("code v1"):
-    code v1
-    m 2
-    n 5
-    kind stabilizer             # or: kind basis
-    1,0 0,1 0,1 1,0 0,0         # stabilizer: one generator per line,
-    ...                         #   n "a,b" exponent pairs
-                                # basis: K rows of m^n "re,im" entries
+An element file has one line per nonzero coefficient.  A stabilizer code
+file has one generator per line, n "a,b" exponent pairs, and a basis code
+file K rows of m^n "re,im" entries.  Code files are phase-free: `read_code`
+gives a code analysed with no phase check; `write_code` drops phases.  A
+basis file must name `_ordering` of its m (row-major for even m, lee-paired
+for odd m); any other ordering is rejected, not permuted.
+
+Each format's header is one bytes %-format, which its writer fills and from
+which its reader's `_header` takes the magic line and the keys.  Every
+writer opens its file "wb" and writes its body with one %-format per block
+(_WRITE_BLOCK element lines; code rows or basis matrices of at most
+_WRITE_BLOCK numbers, and at least one), spelling an exponent pair
+`_INT_PAIR` (%d,%d) and a complex number `_FLOAT_PAIR` (%.17g,%.17g): LF
+files whose doubles read back exactly.
 
 `read_element`, `read_code` and `read_custom_basis` take the file's bytes
 when the caller has already read them (`read_bytes`); the path is then only
-named in messages.
-`read_input` reads either kind: the first significant line, as the readers
-read it, picks the reader.
+named in messages.  `read_input` reads either kind: the first significant
+line, as the readers read it, picks the reader.  A reader checks that the
+input is UTF-8 (a file that is not is a `FormatError` naming the line of the
+first bad byte), makes its \\r\\n and \\r line ends \\n, as a text-mode open
+would, and strips each line.
 
-A reader checks that the input is UTF-8 (a file that is not is a
-`FormatError` naming the line of the first bad byte), makes its \\r\\n and \\r
-line ends \\n, as a text-mode open would, and strips each line.
-
-An element body is read from the file's bytes in blocks of about a million
-bytes of whole lines, so a large file needs little memory beyond its bytes
-and its coefficients; the header comes from the first significant lines
-alone.  A block has two routes.  When every line is `<integer>
-<number>,<number>`, one space and one comma, the way `write_element`
-(%d %.17g,%.17g) and `repr` spell it, one `np.fromstring` converts the block
-and numpy checks it (an index holds no ".", "e" or "E"; range, duplicates,
-finiteness).  This holds in any UTF-8 file with any line ends.  Every other
-block (a comment, a blank line, a tab, a token such as "1-2") and every
-block that fails a check goes to one loop, line by line: token count, index,
-range, duplicate, then the "re,im" value.  That loop alone raises, so the
-first bad line and its message are those of a line-by-line parse.  The
-bulk route is the fast one: a file in the writers' spelling, with \\n or
-\\r\\n line ends, never reaches the loop, to which a tab on every line
-sends every block.  Generator rows,
-basis-code rows and custom-basis matrices are read by one loop, `_rows`.
-`write_element` formats the nonzero coefficients with one %-format per
-block of lines.
-
-Code files are phase-free: a generator is its exponent pairs alone, so
-`read_code` gives a code (checked as a `CodeSpec` is, when made) whose index
-group is analysed with no phase check, and `write_code` drops phases.
-
-Custom error basis file ("errorbasis v1"):
-    errorbasis v1
-    m 2
-    ordering row-major          # "lee-paired" for odd m
-    <m^2 matrices, each as m consecutive rows of m "re,im" pairs>
-
-The ordering token must name the canonical convention for the declared m
-(row-major for even m, lee-paired for odd m); files in any other ordering
-are rejected rather than silently permuted.
+An element body is read in blocks of about a million bytes of whole lines,
+so a large file needs little memory beyond its bytes and its coefficients.
+A block has two routes.  When every line is `<integer> <number>,<number>`,
+one space and one comma, as `write_element` (`_ELEMENT_LINE`) and `repr`
+spell it, one `np.fromstring` converts the block and numpy checks it (an
+index holds no ".", "e" or "E"; range, duplicates, finiteness), whatever
+the line ends.  Every other block (a comment, a blank line, a tab, a token
+such as "1-2") and every block that fails a check goes to one loop, line by
+line: token count, index, range, duplicate, then the "re,im" value.  That
+loop alone raises, so the first bad line and its message are those of a
+line-by-line parse.  Generator rows, basis-code rows and custom-basis
+matrices are read by one loop, `_rows`.
 """
 
 from __future__ import annotations
@@ -77,10 +62,18 @@ from .errors import FormatError
 from .group_algebra import AlgebraElement, array_length
 
 # bytes of the file per block of lines parsed at once, and lines per
-# %-format in write_element: they bound the memory a large file needs beyond
-# its coefficients
+# %-format in write_element (numbers per %-format in the other writers): they
+# bound the memory a large file needs beyond its coefficients
 _BLOCK_CHARS = 1 << 20
 _WRITE_BLOCK = 1 << 16
+
+# each format's header, and the spellings of an exponent pair and a number
+_ELEMENT_HEADER = b"element v1\nm %d\nn %d\n"
+_CODE_HEADER = b"code v1\nm %d\nn %d\nkind %s\n"
+_BASIS_HEADER = b"errorbasis v1\nm %d\nordering %s\n"
+_INT_PAIR = b"%d,%d"
+_FLOAT_PAIR = b"%.17g,%.17g"
+_ELEMENT_LINE = b"%d " + _FLOAT_PAIR + b"\n"
 
 
 def read_bytes(path) -> bytes:
@@ -175,11 +168,14 @@ def _parse_int_pair(token: str, path: Path, lineno: int) -> tuple[int, int]:
         raise FormatError(f"bad integer in {token!r}", path, lineno) from None
 
 
-def _header(path: Path, text: bytes, magic: str, keys: list[str]):
-    """The header of `text`: the line `magic`, then one line "<key> <value>"
-    per key.  Returns the fields by key, m and n (where they are keys) as
-    ints checked against m >= 2 and n >= 1 before anything is sized from
-    them, and the offset and the number of the body's first line."""
+def _header(path: Path, text: bytes, spec: bytes):
+    """The header of `text`: the magic line of the header `spec`, then one
+    line "<key> <value>" per key of `spec`.  Returns the fields by key, m and
+    n (where they are keys) as ints checked against m >= 2 and n >= 1 before
+    anything is sized from them, and the offset and the number of the body's
+    first line."""
+    magic, *fields = spec.decode().splitlines()
+    keys = [field.split()[0] for field in fields]
     numbers, lines, start, first = _head(text, 1 + len(keys))
     if not lines:
         raise FormatError("empty file", path)
@@ -221,7 +217,7 @@ def read_input(path, data: bytes | None = None) -> AlgebraElement | CodeSpec:
 def read_element(path, data: bytes | None = None) -> AlgebraElement:
     path = Path(path)
     text = _utf8(path, data)
-    header, start, first = _header(path, text, "element v1", ["m", "n"])
+    header, start, first = _header(path, text, _ELEMENT_HEADER)
     m, n = header["m"], header["n"]
     size = array_length(m, n, "an element", 2)
     coeffs = np.zeros(size, dtype=np.complex128)
@@ -311,10 +307,9 @@ def _element_lines(numbers, lines, seen: np.ndarray, path: Path):
 
 
 def write_element(path, element: AlgebraElement) -> None:
-    path = Path(path)
     index = np.flatnonzero(element.coeffs)
     with open(path, "wb") as fh:
-        fh.write(b"element v1\nm %d\nn %d\n" % (element.m, element.n))
+        fh.write(_ELEMENT_HEADER % (element.m, element.n))
         for start in range(0, index.size, _WRITE_BLOCK):
             block = index[start : start + _WRITE_BLOCK]
             pairs = element.coeffs[block].view(np.float64)
@@ -322,7 +317,7 @@ def write_element(path, element: AlgebraElement) -> None:
             fields[0::3] = block.tolist()
             fields[1::3] = pairs[0::2].tolist()
             fields[2::3] = pairs[1::2].tolist()
-            fh.write(b"%d %.17g,%.17g\n" * block.size % tuple(fields))
+            fh.write(_ELEMENT_LINE * block.size % tuple(fields))
 
 
 # --- codes ---
@@ -330,7 +325,7 @@ def write_element(path, element: AlgebraElement) -> None:
 def read_code(path, data: bytes | None = None) -> CodeSpec:
     path = Path(path)
     text = _utf8(path, data)
-    header, start, first = _header(path, text, "code v1", ["m", "n", "kind"])
+    header, start, first = _header(path, text, _CODE_HEADER)
     m, n, kind = header["m"], header["n"], header["kind"]
     numbers, lines = _significant(first, text[start:])
     if kind == "stabilizer":
@@ -347,47 +342,52 @@ def read_code(path, data: bytes | None = None) -> CodeSpec:
     raise FormatError(f"unknown kind {kind!r} (want stabilizer|basis)", path)
 
 
+def _write_rows(fh, rows: np.ndarray, unit: bytes) -> None:
+    """Write each row of the 2-d `rows` spelled by the %-format `unit`, with
+    one %-format per block of at most _WRITE_BLOCK numbers, or of one row."""
+    step = max(1, _WRITE_BLOCK // rows.shape[1])
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        fh.write(unit * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_code(path, code: CodeSpec) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"code v1\nm {code.m}\nn {code.n}\nkind {code.kind}\n")
-        if code.kind == "stabilizer":
-            for row in code.body.rows.tolist():
-                fh.write(" ".join(f"{a},{b}" for a, b in zip(row[0::2], row[1::2])) + "\n")
-        else:
-            for row in code.body.vectors:
-                fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")
+    if code.kind == "stabilizer":
+        rows, pair = code.body.rows, _INT_PAIR
+    else:
+        rows, pair = code.body.vectors.view(np.float64), _FLOAT_PAIR
+    with open(path, "wb") as fh:
+        fh.write(_CODE_HEADER % (code.m, code.n, code.kind.encode()))
+        _write_rows(fh, rows, b" ".join([pair] * (rows.shape[1] // 2)) + b"\n")
 
 
 # --- custom error bases ---
 
+def _ordering(m: int) -> str:
+    """The canonical error-basis ordering for m, the one a basis file names."""
+    return "row-major" if m % 2 == 0 else "lee-paired"
+
+
 def read_custom_basis(path, data: bytes | None = None) -> PhaseSystem:
     path = Path(path)
     text = _utf8(path, data)
-    header, start, first = _header(path, text, "errorbasis v1", ["m", "ordering"])
+    header, start, first = _header(path, text, _BASIS_HEADER)
     m = header["m"]
-    expected_ordering = "row-major" if m % 2 == 0 else "lee-paired"
-    if header["ordering"] != expected_ordering:
-        raise FormatError(
-            f"ordering {header['ordering']!r} is not the canonical convention "
-            f"{expected_ordering!r} for m={m}",
-            path,
-        )
+    if header["ordering"] != _ordering(m):
+        raise FormatError(f"ordering {header['ordering']!r} is not the canonical convention "
+                          f"{_ordering(m)!r} for m={m}", path)
     numbers, lines = _significant(first, text[start:])
     rows = _rows(numbers, lines, m, _parse_complex, "matrix row has {} entries", path)
     if len(rows) != m ** 3:
-        raise FormatError(
-            f"expected m^2 = {m * m} matrices ({m ** 3} rows), got {len(rows)} rows", path
-        )
+        raise FormatError(f"expected m^2 = {m * m} matrices ({m ** 3} rows), "
+                          f"got {len(rows)} rows", path)
     return validate_custom_basis(np.array(rows).reshape(m * m, m, m))
 
 
 def write_custom_basis(path, m: int, matrices: np.ndarray) -> None:
-    path = Path(path)
-    ordering = "row-major" if m % 2 == 0 else "lee-paired"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"errorbasis v1\nm {m}\nordering {ordering}\n")
-        for mat in matrices:
-            for row in mat:
-                fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")
-            fh.write("\n")
+    matrices = np.ascontiguousarray(matrices, dtype=np.complex128)
+    count, size, width = matrices.shape
+    line = b" ".join([_FLOAT_PAIR] * width) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(_BASIS_HEADER % (m, _ordering(m).encode()))
+        _write_rows(fh, matrices.view(np.float64).reshape(count, -1), line * size + b"\n")

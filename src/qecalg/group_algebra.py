@@ -209,8 +209,8 @@ def double_transform_scaling_check(sys: PhaseSystem, a: AlgebraElement) -> Check
     is formed in the one array that holds the scaled A.
     """
     first = transform(sys, a)
+    second = transform(sys, first).coeffs  # refuses a zero M' before it divides
     scale_factor = a.size / (a.mass * first.mass)
-    second = transform(sys, first).coeffs
     del first
     diff = scale_factor * a.coeffs
     np.subtract(second, diff, out=diff)

@@ -1,6 +1,6 @@
-"""The line-by-line element reader and writer that `qecalg.fileio` replaced.
+"""The line-by-line element reader and the str writers that `qecalg.fileio` replaced.
 
-Kept only as the reference the bulk parser and writer are tested against,
+Kept only as the reference the bulk parser and the bytes writers are tested against,
 the way `qecalg.oracle` certifies the fast transform: each significant line
 is read and checked in turn (token count, index, range, duplicate, then the
 "re,im" value), so the first bad line raises first.  The file is decoded
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from qecalg.code_analysis import CodeSpec
 from qecalg.errors import FormatError
 from qecalg.group_algebra import AlgebraElement
 
@@ -106,3 +107,26 @@ def write_element_reference(path, element: AlgebraElement) -> None:
         for idx in np.nonzero(element.coeffs)[0]:
             c = element.coeffs[idx]
             fh.write(f"{idx} {c.real:.17g},{c.imag:.17g}\n")
+
+
+def write_code_reference(path, code: CodeSpec) -> None:
+    path = Path(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"code v1\nm {code.m}\nn {code.n}\nkind {code.kind}\n")
+        if code.kind == "stabilizer":
+            for row in code.body.rows.tolist():
+                fh.write(" ".join(f"{a},{b}" for a, b in zip(row[0::2], row[1::2])) + "\n")
+        else:
+            for row in code.body.vectors:
+                fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")
+
+
+def write_custom_basis_reference(path, m: int, matrices: np.ndarray) -> None:
+    path = Path(path)
+    ordering = "row-major" if m % 2 == 0 else "lee-paired"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"errorbasis v1\nm {m}\nordering {ordering}\n")
+        for mat in matrices:
+            for row in mat:
+                fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")
+            fh.write("\n")

@@ -145,6 +145,14 @@ def test_verify_missing_input(capsys):
     assert "needs an input" in err
 
 
+def test_verify_double_of_a_zero_dual_mass_is_input_error(capsys, tmp_path):
+    # M' = 0 exactly: refused as a zero mass, not a check that ran and failed
+    path = tmp_path / "z.elem"
+    path.write_text("element v1\nm 2\nn 1\n1 1,0\n2 1,0\n")
+    code, out, err = run(capsys, "verify", str(path), "--identity", "double")
+    assert (code, out, err) == (2, "", "error: |mass| = 0.000e+00 <= 1e-12\n")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import qecalg.cli as cli_mod
     monkeypatch.setattr(

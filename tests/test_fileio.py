@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecalg import AlgebraElement, CodeSpec, build_pauli_system, catalog, fileio, random_element
+from qecalg import (
+    AlgebraElement,
+    CodeSpec,
+    build_pauli_system,
+    catalog,
+    fileio,
+    random_code,
+    random_element,
+)
 from qecalg.errors import FormatError, QecalgError
 from qecalg.fileio import (
     read_code,
@@ -16,7 +24,12 @@ from qecalg.fileio import (
     write_element,
 )
 
-from element_io_reference import read_element_reference, write_element_reference
+from element_io_reference import (
+    read_element_reference,
+    write_code_reference,
+    write_custom_basis_reference,
+    write_element_reference,
+)
 
 
 def test_element_roundtrip(tmp_path):
@@ -302,6 +315,18 @@ def test_invalid_utf8_is_format_error_with_line(tmp_path, data, line):
         assert f"line {line}: not valid UTF-8" in str(err.value)
 
 
+def _edges():
+    """4^4 complex numbers whose parts pair every two of +-0, subnormals,
+    +-the largest double, 0.1, integral values, inf and nan, then zeros."""
+    big = np.finfo(np.float64).max
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, big, -big,
+                       0.1, 1.0, -2.0, 2.0 ** 53, 1e22, np.inf, -np.inf, np.nan])
+    out = np.zeros(4 ** 4, dtype=np.complex128)
+    out.real[:values.size ** 2] = np.repeat(values, values.size)
+    out.imag[:values.size ** 2] = np.tile(values, values.size)
+    return out
+
+
 def _write_both(tmp_path, element):
     write_element(tmp_path / "new.elem", element)
     write_element_reference(tmp_path / "old.elem", element)
@@ -311,8 +336,7 @@ def _write_both(tmp_path, element):
 @pytest.mark.parametrize("case", ["gaussian", "sparse", "signed-zero", "subnormal", "huge",
                                   "edges"])
 def test_write_element_matches_reference_bytes(tmp_path, case):
-    # the bytes writer against the str writer's UTF-8; "edges" pairs every two
-    # of +-0, subnormals, +-the largest double, 0.1, integral values, inf and nan
+    # the bytes writer against the str writer's UTF-8
     rng = np.random.default_rng(11)
     size = 4 ** 4
     coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -327,12 +351,7 @@ def test_write_element_matches_reference_bytes(tmp_path, case):
     elif case == "huge":
         coeffs *= 1e300
     elif case == "edges":
-        big = np.finfo(np.float64).max
-        values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, big, -big,
-                           0.1, 1.0, -2.0, 2.0 ** 53, 1e22, np.inf, -np.inf, np.nan])
-        coeffs[:] = 0
-        coeffs.real[:values.size ** 2] = np.repeat(values, values.size)
-        coeffs.imag[:values.size ** 2] = np.tile(values, values.size)
+        coeffs = _edges()
     new, old = _write_both(tmp_path, AlgebraElement(2, 4, coeffs))
     assert new == old
     if case != "edges":  # the reader refuses inf and nan
@@ -469,3 +488,75 @@ def test_reading_a_large_written_file_peaks_low(tmp_path):
         tracemalloc.stop()
     # reading it line by line peaked at 22.8 MiB, in bulk at 9.9 MiB
     assert peak < 20.1 * 2 ** 20
+
+
+# --- the code and basis writers against the str writers they replaced ---
+
+def _regauged(m):
+    phases = np.exp(2j * np.pi * np.random.default_rng(m).random(m * m))
+    phases[0] = 1.0
+    return np.asarray(build_pauli_system(m).matrices) * phases[:, None, None]
+
+
+_CODES = {
+    **{name: lambda name=name: catalog.load(name) for name in catalog.names()},
+    "phased": lambda: CodeSpec.from_stabilizers(3, 2, [[(1, 0), (2, 0)], [(0, 1), (0, 1)]],
+                                                phases=[1, 4]),
+    **{f"random{mnk}": lambda mnk=mnk: random_code(*mnk, seed=5)
+       for mnk in [(2, 3, 2), (2, 10, 2), (3, 5, 3), (2, 12, 4)]},
+    "eye": lambda: CodeSpec.from_basis(2, 2, np.eye(4)),
+}
+_BASES = {
+    **{f"pauli{m}": lambda m=m: (m, build_pauli_system(m).matrices) for m in range(2, 13)},
+    "regauged2": lambda: (2, _regauged(2)),
+    "regauged3": lambda: (3, _regauged(3)),
+    "edges": lambda: (4, _edges().reshape(16, 4, 4)),
+}
+
+
+# 24 numbers hold two rows of 513 (10 numbers each) and three qubit matrices
+# (8 each): blocks of whole rows and matrices, and one of the rest
+@pytest.mark.parametrize("block", [fileio._WRITE_BLOCK, 24, 1])
+@pytest.mark.parametrize("case", list(_CODES))
+def test_write_code_matches_reference_bytes(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", block)
+    code = _CODES[case]()
+    write_code(tmp_path / "new.code", code)
+    write_code_reference(tmp_path / "old.code", code)
+    new = (tmp_path / "new.code").read_bytes()
+    assert new == (tmp_path / "old.code").read_bytes() and b"\r" not in new
+    back = read_code(tmp_path / "new.code")
+    if code.kind == "stabilizer":
+        assert np.array_equal(back.body.rows, code.body.rows) and back.body.phases is None
+    else:
+        assert back.body.vectors.tobytes() == code.body.vectors.tobytes()
+
+
+@pytest.mark.parametrize("block", [fileio._WRITE_BLOCK, 24, 1])
+@pytest.mark.parametrize("case", list(_BASES))
+def test_write_custom_basis_matches_reference_bytes(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", block)
+    m, matrices = _BASES[case]()
+    write_custom_basis(tmp_path / "new.errorbasis", m, matrices)
+    write_custom_basis_reference(tmp_path / "old.errorbasis", m, matrices)
+    new = (tmp_path / "new.errorbasis").read_bytes()
+    assert new == (tmp_path / "old.errorbasis").read_bytes() and b"\r" not in new
+    if case != "edges":  # the reader refuses inf and nan
+        back = read_custom_basis(tmp_path / "new.errorbasis")
+        assert np.asarray(back.matrices).tobytes() == np.asarray(matrices).tobytes()
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_writing_a_large_basis_code_peaks_low(tmp_path, k):
+    import tracemalloc
+
+    code = random_code(2, 12, k, seed=1)  # k rows of 4,096 entries
+    tracemalloc.start()
+    try:
+        write_code(tmp_path / "big.code", code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # formatting the whole body at once peaked at 8.3 MiB for k = 16, and
+    # grows with k; a block holds at most _WRITE_BLOCK numbers whatever k is
+    assert peak < 16 * 2 ** 20

@@ -277,6 +277,15 @@ def test_double_transform_unit(sys2):
     assert double_transform_scaling_check(sys2, z0).passed
 
 
+def test_double_transform_of_a_zero_dual_mass_raises(sys2):
+    # C = z^1 + z^2 has M = 2, and its C' has M' exactly 0: the check refuses
+    # M' as the transform refuses M, before it scales by 1 / (M * M')
+    a = AlgebraElement(2, 1, np.array([0, 1, 1, 0], dtype=np.complex128))
+    assert transform(sys2, a).mass == 0
+    with pytest.raises(ZeroMass, match=r"^\|mass\| = 0.000e\+00 <= 1e-12$"):
+        double_transform_scaling_check(sys2, a)
+
+
 def test_double_transform_random(sys2, sys3):
     for sys_, m, n in ((sys2, 2, 2), (sys2, 2, 3), (sys3, 3, 2)):
         for seed in range(10):

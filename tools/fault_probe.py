@@ -7,19 +7,23 @@
 Each row of MUTANTS names a file under src/qecalg, a text that must occur in
 it exactly once, the text that replaces it, and the outcome expected: the
 suite kills the mutant, or the mutant is equivalent to the program, with the
-reason.  For every run the script copies src/, tests/, pyproject.toml and
-README.md (which a test reads) of this checkout into a new temporary
-directory, applies the row's edit there and runs `python -m pytest -x -q -p
-no:cacheprovider` in it; a failing run kills the mutant.  The unmutated copy runs first and must pass.  The suite
-runs without tests/test_fault_probe.py, which checks this table against the
-unmutated source and so would fail on every mutated copy.
+reason.  At start the script copies src/, tests/, pyproject.toml and
+README.md (which a test reads) of this checkout once into a base temporary
+directory, so every run tests the tree the probe started on, whatever
+happens to the checkout meanwhile.  For every run it copies that base into a
+new temporary directory, applies the row's edit there and runs `python -m
+pytest -x -q -p no:cacheprovider` in it; a failing run kills the mutant.
+The unmutated copy runs first and must pass.  The suite runs without
+tests/test_fault_probe.py, which checks this table against the unmutated
+source and so would fail on every mutated copy.
 
 One line per row is printed.  The exit code is 1 when a row's outcome is
 not the one expected (a mutant expected to be killed survives, an
-equivalent one is killed, or an edit no longer applies), 2 when the
-unmutated copy fails, and 0 otherwise.  Nothing outside the temporary
-directories is written.  The probe is not part of the test suite: one row
-takes from a few seconds to a whole run of the suite.
+equivalent one is killed, or an edit no longer applies), 2 when a row
+number is not one of the table's or the unmutated copy fails, and 0
+otherwise.  Nothing outside the temporary directories is written.  The
+probe is not part of the test suite: one row takes from a few seconds to a
+whole run of the suite.
 """
 
 from __future__ import annotations
@@ -101,6 +105,9 @@ MUTANTS = [
      KILLED, "weight counts that ignore the first qudit"),
     ("stabilizer.py", "for x in (before, factors))", "for x in (before[:-1], factors[:-1]))",
      KILLED, "a word's scalar without the omega factor of its last step"),
+    ("fileio.py", '_FLOAT_PAIR = b"%.17g,%.17g"', '_FLOAT_PAIR = b"%.16g,%.16g"', KILLED,
+     "every written complex number spelled with 16 significant digits, which may not read "
+     "back as the same doubles"),
 ]
 
 
@@ -123,14 +130,14 @@ def _apply(dest: Path, row) -> bool:
     return True
 
 
-def _suite_passes(row=None) -> tuple[bool | None, float]:
-    """Run the suite on a fresh copy, mutated by `row` if given: (passed, seconds),
-    passed None when the row's edit does not apply."""
+def _suite_passes(base: Path, row=None) -> tuple[bool | None, float]:
+    """Run the suite on a fresh copy of `base`, mutated by `row` if given:
+    (passed, seconds), passed None when the row's edit does not apply."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="qecalg-fault-") as tmp:
-        dest = Path(tmp)
-        _copy_tree(dest)
+        dest = Path(tmp) / "tree"
+        shutil.copytree(base, dest)
         if row is not None and not _apply(dest, row):
             return None, 0.0
         start = time.perf_counter()
@@ -146,8 +153,20 @@ def main(argv: list[str]) -> int:
         for i, (name, _, _, expected, why) in enumerate(MUTANTS, 1):
             print(f"{i:2d} {expected:10s} {name}: {why}")
         return 0
-    rows = [int(a) for a in argv] if argv else range(1, len(MUTANTS) + 1)
-    passed, seconds = _suite_passes()
+    valid = [str(i) for i in range(1, len(MUTANTS) + 1)]
+    wrong = [a for a in argv if a not in valid]
+    if wrong:
+        print(f"not a row: {' '.join(wrong)} (rows are 1..{len(MUTANTS)})", file=sys.stderr)
+        return 2
+    rows = [int(a) for a in argv or valid]
+    with tempfile.TemporaryDirectory(prefix="qecalg-fault-base-") as base:
+        _copy_tree(Path(base))
+        return _probe(Path(base), rows)
+
+
+def _probe(base: Path, rows: list[int]) -> int:
+    """The unmutated run, then each of `rows`, all on copies of `base`."""
+    passed, seconds = _suite_passes(base)
     print(f" 0 unmutated  {'passed' if passed else 'FAILED'} in {seconds:.1f} s", flush=True)
     if not passed:
         return 2
@@ -155,7 +174,7 @@ def main(argv: list[str]) -> int:
     for i in rows:
         row = MUTANTS[i - 1]
         name, _, _, expected, why = row
-        passed, seconds = _suite_passes(row)
+        passed, seconds = _suite_passes(base, row)
         # a stale row's edit no longer applies: the table is out of date
         outcome = "stale" if passed is None else "survived" if passed else "killed"
         wrong = outcome != ("killed" if expected == KILLED else "survived")
